@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-taint fuzz-order test race race-vplane race-gateway race-tenant race-taint race-order chaos bench metrics-smoke
+.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-taint fuzz-order test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
-# subsumes race-vplane/race-gateway/race-tenant/race-taint/race-order; the focused
-# targets exist for fast iteration.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-taint race-order fuzz-disasm fuzz-taint fuzz-order
+# subsumes race-vplane/race-gateway/race-tenant/race-dataflow; the focused
+# targets exist for fast iteration. bench-smoke runs the benchmark module's
+# own tests, which the root go test ./... does not reach.
+check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-taint fuzz-order bench-smoke
 
 build:
 	$(GO) build ./...
@@ -70,15 +71,11 @@ race-tenant:
 	$(GO) test -race -count=2 ./internal/tenant/
 	$(GO) test -race -count=2 -run 'TestTenant|TestGatewayTenant|TestGatewayStalled' ./internal/gateway/
 
-# Focused race gate for the P7 taint pass and its verifier/runtime wiring
-# (the analysis itself is pure, but concurrent verifications share it).
-race-taint:
-	$(GO) test -race -count=2 ./internal/taint/ ./internal/verifier/ ./internal/apps/
-
-# Focused race gate for the P8 interface-orderliness pass and its
-# verifier/runtime wiring (pure analysis shared by concurrent verifications).
-race-order:
-	$(GO) test -race -count=2 ./internal/order/ ./internal/verifier/ ./internal/apps/
+# Focused race gate for the shared dataflow engine, the P7 taint and P8
+# order passes over it, and their verifier/runtime wiring (the analyses are
+# pure, but concurrent verifications share them).
+race-dataflow:
+	$(GO) test -race -count=2 ./internal/cfa/ ./internal/taint/ ./internal/order/ ./internal/verifier/ ./internal/apps/
 
 # The fault-injection suite on its own (always runs under -race: the point
 # is that injected faults surface as clean errors, not data races).
@@ -87,6 +84,11 @@ chaos:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The benchmark is a nested module: its oracles and quick smoke of every
+# workload run only from inside it.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
 
 # Boots the real deflection-serve binary with -metrics-addr, scrapes
 # /metrics and /healthz after the demo session, and checks a clean drain.

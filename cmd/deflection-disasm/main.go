@@ -73,10 +73,10 @@ func run() int {
 	}
 
 	if *taintF {
-		return dumpTaintCFG(o, *cfg)
+		return dumpAnnotatedCFG(o, *cfg, "taint")
 	}
 	if *orderF {
-		return dumpOrderCFG(o, *cfg)
+		return dumpAnnotatedCFG(o, *cfg, "order")
 	}
 	if *cfg != "" {
 		return dumpCFG(o, *cfg)
@@ -101,24 +101,10 @@ func run() int {
 			fmt.Fprintln(os.Stderr, perr)
 			return 2
 		}
-		e, eerr := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
-		if eerr != nil {
-			fmt.Fprintln(os.Stderr, eerr)
-			return 1
-		}
-		ld, lerr := loader.Load(e, o)
+		ld, text, offs, lerr := load(o)
 		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "load: %v\n", lerr)
+			fmt.Fprintln(os.Stderr, lerr)
 			return 1
-		}
-		text, terr := ld.TextBytes()
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, terr)
-			return 1
-		}
-		var offs []int64
-		for _, t := range ld.BranchTargets {
-			offs = append(offs, int64(t-ld.TextBase))
 		}
 		res, verr := verifier.Verify(text, verifier.Options{
 			Required:            pols,
@@ -212,67 +198,82 @@ func dumpCFG(o *obj.Object, format string) int {
 		return 1
 	}
 	g := cfa.Build(dis, entry.Offset, targets)
-	switch format {
-	case "dot":
-		if err := g.Dot(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	case "text":
-		fmt.Print(g.Text())
-		if dead := g.DeadRanges(len(o.Text)); len(dead) > 0 {
-			for _, r := range dead {
-				fmt.Printf("dead [%#06x, %#06x): %d bytes unreachable\n", r.Lo, r.Hi, r.Hi-r.Lo)
-			}
+	printCFG(g, format, annotation{
+		text: func(b *cfa.Block) string { return fmt.Sprintf(" preds=%v idom=%d", b.Preds, g.Idom(b.ID)) },
+	})
+	if format == "text" {
+		for _, r := range g.DeadRanges(len(o.Text)) {
+			fmt.Printf("dead [%#06x, %#06x): %d bytes unreachable\n", r.Lo, r.Hi, r.Hi-r.Lo)
 		}
 	}
 	return 0
 }
 
-// dumpTaintCFG loads and relocates the object exactly as the runtime
-// would, runs a full p1-p7 verification capturing the P7 taint report,
-// and renders the CFG over the relocated text with per-block register
-// taint-in/out masks and inline findings. The verdict goes to stderr so
-// dot output on stdout stays valid graphviz.
-func dumpTaintCFG(o *obj.Object, format string) int {
+// load places the object in a fresh enclave exactly as the runtime would
+// and returns the loaded image, its relocated text and the branch-target
+// offsets within that text.
+func load(o *obj.Object) (*loader.Loaded, []byte, []int64, error) {
 	e, err := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return nil, nil, nil, err
 	}
 	ld, err := loader.Load(e, o)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "load: %v\n", err)
-		return 1
+		return nil, nil, nil, fmt.Errorf("load: %w", err)
 	}
 	text, err := ld.TextBytes()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var offs []int64
+	for _, t := range ld.BranchTargets {
+		offs = append(offs, int64(t-ld.TextBase))
+	}
+	return ld, text, offs, nil
+}
+
+// dumpAnnotatedCFG loads and relocates the object exactly as the runtime
+// would, runs a full verification up to the requested dataflow pass (p1-p7
+// for taint, p1-p8 for order) capturing its report, and renders the CFG
+// over the relocated text annotated with the pass's per-block results and
+// inline findings. The verdict goes to stderr so dot output on stdout stays
+// valid graphviz.
+func dumpAnnotatedCFG(o *obj.Object, format, pass string) int {
+	ld, text, offs, err := load(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	entryOff := int64(ld.Entry - ld.TextBase)
-	var offs []int64
-	for _, t := range ld.BranchTargets {
-		offs = append(offs, int64(t-ld.TextBase))
-	}
-	var rep *taint.Report
-	_, verr := verifier.Verify(text, verifier.Options{
-		Required:            policy.SetP1P7,
+	opts := verifier.Options{
 		EntryOffset:         entryOff,
 		BranchTargetOffsets: offs,
 		Taint:               runtime.TaintConfig(ld),
-		TaintObserver:       func(r *taint.Report) { rep = r },
-	})
+	}
+	policyID, holds := "P7", "no secret buffers tagged; P7 holds trivially"
+	ann := annotation{tag: "TAINT"}
+	switch pass {
+	case "taint":
+		opts.Required = policy.SetP1P7
+		opts.TaintObserver = func(r *taint.Report) { ann = taintAnnotation(r) }
+	case "order":
+		p := runtime.OrderProtocol(ld)
+		opts.Required, opts.Order = policy.SetP1P8, p
+		ann = orderAnnotation(p, nil)
+		opts.OrderObserver = func(r *order.Report) { ann = orderAnnotation(p, r) }
+		policyID, holds = "P8", "no interface protocol declared; P8 holds trivially"
+	}
+	_, verr := verifier.Verify(text, opts)
 	switch {
 	case verr != nil:
 		fmt.Fprintf(os.Stderr, "verifier: REJECTED: %v\n", verr)
-	case rep != nil && rep.Trivial:
-		fmt.Fprintln(os.Stderr, "verifier: ACCEPTED (no secret buffers tagged; P7 holds trivially)")
+	case ann.ran && ann.trivial:
+		fmt.Fprintf(os.Stderr, "verifier: ACCEPTED (%s)\n", holds)
 	default:
 		fmt.Fprintln(os.Stderr, "verifier: ACCEPTED")
 	}
-	if rep == nil {
-		fmt.Fprintln(os.Stderr, "deflection-disasm: taint annotations unavailable (an earlier pass rejected the binary before P7 ran)")
+	if !ann.ran {
+		fmt.Fprintf(os.Stderr, "deflection-disasm: %s annotations unavailable (an earlier pass rejected the binary before %s ran)\n", pass, policyID)
 	}
 
 	dis, err := disasm.Disassemble(text, append([]int64{entryOff}, offs...))
@@ -280,153 +281,70 @@ func dumpTaintCFG(o *obj.Object, format string) int {
 		fmt.Fprintf(os.Stderr, "deflection-disasm: %v\n", err)
 		return 1
 	}
-	g := cfa.Build(dis, entryOff, offs)
-	findings := make(map[int64]taint.Finding)
-	if rep != nil {
-		for _, f := range rep.Findings {
-			findings[f.Off] = f
-		}
-	}
-	switch format {
-	case "dot":
-		renderTaintDot(g, rep, findings)
-	case "text":
-		renderTaintText(g, rep, findings)
-	}
+	printCFG(cfa.Build(dis, entryOff, offs), format, ann)
 	if verr != nil {
 		return 1
 	}
 	return 0
 }
 
-// dumpOrderCFG loads and relocates the object exactly as the runtime
-// would, runs a full p1-p8 verification capturing the P8 orderliness
-// report, and renders the CFG over the relocated text with per-block
-// reachable protocol-state sets and inline findings. The verdict goes to
-// stderr so dot output on stdout stays valid graphviz.
-func dumpOrderCFG(o *obj.Object, format string) int {
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "load: %v\n", err)
-		return 1
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	entryOff := int64(ld.Entry - ld.TextBase)
-	var offs []int64
-	for _, t := range ld.BranchTargets {
-		offs = append(offs, int64(t-ld.TextBase))
-	}
-	proto := runtime.OrderProtocol(ld)
-	var rep *order.Report
-	_, verr := verifier.Verify(text, verifier.Options{
-		Required:            policy.SetP1P8,
-		EntryOffset:         entryOff,
-		BranchTargetOffsets: offs,
-		Taint:               runtime.TaintConfig(ld),
-		Order:               proto,
-		OrderObserver:       func(r *order.Report) { rep = r },
-	})
-	switch {
-	case verr != nil:
-		fmt.Fprintf(os.Stderr, "verifier: REJECTED: %v\n", verr)
-	case rep != nil && rep.Trivial:
-		fmt.Fprintln(os.Stderr, "verifier: ACCEPTED (no interface protocol declared; P8 holds trivially)")
-	default:
-		fmt.Fprintln(os.Stderr, "verifier: ACCEPTED")
-	}
-	if rep == nil {
-		fmt.Fprintln(os.Stderr, "deflection-disasm: order annotations unavailable (an earlier pass rejected the binary before P8 ran)")
-	}
-
-	dis, err := disasm.Disassemble(text, append([]int64{entryOff}, offs...))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "deflection-disasm: %v\n", err)
-		return 1
-	}
-	g := cfa.Build(dis, entryOff, offs)
-	findings := make(map[int64]order.Finding)
-	if rep != nil {
-		for _, f := range rep.Findings {
-			findings[f.Off] = f
-		}
-	}
-	switch format {
-	case "dot":
-		renderOrderDot(g, proto, rep, findings)
-	case "text":
-		renderOrderText(g, proto, rep, findings)
-	}
-	if verr != nil {
-		return 1
-	}
-	return 0
+// annotation decorates a CFG rendering with one analysis' per-block
+// results. The zero value renders the bare graph.
+type annotation struct {
+	ran, trivial bool                  // the pass reported; it held without analysis
+	tag          string                // marks findings: TAINT or ORDER
+	findings     map[int64]cfa.Finding // by instruction offset
+	header       string                // extra text header lines
+	// text returns the suffix of a block's text header line; dot returns
+	// an extra dot label line and whether to draw the block red.
+	text func(b *cfa.Block) string
+	dot  func(b *cfa.Block) (string, bool)
+	// redFindings also draws every block holding a finding red.
+	redFindings bool
 }
 
-// stateMask renders a protocol-state bitmask with the protocol's state
-// names; without a protocol there are no states to name.
-func stateMask(p *order.Protocol, m uint64) string {
-	if p == nil {
-		return "-"
-	}
-	return p.StateNames(m)
-}
-
-func renderOrderText(g *cfa.Graph, p *order.Protocol, rep *order.Report, findings map[int64]order.Finding) {
-	fmt.Printf("cfg: %d blocks, %d edges, entry %#x, %d listed targets\n",
-		len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets))
-	if p != nil {
-		fmt.Printf("protocol: %d states, start %q\n", len(p.States), p.States[p.Start].Name)
-	}
-	for _, b := range g.Blocks[1:] {
-		fmt.Printf("block %d [%#06x, %#06x) succs=%v", b.ID, b.Start, b.End, b.Succs)
-		if rep != nil && !rep.Trivial {
-			if bs, ok := rep.Blocks[b.ID]; ok {
-				fmt.Printf(" states-in={%s} states-out={%s}", stateMask(p, bs.In), stateMask(p, bs.Out))
-			} else {
-				fmt.Print(" states: unreached")
-			}
-		}
-		fmt.Println()
-		for _, in := range b.Insts {
-			fmt.Printf("  %#06x  %s", in.Off, in.Inst.String())
-			if f, ok := findings[in.Off]; ok {
-				fmt.Printf("   ; ORDER %s: %s", f.Kind, f.Msg)
+// printCFG renders g as a plain-text block listing or in Graphviz dot
+// syntax.
+func printCFG(g *cfa.Graph, format string, ann annotation) {
+	if format == "text" {
+		fmt.Printf("cfg: %d blocks, %d edges, entry %#x, %d listed targets\n%s",
+			len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets), ann.header)
+		for _, b := range g.Blocks[1:] {
+			fmt.Printf("block %d [%#06x, %#06x) succs=%v", b.ID, b.Start, b.End, b.Succs)
+			if ann.text != nil {
+				fmt.Print(ann.text(b))
 			}
 			fmt.Println()
+			for _, in := range b.Insts {
+				fmt.Printf("  %#06x  %s", in.Off, in.Inst.String())
+				if f, ok := ann.findings[in.Off]; ok {
+					fmt.Printf("   ; %s %s: %s", ann.tag, f.Kind, f.Msg)
+				}
+				fmt.Println()
+			}
 		}
+		return
 	}
-}
-
-func renderOrderDot(g *cfa.Graph, p *order.Protocol, rep *order.Report, findings map[int64]order.Finding) {
 	fmt.Println("digraph cfg {\n  node [shape=box fontname=\"monospace\"];")
 	fmt.Println("  root [label=\"root\" shape=ellipse];")
 	for _, b := range g.Blocks[1:] {
 		var lbl strings.Builder
 		fmt.Fprintf(&lbl, "[%#06x, %#06x)\\l", b.Start, b.End)
-		violated := false
-		if rep != nil && !rep.Trivial {
-			if bs, ok := rep.Blocks[b.ID]; ok {
-				fmt.Fprintf(&lbl, "states in={%s} out={%s}\\l", stateMask(p, bs.In), stateMask(p, bs.Out))
-			}
+		red := false
+		if ann.dot != nil {
+			var line string
+			line, red = ann.dot(b)
+			lbl.WriteString(line)
 		}
 		for _, in := range b.Insts {
 			fmt.Fprintf(&lbl, "%#06x  %s\\l", in.Off, in.Inst.String())
-			if f, ok := findings[in.Off]; ok {
-				fmt.Fprintf(&lbl, "  !! ORDER %s\\l", f.Kind)
-				violated = true
+			if f, ok := ann.findings[in.Off]; ok {
+				fmt.Fprintf(&lbl, "  !! %s %s\\l", ann.tag, f.Kind)
+				red = red || ann.redFindings
 			}
 		}
 		attr := ""
-		if violated {
+		if red {
 			attr = " color=red"
 		}
 		fmt.Printf("  b%d [label=\"%s\"%s];\n", b.ID, lbl.String(), attr)
@@ -443,6 +361,66 @@ func renderOrderDot(g *cfa.Graph, p *order.Protocol, rep *order.Report, findings
 		}
 	}
 	fmt.Println("}")
+}
+
+// taintAnnotation renders a P7 report's per-block register taint-in/out
+// masks; a block is drawn red when any register is tainted at its entry or
+// exit.
+func taintAnnotation(r *taint.Report) annotation {
+	return annotation{
+		ran: true, trivial: r.Trivial, tag: "TAINT", findings: byOffset(r.Findings),
+		text: func(b *cfa.Block) string {
+			if bt, ok := r.Blocks[b.ID]; ok {
+				return fmt.Sprintf(" taint-in=%s taint-out=%s", regMask(bt.In), regMask(bt.Out))
+			}
+			return " taint: unreached"
+		},
+		dot: func(b *cfa.Block) (string, bool) {
+			bt, ok := r.Blocks[b.ID]
+			if !ok {
+				return "", false
+			}
+			return fmt.Sprintf("taint in=%s out=%s\\l", regMask(bt.In), regMask(bt.Out)), bt.In != 0 || bt.Out != 0
+		},
+	}
+}
+
+// orderAnnotation renders a P8 report's per-block reachable protocol-state
+// sets (r is nil when an earlier pass rejected); a block is drawn red when
+// it holds a finding.
+func orderAnnotation(p *order.Protocol, r *order.Report) annotation {
+	ann := annotation{tag: "ORDER", redFindings: true}
+	if p != nil {
+		ann.header = fmt.Sprintf("protocol: %d states, start %q\n", len(p.States), p.States[p.Start].Name)
+	}
+	if r == nil {
+		return ann
+	}
+	ann.ran, ann.trivial, ann.findings = true, r.Trivial, byOffset(r.Findings)
+	if r.Trivial {
+		return ann
+	}
+	ann.text = func(b *cfa.Block) string {
+		if bs, ok := r.Blocks[b.ID]; ok {
+			return fmt.Sprintf(" states-in={%s} states-out={%s}", p.StateNames(bs.In), p.StateNames(bs.Out))
+		}
+		return " states: unreached"
+	}
+	ann.dot = func(b *cfa.Block) (string, bool) {
+		if bs, ok := r.Blocks[b.ID]; ok {
+			return fmt.Sprintf("states in={%s} out={%s}\\l", p.StateNames(bs.In), p.StateNames(bs.Out)), false
+		}
+		return "", false
+	}
+	return ann
+}
+
+func byOffset(fs []cfa.Finding) map[int64]cfa.Finding {
+	m := make(map[int64]cfa.Finding, len(fs))
+	for _, f := range fs {
+		m[f.Off] = f
+	}
+	return m
 }
 
 // regMask renders a register-taint bitmask as a comma list ("-" = clean).
@@ -457,66 +435,4 @@ func regMask(m uint16) string {
 		}
 	}
 	return strings.Join(parts, ",")
-}
-
-func renderTaintText(g *cfa.Graph, rep *taint.Report, findings map[int64]taint.Finding) {
-	fmt.Printf("cfg: %d blocks, %d edges, entry %#x, %d listed targets\n",
-		len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets))
-	for _, b := range g.Blocks[1:] {
-		fmt.Printf("block %d [%#06x, %#06x) succs=%v", b.ID, b.Start, b.End, b.Succs)
-		if rep != nil {
-			if bt, ok := rep.Blocks[b.ID]; ok {
-				fmt.Printf(" taint-in=%s taint-out=%s", regMask(bt.In), regMask(bt.Out))
-			} else {
-				fmt.Print(" taint: unreached")
-			}
-		}
-		fmt.Println()
-		for _, in := range b.Insts {
-			fmt.Printf("  %#06x  %s", in.Off, in.Inst.String())
-			if f, ok := findings[in.Off]; ok {
-				fmt.Printf("   ; TAINT %s: %s", f.Kind, f.Msg)
-			}
-			fmt.Println()
-		}
-	}
-}
-
-func renderTaintDot(g *cfa.Graph, rep *taint.Report, findings map[int64]taint.Finding) {
-	fmt.Println("digraph cfg {\n  node [shape=box fontname=\"monospace\"];")
-	fmt.Println("  root [label=\"root\" shape=ellipse];")
-	for _, b := range g.Blocks[1:] {
-		var lbl strings.Builder
-		fmt.Fprintf(&lbl, "[%#06x, %#06x)\\l", b.Start, b.End)
-		tainted := false
-		if rep != nil {
-			if bt, ok := rep.Blocks[b.ID]; ok {
-				fmt.Fprintf(&lbl, "taint in=%s out=%s\\l", regMask(bt.In), regMask(bt.Out))
-				tainted = bt.In != 0 || bt.Out != 0
-			}
-		}
-		for _, in := range b.Insts {
-			fmt.Fprintf(&lbl, "%#06x  %s\\l", in.Off, in.Inst.String())
-			if f, ok := findings[in.Off]; ok {
-				fmt.Fprintf(&lbl, "  !! TAINT %s\\l", f.Kind)
-			}
-		}
-		attr := ""
-		if tainted {
-			attr = " color=red"
-		}
-		fmt.Printf("  b%d [label=\"%s\"%s];\n", b.ID, lbl.String(), attr)
-	}
-	name := func(id int) string {
-		if id == cfa.Root {
-			return "root"
-		}
-		return fmt.Sprintf("b%d", id)
-	}
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			fmt.Printf("  %s -> %s;\n", name(b.ID), name(s))
-		}
-	}
-	fmt.Println("}")
 }

@@ -48,7 +48,7 @@ var trustedPackages = []struct {
 	{"loader", "Dynamic loader + imm rewriter"},
 	{"verifier", "Policy verifier"},
 	{"disasm", "Clipped disassembler"},
-	{"cfa", "CFG recovery + dominators"},
+	{"cfa", "CFG recovery + dominators + dataflow engine"},
 	{"taint", "P7 secret-taint pass"},
 	{"order", "P8 interface-order pass"},
 	{"isa", "Instruction decoder"},

@@ -1,8 +1,10 @@
 // Package cfa implements control-flow analysis over the clipped
 // disassembler's output: basic-block CFG recovery, dominator-tree
-// computation and the small dataflow primitives (block-local register
+// computation, the small dataflow primitives (block-local register
 // definition sets, instruction-level predecessors, coverage gaps) the
-// verifier's dominance, dead-byte and target-list passes are built on.
+// verifier's dominance, dead-byte and target-list passes are built on, and
+// the interprocedural dataflow engine (Engine) under the P7 taint and P8
+// order passes.
 //
 // The package is part of the in-enclave TCB: like internal/disasm it may
 // depend only on internal/isa and the standard library (enforced by
@@ -32,10 +34,7 @@
 package cfa
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strings"
 
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
@@ -309,48 +308,4 @@ func (g *Graph) DeadRanges(textLen int) []Range {
 		dead = append(dead, Range{Lo: pos, Hi: int64(textLen)})
 	}
 	return dead
-}
-
-// Text renders the graph as a human-readable block listing.
-func (g *Graph) Text() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "cfg: %d blocks, %d edges, entry %#x, %d listed targets\n",
-		len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets))
-	for _, b := range g.Blocks[1:] {
-		fmt.Fprintf(&sb, "block %d [%#06x, %#06x) succs=%v preds=%v idom=%d\n",
-			b.ID, b.Start, b.End, b.Succs, b.Preds, g.idom[b.ID])
-		for _, in := range b.Insts {
-			fmt.Fprintf(&sb, "  %#06x  %s\n", in.Off, in.Inst.String())
-		}
-	}
-	return sb.String()
-}
-
-// Dot writes the graph in Graphviz dot syntax.
-func (g *Graph) Dot(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("digraph cfg {\n  node [shape=box fontname=\"monospace\"];\n")
-	fmt.Fprintf(&sb, "  root [label=\"root\" shape=ellipse];\n")
-	for _, b := range g.Blocks[1:] {
-		var lbl strings.Builder
-		fmt.Fprintf(&lbl, "[%#06x, %#06x)\\l", b.Start, b.End)
-		for _, in := range b.Insts {
-			fmt.Fprintf(&lbl, "%#06x  %s\\l", in.Off, in.Inst.String())
-		}
-		fmt.Fprintf(&sb, "  b%d [label=\"%s\"];\n", b.ID, lbl.String())
-	}
-	name := func(id int) string {
-		if id == Root {
-			return "root"
-		}
-		return fmt.Sprintf("b%d", id)
-	}
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			fmt.Fprintf(&sb, "  %s -> %s;\n", name(b.ID), name(s))
-		}
-	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
 }

@@ -1,7 +1,6 @@
 package cfa_test
 
 import (
-	"strings"
 	"testing"
 
 	"deflection/internal/asmtext"
@@ -64,7 +63,7 @@ func TestDiamondBlocksAndDominance(t *testing.T) {
 	g, o := build(t, diamond)
 	// Expected blocks: [cmp,je] [mov,jmp] [left: mov] [join: mov,hlt].
 	if got := len(g.Blocks) - 1; got != 4 {
-		t.Fatalf("got %d blocks, want 4:\n%s", got, g.Text())
+		t.Fatalf("got %d blocks, want 4", got)
 	}
 	head := g.BlockAt(off(t, o, "_start"))
 	left := g.BlockAt(off(t, o, "left"))
@@ -139,7 +138,7 @@ fn_in:
 	guard := g.BlockAt(off(t, o, "_start"))
 	fn := g.BlockAt(off(t, o, "fn"))
 	if fn == nil {
-		t.Fatalf("no block at fn:\n%s", g.Text())
+		t.Fatal("no block at fn")
 	}
 	if g.Dominates(guard.ID, fn.ID) {
 		t.Error("entry must not dominate a listed indirect target")
@@ -253,21 +252,5 @@ func TestDefMask(t *testing.T) {
 	}
 	if mask&(1<<3) != 0 {
 		t.Errorf("def mask %#x claims rdx, which is only read", mask)
-	}
-}
-
-func TestRenderings(t *testing.T) {
-	g, _ := build(t, diamond)
-	txt := g.Text()
-	if !strings.Contains(txt, "blocks") || !strings.Contains(txt, "block 1") {
-		t.Errorf("text rendering incomplete:\n%s", txt)
-	}
-	var sb strings.Builder
-	if err := g.Dot(&sb); err != nil {
-		t.Fatal(err)
-	}
-	dot := sb.String()
-	if !strings.Contains(dot, "digraph cfg") || !strings.Contains(dot, "->") {
-		t.Errorf("dot rendering incomplete:\n%s", dot)
 	}
 }

@@ -29,16 +29,15 @@
 //
 // # Interprocedural model
 //
-// Functions are partitioned exactly as in internal/taint (program entry,
-// direct-call targets, and — via the guarded indirect-call edge set — the
-// proof's listed branch targets). Each function is analyzed once per entry
-// state actually requested by a call site, giving a relational summary
-// indexed by entry state: summary(f, s) is the set of states f can return
-// in when entered in state s. Call transfer unions the summaries of the
-// current states; an empty summary (callee never returns, or not yet
-// analyzed) contributes bottom, and chaotic iteration over the monotone
-// domain re-runs callers when summaries grow. Exceeding the step budget is
-// a conservative rejection, never an acceptance.
+// The partition, fixpoint, worklists, budgets and sweep are the shared
+// engine in internal/cfa (DESIGN.md §11); this package supplies the domain
+// and its transfer. Each function is analyzed once per entry state actually
+// requested by a call site — one engine worklist run per (function, entry
+// state) context — giving a relational summary indexed by entry state:
+// summary(f, s) is the set of states f can return in when entered in state
+// s. Call transfer unions the summaries of the current states; an empty
+// summary (callee never returns, or not yet analyzed) contributes bottom,
+// and the engine re-runs callers when summaries grow.
 //
 // # Protocol meta-validation
 //
@@ -56,7 +55,6 @@ package order
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"deflection/internal/cfa"
 	"deflection/internal/disasm"
@@ -107,13 +105,6 @@ const (
 	KindHaltOrder = "halt-order"
 )
 
-// Finding is one orderliness violation at a specific instruction.
-type Finding struct {
-	Off  int64  // text offset of the violating instruction
-	Kind string // one of the Kind* constants
-	Msg  string
-}
-
 // BlockStates is the reachable-protocol-state summary of one basic block
 // (joined over every analysis context), for debugging renderings
 // (deflection-disasm -order).
@@ -127,8 +118,8 @@ type Report struct {
 	// Trivial is set when the pass held without analysis (no protocol
 	// declared, or no code).
 	Trivial bool
-	// Findings lists ordering violations in deterministic (address) order.
-	Findings []Finding
+	// Findings lists ordering violations in address order.
+	Findings []cfa.Finding
 	// Blocks maps block IDs to their reachable-state in/out masks.
 	Blocks map[int]BlockStates
 	// Funcs is the number of functions partitioned and analyzed; Ctxs the
@@ -148,11 +139,6 @@ var (
 	// ErrBudget reports that the fixpoint did not stabilise within the
 	// analysis budget.
 	ErrBudget = errors.New("order: analysis budget exceeded")
-)
-
-const (
-	maxOuter = 256     // outer chaotic-iteration rounds
-	maxSteps = 1 << 20 // total block-transfer applications
 )
 
 // outputEvent reports whether ev moves data out of the enclave. OcallRecv
@@ -258,42 +244,44 @@ func Analyze(g *cfa.Graph, p *Protocol) (*Report, error) {
 		return rep, nil
 	}
 	a := &analysis{
-		g:       g,
-		p:       p,
-		trans:   make(map[[2]int64]int, len(p.Edges)),
-		funcs:   make(map[int64]*fn),
-		version: 1,
+		Engine: cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 20}, func(m uint64) bool { return m != 0 }, joinMask),
+		p:      p,
+		trans:  make(map[[2]int64]int, len(p.Edges)),
 	}
 	for _, e := range p.Edges {
 		a.trans[[2]int64{int64(e.From), e.Event}] = e.To
 	}
-	a.partition()
-	if err := a.fixpoint(); err != nil {
-		return nil, err
+	a.fns = make([]fn, len(a.Funcs))
+	for i := range a.fns {
+		a.fns[i].ctxs = make([]*ctx, len(p.States))
 	}
-	a.sweep(rep)
-	rep.Funcs = len(a.funcs)
+	// The entry function starts in the protocol's start state.
+	if f := a.Func(g.Entry); f != nil {
+		a.fns[f.Index].reqs = 1 << uint(p.Start)
+	}
+	if !a.Fixpoint(a.analyzeFn) {
+		return nil, ErrBudget
+	}
+	rep.Findings = a.Sweep(a.contexts,
+		func(_ *cfa.Func, b *cfa.Block, in uint64, rec *cfa.Recorder) {
+			bs := rep.Blocks[b.ID]
+			bs.In |= in
+			bs.Out |= a.transfer(b, in, rec)
+			rep.Blocks[b.ID] = bs
+		})
+	rep.Funcs = len(a.Funcs)
+	for _, f := range a.Funcs {
+		rep.Ctxs += len(a.contexts(f))
+	}
 	rep.States = len(p.States)
-	for _, f := range a.funcs {
-		for _, c := range f.ctxs {
-			if c != nil {
-				rep.Ctxs++
-			}
-		}
-	}
-	rep.Steps = a.steps
+	rep.Steps = a.Steps
 	return rep, nil
 }
 
-// fn is one function under analysis: its intraprocedural block set and one
-// context per requested entry state.
+// fn is one function's requested entry states and their contexts.
 type fn struct {
-	entry  int64
-	blocks map[int]bool
-	order  []int // block IDs in ascending start order
-	reqs   uint64
-	ctxs   []*ctx // indexed by entry state; nil until requested
-	seen   int    // analysis.version at the start of the last local fixpoint
+	reqs uint64
+	ctxs []*ctx // indexed by entry state; nil until requested
 }
 
 // ctx is one (function, entry state) analysis context. A zero in-mask is
@@ -303,218 +291,77 @@ type ctx struct {
 	ret uint64   // join of reachable states at every return
 }
 
+// analysis is the protocol-state domain over the shared engine. Requested
+// contexts and grown summaries change only through Engine.Mark.
 type analysis struct {
-	g       *cfa.Graph
-	p       *Protocol
-	trans   map[[2]int64]int // (state, event) -> successor state
-	funcs   map[int64]*fn
-	order   []int64
-	steps   int
-	dirty   bool
-	version int // bumped on every global (reqs, summary) change
-	err     error
+	*cfa.Engine[uint64]
+	p     *Protocol
+	trans map[[2]int64]int // (state, event) -> successor state
+	fns   []fn             // indexed by cfa.Func.Index
 }
 
-// mark records a change to the global lattice state (a requested context or
-// a grown summary); functions whose last analysis saw the current version
-// cannot produce anything new.
-func (a *analysis) mark() {
-	a.dirty = true
-	a.version++
+// contexts returns the in-masks of f's requested contexts in entry-state
+// order.
+func (a *analysis) contexts(f *cfa.Func) [][]uint64 {
+	var ins [][]uint64
+	for _, c := range a.fns[f.Index].ctxs {
+		if c != nil {
+			ins = append(ins, c.in)
+		}
+	}
+	return ins
 }
 
-// partition mirrors internal/taint: function entries are the program entry,
-// every direct-call target, and — when an indirect call exists — every
-// listed branch target.
-func (a *analysis) partition() {
-	entries := map[int64]bool{a.g.Entry: true}
-	hasCallR := false
-	for _, b := range a.g.Blocks[1:] {
-		for _, in := range b.Insts {
-			switch in.Op {
-			case isa.OpCall:
-				entries[disasm.DirectTarget(in)] = true
-			case isa.OpCallR:
-				hasCallR = true
-			}
-		}
+func joinMask(dst *uint64, src uint64) bool {
+	if *dst|src == *dst {
+		return false
 	}
-	if hasCallR {
-		for _, t := range a.g.Targets {
-			entries[t] = true
-		}
-	}
-	for e := range entries {
-		if a.g.BlockAt(e) == nil {
-			continue
-		}
-		f := &fn{entry: e, blocks: make(map[int]bool), ctxs: make([]*ctx, len(a.p.States))}
-		a.collectBlocks(f)
-		a.funcs[e] = f
-		a.order = append(a.order, e)
-	}
-	sort.Slice(a.order, func(i, j int) bool { return a.order[i] < a.order[j] })
-	// The entry function starts in the protocol's start state.
-	if f := a.funcs[a.g.Entry]; f != nil {
-		f.reqs = 1 << uint(a.p.Start)
-	}
+	*dst |= src
+	return true
 }
 
-// collectBlocks walks intraprocedural edges from the function entry.
-func (a *analysis) collectBlocks(f *fn) {
-	start := a.g.BlockAt(f.entry)
-	work := []int{start.ID}
-	f.blocks[start.ID] = true
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range a.funcSuccIDs(a.g.Blocks[id]) {
-			if !f.blocks[s] {
-				f.blocks[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	for id := range f.blocks {
-		f.order = append(f.order, id)
-	}
-	sort.Slice(f.order, func(i, j int) bool {
-		return a.g.Blocks[f.order[i]].Start < a.g.Blocks[f.order[j]].Start
-	})
-}
-
-// funcSuccIDs returns a block's intraprocedural successors (calls continue
-// at their fall-through; the callee is composed via its summary).
-func (a *analysis) funcSuccIDs(b *cfa.Block) []int {
-	last := b.Last()
-	switch last.Op {
-	case isa.OpCall, isa.OpCallR:
-		if nb := a.g.BlockAt(last.End()); nb != nil {
-			return []int{nb.ID}
-		}
-		return nil
-	case isa.OpRet, isa.OpHlt, isa.OpTrap:
-		return nil
-	default:
-		return b.Succs
-	}
-}
-
-// fixpoint iterates every function to global stability.
-func (a *analysis) fixpoint() error {
-	for round := 0; round < maxOuter; round++ {
-		a.dirty = false
-		changed := false
-		for _, e := range a.order {
-			f := a.funcs[e]
-			if f.seen == a.version {
-				continue
-			}
-			if a.analyzeFn(f) {
-				changed = true
-			}
-			if a.err != nil {
-				return a.err
-			}
-		}
-		if !changed && !a.dirty {
-			return nil
-		}
-	}
-	return ErrBudget
-}
-
-// analyzeFn runs every requested context's intraprocedural worklist to
-// local stability under the current global state. It reports whether any
-// in-mask changed.
-func (a *analysis) analyzeFn(f *fn) bool {
-	f.seen = a.version
-	entryID := a.g.BlockAt(f.entry).ID
+// analyzeFn runs one engine worklist per requested context to local
+// stability under the current global state.
+func (a *analysis) analyzeFn(f *cfa.Func) bool {
+	fs := &a.fns[f.Index]
 	changed := false
 	for s := 0; s < len(a.p.States); s++ {
-		if f.reqs&(1<<uint(s)) == 0 {
+		if fs.reqs&(1<<uint(s)) == 0 {
 			continue
 		}
-		c := f.ctxs[s]
+		c := fs.ctxs[s]
 		if c == nil {
-			c = &ctx{in: make([]uint64, len(a.g.Blocks))}
-			f.ctxs[s] = c
+			c = &ctx{in: make([]uint64, len(a.G.Blocks))}
+			fs.ctxs[s] = c
 		}
-		if c.in[entryID]&(1<<uint(s)) == 0 {
-			c.in[entryID] |= 1 << uint(s)
+		if joinMask(&c.in[f.Head], 1<<uint(s)) {
 			changed = true
 		}
-		if a.analyzeCtx(f, c) {
-			changed = true
-		}
-		if a.err != nil {
-			return changed
-		}
+		changed = a.Solve(f, c.in, func(b *cfa.Block, in uint64) uint64 { return a.flow(c, b, in) }) || changed
 	}
 	return changed
 }
 
-// analyzeCtx runs one context's worklist dry, in address order for
-// determinism.
-func (a *analysis) analyzeCtx(f *fn, c *ctx) bool {
-	changed := false
-	var work []int
-	queued := make(map[int]bool, len(f.order))
-	for _, id := range f.order {
-		if c.in[id] != 0 {
-			work = append(work, id)
-			queued[id] = true
+// flow is a block's transfer within context c, composed with its exit: a
+// return folds the states into c's summary, a call maps them through the
+// callee summaries.
+func (a *analysis) flow(c *ctx, b *cfa.Block, in uint64) uint64 {
+	out := a.transfer(b, in, nil)
+	switch last := b.Last(); last.Op {
+	case isa.OpRet:
+		if joinMask(&c.ret, out) {
+			a.Mark()
 		}
+	case isa.OpCall:
+		out = a.callOut(disasm.DirectTarget(last), out)
+	case isa.OpCallR:
+		var merged uint64
+		for _, t := range a.G.Targets {
+			merged |= a.callOut(t, out)
+		}
+		out = merged
 	}
-	for len(work) > 0 {
-		a.steps++
-		if a.steps > maxSteps {
-			a.err = ErrBudget
-			return changed
-		}
-		id := work[0]
-		work = work[1:]
-		queued[id] = false
-		b := a.g.Blocks[id]
-		out := a.transfer(b, c.in[id], nil)
-		if out == 0 {
-			continue
-		}
-		last := b.Last()
-		switch last.Op {
-		case isa.OpRet:
-			if c.ret|out != c.ret {
-				c.ret |= out
-				a.mark()
-			}
-			continue
-		case isa.OpHlt, isa.OpTrap:
-			continue
-		case isa.OpCall:
-			out = a.callOut(disasm.DirectTarget(last), out)
-		case isa.OpCallR:
-			var merged uint64
-			for _, t := range a.g.Targets {
-				merged |= a.callOut(t, out)
-			}
-			out = merged
-		}
-		if out == 0 {
-			continue
-		}
-		for _, s := range a.funcSuccIDs(b) {
-			if c.in[s]|out == c.in[s] {
-				continue
-			}
-			c.in[s] |= out
-			changed = true
-			if !queued[s] {
-				queued[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return changed
+	return out
 }
 
 // callOut composes a call in states cur with the callee's per-entry-state
@@ -522,23 +369,23 @@ func (a *analysis) analyzeCtx(f *fn, c *ctx) bool {
 // non-returning) context contributes bottom; chaotic iteration revisits the
 // caller when the summary grows.
 func (a *analysis) callOut(entry int64, cur uint64) uint64 {
-	f2 := a.funcs[entry]
-	if f2 == nil {
+	f := a.Func(entry)
+	if f == nil {
 		// No decoded function at the target: the disassembler and the
 		// target-list pass reject such binaries before this pass runs;
 		// keep the states to stay conservative if they did not.
 		return cur
 	}
+	callee := &a.fns[f.Index]
 	var out uint64
 	for s := 0; s < len(a.p.States); s++ {
 		if cur&(1<<uint(s)) == 0 {
 			continue
 		}
-		if f2.reqs&(1<<uint(s)) == 0 {
-			f2.reqs |= 1 << uint(s)
-			a.mark()
+		if joinMask(&callee.reqs, 1<<uint(s)) {
+			a.Mark()
 		}
-		if c := f2.ctxs[s]; c != nil {
+		if c := callee.ctxs[s]; c != nil {
 			out |= c.ret
 		}
 	}
@@ -551,7 +398,7 @@ func (a *analysis) callOut(entry int64, cur uint64) uint64 {
 // into derived findings downstream, and the recorder deduplicates by
 // offset. A hlt additionally requires every reachable state to admit
 // EventHlt.
-func (a *analysis) transfer(b *cfa.Block, in uint64, rec *recorder) uint64 {
+func (a *analysis) transfer(b *cfa.Block, in uint64, rec *cfa.Recorder) uint64 {
 	cur := in
 	for _, di := range b.Insts {
 		switch di.Op {
@@ -565,7 +412,7 @@ func (a *analysis) transfer(b *cfa.Block, in uint64, rec *recorder) uint64 {
 					next |= 1 << uint(to)
 				} else {
 					if rec != nil {
-						rec.add(di.Off, KindEventOrder,
+						rec.Add(di.Off, KindEventOrder,
 							"ocall %d fires in protocol state %q which does not admit it (reachable states: %s)",
 							di.Imm, a.p.States[s].Name, a.p.StateNames(cur))
 					}
@@ -580,7 +427,7 @@ func (a *analysis) transfer(b *cfa.Block, in uint64, rec *recorder) uint64 {
 						continue
 					}
 					if _, ok := a.trans[[2]int64{int64(s), EventHlt}]; !ok {
-						rec.add(di.Off, KindHaltOrder,
+						rec.Add(di.Off, KindHaltOrder,
 							"program can halt in protocol state %q which does not admit termination (reachable states: %s)",
 							a.p.States[s].Name, a.p.StateNames(cur))
 					}
@@ -589,46 +436,4 @@ func (a *analysis) transfer(b *cfa.Block, in uint64, rec *recorder) uint64 {
 		}
 	}
 	return cur
-}
-
-// sweep replays every context's blocks once over the final in-masks,
-// recording findings and per-block state masks deterministically.
-func (a *analysis) sweep(rep *Report) {
-	rec := &recorder{seen: make(map[string]bool)}
-	for _, e := range a.order {
-		f := a.funcs[e]
-		for s := 0; s < len(a.p.States); s++ {
-			c := f.ctxs[s]
-			if c == nil {
-				continue
-			}
-			for _, id := range f.order {
-				in := c.in[id]
-				if in == 0 {
-					continue
-				}
-				out := a.transfer(a.g.Blocks[id], in, rec)
-				bs := rep.Blocks[id]
-				bs.In |= in
-				bs.Out |= out
-				rep.Blocks[id] = bs
-			}
-		}
-	}
-	sort.SliceStable(rec.findings, func(i, j int) bool { return rec.findings[i].Off < rec.findings[j].Off })
-	rep.Findings = rec.findings
-}
-
-type recorder struct {
-	seen     map[string]bool
-	findings []Finding
-}
-
-func (r *recorder) add(off int64, kind, format string, args ...any) {
-	key := fmt.Sprintf("%d/%s", off, kind)
-	if r.seen[key] {
-		return
-	}
-	r.seen[key] = true
-	r.findings = append(r.findings, Finding{Off: off, Kind: kind, Msg: fmt.Sprintf(format, args...)})
 }

@@ -250,7 +250,7 @@ func TestBranchJoinUnion(t *testing.T) {
 		ins(isa.Inst{Op: isa.OpOcall, Imm: 1}), // idx 3, join
 		ins(isa.Inst{Op: isa.OpHlt}),
 	})
-	var event *Finding
+	var event *cfa.Finding
 	for i := range rep.Findings {
 		if rep.Findings[i].Kind == KindEventOrder {
 			event = &rep.Findings[i]

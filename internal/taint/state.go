@@ -150,6 +150,14 @@ func (s *state) clone() *state {
 	return &n
 }
 
+// cloneInto overwrites dst with a copy of s, reusing dst's slot storage.
+func (s *state) cloneInto(dst *state) *state {
+	slots := append(dst.slots[:0], s.slots...)
+	*dst = *s
+	dst.slots = slots
+	return dst
+}
+
 func (s *state) tainted(r isa.Reg) bool { return s.taint&(1<<r) != 0 }
 
 func (s *state) setReg(r isa.Reg, v val, t bool) {
@@ -450,7 +458,7 @@ func (a *analysis) load(f *fn, st *state, av val, at bool, w int64) (val, bool) 
 
 // store evaluates a w-byte write of (v, t) through the abstract address
 // av. rec is nil during fixpoint iteration.
-func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off int64, rec *recorder) {
+func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off int64, rec *cfa.Recorder) {
 	if av.k == kUnknown && a.guarded[off] {
 		// The P1 guard proves this store lands inside the data window even
 		// though the analysis lost the address; model it as a window store.
@@ -465,7 +473,7 @@ func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off i
 		if a.cfg.DataLo <= lo && hi <= a.cfg.DataHi {
 			if t {
 				if a.mem.add(lo, hi) {
-					a.mark()
+					a.Mark()
 				}
 				if lo < a.cfg.StackHi && a.cfg.StackLo < hi {
 					st.smearTaint()
@@ -474,9 +482,7 @@ func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off i
 			return
 		}
 		if t {
-			if rec != nil {
-				rec.add(off, KindUntrackedStore, "tainted store outside the data window [%#x, %#x)", a.cfg.DataLo, a.cfg.DataHi)
-			}
+			rec.Add(off, KindUntrackedStore, "tainted store outside the data window [%#x, %#x)", a.cfg.DataLo, a.cfg.DataHi)
 			return
 		}
 		// Clean store to metadata (SSA slots, AEX counter): no effect on
@@ -487,7 +493,7 @@ func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off i
 	case kWin:
 		if t {
 			if a.mem.add(a.cfg.DataLo, a.cfg.DataHi) {
-				a.mark()
+				a.Mark()
 			}
 			st.smearTaint()
 		} else {
@@ -495,15 +501,11 @@ func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off i
 		}
 	case kShadow:
 		if t {
-			if rec != nil {
-				rec.add(off, KindUntrackedStore, "tainted store into the shadow-stack region")
-			}
+			rec.Add(off, KindUntrackedStore, "tainted store into the shadow-stack region")
 		}
 	default: // kUnknown
 		if t {
-			if rec != nil {
-				rec.add(off, KindUntrackedStore, "tainted store through an untracked address")
-			}
+			rec.Add(off, KindUntrackedStore, "tainted store through an untracked address")
 		} else {
 			st.degrade()
 		}
@@ -527,18 +529,19 @@ func havocRegs(st *state, taint uint16, rspDelta int64, rspKnown bool) {
 // target, joining the calling context into the callee and applying the
 // callee's current summary (chaotic iteration refines both).
 func (a *analysis) applyCall(f *fn, st *state, target int64) {
-	callee, ok := a.funcs[target]
+	cf := a.Func(target)
 	rsp := st.regs[isa.RSP]
-	if !ok || rsp.k != kStack {
+	if cf == nil || rsp.k != kStack {
 		// Unpartitionable call or untracked RSP: assume the worst.
 		st.smearTaint()
 		st.degrade()
 		if a.mem.add(a.cfg.DataLo, a.cfg.DataHi) {
-			a.mark()
+			a.Mark()
 		}
 		havocRegs(st, 0xffff, 0, false)
 		return
 	}
+	callee := &a.fns[cf.Index]
 	dc := rsp.delta()
 	// The call pushes the return address at dc-8; callee offset d maps to
 	// caller offset d + dc - 8.
@@ -547,11 +550,11 @@ func (a *analysis) applyCall(f *fn, st *state, target int64) {
 
 	if nt := callee.inRegs | st.taint; nt != callee.inRegs {
 		callee.inRegs = nt
-		a.mark()
+		a.Mark()
 	}
 	if st.smear && !callee.argsSmr {
 		callee.argsSmr = true
-		a.mark()
+		a.Mark()
 	}
 	// Caller-frame cells at or above the post-push RSP are the callee's
 	// argument space (its own positive offsets).
@@ -559,7 +562,7 @@ func (a *analysis) applyCall(f *fn, st *state, target int64) {
 		if e := st.slots[i]; e.sl.taint {
 			if d := e.off - base; !callee.args[d] {
 				callee.args[d] = true
-				a.mark()
+				a.Mark()
 			}
 		}
 	}
@@ -569,13 +572,13 @@ func (a *analysis) applyCall(f *fn, st *state, target int64) {
 		if t && k >= dc {
 			if d := k - base; !callee.args[d] {
 				callee.args[d] = true
-				a.mark()
+				a.Mark()
 			}
 		}
 	}
 	if f.argsSmr && !callee.argsSmr {
 		callee.argsSmr = true
-		a.mark()
+		a.Mark()
 	}
 
 	// Apply the callee's effect.
@@ -598,23 +601,23 @@ func (a *analysis) recordRet(f *fn, st *state) {
 	sum := &f.sum
 	if nt := sum.retTaint | st.taint; nt != sum.retTaint {
 		sum.retTaint = nt
-		a.mark()
+		a.Mark()
 	}
 	for i := st.slots.lower(0); i < len(st.slots); i++ {
 		k, sl := st.slots[i].off, st.slots[i].sl
 		old, ok := sum.writes[k]
 		if !ok || (sl.taint && !old) {
 			sum.writes[k] = old || sl.taint
-			a.mark()
+			a.Mark()
 		}
 	}
 	if st.wild && !sum.wild {
 		sum.wild = true
-		a.mark()
+		a.Mark()
 	}
 	if st.smear && !sum.smear {
 		sum.smear = true
-		a.mark()
+		a.Mark()
 	}
 }
 
@@ -628,7 +631,7 @@ func width(op isa.Op) int64 {
 
 // transfer interprets one basic block, mutating st into the block's
 // out-state. When rec is non-nil, findings are recorded (final sweep).
-func (a *analysis) transfer(f *fn, b *cfa.Block, st *state, rec *recorder) {
+func (a *analysis) transfer(f *fn, b *cfa.Block, st *state, rec *cfa.Recorder) {
 	for _, din := range b.Insts {
 		in := din.Inst
 		switch in.Op {
@@ -697,15 +700,15 @@ func (a *analysis) transfer(f *fn, b *cfa.Block, st *state, rec *recorder) {
 		case isa.OpCall:
 			a.applyCall(f, st, disasm.DirectTarget(din))
 		case isa.OpCallR, isa.OpJmpR:
-			if st.tainted(in.Dst) && rec != nil {
-				rec.add(din.Off, KindIndirectTarget, "indirect %s through tainted %s", in.Op.String(), in.Dst)
+			if st.tainted(in.Dst) {
+				rec.Add(din.Off, KindIndirectTarget, "indirect %s through tainted %s", in.Op.String(), in.Dst)
 			}
 			if in.Op == isa.OpCallR {
 				// The callee may be any listed target with any effect.
 				st.smearTaint()
 				st.degrade()
 				if a.mem.add(a.cfg.DataLo, a.cfg.DataHi) {
-					a.mark()
+					a.Mark()
 				}
 				rsp := st.regs[isa.RSP]
 				if rsp.k == kStack {
@@ -730,18 +733,18 @@ func (a *analysis) transfer(f *fn, b *cfa.Block, st *state, rec *recorder) {
 // ocall applies the OCall interface model: OcallSend is the sanctioned
 // sealed sink; OcallPrint (and any unrecognised index) leaks its argument
 // registers; every stub clobbers RAX with a clean result.
-func (a *analysis) ocall(st *state, in isa.Inst, off int64, rec *recorder) {
+func (a *analysis) ocall(st *state, in isa.Inst, off int64, rec *cfa.Recorder) {
 	switch in.Imm {
 	case policy.OcallSend:
 		// Sealed output: tainted RDI/RSI are exactly what P7 permits.
 	case policy.OcallRecv, policy.OcallThreadID:
 	case policy.OcallPrint:
-		if st.tainted(isa.RDI) && rec != nil {
-			rec.add(off, KindUnsealedOutput, "tainted rdi reaches unsealed ocall %d (print)", in.Imm)
+		if st.tainted(isa.RDI) {
+			rec.Add(off, KindUnsealedOutput, "tainted rdi reaches unsealed ocall %d (print)", in.Imm)
 		}
 	default:
-		if (st.tainted(isa.RDI) || st.tainted(isa.RSI)) && rec != nil {
-			rec.add(off, KindUnsealedOutput, "tainted argument reaches unknown ocall index %d", in.Imm)
+		if st.tainted(isa.RDI) || st.tainted(isa.RSI) {
+			rec.Add(off, KindUnsealedOutput, "tainted argument reaches unknown ocall index %d", in.Imm)
 		}
 	}
 	st.setReg(isa.RAX, val{k: kUnknown}, false)

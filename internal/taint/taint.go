@@ -29,16 +29,15 @@
 //
 // # Interprocedural model
 //
-// Functions are analyzed separately and composed through summaries: the
-// join of entry register taint over all call sites, taint of caller-frame
-// slots visible to the callee (arguments), the register taint at return,
-// and the callee's writes into the caller frame. Call/return transfer
-// uses the hardware convention (call pushes the return address, so callee
-// offset d maps to caller offset d + delta(call) - 8) and assumes callees
-// are stack-balanced, which P5's shadow stack pins at run time. The whole
-// program iterates to a fixpoint (chaotic iteration from bottom over a
-// monotone domain), with a generous step budget; exceeding the budget is
-// a conservative rejection, never an acceptance.
+// The partition, fixpoint, worklists, budgets and sweep are the shared
+// engine in internal/cfa (DESIGN.md §11); this package supplies the domain
+// and its transfer. Functions compose through summaries: the join of entry
+// register taint over all call sites, taint of caller-frame slots visible
+// to the callee (arguments), the register taint at return, and the
+// callee's writes into the caller frame. Call/return transfer uses the
+// hardware convention (call pushes the return address, so callee offset d
+// maps to caller offset d + delta(call) - 8) and assumes callees are
+// stack-balanced, which P5's shadow stack pins at run time.
 //
 // # Known over-approximations
 //
@@ -59,7 +58,6 @@ import (
 	"sort"
 
 	"deflection/internal/cfa"
-	"deflection/internal/disasm"
 	"deflection/internal/isa"
 )
 
@@ -100,13 +98,6 @@ const (
 	KindUntrackedStore = "untracked-store"
 )
 
-// Finding is one taint-rule violation at a specific instruction.
-type Finding struct {
-	Off  int64  // text offset of the violating instruction
-	Kind string // one of the Kind* constants
-	Msg  string
-}
-
 // BlockTaint is the register-taint summary of one basic block, for
 // debugging renderings (deflection-disasm -taint).
 type BlockTaint struct {
@@ -118,8 +109,8 @@ type BlockTaint struct {
 type Report struct {
 	// Trivial is set when the pass held without analysis (no secrets).
 	Trivial bool
-	// Findings lists rule violations in deterministic (address) order.
-	Findings []Finding
+	// Findings lists rule violations in address order.
+	Findings []cfa.Finding
 	// Blocks maps block IDs to their register-taint in/out masks (joined
 	// over every function context the block was analyzed in).
 	Blocks map[int]BlockTaint
@@ -145,8 +136,6 @@ var (
 
 const (
 	maxSecrets   = 1 << 12
-	maxOuter     = 256     // outer chaotic-iteration rounds
-	maxSteps     = 1 << 21 // total block-transfer applications
 	maxSlots     = 1 << 12 // tracked stack slots per state before smearing
 	maxIntervals = 1 << 10 // tracked tainted data intervals before hulling
 )
@@ -187,34 +176,54 @@ func Analyze(g *cfa.Graph, cfg Config) (*Report, error) {
 		rep.Trivial = true
 		return rep, nil
 	}
-	a := &analysis{g: g, cfg: cfg, funcs: make(map[int64]*fn), guarded: make(map[int64]bool, len(cfg.Guarded)), version: 1}
+	a := &analysis{
+		Engine:  cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 21}, func(s *state) bool { return s != nil }, joinState),
+		cfg:     cfg,
+		guarded: make(map[int64]bool, len(cfg.Guarded)),
+	}
 	for _, off := range cfg.Guarded {
 		a.guarded[off] = true
 	}
-	a.partition()
-	if err := a.fixpoint(); err != nil {
-		return nil, err
+	a.fns = make([]fn, len(a.Funcs))
+	for i, f := range a.Funcs {
+		fs := &a.fns[i]
+		fs.args = make(map[int64]bool)
+		fs.sum.writes = make(map[int64]bool)
+		fs.in = make([]*state, len(g.Blocks))
+		if a.Indirect && f.Entry != g.Entry {
+			// Any listed target may be invoked with any arguments through a
+			// guarded indirect call: analyze each as a fully tainted entry.
+			fs.inRegs = 0xffff
+			fs.argsSmr = true
+		}
 	}
-	a.sweep(rep)
-	rep.Funcs = len(a.funcs)
+	if !a.Fixpoint(a.analyzeFn) {
+		return nil, ErrBudget
+	}
+	rep.Findings = a.Sweep(
+		func(f *cfa.Func) [][]*state { return [][]*state{a.fns[f.Index].in} },
+		func(f *cfa.Func, b *cfa.Block, in *state, rec *cfa.Recorder) {
+			st := in.clone()
+			a.transfer(&a.fns[f.Index], b, st, rec)
+			bt := rep.Blocks[b.ID]
+			bt.In |= in.taint
+			bt.Out |= st.taint
+			rep.Blocks[b.ID] = bt
+		})
+	rep.Funcs = len(a.Funcs)
 	rep.MemRanges = len(a.mem.r)
-	rep.Steps = a.steps
+	rep.Steps = a.Steps
 	return rep, nil
 }
 
-// fn is one function under analysis: the blocks reachable from its entry
-// without crossing call edges, the join of its calling contexts, and its
-// effect summary.
+// fn is one function's calling contexts, effect summary and block
+// in-states.
 type fn struct {
-	entry   int64
-	blocks  map[int]bool
-	order   []int // block IDs in ascending start order
 	inRegs  uint16
 	args    map[int64]bool // callee-relative slot offset (>= 8) -> taint
 	argsSmr bool
 	sum     summary
 	in      []*state // block in-states, indexed by block ID (nil = unreached)
-	seen    int      // analysis.version at the start of the last local fixpoint
 }
 
 // summary is a function's externally visible effect (memory-taint growth
@@ -229,191 +238,39 @@ type summary struct {
 	smear  bool // callee may have tainted any stack address
 }
 
+// analysis is the taint domain over the shared engine. Every global the
+// transfer reads besides a block's in-state — memory taint, calling
+// contexts, summaries — changes only through Engine.Mark.
 type analysis struct {
-	g       *cfa.Graph
+	*cfa.Engine[*state]
 	cfg     Config
-	mem     intervals // tainted absolute data addresses (global, monotone)
-	funcs   map[int64]*fn
+	mem     intervals      // tainted absolute data addresses (global, monotone)
+	fns     []fn           // indexed by cfa.Func.Index
 	guarded map[int64]bool // store offsets proved window-confined by P1
-	order   []int64
-	steps   int
-	dirty   bool // a global (mem, funcIn, summary) changed this round
-	version int  // bumped on every global change; lets fixpoint skip settled functions
-	err     error
+	scratch state          // block out-state during fixpoint steps
 }
 
-// mark records a change to the global lattice state (memory taint, a
-// calling context, or a summary). Everything a block transfer reads
-// besides the local in-state flows through here, so a function whose
-// in-states are stable and whose last analysis saw the current version
-// cannot produce anything new.
-func (a *analysis) mark() {
-	a.dirty = true
-	a.version++
+// joinState merges src into *dst, taking a copy when *dst is bottom.
+func joinState(dst **state, src *state) bool {
+	if *dst == nil {
+		*dst = src.clone()
+		return true
+	}
+	return (*dst).join(src)
 }
 
-// partition discovers function entries (program entry, direct-call
-// targets, and — when an indirect call exists — every listed branch
-// target) and assigns each its intraprocedural block set.
-func (a *analysis) partition() {
-	entries := map[int64]bool{a.g.Entry: true}
-	hasCallR := false
-	for _, b := range a.g.Blocks[1:] {
-		for _, in := range b.Insts {
-			switch in.Op {
-			case isa.OpCall:
-				entries[disasm.DirectTarget(in)] = true
-			case isa.OpCallR:
-				hasCallR = true
-			}
-		}
-	}
-	if hasCallR {
-		// Any listed target may be invoked with any arguments through a
-		// guarded indirect call: analyze each as a fully tainted entry.
-		for _, t := range a.g.Targets {
-			entries[t] = true
-		}
-	}
-	for e := range entries {
-		if a.g.BlockAt(e) == nil {
-			continue
-		}
-		f := &fn{entry: e, blocks: make(map[int]bool), args: make(map[int64]bool), in: make([]*state, len(a.g.Blocks))}
-		f.sum.writes = make(map[int64]bool)
-		if hasCallR && e != a.g.Entry {
-			f.inRegs = 0xffff
-			f.argsSmr = true
-		}
-		a.collectBlocks(f)
-		a.funcs[e] = f
-		a.order = append(a.order, e)
-	}
-	sort.Slice(a.order, func(i, j int) bool { return a.order[i] < a.order[j] })
-}
-
-// collectBlocks walks intraprocedural edges from the function entry:
-// every CFG edge except the call->callee edge (calls continue at their
-// fall-through block; the callee is handled via its summary).
-func (a *analysis) collectBlocks(f *fn) {
-	start := a.g.BlockAt(f.entry)
-	work := []int{start.ID}
-	f.blocks[start.ID] = true
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range a.funcSuccIDs(a.g.Blocks[id]) {
-			if !f.blocks[s] {
-				f.blocks[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	for id := range f.blocks {
-		f.order = append(f.order, id)
-	}
-	sort.Slice(f.order, func(i, j int) bool {
-		return a.g.Blocks[f.order[i]].Start < a.g.Blocks[f.order[j]].Start
-	})
-}
-
-// funcSuccIDs returns a block's intraprocedural successors.
-func (a *analysis) funcSuccIDs(b *cfa.Block) []int {
-	last := b.Last()
-	switch last.Op {
-	case isa.OpCall, isa.OpCallR:
-		if nb := a.g.BlockAt(last.End()); nb != nil {
-			return []int{nb.ID}
-		}
-		return nil
-	case isa.OpRet, isa.OpHlt, isa.OpTrap:
-		return nil
-	default:
-		return b.Succs
-	}
-}
-
-// fixpoint iterates every function to global stability. A function is
-// re-analyzed only when the global version moved since its last local
-// fixpoint: its in-states are stable by construction (analyzeFn runs its
-// worklist dry), so with unchanged globals its transfers are settled too.
-func (a *analysis) fixpoint() error {
-	for round := 0; round < maxOuter; round++ {
-		a.dirty = false
-		changed := false
-		for _, e := range a.order {
-			f := a.funcs[e]
-			if f.seen == a.version {
-				continue
-			}
-			if a.analyzeFn(f) {
-				changed = true
-			}
-			if a.err != nil {
-				return a.err
-			}
-		}
-		if !changed && !a.dirty {
-			return nil
-		}
-	}
-	return ErrBudget
-}
-
-// analyzeFn runs the intraprocedural worklist to local stability under the
-// current global state. It reports whether any in-state changed.
-func (a *analysis) analyzeFn(f *fn) bool {
-	// Record the version we analyze under before starting: if our own
-	// transfers move the global state (growing memory taint a block we
-	// already visited would read), the mismatch forces another local round.
-	f.seen = a.version
-	entryID := a.g.BlockAt(f.entry).ID
-	changed := false
-	es := a.entryState(f)
-	if old := f.in[entryID]; old == nil {
-		f.in[entryID] = es
-		changed = true
-	} else if old.join(es) {
-		changed = true
-	}
-
-	// Seed with every block that already has an in-state (globals the
-	// transfer reads — memory taint, summaries — may have changed since
-	// the last round), in address order for determinism.
-	var work []int
-	queued := make([]bool, len(a.g.Blocks))
-	for _, id := range f.order {
-		if f.in[id] != nil {
-			work = append(work, id)
-			queued[id] = true
-		}
-	}
-	for len(work) > 0 {
-		a.steps++
-		if a.steps > maxSteps {
-			a.err = ErrBudget
-			return changed
-		}
-		id := work[0]
-		work = work[1:]
-		queued[id] = false
-		st := f.in[id].clone()
-		b := a.g.Blocks[id]
-		a.transfer(f, b, st, nil)
-		for _, s := range a.funcSuccIDs(b) {
-			if old := f.in[s]; old == nil {
-				f.in[s] = st.clone()
-			} else if !old.join(st) {
-				continue
-			}
-			changed = true
-			if !queued[s] {
-				queued[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return changed
+// analyzeFn joins the function's calling context into its entry block and
+// runs its worklist to local stability under the current global state.
+func (a *analysis) analyzeFn(f *cfa.Func) bool {
+	fs := &a.fns[f.Index]
+	changed := joinState(&fs.in[f.Head], a.entryState(fs))
+	return a.Solve(f, fs.in, func(b *cfa.Block, in *state) *state {
+		// The out-state lives only until the engine has joined it into the
+		// successors, so one scratch state serves every step.
+		st := in.cloneInto(&a.scratch)
+		a.transfer(fs, b, st, nil)
+		return st
+	}) || changed
 }
 
 // entryState is the abstract state at a function's first instruction.
@@ -429,42 +286,6 @@ func (a *analysis) entryState(f *fn) *state {
 	// shadow-push annotation's [rsp+8] reload clean.
 	st.slots.set(0, slot{v: val{k: kUnknown}})
 	return st
-}
-
-// sweep replays every block once over the final in-states, recording
-// findings and per-block taint masks deterministically.
-func (a *analysis) sweep(rep *Report) {
-	rec := &recorder{seen: make(map[string]bool)}
-	for _, e := range a.order {
-		f := a.funcs[e]
-		for _, id := range f.order {
-			in := f.in[id]
-			if in == nil {
-				continue
-			}
-			st := in.clone()
-			a.transfer(f, a.g.Blocks[id], st, rec)
-			bt := rep.Blocks[id]
-			bt.In |= in.taint
-			bt.Out |= st.taint
-			rep.Blocks[id] = bt
-		}
-	}
-	rep.Findings = rec.findings
-}
-
-type recorder struct {
-	seen     map[string]bool
-	findings []Finding
-}
-
-func (r *recorder) add(off int64, kind, format string, args ...any) {
-	key := fmt.Sprintf("%d/%s", off, kind)
-	if r.seen[key] {
-		return
-	}
-	r.seen[key] = true
-	r.findings = append(r.findings, Finding{Off: off, Kind: kind, Msg: fmt.Sprintf(format, args...)})
 }
 
 // intervals is a sorted, disjoint set of address ranges.

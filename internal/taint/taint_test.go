@@ -153,6 +153,42 @@ func TestGuardedStoreDegrades(t *testing.T) {
 	}
 }
 
+// TestFindingsInAddressOrder: _start (entry 0) leaks at a higher address
+// than the helper it calls, which sits between _start's first block and
+// its leaking tail. The sweep visits _start first, yet the report must
+// list the helper's lower-address finding first.
+func TestFindingsInAddressOrder(t *testing.T) {
+	insts := []isa.Inst{
+		{Op: isa.OpJmp}, // 0: to the tail at index 5
+		{Op: isa.OpMovRI, Dst: isa.RCX, Imm: 0x2000}, // 1: helper
+		{Op: isa.OpMovRM, Dst: isa.RDI, Mem: isa.MemRef{HasBase: true, Base: isa.RCX}},
+		{Op: isa.OpOcall, Imm: 3},
+		{Op: isa.OpRet},
+		{Op: isa.OpCall}, // 5: tail, calls the helper at index 1
+		{Op: isa.OpMovRI, Dst: isa.RCX, Imm: 0x2000},
+		{Op: isa.OpMovRM, Dst: isa.RDI, Mem: isa.MemRef{HasBase: true, Base: isa.RCX}},
+		{Op: isa.OpOcall, Imm: 3},
+		{Op: isa.OpHlt},
+	}
+	offs := make([]int64, len(insts)+1)
+	for i := range insts {
+		offs[i+1] = offs[i] + int64(isa.EncodedLen(&insts[i]))
+	}
+	insts[0].Imm = offs[5] - offs[1]
+	insts[5].Imm = offs[1] - offs[6]
+	rep, err := Analyze(buildGraph(t, encode(insts...)), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Funcs != 2 || len(rep.Findings) != 2 {
+		t.Fatalf("funcs=%d findings=%+v, want 2 functions with one leak each", rep.Funcs, rep.Findings)
+	}
+	if rep.Findings[0].Off != offs[3] || rep.Findings[1].Off != offs[8] {
+		t.Errorf("findings at %#x, %#x; want %#x, %#x (address order)",
+			rep.Findings[0].Off, rep.Findings[1].Off, offs[3], offs[8])
+	}
+}
+
 func TestIntervals(t *testing.T) {
 	var iv intervals
 	if !iv.add(10, 20) || !iv.add(30, 40) {

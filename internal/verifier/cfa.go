@@ -132,27 +132,21 @@ func (v *verifier) runCFA(req policy.Set, res *Result) error {
 }
 
 // orderPass runs the P8 interface-orderliness analysis over the recovered
-// CFG and converts its first finding (or any analysis failure) into a
-// structured rejection. Analysis errors — a protocol failing meta-
-// validation, budget blow-up — are conservative rejections, never
-// acceptances.
+// CFG and turns its outcome into the verdict.
 func (v *verifier) orderPass(g *cfa.Graph, res *Result) error {
 	rep, err := order.Analyze(g, v.opts.Order)
-	if err != nil {
-		return v.cfaViolation("order", policy.P8, 0, "order analysis failed: %v", err)
+	var findings []cfa.Finding
+	if err == nil {
+		if v.opts.OrderObserver != nil {
+			v.opts.OrderObserver(rep)
+		}
+		res.CFA.OrderStates = rep.States
+		res.CFA.OrderCtxs = rep.Ctxs
+		res.CFA.OrderFuncs = rep.Funcs
+		res.CFA.OrderTrivial = rep.Trivial
+		findings = rep.Findings
 	}
-	if v.opts.OrderObserver != nil {
-		v.opts.OrderObserver(rep)
-	}
-	res.CFA.OrderStates = rep.States
-	res.CFA.OrderCtxs = rep.Ctxs
-	res.CFA.OrderFuncs = rep.Funcs
-	res.CFA.OrderTrivial = rep.Trivial
-	if len(rep.Findings) > 0 {
-		f := rep.Findings[0]
-		return v.cfaViolation("order", policy.P8, f.Off, "%s: %s", f.Kind, f.Msg)
-	}
-	return nil
+	return v.dataflowVerdict("order", policy.P8, findings, err)
 }
 
 // orderDetail renders the P8 audit line.
@@ -168,28 +162,38 @@ func orderDetail(s *CFAStats, ran bool) string {
 }
 
 // taintPass runs the P7 secret-taint analysis over the recovered CFG and
-// converts its first finding (or any analysis failure) into a structured
-// rejection. Analysis errors — ill-formed configuration, budget blow-up —
-// are conservative rejections, never acceptances.
+// turns its outcome into the verdict.
 func (v *verifier) taintPass(g *cfa.Graph, res *Result) error {
 	cfg := v.opts.Taint
 	for _, a := range v.storeAnchors {
 		cfg.Guarded = append(cfg.Guarded, a.store)
 	}
 	rep, err := taint.Analyze(g, cfg)
+	var findings []cfa.Finding
+	if err == nil {
+		if v.opts.TaintObserver != nil {
+			v.opts.TaintObserver(rep)
+		}
+		res.CFA.Secrets = len(v.opts.Taint.Secrets)
+		res.CFA.TaintFuncs = rep.Funcs
+		res.CFA.TaintedRanges = rep.MemRanges
+		res.CFA.TaintTrivial = rep.Trivial
+		findings = rep.Findings
+	}
+	return v.dataflowVerdict("taint", policy.P7, findings, err)
+}
+
+// dataflowVerdict converts a dataflow pass's outcome into a structured
+// rejection: any analysis error (ill-formed input, budget blow-up) is a
+// conservative rejection, never an acceptance; otherwise the first finding
+// in address order rejects.
+func (v *verifier) dataflowVerdict(pass string, id policy.ID, findings []cfa.Finding, err error) error {
 	if err != nil {
-		return v.cfaViolation("taint", policy.P7, 0, "taint analysis failed: %v", err)
+		return v.cfaViolation(pass, id, 0, "%s analysis failed: %v", pass, err)
 	}
-	if v.opts.TaintObserver != nil {
-		v.opts.TaintObserver(rep)
-	}
-	res.CFA.Secrets = len(v.opts.Taint.Secrets)
-	res.CFA.TaintFuncs = rep.Funcs
-	res.CFA.TaintedRanges = rep.MemRanges
-	res.CFA.TaintTrivial = rep.Trivial
-	if len(rep.Findings) > 0 {
-		f := rep.Findings[0]
-		return v.cfaViolation("taint", policy.P7, f.Off, "%s: %s", f.Kind, f.Msg)
+	if len(findings) > 0 {
+		f := findings[0]
+		return v.cfaViolation(pass, id, f.Off, "%s: %s", f.Kind, f.Msg)
 	}
 	return nil
 }

@@ -70,15 +70,7 @@ func requireViolation(t *testing.T, err error, id policy.ID, pass string) *verif
 	return vio
 }
 
-// TestBypassedGuardRejected plants a byte-perfect P1 annotation in front of
-// the store and then conditionally jumps over it. Every local template
-// check passes — the annotation is well-formed (decoded via the fall-through
-// path), the store is covered, and the jump lands on the store itself,
-// outside any annotation range, so branch discipline has no objection.
-// Only the dominance pass sees the whole-program property: a root-to-store
-// path exists that never executes the check.
-func TestBypassedGuardRejected(t *testing.T) {
-	src := `
+const bypassedGuardSrc = `
 .entry _start
 .bss slot 8
 .func _start
@@ -102,17 +94,20 @@ skip:
 trapstore:
   trap 1
 `
-	err := verifyAsm(t, src, policy.SetP1)
+
+// TestBypassedGuardRejected plants a byte-perfect P1 annotation in front of
+// the store and then conditionally jumps over it. Every local template
+// check passes — the annotation is well-formed (decoded via the fall-through
+// path), the store is covered, and the jump lands on the store itself,
+// outside any annotation range, so branch discipline has no objection.
+// Only the dominance pass sees the whole-program property: a root-to-store
+// path exists that never executes the check.
+func TestBypassedGuardRejected(t *testing.T) {
+	err := verifyAsm(t, bypassedGuardSrc, policy.SetP1)
 	requireViolation(t, err, policy.P1, "dominance")
 }
 
-// TestClobberedCheckRejected: the guard checks rcx, the store goes through
-// rcx, and the first iteration is fine — but a loop latch after the store
-// redefines rcx and jumps back to the store without re-running the check.
-// The check still dominates the store (every path executes it once), so
-// only the reaching-definitions walk catches the stale-check window.
-func TestClobberedCheckRejected(t *testing.T) {
-	src := `
+const clobberedCheckSrc = `
 .entry _start
 .bss slot 8
 .bss evil 8
@@ -140,16 +135,18 @@ again:
 trapstore:
   trap 1
 `
-	err := verifyAsm(t, src, policy.SetP1)
+
+// TestClobberedCheckRejected: the guard checks rcx, the store goes through
+// rcx, and the first iteration is fine — but a loop latch after the store
+// redefines rcx and jumps back to the store without re-running the check.
+// The check still dominates the store (every path executes it once), so
+// only the reaching-definitions walk catches the stale-check window.
+func TestClobberedCheckRejected(t *testing.T) {
+	err := verifyAsm(t, clobberedCheckSrc, policy.SetP1)
 	requireViolation(t, err, policy.P1, "reaching-defs")
 }
 
-// TestAnnotationAfterStoreRejected: the full annotation is present but
-// placed after the store it pretends to guard, so the store executes
-// unchecked. The store-coverage discipline already rejects this at the
-// template level; the test pins the structured evidence.
-func TestAnnotationAfterStoreRejected(t *testing.T) {
-	src := `
+const annotationAfterStoreSrc = `
 .entry _start
 .bss slot 8
 .func _start
@@ -170,15 +167,17 @@ func TestAnnotationAfterStoreRejected(t *testing.T) {
 trapstore:
   trap 1
 `
-	err := verifyAsm(t, src, policy.SetP1)
+
+// TestAnnotationAfterStoreRejected: the full annotation is present but
+// placed after the store it pretends to guard, so the store executes
+// unchecked. The store-coverage discipline already rejects this at the
+// template level; the test pins the structured evidence.
+func TestAnnotationAfterStoreRejected(t *testing.T) {
+	err := verifyAsm(t, annotationAfterStoreSrc, policy.SetP1)
 	requireViolation(t, err, policy.P1, "")
 }
 
-// TestDeadBytesRejected: an orphan function nothing references survives
-// hand assembly (only the compiler garbage-collects). Under P4 its bytes
-// are unreachable text — exactly where side-loaded code would hide.
-func TestDeadBytesRejected(t *testing.T) {
-	src := `
+const deadBytesSrc = `
 .entry _start
 .func _start
   hlt
@@ -186,16 +185,25 @@ func TestDeadBytesRejected(t *testing.T) {
   mov rax, 1
   hlt
 `
+
+// TestDeadBytesRejected: an orphan function nothing references survives
+// hand assembly (only the compiler garbage-collects). Under P4 its bytes
+// are unreachable text — exactly where side-loaded code would hide.
+func TestDeadBytesRejected(t *testing.T) {
 	pols := policy.SetP1.With(policy.P4)
-	err := verifyAsm(t, src, pols)
+	err := verifyAsm(t, deadBytesSrc, pols)
 	requireViolation(t, err, policy.P4, "dead-byte")
 }
 
-// TestBogusTargetListRejected drives the verifier with tampered target
-// lists: entries outside text or mid-instruction die in the beacon check,
-// duplicates survive it and must be caught by the CFA target-list pass.
-func TestBogusTargetListRejected(t *testing.T) {
-	src := `
+// Target-list tampering: an entry outside text, one splitting the first
+// listed instruction, and a duplicate of the first entry.
+var (
+	targetOutsideText    = func(offs []int64) []int64 { return append(offs, 1<<20) }
+	targetMidInstruction = func(offs []int64) []int64 { return append(offs, offs[0]+1) }
+	targetListedTwice    = func(offs []int64) []int64 { return append(offs, offs[0]) }
+)
+
+const targetListSrc = `
 .entry _start
 .target fn
 .func _start
@@ -204,14 +212,17 @@ func TestBogusTargetListRejected(t *testing.T) {
   brmark
   hlt
 `
-	if err := verifyAsmTargets(t, src, policy.SetP1P5, nil); err != nil {
+
+// TestBogusTargetListRejected drives the verifier with tampered target
+// lists: entries outside text or mid-instruction die in the beacon check,
+// duplicates survive it and must be caught by the CFA target-list pass.
+func TestBogusTargetListRejected(t *testing.T) {
+	if err := verifyAsmTargets(t, targetListSrc, policy.SetP1P5, nil); err != nil {
 		t.Fatalf("baseline target-listed program rejected: %v", err)
 	}
 
 	t.Run("target outside text", func(t *testing.T) {
-		err := verifyAsmTargets(t, src, policy.SetP1P5, func(offs []int64) []int64 {
-			return append(offs, 1<<20)
-		})
+		err := verifyAsmTargets(t, targetListSrc, policy.SetP1P5, targetOutsideText)
 		vio := requireViolation(t, err, policy.P5, "target-list")
 		if vio.Offset != 1<<20 {
 			t.Errorf("violation offset = %#x, want %#x", vio.Offset, 1<<20)
@@ -222,9 +233,7 @@ func TestBogusTargetListRejected(t *testing.T) {
 		// decode itself; the rejection comes from the disassembler and
 		// carries the colliding offsets in its message rather than a
 		// single anchor offset.
-		err := verifyAsmTargets(t, src, policy.SetP1P5, func(offs []int64) []int64 {
-			return append(offs, offs[0]+1)
-		})
+		err := verifyAsmTargets(t, targetListSrc, policy.SetP1P5, targetMidInstruction)
 		if !errors.Is(err, verifier.ErrViolation) {
 			t.Fatalf("mid-instruction target accepted (err = %v)", err)
 		}
@@ -237,9 +246,7 @@ func TestBogusTargetListRejected(t *testing.T) {
 		}
 	})
 	t.Run("target listed twice", func(t *testing.T) {
-		err := verifyAsmTargets(t, src, policy.SetP1P5, func(offs []int64) []int64 {
-			return append(offs, offs[0])
-		})
+		err := verifyAsmTargets(t, targetListSrc, policy.SetP1P5, targetListedTwice)
 		requireViolation(t, err, policy.P5, "target-list")
 	})
 }

@@ -73,11 +73,10 @@ func TestHandWrittenGuardAccepted(t *testing.T) {
 	}
 }
 
-// Each near-miss below perturbs exactly one aspect of the valid template;
+// nearMissGuards each perturb exactly one aspect of the valid template;
 // all must be rejected.
-func TestNearMissGuardsRejected(t *testing.T) {
-	cases := map[string]string{
-		"wrong guard operand (lea checks a different address)": `
+var nearMissGuards = map[string]string{
+	"wrong guard operand (lea checks a different address)": `
 .entry _start
 .bss slot 8
 .bss other 8
@@ -100,7 +99,7 @@ func TestNearMissGuardsRejected(t *testing.T) {
 trapstore:
   trap 1
 `,
-		"inverted condition (ja instead of jae)": `
+	"inverted condition (ja instead of jae)": `
 .entry _start
 .bss slot 8
 .func _start
@@ -121,7 +120,7 @@ trapstore:
 trapstore:
   trap 1
 `,
-		"swapped pops (restores the wrong registers)": `
+	"swapped pops (restores the wrong registers)": `
 .entry _start
 .bss slot 8
 .func _start
@@ -142,7 +141,7 @@ trapstore:
 trapstore:
   trap 1
 `,
-		"missing upper bound": `
+	"missing upper bound": `
 .entry _start
 .bss slot 8
 .func _start
@@ -160,7 +159,7 @@ trapstore:
 trapstore:
   trap 1
 `,
-		"trap with the wrong code": `
+	"trap with the wrong code": `
 .entry _start
 .bss slot 8
 .func _start
@@ -181,7 +180,7 @@ trapstore:
 trapstore:
   trap 5
 `,
-		"guard present but wrong placeholder bound": `
+	"guard present but wrong placeholder bound": `
 .entry _start
 .bss slot 8
 .func _start
@@ -202,8 +201,10 @@ trapstore:
 trapstore:
   trap 1
 `,
-	}
-	for name, src := range cases {
+}
+
+func TestNearMissGuardsRejected(t *testing.T) {
+	for name, src := range nearMissGuards {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			err := verifyAsm(t, src, policy.SetP1)
@@ -232,9 +233,9 @@ trapstore:
 	}
 }
 
-// TestRSPGuardNearMiss: a hand-written P2 guard that checks only one bound.
-func TestRSPGuardNearMiss(t *testing.T) {
-	good := `
+// rspGuardGood is a hand-written two-sided P2 guard; rspGuardOneSided
+// checks only the lower bound.
+const rspGuardGood = `
 .entry _start
 .func _start
   mov rsp, rbp
@@ -246,13 +247,8 @@ func TestRSPGuardNearMiss(t *testing.T) {
 trapstack:
   trap 2
 `
-	// The good version still fails overall P1 requirements? No stores, so
-	// P2-only is checkable with SetP1P2 minus... use P2 via SetP1P2: no
-	// stores present, so P1 is trivially satisfied.
-	if err := verifyAsm(t, good, policy.SetP1P2); err != nil {
-		t.Fatalf("correct RSP guard rejected: %v", err)
-	}
-	bad := `
+
+const rspGuardOneSided = `
 .entry _start
 .func _start
   mov rsp, rbp
@@ -262,7 +258,16 @@ trapstack:
 trapstack:
   trap 2
 `
-	err := verifyAsm(t, bad, policy.SetP1P2)
+
+// TestRSPGuardNearMiss: a hand-written P2 guard that checks only one bound.
+func TestRSPGuardNearMiss(t *testing.T) {
+	// The good version still fails overall P1 requirements? No stores, so
+	// P2-only is checkable with SetP1P2 minus... use P2 via SetP1P2: no
+	// stores present, so P1 is trivially satisfied.
+	if err := verifyAsm(t, rspGuardGood, policy.SetP1P2); err != nil {
+		t.Fatalf("correct RSP guard rejected: %v", err)
+	}
+	err := verifyAsm(t, rspGuardOneSided, policy.SetP1P2)
 	if !errors.Is(err, verifier.ErrViolation) {
 		t.Fatalf("one-sided RSP guard accepted (err = %v)", err)
 	}

@@ -63,11 +63,7 @@ const protoExchange = `
 .pedge ready -1 end
 `
 
-// TestOrderConformingAccepted is the false-positive guard: a program that
-// follows its declared protocol to the letter must verify P8-clean,
-// including across calls and loops.
-func TestOrderConformingAccepted(t *testing.T) {
-	src := `
+const orderConformingSrc = `
 .entry _start
 ` + protoExchange + `
 .func _start
@@ -83,20 +79,23 @@ again:
   ocall 1
   ret
 `
-	if err := verifyAsmOrder(t, src, p8Only); err != nil {
+
+// TestOrderConformingAccepted is the false-positive guard: a program that
+// follows its declared protocol to the letter must verify P8-clean,
+// including across calls and loops.
+func TestOrderConformingAccepted(t *testing.T) {
+	if err := verifyAsmOrder(t, orderConformingSrc, p8Only); err != nil {
 		t.Fatalf("conforming program rejected: %v", err)
 	}
 }
 
-// TestOrderNearMissesRejected: each program violates its declared
-// interface protocol along a different route; all must be rejected with a
-// P8 violation from the order pass.
-func TestOrderNearMissesRejected(t *testing.T) {
-	cases := map[string]struct {
-		src  string
-		want string // substring of the violation message
-	}{
-		"output before attestation completes": {want: "event-order", src: `
+// orderNearMisses each violate their declared interface protocol along a
+// different route.
+var orderNearMisses = map[string]struct {
+	src  string
+	want string // substring of the violation message
+}{
+	"output before attestation completes": {want: "event-order", src: `
 .entry _start
 ` + protoExchange + `
 .func _start
@@ -105,7 +104,7 @@ func TestOrderNearMissesRejected(t *testing.T) {
   ocall 2
   hlt
 `},
-		"single-shot exchange smuggled through a loop": {want: "event-order", src: `
+	"single-shot exchange smuggled through a loop": {want: "event-order", src: `
 .entry _start
 .pstate init
 .pstate done attested
@@ -121,7 +120,7 @@ again:
   jne again
   hlt
 `},
-		"indirect branch skips the provisioning recv": {want: "event-order", src: `
+	"indirect branch skips the provisioning recv": {want: "event-order", src: `
 .entry _start
 .target fast_path
 ` + protoExchange + `
@@ -133,7 +132,7 @@ again:
   ocall 1
   hlt
 `},
-		"interprocedural: helper sends before the caller provisions": {want: "event-order", src: `
+	"interprocedural: helper sends before the caller provisions": {want: "event-order", src: `
 .entry _start
 ` + protoExchange + `
 .func _start
@@ -144,7 +143,7 @@ again:
   ocall 1
   ret
 `},
-		"halt with the exchange incomplete": {want: "halt-order", src: `
+	"halt with the exchange incomplete": {want: "halt-order", src: `
 .entry _start
 .pstate init
 .pstate mid attested
@@ -157,7 +156,7 @@ again:
   ocall 2
   hlt
 `},
-		"event after the exchange closes": {want: "event-order", src: `
+	"event after the exchange closes": {want: "event-order", src: `
 .entry _start
 .pstate init
 .pstate done attested
@@ -172,8 +171,12 @@ again:
   ocall 1
   hlt
 `},
-	}
-	for name, tc := range cases {
+}
+
+// TestOrderNearMissesRejected: every orderNearMisses program must be
+// rejected with a P8 violation from the order pass.
+func TestOrderNearMissesRejected(t *testing.T) {
+	for name, tc := range orderNearMisses {
 		t.Run(name, func(t *testing.T) {
 			err := verifyAsmOrder(t, tc.src, p8Only)
 			vio := requireViolation(t, err, policy.P8, "order")
@@ -184,13 +187,9 @@ again:
 	}
 }
 
-// TestOrderTamperedProtocolRejected: the protocol table is part of the
-// proof, so a generator cannot weaken P8 by declaring a permissive
-// automaton — meta-validation inside the TCB rejects it before any path
-// analysis runs.
-func TestOrderTamperedProtocolRejected(t *testing.T) {
-	cases := map[string]string{
-		"output admitted in an unattested state": `
+// tamperedProtocols each declare an automaton that fails meta-validation.
+var tamperedProtocols = map[string]string{
+	"output admitted in an unattested state": `
 .entry _start
 .pstate init
 .pstate end attested
@@ -200,7 +199,7 @@ func TestOrderTamperedProtocolRejected(t *testing.T) {
   ocall 1
   hlt
 `,
-		"edge dropping attestation": `
+	"edge dropping attestation": `
 .entry _start
 .pstate init
 .pstate ready attested
@@ -212,7 +211,7 @@ func TestOrderTamperedProtocolRejected(t *testing.T) {
   ocall 2
   hlt
 `,
-		"terminal state with outgoing edges": `
+	"terminal state with outgoing edges": `
 .entry _start
 .pstate init
 .pstate ready attested
@@ -224,7 +223,7 @@ func TestOrderTamperedProtocolRejected(t *testing.T) {
   ocall 2
   hlt
 `,
-		"nondeterministic transition": `
+	"nondeterministic transition": `
 .entry _start
 .pstate init
 .pstate ready attested
@@ -236,8 +235,14 @@ func TestOrderTamperedProtocolRejected(t *testing.T) {
   ocall 2
   hlt
 `,
-	}
-	for name, src := range cases {
+}
+
+// TestOrderTamperedProtocolRejected: the protocol table is part of the
+// proof, so a generator cannot weaken P8 by declaring a permissive
+// automaton — meta-validation inside the TCB rejects it before any path
+// analysis runs.
+func TestOrderTamperedProtocolRejected(t *testing.T) {
+	for name, src := range tamperedProtocols {
 		t.Run(name, func(t *testing.T) {
 			err := verifyAsmOrder(t, src, p8Only)
 			// A tampered table has no violating instruction to anchor, so
@@ -257,11 +262,7 @@ func TestOrderTamperedProtocolRejected(t *testing.T) {
 	}
 }
 
-// TestOrderPassSkippedWithoutP8: the same violating program is accepted
-// when the manifest does not demand P8 — orderliness is a policy, not a
-// default.
-func TestOrderPassSkippedWithoutP8(t *testing.T) {
-	src := `
+const orderSkippedSrc = `
 .entry _start
 ` + protoExchange + `
 .func _start
@@ -270,23 +271,30 @@ func TestOrderPassSkippedWithoutP8(t *testing.T) {
   ocall 2
   hlt
 `
-	if err := verifyAsmOrder(t, src, policy.SetNone); err != nil {
+
+// TestOrderPassSkippedWithoutP8: the same violating program is accepted
+// when the manifest does not demand P8 — orderliness is a policy, not a
+// default.
+func TestOrderPassSkippedWithoutP8(t *testing.T) {
+	if err := verifyAsmOrder(t, orderSkippedSrc, policy.SetNone); err != nil {
 		t.Fatalf("violation rejected despite P8 not being required: %v", err)
 	}
-	requireViolation(t, verifyAsmOrder(t, src, p8Only), policy.P8, "order")
+	requireViolation(t, verifyAsmOrder(t, orderSkippedSrc, p8Only), policy.P8, "order")
 }
 
-// TestOrderAblation: with the pass disabled the violating binary slips
-// through — the pass, not some other check, is what rejects it.
-func TestOrderAblation(t *testing.T) {
-	o, err := asmtext.Assemble(`
+const orderAblationSrc = `
 .entry _start
-`+protoExchange+`
+` + protoExchange + `
 .func _start
   ocall 1
   ocall 2
   hlt
-`, uint16(p8Only))
+`
+
+// TestOrderAblation: with the pass disabled the violating binary slips
+// through — the pass, not some other check, is what rejects it.
+func TestOrderAblation(t *testing.T) {
+	o, err := asmtext.Assemble(orderAblationSrc, uint16(p8Only))
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}

@@ -51,11 +51,7 @@ func verifyAsmTaint(t *testing.T, src string, pols policy.Set) error {
 // the taint analysis.
 var p7Only = policy.Bit(policy.P7)
 
-// TestTaintSealedFlowAccepted is the false-positive guard: a secret that
-// flows only to the sealed-output ocall must verify P7-clean, including
-// after a round trip through a scratch global.
-func TestTaintSealedFlowAccepted(t *testing.T) {
-	src := `
+const taintSealedFlowSrc = `
 .entry _start
 .bss key 8
 .bss scratch 8
@@ -71,20 +67,23 @@ func TestTaintSealedFlowAccepted(t *testing.T) {
   ocall 1
   hlt
 `
-	if err := verifyAsmTaint(t, src, p7Only); err != nil {
+
+// TestTaintSealedFlowAccepted is the false-positive guard: a secret that
+// flows only to the sealed-output ocall must verify P7-clean, including
+// after a round trip through a scratch global.
+func TestTaintSealedFlowAccepted(t *testing.T) {
+	if err := verifyAsmTaint(t, taintSealedFlowSrc, p7Only); err != nil {
 		t.Fatalf("sealed secret flow rejected: %v", err)
 	}
 }
 
-// TestTaintLeaksRejected: each program moves secret bytes toward an
-// unsanctioned sink along a different route; all must be rejected by the
-// taint pass with a P7 violation.
-func TestTaintLeaksRejected(t *testing.T) {
-	cases := map[string]struct {
-		src  string
-		kind string
-	}{
-		"secret through scratch global to print": {kind: "unsealed-output", src: `
+// taintLeaks each move secret bytes toward an unsanctioned sink along a
+// different route; kind is the finding the taint pass must report.
+var taintLeaks = map[string]struct {
+	src  string
+	kind string
+}{
+	"secret through scratch global to print": {kind: "unsealed-output", src: `
 .entry _start
 .bss key 8
 .bss scratch 8
@@ -99,7 +98,7 @@ func TestTaintLeaksRejected(t *testing.T) {
   ocall 3
   hlt
 `},
-		"secret laundered through a stack round trip": {kind: "unsealed-output", src: `
+	"secret laundered through a stack round trip": {kind: "unsealed-output", src: `
 .entry _start
 .bss key 8
 .secret key
@@ -111,7 +110,7 @@ func TestTaintLeaksRejected(t *testing.T) {
   ocall 3
   hlt
 `},
-		"partial overwrite of a tainted stack slot": {kind: "unsealed-output", src: `
+	"partial overwrite of a tainted stack slot": {kind: "unsealed-output", src: `
 .entry _start
 .bss key 8
 .secret key
@@ -126,7 +125,7 @@ func TestTaintLeaksRejected(t *testing.T) {
   ocall 3
   hlt
 `},
-		"secret as indirect-branch target": {kind: "indirect-target", src: `
+	"secret as indirect-branch target": {kind: "indirect-target", src: `
 .entry _start
 .bss key 8
 .secret key
@@ -135,7 +134,7 @@ func TestTaintLeaksRejected(t *testing.T) {
   mov rax, [rcx]
   jmp rax
 `},
-		"tainted store through an untracked pointer": {kind: "untracked-store", src: `
+	"tainted store through an untracked pointer": {kind: "untracked-store", src: `
 .entry _start
 .bss key 8
 .bss scratch 8
@@ -148,7 +147,7 @@ func TestTaintLeaksRejected(t *testing.T) {
   mov [rbx], rax
   hlt
 `},
-		"secret to an unknown ocall index": {kind: "unsealed-output", src: `
+	"secret to an unknown ocall index": {kind: "unsealed-output", src: `
 .entry _start
 .bss key 8
 .secret key
@@ -158,8 +157,12 @@ func TestTaintLeaksRejected(t *testing.T) {
   ocall 99
   hlt
 `},
-	}
-	for name, tc := range cases {
+}
+
+// TestTaintLeaksRejected: every taintLeaks program must be rejected by the
+// taint pass with a P7 violation naming the expected finding kind.
+func TestTaintLeaksRejected(t *testing.T) {
+	for name, tc := range taintLeaks {
 		t.Run(name, func(t *testing.T) {
 			err := verifyAsmTaint(t, tc.src, p7Only)
 			vio := requireViolation(t, err, policy.P7, "taint")
@@ -170,10 +173,7 @@ func TestTaintLeaksRejected(t *testing.T) {
 	}
 }
 
-// TestTaintPassSkippedWithoutP7: the same leaking program is accepted when
-// the manifest does not demand P7 — taint is a policy, not a default.
-func TestTaintPassSkippedWithoutP7(t *testing.T) {
-	src := `
+const taintSkippedSrc = `
 .entry _start
 .bss key 8
 .secret key
@@ -183,17 +183,17 @@ func TestTaintPassSkippedWithoutP7(t *testing.T) {
   ocall 3
   hlt
 `
-	if err := verifyAsmTaint(t, src, policy.SetNone); err != nil {
+
+// TestTaintPassSkippedWithoutP7: the same leaking program is accepted when
+// the manifest does not demand P7 — taint is a policy, not a default.
+func TestTaintPassSkippedWithoutP7(t *testing.T) {
+	if err := verifyAsmTaint(t, taintSkippedSrc, policy.SetNone); err != nil {
 		t.Fatalf("leak rejected despite P7 not being required: %v", err)
 	}
-	requireViolation(t, verifyAsmTaint(t, src, p7Only), policy.P7, "taint")
+	requireViolation(t, verifyAsmTaint(t, taintSkippedSrc, p7Only), policy.P7, "taint")
 }
 
-// TestTaintInterproceduralLeak: the secret crosses a call boundary (loaded
-// in the callee, leaked by the caller through the returned register), so
-// only the interprocedural summary can see the flow.
-func TestTaintInterproceduralLeak(t *testing.T) {
-	src := `
+const taintInterprocSrc = `
 .entry _start
 .bss key 8
 .secret key
@@ -207,13 +207,15 @@ func TestTaintInterproceduralLeak(t *testing.T) {
   mov rax, [rcx]
   ret
 `
-	requireViolation(t, verifyAsmTaint(t, src, p7Only), policy.P7, "taint")
+
+// TestTaintInterproceduralLeak: the secret crosses a call boundary (loaded
+// in the callee, leaked by the caller through the returned register), so
+// only the interprocedural summary can see the flow.
+func TestTaintInterproceduralLeak(t *testing.T) {
+	requireViolation(t, verifyAsmTaint(t, taintInterprocSrc, p7Only), policy.P7, "taint")
 }
 
-// TestTaintArgumentSlotLeak: the secret is passed to the callee through a
-// caller-frame stack slot and leaked inside the callee.
-func TestTaintArgumentSlotLeak(t *testing.T) {
-	src := `
+const taintArgSlotSrc = `
 .entry _start
 .bss key 8
 .secret key
@@ -230,5 +232,9 @@ func TestTaintArgumentSlotLeak(t *testing.T) {
   ocall 3
   ret
 `
-	requireViolation(t, verifyAsmTaint(t, src, p7Only), policy.P7, "taint")
+
+// TestTaintArgumentSlotLeak: the secret is passed to the callee through a
+// caller-frame stack slot and leaked inside the callee.
+func TestTaintArgumentSlotLeak(t *testing.T) {
+	requireViolation(t, verifyAsmTaint(t, taintArgSlotSrc, p7Only), policy.P7, "taint")
 }
