@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-taint fuzz-order test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
+.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-taint fuzz-order test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
 # subsumes race-vplane/race-gateway/race-tenant/race-dataflow; the focused
 # targets exist for fast iteration. bench-smoke runs the benchmark module's
 # own tests, which the root go test ./... does not reach.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-taint fuzz-order bench-smoke
+check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-taint fuzz-order bench-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ metric-lint:
 FUZZTIME ?= 5s
 fuzz-disasm:
 	$(GO) test -fuzz=FuzzDisassemble -fuzztime=$(FUZZTIME) -run '^$$' ./internal/disasm/
+
+# Short coverage-guided smoke of the whole verifier over mutated compiled
+# programs and branch-target lists (no panics, deterministic verdicts, the
+# instruction-table invariants on every acceptance). Inputs are whole
+# binaries, so minimizing a new corpus entry is capped at a few executions.
+fuzz-verify:
+	$(GO) test -fuzz=FuzzVerify -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x -run '^$$' ./internal/verifier/
 
 # Short coverage-guided smoke of the P7 taint pass over arbitrary decodable
 # machine code (no panics, declared errors only, deterministic reports).

@@ -171,29 +171,20 @@ func BenchmarkLoaderRelocate(b *testing.B) {
 	}
 }
 
+// verifyInputs returns the benchmark kernel's relocated text with the
+// P1-P6 verifier options its load implies.
+func verifyInputs(b *testing.B) ([]byte, verifier.Options) {
+	b.Helper()
+	k, _ := nbench.KernelByName("NUMERIC SORT")
+	text, opts, err := bench.VerifyInput(k.Name, k.Source, policy.SetP1P6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return text, opts
+}
+
 func BenchmarkVerifier(b *testing.B) {
-	o := compiledObject(b)
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("bench"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		b.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var offs []int64
-	for _, t := range ld.BranchTargets {
-		offs = append(offs, int64(t-ld.TextBase))
-	}
-	opts := verifier.Options{
-		Required:            policy.SetP1P6,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-	}
+	text, opts := verifyInputs(b)
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -204,13 +195,16 @@ func BenchmarkVerifier(b *testing.B) {
 	}
 }
 
+// BenchmarkDisassembler times the verifier's recursive-descent decode from
+// the real entry point and branch-target list.
 func BenchmarkDisassembler(b *testing.B) {
-	o := compiledObject(b)
-	b.SetBytes(int64(len(o.Text)))
+	text, opts := verifyInputs(b)
+	entries := append([]int64{opts.EntryOffset}, opts.BranchTargetOffsets...)
+	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := disasm.Linear(o.Text); err != nil {
+		if _, err := disasm.Disassemble(text, entries); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"deflection/internal/compiler"
-	"deflection/internal/dclib"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/nbench"
 	"deflection/internal/policy"
 	"deflection/internal/verifier"
@@ -48,30 +44,9 @@ func CFA(quick bool) (*CFAResult, error) {
 	}
 	res := &CFAResult{Iters: iters}
 	for _, k := range nbench.Kernels() {
-		o, err := compiler.Compile(dclib.Program(k.Source), compiler.Options{Policies: policy.SetP1P6})
-		if err != nil {
-			return nil, fmt.Errorf("bench: cfa %s: %w", k.Name, err)
-		}
-		e, err := enclave.New(enclave.DefaultConfig(), []byte("bench-cfa"))
+		text, opts, err := VerifyInput("cfa "+k.Name, k.Source, policy.SetP1P6)
 		if err != nil {
 			return nil, err
-		}
-		ld, err := loader.Load(e, o)
-		if err != nil {
-			return nil, fmt.Errorf("bench: cfa %s: %w", k.Name, err)
-		}
-		text, err := ld.TextBytes()
-		if err != nil {
-			return nil, err
-		}
-		var targets []int64
-		for _, t := range ld.BranchTargets {
-			targets = append(targets, int64(t-ld.TextBase))
-		}
-		opts := verifier.Options{
-			Required:            policy.SetP1P6,
-			EntryOffset:         int64(ld.Entry - ld.TextBase),
-			BranchTargetOffsets: targets,
 		}
 
 		row := CFARow{Name: k.Name, TextBytes: len(text)}

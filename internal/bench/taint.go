@@ -5,13 +5,8 @@ import (
 	"time"
 
 	"deflection/internal/apps"
-	"deflection/internal/compiler"
-	"deflection/internal/dclib"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/nbench"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 	"deflection/internal/verifier"
 )
 
@@ -64,31 +59,9 @@ func Taint(quick bool) (*TaintResult, error) {
 	}
 	res := &TaintResult{Iters: iters, Budget: 0.15}
 	for _, w := range taintWorkloads() {
-		o, err := compiler.Compile(dclib.Program(w.src), compiler.Options{Policies: policy.SetP1P7})
-		if err != nil {
-			return nil, fmt.Errorf("bench: taint %s: %w", w.name, err)
-		}
-		e, err := enclave.New(enclave.DefaultConfig(), []byte("bench-taint"))
+		text, opts, err := VerifyInput("taint "+w.name, w.src, policy.SetP1P7)
 		if err != nil {
 			return nil, err
-		}
-		ld, err := loader.Load(e, o)
-		if err != nil {
-			return nil, fmt.Errorf("bench: taint %s: %w", w.name, err)
-		}
-		text, err := ld.TextBytes()
-		if err != nil {
-			return nil, err
-		}
-		var targets []int64
-		for _, t := range ld.BranchTargets {
-			targets = append(targets, int64(t-ld.TextBase))
-		}
-		opts := verifier.Options{
-			Required:            policy.SetP1P7,
-			EntryOffset:         int64(ld.Entry - ld.TextBase),
-			BranchTargetOffsets: targets,
-			Taint:               runtime.TaintConfig(ld),
 		}
 
 		row := TaintRow{Name: w.name, TextBytes: len(text)}

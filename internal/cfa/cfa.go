@@ -51,8 +51,8 @@ type Block struct {
 	// Start/End delimit the half-open text-offset span [Start, End).
 	// The virtual root has Start = End = -1.
 	Start, End int64
-	// Insts lists the block's instructions in address order (empty for the
-	// virtual root).
+	// Insts is the block's run of Dis.Insts, in address order (empty for the
+	// virtual root). It aliases the disassembly and must not be modified.
 	Insts []disasm.Inst
 	// Succs/Preds are CFG-adjacent block IDs, deduplicated, in ascending
 	// order.
@@ -96,12 +96,12 @@ type Graph struct {
 	// Edges counts CFG edges (excluding the virtual root's).
 	Edges int
 
-	byOff  map[int64]int // instruction offset → containing block ID
-	rpo    []int         // reverse postorder from the virtual root
-	rpoNum []int         // block ID → position in rpo
-	idom   []int         // block ID → immediate dominator ID (-1 unreachable)
+	blockOf []int // instruction index → containing block ID
+	rpo     []int // reverse postorder from the virtual root
+	rpoNum  []int // block ID → position in rpo
+	idom    []int // block ID → immediate dominator ID (-1 unreachable)
 
-	instPreds map[int64][]int64 // lazily built by InstPreds
+	instPreds [][]int64 // instruction index → predecessor offsets; built by InstPreds
 }
 
 // Build recovers the CFG for a successful disassembly and computes its
@@ -112,7 +112,6 @@ func Build(dis *disasm.Result, entry int64, targets []int64) *Graph {
 		Dis:     dis,
 		Entry:   entry,
 		Targets: append([]int64(nil), targets...),
-		byOff:   make(map[int64]int, len(dis.Insts)),
 	}
 	g.splitBlocks()
 	g.connect()
@@ -120,40 +119,30 @@ func Build(dis *disasm.Result, entry int64, targets []int64) *Graph {
 	return g
 }
 
-// splitBlocks partitions the decoded instructions into basic blocks.
+// splitBlocks partitions the decoded instructions into basic blocks: a block
+// ends after a branch, before a leader, and at a gap in the decoding.
 func (g *Graph) splitBlocks() {
-	root := &Block{ID: Root, Start: -1, End: -1}
-	g.Blocks = []*Block{root}
+	insts := g.Dis.Insts
+	g.Blocks = []*Block{{ID: Root, Start: -1, End: -1}}
+	g.blockOf = make([]int, len(insts))
+	lo := 0
+	for i, in := range insts {
+		g.blockOf[i] = len(g.Blocks)
+		if i+1 < len(insts) && !in.Op.IsBranch() && !g.Dis.Leader[i+1] && insts[i+1].Off == in.End() {
+			continue
+		}
+		g.Blocks = append(g.Blocks, &Block{ID: len(g.Blocks), Start: insts[lo].Off, End: in.End(), Insts: insts[lo : i+1 : i+1]})
+		lo = i + 1
+	}
+}
 
-	var cur *Block
-	flush := func() {
-		if cur != nil && len(cur.Insts) > 0 {
-			cur.End = cur.Insts[len(cur.Insts)-1].End()
-			g.Blocks = append(g.Blocks, cur)
-			cur = nil
-		}
+// blockID returns the ID of the block containing the instruction at off.
+func (g *Graph) blockID(off int64) (int, bool) {
+	i, ok := g.Dis.Index(off)
+	if !ok {
+		return 0, false
 	}
-	var prevEnd int64 = -1
-	for _, off := range g.Dis.Offsets {
-		in := g.Dis.Insts[off]
-		if cur == nil || g.Dis.BlockStarts[off] || off != prevEnd {
-			flush()
-			cur = &Block{Start: off}
-		}
-		cur.Insts = append(cur.Insts, in)
-		prevEnd = in.End()
-		if in.Op.IsBranch() {
-			flush()
-		}
-	}
-	flush()
-
-	for i, b := range g.Blocks {
-		b.ID = i
-		for _, in := range b.Insts {
-			g.byOff[in.Off] = i
-		}
-	}
+	return g.blockOf[i], true
 }
 
 // connect adds the CFG edges.
@@ -170,7 +159,7 @@ func (g *Graph) connect() {
 	var targetBlocks []int
 	seenT := make(map[int]bool)
 	for _, t := range g.Targets {
-		if id, ok := g.byOff[t]; ok && !seenT[id] {
+		if id, ok := g.blockID(t); ok && !seenT[id] {
 			seenT[id] = true
 			targetBlocks = append(targetBlocks, id)
 		}
@@ -179,17 +168,17 @@ func (g *Graph) connect() {
 	for _, b := range g.Blocks[1:] {
 		last := b.Last()
 		fallthru := func() {
-			if id, ok := g.byOff[last.End()]; ok {
+			if id, ok := g.blockID(last.End()); ok {
 				addEdge(b.ID, id)
 			}
 		}
 		switch last.Op {
 		case isa.OpJmp:
-			if id, ok := g.byOff[disasm.DirectTarget(last)]; ok {
+			if id, ok := g.blockID(disasm.DirectTarget(last)); ok {
 				addEdge(b.ID, id)
 			}
 		case isa.OpJcc, isa.OpCall:
-			if id, ok := g.byOff[disasm.DirectTarget(last)]; ok {
+			if id, ok := g.blockID(disasm.DirectTarget(last)); ok {
 				addEdge(b.ID, id)
 			}
 			fallthru()
@@ -208,7 +197,7 @@ func (g *Graph) connect() {
 	}
 
 	// Virtual root → entry and every listed target.
-	if id, ok := g.byOff[g.Entry]; ok {
+	if id, ok := g.blockID(g.Entry); ok {
 		addEdge(Root, id)
 	}
 	for _, id := range targetBlocks {
@@ -240,7 +229,7 @@ func (g *Graph) connect() {
 // BlockAt returns the block containing the instruction at off, or nil when
 // off is not a decoded instruction start.
 func (g *Graph) BlockAt(off int64) *Block {
-	if id, ok := g.byOff[off]; ok {
+	if id, ok := g.blockID(off); ok {
 		return g.Blocks[id]
 	}
 	return nil
@@ -249,36 +238,41 @@ func (g *Graph) BlockAt(off int64) *Block {
 // InstPreds returns the offsets of every instruction that can immediately
 // precede the instruction at off in some execution: its linear predecessor
 // when that one falls through, every direct branch targeting off, and —
-// when off is on the branch-target list — every indirect branch. The map
+// when off is on the branch-target list — every indirect branch. The table
 // is built once, on first use.
 func (g *Graph) InstPreds(off int64) []int64 {
 	if g.instPreds == nil {
-		g.instPreds = make(map[int64][]int64, len(g.Dis.Insts))
-		targetSet := make(map[int64]bool, len(g.Targets))
-		for _, t := range g.Targets {
-			targetSet[t] = true
+		insts := g.Dis.Insts
+		g.instPreds = make([][]int64, len(insts))
+		add := func(to, from int64) {
+			if i, ok := g.Dis.Index(to); ok {
+				g.instPreds[i] = append(g.instPreds[i], from)
+			}
 		}
 		var indirect []int64
-		add := func(to, from int64) {
-			g.instPreds[to] = append(g.instPreds[to], from)
-		}
-		for _, from := range g.Dis.Offsets {
-			in := g.Dis.Insts[from]
+		for _, in := range insts {
 			if !in.Op.Terminates() {
-				add(in.End(), from)
+				add(in.End(), in.Off)
 			}
 			switch in.Op {
 			case isa.OpJmp, isa.OpJcc, isa.OpCall:
-				add(disasm.DirectTarget(in), from)
+				add(disasm.DirectTarget(in), in.Off)
 			case isa.OpJmpR, isa.OpCallR:
-				indirect = append(indirect, from)
+				indirect = append(indirect, in.Off)
 			}
 		}
-		for t := range targetSet {
-			g.instPreds[t] = append(g.instPreds[t], indirect...)
+		listed := make([]bool, len(insts))
+		for _, t := range g.Targets {
+			if i, ok := g.Dis.Index(t); ok && !listed[i] {
+				listed[i] = true
+				g.instPreds[i] = append(g.instPreds[i], indirect...)
+			}
 		}
 	}
-	return g.instPreds[off]
+	if i, ok := g.Dis.Index(off); ok {
+		return g.instPreds[i]
+	}
+	return nil
 }
 
 // Reachable reports whether the block is reachable from the virtual root.
@@ -296,13 +290,11 @@ type Range struct{ Lo, Hi int64 }
 func (g *Graph) DeadRanges(textLen int) []Range {
 	var dead []Range
 	var pos int64
-	for _, off := range g.Dis.Offsets {
-		if off > pos {
-			dead = append(dead, Range{Lo: pos, Hi: off})
+	for _, in := range g.Dis.Insts {
+		if in.Off > pos {
+			dead = append(dead, Range{Lo: pos, Hi: in.Off})
 		}
-		if end := g.Dis.Insts[off].End(); end > pos {
-			pos = end
-		}
+		pos = in.End()
 	}
 	if pos < int64(textLen) {
 		dead = append(dead, Range{Lo: pos, Hi: int64(textLen)})

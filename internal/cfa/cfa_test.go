@@ -96,6 +96,29 @@ func TestDiamondBlocksAndDominance(t *testing.T) {
 	}
 }
 
+// TestBlocksAliasInstructionTable checks that blocks partition Dis.Insts in
+// order, each Block.Insts being the run of the table itself (not a copy)
+// with no spare capacity a caller's append could write through.
+func TestBlocksAliasInstructionTable(t *testing.T) {
+	g, _ := build(t, diamond)
+	next := 0
+	for _, b := range g.Blocks[1:] {
+		if &b.Insts[0] != &g.Dis.Insts[next] {
+			t.Fatalf("block %d does not alias Dis.Insts[%d]", b.ID, next)
+		}
+		if cap(b.Insts) != len(b.Insts) {
+			t.Errorf("block %d has spare capacity %d", b.ID, cap(b.Insts)-len(b.Insts))
+		}
+		if b.Start != b.Insts[0].Off || b.End != b.Last().End() {
+			t.Errorf("block %d span [%#x,%#x) disagrees with its instructions", b.ID, b.Start, b.End)
+		}
+		next += len(b.Insts)
+	}
+	if next != len(g.Dis.Insts) {
+		t.Errorf("blocks cover %d of %d instructions", next, len(g.Dis.Insts))
+	}
+}
+
 func TestLoopDominance(t *testing.T) {
 	g, o := build(t, `
 .entry _start

@@ -114,12 +114,12 @@ func TestEngineFixpointAndSweep(t *testing.T) {
 				rec.Add(b.Insts[i].Off, "inst", "second")
 			}
 		})
-	if len(findings) != len(g.Dis.Offsets) {
-		t.Fatalf("got %d findings, want one per instruction (%d)", len(findings), len(g.Dis.Offsets))
+	if len(findings) != len(g.Dis.Insts) {
+		t.Fatalf("got %d findings, want one per instruction (%d)", len(findings), len(g.Dis.Insts))
 	}
 	for i, f := range findings {
-		if f.Off != g.Dis.Offsets[i] || f.Msg != "first" {
-			t.Errorf("finding %d = %+v, want the first message at %#x", i, f, g.Dis.Offsets[i])
+		if f.Off != g.Dis.Insts[i].Off || f.Msg != "first" {
+			t.Errorf("finding %d = %+v, want the first message at %#x", i, f, g.Dis.Insts[i].Off)
 		}
 	}
 	var nilRec *cfa.Recorder

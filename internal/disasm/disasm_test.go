@@ -55,7 +55,7 @@ func TestDisassembleFollowsControlFlow(t *testing.T) {
 	if _, ok := r.At(hltOff); !ok {
 		t.Error("jump target not decoded")
 	}
-	if !r.BlockStarts[hltOff] {
+	if i, ok := r.Index(hltOff); !ok || !r.Leader[i] {
 		t.Error("jump target should start a block")
 	}
 }
@@ -77,12 +77,9 @@ func TestDisassembleJccBothEdges(t *testing.T) {
 	if len(r.Insts) != 4 {
 		t.Fatalf("decoded %d instructions, want 4", len(r.Insts))
 	}
-	if len(r.Offsets) != 4 {
-		t.Fatalf("offsets %v", r.Offsets)
-	}
-	for i := 1; i < len(r.Offsets); i++ {
-		if r.Offsets[i] <= r.Offsets[i-1] {
-			t.Error("offsets not sorted")
+	for i := 1; i < len(r.Insts); i++ {
+		if r.Insts[i].Off <= r.Insts[i-1].Off {
+			t.Error("instructions not in address order")
 		}
 	}
 }
@@ -171,7 +168,7 @@ func TestDisassembleCallFallthrough(t *testing.T) {
 		t.Fatalf("decoded %d instructions, want 3", len(r.Insts))
 	}
 	callLen := int64(isa.EncodedLen(&call))
-	if !r.BlockStarts[callLen] {
+	if i, ok := r.Index(callLen); !ok || !r.Leader[i] {
 		t.Error("call fall-through should start a block")
 	}
 }

@@ -1,7 +1,6 @@
 package disasm
 
 import (
-	"sort"
 	"testing"
 
 	"deflection/internal/isa"
@@ -40,7 +39,7 @@ func FuzzDisassemble(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, entry int64) {
 		r, err := Disassemble(data, []int64{entry})
 		if err == nil {
-			checkResult(t, r, data)
+			checkResult(t, r, data, []int64{entry})
 		}
 		lin, _ := Linear(data)
 		// Linear decodes a contiguous prefix: each instruction starts where
@@ -58,30 +57,59 @@ func FuzzDisassemble(f *testing.F) {
 	})
 }
 
-// checkResult asserts the structural invariants of a successful decode.
-func checkResult(t *testing.T, r *Result, data []byte) {
+// checkResult asserts the structural invariants of a successful decode:
+// Insts is strictly ascending, non-overlapping and inside text; for every
+// byte, Index and At agree with a linear scan of Insts; and the leaders are
+// exactly decoded starts, covering every entry and every branch target and
+// fall-through successor the traversal enqueued.
+func checkResult(t *testing.T, r *Result, data []byte, entries []int64) {
 	t.Helper()
-	if !sort.SliceIsSorted(r.Offsets, func(i, j int) bool { return r.Offsets[i] < r.Offsets[j] }) {
-		t.Fatal("Offsets not sorted")
-	}
 	var prevEnd int64
-	for i, off := range r.Offsets {
-		in, ok := r.At(off)
-		if !ok {
-			t.Fatalf("Offsets[%d]=%#x has no instruction", i, off)
-		}
-		if in.Off != off {
-			t.Fatalf("instruction at %#x reports Off=%#x", off, in.Off)
-		}
-		if off < 0 || in.End() > int64(len(data)) {
-			t.Fatalf("instruction [%#x,%#x) outside text len %d", off, in.End(), len(data))
-		}
-		if off < prevEnd {
-			t.Fatalf("instruction at %#x overlaps previous ending at %#x", off, prevEnd)
+	for _, in := range r.Insts {
+		if in.Off < prevEnd || in.Len <= 0 || in.End() > int64(len(data)) {
+			t.Fatalf("instruction [%#x,%#x) overlaps the previous one (end %#x) or leaves text len %d", in.Off, in.End(), prevEnd, len(data))
 		}
 		prevEnd = in.End()
 	}
-	if len(r.Insts) != len(r.Offsets) {
-		t.Fatalf("len(Insts)=%d != len(Offsets)=%d", len(r.Insts), len(r.Offsets))
+	k := 0
+	for off := int64(-1); off <= int64(len(data)); off++ {
+		for k < len(r.Insts) && r.Insts[k].Off < off {
+			k++
+		}
+		want := k < len(r.Insts) && r.Insts[k].Off == off
+		i, ok := r.Index(off)
+		in, okAt := r.At(off)
+		if ok != want || okAt != want || (want && (i != k || in != r.Insts[k])) {
+			t.Fatalf("lookup of %#x: Index=(%d,%t) At ok=%t, linear scan says %t at %d", off, i, ok, okAt, want, k)
+		}
+	}
+	if len(r.Leader) != len(r.Insts) {
+		t.Fatalf("len(Leader)=%d != len(Insts)=%d", len(r.Leader), len(r.Insts))
+	}
+	leads := append([]int64(nil), entries...)
+	for _, in := range r.Insts {
+		switch in.Op {
+		case isa.OpJmp:
+			leads = append(leads, DirectTarget(in))
+		case isa.OpJcc, isa.OpCall:
+			leads = append(leads, DirectTarget(in), in.End())
+		case isa.OpCallR:
+			leads = append(leads, in.End())
+		}
+	}
+	for _, off := range leads {
+		i, ok := r.Index(off)
+		if !ok || !r.Leader[i] {
+			t.Fatalf("%#x should be a decoded leader", off)
+		}
+	}
+	n := 0
+	for _, l := range r.Leader {
+		if l {
+			n++
+		}
+	}
+	if n != r.Blocks() {
+		t.Fatalf("Blocks()=%d, %d leaders", r.Blocks(), n)
 	}
 }

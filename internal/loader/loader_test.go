@@ -201,10 +201,7 @@ int main() {
 	if err != nil {
 		// Linear decode can fail on data-like padding; fall back to the
 		// verified instruction set.
-		insts = nil
-		for _, off := range vr.Dis.Offsets {
-			insts = append(insts, vr.Dis.Insts[off])
-		}
+		insts = vr.Dis.Insts
 	}
 	for _, in := range insts {
 		switch in.Imm {

@@ -42,8 +42,8 @@ func RewriteImmediates(ld *Loaded, dis *disasm.Result) (stats RewriteStats, err 
 		policy.MagicAEXCountDisp:  l.AEXCountAddr(),
 	}
 
-	for _, off := range dis.Offsets {
-		in := dis.Insts[off]
+	for _, in := range dis.Insts {
+		off := in.Off
 		if immOff := isa.ImmOffset(&in.Inst); immOff >= 0 {
 			if v, hit := imm64Map[in.Imm]; hit {
 				var buf [8]byte

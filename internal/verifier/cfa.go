@@ -15,7 +15,7 @@ package verifier
 //   - dead-byte: every text byte must be covered by the recursive-descent
 //     decode; uncovered bytes are potential side-loaded code (P4/P5).
 //   - target-list: each proof-listed indirect target must be a decoded
-//     instruction start inside text, listed exactly once (P5).
+//     instruction start, listed exactly once (P5).
 //
 // All passes run over the internal/cfa graph, which (like this package) is
 // TCB-resident and depends only on isa, disasm and the standard library.
@@ -212,20 +212,19 @@ func taintDetail(s *CFAStats, ran bool) string {
 
 // targetListPass cross-checks the proof's indirect-branch target list
 // against the recovered CFG: every entry must be a decoded instruction
-// start inside text, listed exactly once, in a root-reachable block.
+// start, listed exactly once, in a root-reachable block. (Verify rejected
+// entries outside text before disassembling.)
 func (v *verifier) targetListPass(g *cfa.Graph, res *Result) error {
-	seen := make(map[int64]bool, len(v.opts.BranchTargetOffsets))
+	seen := make([]bool, len(v.dis.Insts))
 	for _, t := range v.opts.BranchTargetOffsets {
-		if t < 0 || t >= int64(len(v.text)) {
-			return v.cfaViolation("target-list", policy.P5, t, "listed indirect target outside text (len %d)", len(v.text))
-		}
-		if _, ok := v.dis.At(t); !ok {
+		i, ok := v.dis.Index(t)
+		if !ok {
 			return v.cfaViolation("target-list", policy.P5, t, "listed indirect target is not a decoded instruction start")
 		}
-		if seen[t] {
+		if seen[i] {
 			return v.cfaViolation("target-list", policy.P5, t, "indirect target listed twice")
 		}
-		seen[t] = true
+		seen[i] = true
 		b := g.BlockAt(t)
 		if b == nil || !g.Reachable(b.ID) {
 			return v.cfaViolation("target-list", policy.P5, t, "listed indirect target unreachable in the recovered CFG")

@@ -13,13 +13,10 @@ import (
 	"deflection/internal/asmtext"
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/nbench"
 	"deflection/internal/obj"
 	"deflection/internal/order"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
@@ -57,7 +54,9 @@ protocol {
 
 // TestReportGolden pins the complete P7 and P8 reports — findings, per-block
 // masks, function and context counts, tainted ranges, state counts, step
-// counts and the trivial flag — plus the verdict, for every application,
+// counts and the trivial flag — plus the verdict and, for an acceptance, the
+// verifier's whole Result bar durations (stats, annotation ranges, CFA
+// stats, audit trail, block and instruction counts), for every application,
 // every benchmark kernel and every near-miss fixture of this package.
 // Steps is pinned on purpose: it shows the fixpoint visits blocks in the
 // same order. Regenerate with `go test ./internal/verifier/ -run
@@ -117,10 +116,12 @@ func TestReportGolden(t *testing.T) {
 		fixtures = append(fixtures, fixture{name: "order tampered: " + name, src: src})
 	}
 	sort.SliceStable(fixtures, func(i, j int) bool { return fixtures[i].name < fixtures[j].name })
-	// Each fixture runs twice, with only P7 and then only P8 required, so
-	// neither pass is pre-empted by a template rejection.
+	// Each fixture runs with only P7 and then only P8 required, so neither
+	// pass is pre-empted by a template rejection, and then under p1-p8 and
+	// p1-p5 to pin the template, decode and CFA rejection text as well (the
+	// hand-written fixtures carry no P6 arming, so p1-p8 stops there).
 	for _, fx := range fixtures {
-		for _, pols := range []policy.Set{policy.Bit(policy.P7), policy.Bit(policy.P8)} {
+		for _, pols := range []policy.Set{policy.Bit(policy.P7), policy.Bit(policy.P8), policy.SetP1P8, policy.SetP1P5} {
 			o, err := asmtext.Assemble(fx.src, uint16(pols))
 			if err != nil {
 				t.Fatalf("%s: assemble: %v", fx.name, err)
@@ -176,41 +177,21 @@ func goldenCompiled(t *testing.T, sb *strings.Builder, name, src string) {
 // whichever reports the passes produced.
 func goldenReports(t *testing.T, sb *strings.Builder, name string, o *obj.Object, pols policy.Set, mangle func([]int64) []int64) {
 	t.Helper()
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatalf("%s: load: %v", name, err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs []int64
-	for _, bt := range ld.BranchTargets {
-		offs = append(offs, int64(bt-ld.TextBase))
-	}
+	text, opts := loadObject(t, o, pols)
 	if mangle != nil {
-		offs = mangle(offs)
+		opts.BranchTargetOffsets = mangle(opts.BranchTargetOffsets)
 	}
 	var trep *taint.Report
 	var orep *order.Report
-	_, verr := verifier.Verify(text, verifier.Options{
-		Required:            pols,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-		Taint:               runtime.TaintConfig(ld),
-		TaintObserver:       func(r *taint.Report) { trep = r },
-		Order:               runtime.OrderProtocol(ld),
-		OrderObserver:       func(r *order.Report) { orep = r },
-	})
+	opts.TaintObserver = func(r *taint.Report) { trep = r }
+	opts.OrderObserver = func(r *order.Report) { orep = r }
+	res, verr := verifier.Verify(text, opts)
 	fmt.Fprintf(sb, "== %s\n", name)
 	if verr != nil {
 		fmt.Fprintf(sb, "verdict: rejected: %v\n", verr)
 	} else {
 		sb.WriteString("verdict: accepted\n")
+		goldenResult(sb, res)
 	}
 	if trep != nil {
 		fmt.Fprintf(sb, "taint: trivial=%t funcs=%d memranges=%d steps=%d findings=%d blocks=%d\n",
@@ -230,6 +211,26 @@ func goldenReports(t *testing.T, sb *strings.Builder, name string, o *obj.Object
 		}
 		for _, id := range sortedIDs(orep.Blocks) {
 			fmt.Fprintf(sb, "  block %d in=%#x out=%#x\n", id, orep.Blocks[id].In, orep.Blocks[id].Out)
+		}
+	}
+}
+
+// goldenResult serialises an accepted Result, leaving out the durations.
+func goldenResult(sb *strings.Builder, res *verifier.Result) {
+	fmt.Fprintf(sb, "stats: %+v\n", res.Stats)
+	fmt.Fprintf(sb, "dis: insts=%d blocks=%d\n", len(res.Dis.Insts), res.Dis.Blocks())
+	fmt.Fprintf(sb, "cfa: %+v\n", res.CFA)
+	for _, a := range res.Audit {
+		fmt.Fprintf(sb, "audit %v required=%t passed=%t checks=%d: %s\n", a.Policy, a.Required, a.Passed, a.Checks, a.Detail)
+	}
+	fmt.Fprintf(sb, "annot: %d ranges\n", len(res.AnnotRanges))
+	for i, r := range res.AnnotRanges {
+		if i%8 == 0 {
+			sb.WriteString(" ")
+		}
+		fmt.Fprintf(sb, " [%#x,%#x)", r.Lo, r.Hi)
+		if i%8 == 7 || i == len(res.AnnotRanges)-1 {
+			sb.WriteString("\n")
 		}
 	}
 }

@@ -166,16 +166,9 @@ type verifier struct {
 	opts Options
 	dis  *disasm.Result
 
-	// prev maps an instruction offset to the offset of the unique
-	// instruction that ends exactly there (its linear predecessor).
-	prev map[int64]int64
-
-	ranges     []Range
-	annotated  map[int64]policy.ID // annotation offsets → owning policy
-	rangeStart map[int64]bool      // first offsets of annotation ranges
-	stats      Stats
-	guarded    map[int64]bool // anchors with verified guards
-	checks     map[int64]bool // offsets where a verified P6 check starts
+	ranges []Range
+	marks  []mark // per instruction of dis.Insts
+	stats  Stats
 
 	targetSet map[int64]bool
 
@@ -185,6 +178,15 @@ type verifier struct {
 	rspAnchors   []rspAnchor
 
 	durs [9]time.Duration // per-policy check time, indexed by policy.ID
+}
+
+// mark is what the template matchers proved about one instruction.
+type mark struct {
+	annotated  bool      // inside a verified annotation range
+	owner      policy.ID // the policy owning that annotation
+	rangeStart bool      // first instruction of an annotation range
+	guarded    bool      // anchor with a verified guard
+	check      bool      // first instruction of a verified P6 check
 }
 
 // storeAnchor is one template-verified store guard: the guarded store, the
@@ -250,18 +252,11 @@ func Verify(text []byte, opts Options) (*Result, error) {
 		return nil, &Violation{Policy: policy.P5, Pass: "decode", Msg: err.Error()}
 	}
 	v := &verifier{
-		text:       text,
-		opts:       opts,
-		dis:        dis,
-		prev:       make(map[int64]int64, len(dis.Insts)),
-		annotated:  make(map[int64]policy.ID),
-		rangeStart: make(map[int64]bool),
-		guarded:    make(map[int64]bool),
-		checks:     make(map[int64]bool),
-		targetSet:  make(map[int64]bool, len(opts.BranchTargetOffsets)),
-	}
-	for _, in := range dis.Insts {
-		v.prev[in.End()] = in.Off
+		text:      text,
+		opts:      opts,
+		dis:       dis,
+		marks:     make([]mark, len(dis.Insts)),
+		targetSet: make(map[int64]bool, len(opts.BranchTargetOffsets)),
 	}
 	for _, t := range opts.BranchTargetOffsets {
 		v.targetSet[t] = true
@@ -369,13 +364,9 @@ func storeGuardOwner(req policy.Set) policy.ID {
 // bounds (P3: critical data, P4: code pages), that every store anchor is
 // either guarded or inside a verified annotation.
 func (v *verifier) auditStoreCoverage(id policy.ID) error {
-	for _, off := range v.dis.Offsets {
-		in := v.dis.Insts[off]
-		if !in.Op.IsStore() {
-			continue
-		}
-		if !v.guarded[off] && !v.inRange(off) {
-			return v.violation(id, off, "store escaped the shared bounds guard (%v)", id)
+	for i, in := range v.dis.Insts {
+		if in.Op.IsStore() && !v.marks[i].guarded && !v.marks[i].annotated {
+			return v.violation(id, in.Off, "store escaped the shared bounds guard (%v)", id)
 		}
 	}
 	return nil
@@ -428,40 +419,47 @@ func (v *verifier) buildAudit(req policy.Set, cfaStats *CFAStats) []PolicyAudit 
 	return audit
 }
 
-func (v *verifier) inRange(off int64) bool { _, ok := v.annotated[off]; return ok }
-
-func (v *verifier) strictlyInRange(off int64) bool {
-	return v.inRange(off) && !v.rangeStart[off]
+// strictlyInRange reports whether off decodes to an instruction inside an
+// annotation but not at its start, and the policy owning that annotation.
+func (v *verifier) strictlyInRange(off int64) (policy.ID, bool) {
+	i, ok := v.dis.Index(off)
+	if !ok {
+		return 0, false
+	}
+	m := v.marks[i]
+	return m.owner, m.annotated && !m.rangeStart
 }
 
 // addRange records [lo, hi) as verified annotation code owned by policy id,
-// marking every decoded instruction offset inside it (ranges are short, so
-// this stays linear in total annotation size).
+// marking every decoded instruction inside it (ranges are short, so this
+// stays linear in total annotation size).
 func (v *verifier) addRange(lo, hi int64, id policy.ID) {
 	v.ranges = append(v.ranges, Range{Lo: lo, Hi: hi})
-	v.rangeStart[lo] = true
+	if i, ok := v.dis.Index(lo); ok {
+		v.marks[i].rangeStart = true
+	}
 	for cur := lo; cur < hi; {
-		in, ok := v.dis.At(cur)
+		i, ok := v.dis.Index(cur)
 		if !ok {
 			break
 		}
-		v.annotated[cur] = id
-		cur = in.End()
+		v.marks[i].annotated, v.marks[i].owner = true, id
+		cur = v.dis.Insts[i].End()
 	}
 }
 
-// back returns the n-th linear predecessor of the instruction at off.
-func (v *verifier) back(off int64, n int) (disasm.Inst, bool) {
-	cur := off
-	for i := 0; i < n; i++ {
-		p, ok := v.prev[cur]
-		if !ok {
+// back returns the n-th linear predecessor of instruction i: each step goes
+// to the previous instruction, provided it ends exactly where the current
+// one starts.
+func (v *verifier) back(i, n int) (disasm.Inst, bool) {
+	insts := v.dis.Insts
+	for ; n > 0; n-- {
+		if i == 0 || insts[i-1].End() != insts[i].Off {
 			return disasm.Inst{}, false
 		}
-		cur = p
+		i--
 	}
-	in, ok := v.dis.At(cur)
-	return in, ok
+	return insts[i], true
 }
 
 // next returns the linear successor of the instruction at off.
@@ -517,10 +515,9 @@ func (v *verifier) scanBeaconPattern() error {
 // ---- P6: AEX checks ----
 
 // aexCheckShape matches the 12-instruction SSA-marker inspection sequence
-// starting at off. On success it returns the end offset.
-func (v *verifier) aexCheckShape(off int64) (int64, bool) {
-	in, ok := v.dis.At(off)
-	if !ok || in.Op != isa.OpPush || in.Dst != isa.RAX {
+// starting at in. On success it returns the end offset.
+func (v *verifier) aexCheckShape(in disasm.Inst) (int64, bool) {
+	if in.Op != isa.OpPush || in.Dst != isa.RAX {
 		return 0, false
 	}
 	load, ok := v.next(in)
@@ -595,10 +592,10 @@ func (v *verifier) matchP6Arming() error {
 }
 
 func (v *verifier) matchAEXChecks() error {
-	for _, off := range v.dis.Offsets {
-		if end, ok := v.aexCheckShape(off); ok {
-			v.checks[off] = true
-			v.addRange(off, end, policy.P6)
+	for i, in := range v.dis.Insts {
+		if end, ok := v.aexCheckShape(in); ok {
+			v.marks[i].check = true
+			v.addRange(in.Off, end, policy.P6)
 			v.stats.AEXChecks++
 		}
 	}
@@ -642,22 +639,25 @@ func (v *verifier) shadowPushShape(off int64) (int64, bool) {
 // listed jump-table labels carry a beacon but no push, which is safe: a
 // forged call there still cannot return past the shadow check.
 func (v *verifier) matchShadowPushes() error {
-	seen := make(map[int64]bool)
-	for _, off := range v.dis.Offsets {
-		in := v.dis.Insts[off]
+	seen := make([]bool, len(v.dis.Insts)) // per call target
+	for _, in := range v.dis.Insts {
 		if in.Op != isa.OpCall {
 			continue
 		}
 		t := disasm.DirectTarget(in)
-		if seen[t] {
+		ti, ok := v.dis.Index(t)
+		if !ok {
+			return v.violation(policy.P5, t, "call target lacks shadow-stack entry push (P5)")
+		}
+		if seen[ti] {
 			continue
 		}
-		seen[t] = true
+		seen[ti] = true
 		if t == v.opts.EntryOffset {
 			continue
 		}
 		start := t
-		if bm, ok := v.dis.At(t); ok && bm.Op == isa.OpBrMark {
+		if bm := v.dis.Insts[ti]; bm.Op == isa.OpBrMark {
 			start = bm.End()
 		}
 		end, ok := v.shadowPushShape(start)
@@ -670,10 +670,8 @@ func (v *verifier) matchShadowPushes() error {
 	// Listed targets beginning with beacon+push are functions; record
 	// their push ranges too so coverage rules know them.
 	for _, t := range v.opts.BranchTargetOffsets {
-		if seen[t] {
-			continue
-		}
-		if bm, ok := v.dis.At(t); ok && bm.Op == isa.OpBrMark {
+		if ti, ok := v.dis.Index(t); ok && !seen[ti] && v.dis.Insts[ti].Op == isa.OpBrMark {
+			bm := v.dis.Insts[ti]
 			if end, ok := v.shadowPushShape(bm.End()); ok {
 				v.addRange(bm.End(), end, policy.P5)
 				v.stats.ShadowPushes++
@@ -684,9 +682,9 @@ func (v *verifier) matchShadowPushes() error {
 }
 
 // returnCheckShape matches the pre-return shadow check ending right before
-// a RET at retOff.
-func (v *verifier) returnCheckShape(retOff int64) (int64, bool) {
-	first, ok := v.back(retOff, 9)
+// the RET at instruction ret.
+func (v *verifier) returnCheckShape(ret int) (int64, bool) {
+	first, ok := v.back(ret, 9)
 	if !ok || first.Op != isa.OpPush || first.Dst != isa.RAX {
 		return 0, false
 	}
@@ -724,20 +722,20 @@ func (v *verifier) returnCheckShape(retOff int64) (int64, bool) {
 	if !ok || popA.Op != isa.OpPop || popA.Dst != isa.RAX {
 		return 0, false
 	}
-	return first.Off, popA.End() == retOff
+	return first.Off, popA.End() == v.dis.Insts[ret].Off
 }
 
 func (v *verifier) matchReturnChecks() error {
-	for _, off := range v.dis.Offsets {
-		if v.dis.Insts[off].Op != isa.OpRet {
+	for i, in := range v.dis.Insts {
+		if in.Op != isa.OpRet {
 			continue
 		}
-		lo, ok := v.returnCheckShape(off)
+		lo, ok := v.returnCheckShape(i)
 		if !ok {
-			return v.violation(policy.P5, off, "return without shadow-stack check (P5)")
+			return v.violation(policy.P5, in.Off, "return without shadow-stack check (P5)")
 		}
-		v.addRange(lo, off, policy.P5)
-		v.guarded[off] = true
+		v.addRange(lo, in.Off, policy.P5)
+		v.marks[i].guarded = true
 		v.stats.ShadowChecks++
 	}
 	return nil
@@ -745,8 +743,8 @@ func (v *verifier) matchReturnChecks() error {
 
 // ---- P5: forward-edge CFI ----
 
-func (v *verifier) cfiGuardShape(brOff int64, target isa.Reg) (int64, bool) {
-	first, ok := v.back(brOff, 9)
+func (v *verifier) cfiGuardShape(br int, target isa.Reg) (int64, bool) {
+	first, ok := v.back(br, 9)
 	if !ok || first.Op != isa.OpPush || first.Dst != isa.RBX {
 		return 0, false
 	}
@@ -783,24 +781,23 @@ func (v *verifier) cfiGuardShape(brOff int64, target isa.Reg) (int64, bool) {
 	if !ok || popB.Op != isa.OpPop || popB.Dst != isa.RBX {
 		return 0, false
 	}
-	return first.Off, popB.End() == brOff
+	return first.Off, popB.End() == v.dis.Insts[br].Off
 }
 
 func (v *verifier) matchCFIGuards() error {
-	for _, off := range v.dis.Offsets {
-		in := v.dis.Insts[off]
+	for i, in := range v.dis.Insts {
 		if !in.Op.IsIndirectBranch() {
 			continue
 		}
 		if in.Dst == isa.RSP || in.Dst == isa.RegShadow {
-			return v.violation(policy.P5, off, "indirect branch through reserved register %v", in.Dst)
+			return v.violation(policy.P5, in.Off, "indirect branch through reserved register %v", in.Dst)
 		}
-		lo, ok := v.cfiGuardShape(off, in.Dst)
+		lo, ok := v.cfiGuardShape(i, in.Dst)
 		if !ok {
-			return v.violation(policy.P5, off, "indirect branch without CFI guard (P5)")
+			return v.violation(policy.P5, in.Off, "indirect branch without CFI guard (P5)")
 		}
-		v.addRange(lo, off, policy.P5)
-		v.guarded[off] = true
+		v.addRange(lo, in.Off, policy.P5)
+		v.marks[i].guarded = true
 		v.stats.CFIGuards++
 	}
 	return nil
@@ -809,13 +806,9 @@ func (v *verifier) matchCFIGuards() error {
 // checkReservedRegisters: user code must never write the shadow-stack
 // pointer.
 func (v *verifier) checkReservedRegisters() error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
-			continue
-		}
-		in := v.dis.Insts[off]
-		if in.WritesReg(isa.RegShadow) {
-			return v.violation(policy.P5, off, "user instruction writes reserved shadow-stack register")
+	for i, in := range v.dis.Insts {
+		if !v.marks[i].annotated && in.WritesReg(isa.RegShadow) {
+			return v.violation(policy.P5, in.Off, "user instruction writes reserved shadow-stack register")
 		}
 	}
 	return nil
@@ -844,21 +837,17 @@ func (v *verifier) rspGuardShape(afterOff int64) (int64, bool) {
 }
 
 func (v *verifier) matchRSPGuards() error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
-			continue
-		}
-		in := v.dis.Insts[off]
-		if !in.Inst.ModifiesRSP() {
+	for i, in := range v.dis.Insts {
+		if v.marks[i].annotated || !in.Inst.ModifiesRSP() {
 			continue
 		}
 		end, ok := v.rspGuardShape(in.End())
 		if !ok {
-			return v.violation(policy.P2, off, "explicit RSP write without stack-bounds check (P2)")
+			return v.violation(policy.P2, in.Off, "explicit RSP write without stack-bounds check (P2)")
 		}
 		v.addRange(in.End(), end, policy.P2)
-		v.guarded[off] = true
-		v.rspAnchors = append(v.rspAnchors, rspAnchor{write: off, lo: in.End(), hi: end})
+		v.marks[i].guarded = true
+		v.rspAnchors = append(v.rspAnchors, rspAnchor{write: in.Off, lo: in.End(), hi: end})
 		v.stats.RSPGuards++
 	}
 	return nil
@@ -866,15 +855,15 @@ func (v *verifier) matchRSPGuards() error {
 
 // ---- P1/P3/P4: store guards ----
 
-func (v *verifier) storeGuardShape(stOff int64, mem isa.MemRef, id policy.ID) (int64, bool) {
-	expect := mem
+func (v *verifier) storeGuardShape(st int, id policy.ID) (int64, bool) {
+	expect := v.dis.Insts[st].Mem
 	if expect.HasBase && expect.Base == isa.RSP {
 		expect.Disp += 16
 	}
 	if expect.Scale == 0 {
 		expect.Scale = 1
 	}
-	first, ok := v.back(stOff, 11)
+	first, ok := v.back(st, 11)
 	if !ok || first.Op != isa.OpPush || first.Dst != isa.RBX {
 		return 0, false
 	}
@@ -918,24 +907,20 @@ func (v *verifier) storeGuardShape(stOff int64, mem isa.MemRef, id policy.ID) (i
 	if !ok || popB.Op != isa.OpPop || popB.Dst != isa.RBX {
 		return 0, false
 	}
-	return first.Off, popB.End() == stOff
+	return first.Off, popB.End() == v.dis.Insts[st].Off
 }
 
 func (v *verifier) matchStoreGuards(id policy.ID) error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
+	for i, in := range v.dis.Insts {
+		if v.marks[i].annotated || !in.Op.IsStore() {
 			continue // stores inside verified annotations are trusted
 		}
-		in := v.dis.Insts[off]
-		if !in.Op.IsStore() {
-			continue
-		}
-		lo, ok := v.storeGuardShape(off, in.Mem, id)
+		lo, ok := v.storeGuardShape(i, id)
 		if !ok {
-			return v.violation(id, off, "store without bounds check (P1)")
+			return v.violation(id, in.Off, "store without bounds check (P1)")
 		}
-		v.addRange(lo, off, id)
-		v.guarded[off] = true
+		v.addRange(lo, in.Off, id)
+		v.marks[i].guarded = true
 		var regs uint16
 		if in.Mem.HasBase {
 			regs |= 1 << in.Mem.Base
@@ -943,7 +928,7 @@ func (v *verifier) matchStoreGuards(id policy.ID) error {
 		if in.Mem.HasIndex {
 			regs |= 1 << in.Mem.Index
 		}
-		v.storeAnchors = append(v.storeAnchors, storeAnchor{store: off, lo: lo, regs: regs, policy: id})
+		v.storeAnchors = append(v.storeAnchors, storeAnchor{store: in.Off, lo: lo, regs: regs, policy: id})
 		v.stats.StoreGuards++
 	}
 	return nil
@@ -956,23 +941,18 @@ func (v *verifier) matchStoreGuards(id policy.ID) error {
 // reach annotation tails are impossible because the disassembler already
 // rejected mid-instruction targets.
 func (v *verifier) checkBranchDiscipline() error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
-			continue
-		}
-		in := v.dis.Insts[off]
+	for i, in := range v.dis.Insts {
 		switch in.Op {
 		case isa.OpJmp, isa.OpJcc, isa.OpCall:
-			t := disasm.DirectTarget(in)
-			if v.strictlyInRange(t) {
-				return v.violation(v.annotated[t], off, "branch into the middle of a %v security annotation", v.annotated[t])
+			if id, inside := v.strictlyInRange(disasm.DirectTarget(in)); inside && !v.marks[i].annotated {
+				return v.violation(id, in.Off, "branch into the middle of a %v security annotation", id)
 			}
 		}
 	}
 	// Listed indirect targets must not point into annotations either.
 	for _, t := range v.opts.BranchTargetOffsets {
-		if v.strictlyInRange(t) {
-			return v.violation(v.annotated[t], t, "branch-target list entry inside a %v security annotation", v.annotated[t])
+		if id, inside := v.strictlyInRange(t); inside {
+			return v.violation(id, t, "branch-target list entry inside a %v security annotation", id)
 		}
 	}
 	return nil
@@ -987,34 +967,26 @@ func (v *verifier) checkBranchDiscipline() error {
 //     stub) begins within a small prefix, so loops cannot skip checks.
 func (v *verifier) checkAEXCoverage() error {
 	gap := 0
-	for _, off := range v.dis.Offsets {
-		if v.checks[off] {
+	for i, in := range v.dis.Insts {
+		if v.marks[i].check {
 			gap = 0
 			continue
 		}
-		if v.inRange(off) {
+		if v.marks[i].annotated {
 			continue
 		}
 		gap++
 		if gap > v.opts.AEXCheckMaxGap {
-			return v.violation(policy.P6, off, "more than %d instructions without an AEX check (P6)", v.opts.AEXCheckMaxGap)
+			return v.violation(policy.P6, in.Off, "more than %d instructions without an AEX check (P6)", v.opts.AEXCheckMaxGap)
 		}
 	}
 
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
-			continue
-		}
-		in := v.dis.Insts[off]
-		var t int64
+	for i, in := range v.dis.Insts {
 		switch in.Op {
 		case isa.OpJmp, isa.OpJcc, isa.OpCall:
-			t = disasm.DirectTarget(in)
-		default:
-			continue
-		}
-		if !v.checkNearTarget(t) {
-			return v.violation(policy.P6, off, "branch target lacks a nearby AEX check (P6)")
+			if !v.marks[i].annotated && !v.checkNearTarget(disasm.DirectTarget(in)) {
+				return v.violation(policy.P6, in.Off, "branch target lacks a nearby AEX check (P6)")
+			}
 		}
 	}
 	return nil
@@ -1024,25 +996,19 @@ func (v *verifier) checkAEXCoverage() error {
 // annotation code, and accepts if a P6 check (or a terminating instruction)
 // appears before any user instruction.
 func (v *verifier) checkNearTarget(t int64) bool {
-	cur := t
-	for hops := 0; hops < 256; hops++ {
-		in, ok := v.dis.At(cur)
-		if !ok {
-			return false
-		}
+	i, ok := v.dis.Index(t)
+	for hops := 0; ok && hops < 256; hops++ {
+		in := v.dis.Insts[i]
 		switch {
-		case v.checks[cur]:
+		case v.marks[i].check:
 			return true
-		case in.Op == isa.OpBrMark:
-			cur = in.End()
 		case in.Op == isa.OpTrap || in.Op == isa.OpHlt || in.Op == isa.OpRet:
 			// Terminal stubs and returns execute O(1) user instructions.
 			return true
-		case v.inRange(cur):
-			cur = in.End()
-		default:
+		case in.Op != isa.OpBrMark && !v.marks[i].annotated:
 			return false
 		}
+		i, ok = v.dis.Index(in.End())
 	}
 	return false
 }

@@ -12,6 +12,7 @@ import (
 	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/policy"
+	"deflection/internal/runtime"
 	"deflection/internal/verifier"
 )
 
@@ -26,7 +27,9 @@ func compileText(t *testing.T, src string, pols policy.Set) ([]byte, verifier.Op
 	return loadObject(t, o, pols)
 }
 
-func loadObject(t *testing.T, o *obj.Object, pols policy.Set) ([]byte, verifier.Options) {
+// loadObject loads o exactly as the runtime does and returns the relocated
+// text plus the verifier options the load implies.
+func loadObject(t testing.TB, o *obj.Object, pols policy.Set) ([]byte, verifier.Options) {
 	t.Helper()
 	e, err := enclave.New(enclave.DefaultConfig(), []byte("vt"))
 	if err != nil {
@@ -48,6 +51,8 @@ func loadObject(t *testing.T, o *obj.Object, pols policy.Set) ([]byte, verifier.
 		Required:            pols &^ policy.Bit(policy.P0),
 		EntryOffset:         int64(ld.Entry - ld.TextBase),
 		BranchTargetOffsets: offs,
+		Taint:               runtime.TaintConfig(ld),
+		Order:               runtime.OrderProtocol(ld),
 	}
 }
 
