@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-taint fuzz-order test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
+.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-taint fuzz-order fuzz-memory test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
 # subsumes race-vplane/race-gateway/race-tenant/race-dataflow; the focused
 # targets exist for fast iteration. bench-smoke runs the benchmark module's
 # own tests, which the root go test ./... does not reach.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-taint fuzz-order bench-smoke
+check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-taint fuzz-order fuzz-memory bench-smoke
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,14 @@ fuzz-taint:
 # automata (no panics, declared errors only, deterministic reports).
 fuzz-order:
 	$(GO) test -fuzz=FuzzOrderPass -fuzztime=$(FUZZTIME) -run '^$$' ./internal/order/
+
+# Short differential smoke of the demand-paged enclave memory against a flat
+# reference model (values, fetch windows, faults, code-write generations and
+# which pages get materialised must all agree). Inputs are operation
+# sequences; minimizing each new corpus entry at the default 60 s would use
+# the whole smoke, so it is capped at a few executions.
+fuzz-memory:
+	$(GO) test -fuzz=FuzzMemory -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x -run '^$$' ./internal/enclave/
 
 test:
 	$(GO) test ./...

@@ -243,6 +243,56 @@ func BenchmarkEmulator(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
+// memSink keeps the enclave benchmarks' results live.
+var memSink uint64
+
+func BenchmarkEnclaveNew(b *testing.B) {
+	// Per-session enclave creation: layout, page table, permissions and
+	// measurement under the default configuration.
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e, err := enclave.New(enclave.DefaultConfig(), []byte("bench"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		memSink += e.Layout.ELREnd
+	}
+}
+
+func BenchmarkMemory64(b *testing.B) {
+	// In-page 64-bit stores and loads over a 64 KiB heap window and the top
+	// 64 KiB of the stack: the memory path of the emulator's loads, stores,
+	// pushes and pops.
+	e, err := enclave.New(enclave.DefaultConfig(), []byte("bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const window = 64 << 10
+	heap, stack := e.Layout.HeapBase, e.Layout.StackHi-window
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		off := uint64(i) * 8 % window
+		if f := e.Mem.Write64(heap+off, uint64(i)); f != nil {
+			b.Fatal(f)
+		}
+		if f := e.Mem.Write64(stack+off, uint64(i)); f != nil {
+			b.Fatal(f)
+		}
+		v, f := e.Mem.Read64(heap + off)
+		if f != nil {
+			b.Fatal(f)
+		}
+		w, f := e.Mem.Read64(stack + off)
+		if f != nil {
+			b.Fatal(f)
+		}
+		sum += v + w
+	}
+	memSink = sum
+}
+
 func BenchmarkEndToEnd(b *testing.B) {
 	// Full pipeline through the public API: generate, load+verify, run.
 	src := `

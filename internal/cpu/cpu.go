@@ -182,7 +182,10 @@ type CPU struct {
 	icache     []cachedInst
 	icacheBase uint64
 	icacheMap  map[uint64]cachedInst
-	rng        *rand.Rand
+	// codeGen is the memory's code-write generation the icache was filled
+	// under; any other value means code may have changed since.
+	codeGen uint64
+	rng     *rand.Rand
 
 	insts      uint64
 	cycles     float64
@@ -209,16 +212,8 @@ func New(e *enclave.Enclave, cfg Config) *CPU {
 		icacheBase: e.Layout.CodeBase,
 		icacheMap:  make(map[uint64]cachedInst),
 		rng:        rand.New(rand.NewSource(cfg.AEXSeed)),
+		codeGen:    e.Mem.CodeGen(),
 	}
-	e.Mem.AddWriteWatch(func(addr uint64, size int) {
-		if addr < e.Layout.CodeEnd && addr+uint64(size) > e.Layout.CodeBase {
-			// Self-modifying code: drop all cached decodings.
-			for i := range c.icache {
-				c.icache[i] = cachedInst{}
-			}
-			c.icacheMap = make(map[uint64]cachedInst)
-		}
-	})
 	if cfg.AEXInterval > 0 {
 		c.nextAEX = c.aexJitter()
 	}
@@ -264,6 +259,13 @@ func (c *CPU) classCost(in *isa.Inst) float64 {
 const icacheCap = 8 << 20
 
 func (c *CPU) decode(addr uint64) (cachedInst, *enclave.Fault, error) {
+	if gen := c.Mem.CodeGen(); gen != c.codeGen {
+		// Self-modifying code, a store by another thread of this enclave,
+		// or a permission change: drop all cached decodings.
+		clear(c.icache)
+		clear(c.icacheMap)
+		c.codeGen = gen
+	}
 	off := addr - c.icacheBase
 	dense := addr >= c.icacheBase && off < icacheCap
 	if dense && off < uint64(len(c.icache)) {

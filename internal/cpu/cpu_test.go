@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -761,3 +762,45 @@ func TestOcallHandlerError(t *testing.T) {
 }
 
 var errTest = errors.New("boom")
+
+func TestStraddlingCodeWriteInvalidatesBothPages(t *testing.T) {
+	// Two instructions meet at a code page boundary; one Write64 across the
+	// boundary rewrites the tail of the first and the head of the second.
+	e, err := enclave.New(enclave.DefaultConfig(), []byte("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 0x0000_0000_3322_1100}
+	b := isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: 0x0000_0000_0000_1111}
+	a2 := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 0x7766_5544_3322_1100}
+	b2 := isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: 0x0000_0000_0000_2222}
+	oldText := isa.AppendEncode(isa.AppendEncode(nil, &a), &b)
+	newText := isa.AppendEncode(isa.AppendEncode(nil, &a2), &b2)
+	na := isa.EncodedLen(&a)
+	for i := range oldText {
+		if oldText[i] != newText[i] && (i < na-4 || i >= na+4) {
+			t.Fatalf("encodings differ at byte %d, outside the 8-byte window", i)
+		}
+	}
+	boundary := e.Layout.CodeBase + enclave.PageSize
+	if f := e.Mem.Write(boundary-uint64(na), oldText); f != nil {
+		t.Fatal(f)
+	}
+	c := New(e, Config{})
+	for _, addr := range []uint64{boundary - uint64(na), boundary} {
+		if _, f, err := c.decode(addr); f != nil || err != nil {
+			t.Fatalf("warming %#x: %v %v", addr, f, err)
+		}
+	}
+	var word [8]byte
+	copy(word[:], newText[na-4:na+4])
+	if f := e.Mem.Write64(boundary-4, binary.LittleEndian.Uint64(word[:])); f != nil {
+		t.Fatal(f)
+	}
+	for addr, want := range map[uint64]isa.Inst{boundary - uint64(na): a2, boundary: b2} {
+		ci, f, err := c.decode(addr)
+		if f != nil || err != nil || ci.inst.Imm != want.Imm || ci.inst.Dst != want.Dst {
+			t.Errorf("decode(%#x) after the straddling write = %+v (%v, %v); want imm %#x", addr, ci.inst, f, err, want.Imm)
+		}
+	}
+}

@@ -4,14 +4,16 @@
 // state-save areas written by asynchronous enclave exits, guard pages, and a
 // measured launch that anchors remote attestation.
 //
-// Untrusted memory outside ELRANGE is part of the same flat address space
-// and is freely readable and writable — writing enclave secrets there is
+// Untrusted memory outside ELRANGE is part of the same address space and is
+// freely readable and writable — writing enclave secrets there is
 // exactly the leak channel policies P1-P5 exist to close, so the model must
 // allow such writes at the architectural level and rely on verified
 // annotations to prevent them.
 package enclave
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -83,19 +85,27 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("enclave: %s fault at %#x (size %d)", f.Access, f.Addr, f.Size)
 }
 
-// Memory is a flat, page-permissioned address space starting at Base.
-// The zero value is not usable; construct with NewMemory.
+// Memory is a page-permissioned address space starting at Base, backed by a
+// demand-paged table: a page stays nil, and reads as zeros, until the first
+// write that stores a non-zero byte into it materialises it — the software
+// analogue of SGX2/EDMM adding an EPC page (EAUG) on first use instead of
+// committing the whole ELRANGE at launch. Permissions, bounds and faults do
+// not depend on whether a page is materialised. The zero value is not
+// usable; construct with NewMemory.
 type Memory struct {
 	base  uint64
-	data  []byte
+	pages []*[PageSize]byte // nil = all zeros
 	perms []Perm
 
-	// writeWatches are invoked after every successful write with the
-	// address range written. Each CPU bound to this memory registers one
-	// to invalidate its decoded instruction cache when code pages change
-	// (self-modifying code).
-	writeWatches []func(addr uint64, size int)
+	// codeGen counts events that may invalidate decoded instructions: a
+	// successful write overlapping an executable page, and every SetPerm.
+	// A CPU caching decodings compares it against its own copy.
+	codeGen uint64
 }
+
+// zeroPage backs reads of unmaterialised pages and is the reference for
+// zero-chunk tests. It is never written.
+var zeroPage [PageSize]byte
 
 // NewMemory creates size bytes of unmapped memory based at base. base and
 // size must be page aligned.
@@ -108,7 +118,7 @@ func NewMemory(base, size uint64) (*Memory, error) {
 	}
 	return &Memory{
 		base:  base,
-		data:  make([]byte, size),
+		pages: make([]*[PageSize]byte, size/PageSize),
 		perms: make([]Perm, size/PageSize),
 	}, nil
 }
@@ -117,18 +127,12 @@ func NewMemory(base, size uint64) (*Memory, error) {
 func (m *Memory) Base() uint64 { return m.base }
 
 // End returns one past the highest mapped address.
-func (m *Memory) End() uint64 { return m.base + uint64(len(m.data)) }
+func (m *Memory) End() uint64 { return m.base + uint64(len(m.perms))*PageSize }
 
-// AddWriteWatch installs a callback observing successful writes.
-func (m *Memory) AddWriteWatch(fn func(addr uint64, size int)) {
-	m.writeWatches = append(m.writeWatches, fn)
-}
-
-func (m *Memory) notifyWrite(addr uint64, size int) {
-	for _, fn := range m.writeWatches {
-		fn(addr, size)
-	}
-}
+// CodeGen returns the code-write generation: it changes whenever a write
+// overlaps an executable page or any page permission is set, so a decoded
+// instruction cached under an older generation may be stale.
+func (m *Memory) CodeGen() uint64 { return m.codeGen }
 
 // SetPerm sets the permission of all pages overlapping [lo, hi).
 func (m *Memory) SetPerm(lo, hi uint64, p Perm) error {
@@ -138,6 +142,7 @@ func (m *Memory) SetPerm(lo, hi uint64, p Perm) error {
 	for pg := (lo - m.base) / PageSize; pg < (hi-m.base+PageSize-1)/PageSize; pg++ {
 		m.perms[pg] = p
 	}
+	m.codeGen++
 	return nil
 }
 
@@ -163,13 +168,50 @@ func (m *Memory) check(addr uint64, size int, want Perm, acc Access) *Fault {
 	return nil
 }
 
+// load copies memory at offset off (from base) into out; the range must
+// already be checked.
+func (m *Memory) load(off uint64, out []byte) {
+	for len(out) > 0 {
+		pg, in := off/PageSize, off%PageSize
+		n := copy(out, zeroPage[in:])
+		if p := m.pages[pg]; p != nil {
+			copy(out[:n], p[in:])
+		}
+		out, off = out[n:], off+uint64(n)
+	}
+}
+
+// store copies b into memory at offset off (from base); the range must
+// already be checked. A zero chunk aimed at an unmaterialised page is
+// skipped, so zero-filled regions such as .bss never allocate.
+func (m *Memory) store(off uint64, b []byte) {
+	code := false
+	for len(b) > 0 {
+		pg, in := off/PageSize, off%PageSize
+		n := min(len(b), PageSize-int(in))
+		code = code || m.perms[pg]&PermX != 0
+		p := m.pages[pg]
+		if p == nil && !bytes.Equal(b[:n], zeroPage[:n]) {
+			p = new([PageSize]byte)
+			m.pages[pg] = p
+		}
+		if p != nil {
+			copy(p[in:], b[:n])
+		}
+		b, off = b[n:], off+uint64(n)
+	}
+	if code {
+		m.codeGen++
+	}
+}
+
 // Read copies size bytes at addr into a fresh slice.
 func (m *Memory) Read(addr uint64, size int) ([]byte, *Fault) {
 	if f := m.check(addr, size, PermR, AccessRead); f != nil {
 		return nil, f
 	}
 	out := make([]byte, size)
-	copy(out, m.data[addr-m.base:])
+	m.load(addr-m.base, out)
 	return out, nil
 }
 
@@ -178,8 +220,7 @@ func (m *Memory) Write(addr uint64, b []byte) *Fault {
 	if f := m.check(addr, len(b), PermW, AccessWrite); f != nil {
 		return f
 	}
-	copy(m.data[addr-m.base:], b)
-	m.notifyWrite(addr, len(b))
+	m.store(addr-m.base, b)
 	return nil
 }
 
@@ -188,7 +229,11 @@ func (m *Memory) Read8(addr uint64) (uint8, *Fault) {
 	if f := m.check(addr, 1, PermR, AccessRead); f != nil {
 		return 0, f
 	}
-	return m.data[addr-m.base], nil
+	off := addr - m.base
+	if p := m.pages[off/PageSize]; p != nil {
+		return p[off%PageSize], nil
+	}
+	return 0, nil
 }
 
 // Write8 stores one byte.
@@ -196,42 +241,67 @@ func (m *Memory) Write8(addr uint64, v uint8) *Fault {
 	if f := m.check(addr, 1, PermW, AccessWrite); f != nil {
 		return f
 	}
-	m.data[addr-m.base] = v
-	m.notifyWrite(addr, 1)
+	m.store(addr-m.base, []byte{v})
 	return nil
 }
 
 // Read64 loads a little-endian 64-bit word.
 func (m *Memory) Read64(addr uint64) (uint64, *Fault) {
+	// Fast path: the word lies inside one page. off wraps for addr < base,
+	// which fails the page bound and falls through to the checked path.
+	off := addr - m.base
+	if pg, in := off/PageSize, off%PageSize; in <= PageSize-8 && pg < uint64(len(m.perms)) {
+		if m.perms[pg]&PermR == 0 {
+			return 0, &Fault{Addr: addr, Access: AccessRead, Size: 8}
+		}
+		if p := m.pages[pg]; p != nil {
+			return binary.LittleEndian.Uint64(p[in : in+8]), nil
+		}
+		return 0, nil
+	}
 	if f := m.check(addr, 8, PermR, AccessRead); f != nil {
 		return 0, f
 	}
-	d := m.data[addr-m.base:]
-	return uint64(d[0]) | uint64(d[1])<<8 | uint64(d[2])<<16 | uint64(d[3])<<24 |
-		uint64(d[4])<<32 | uint64(d[5])<<40 | uint64(d[6])<<48 | uint64(d[7])<<56, nil
+	var buf [8]byte
+	m.load(off, buf[:])
+	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // Write64 stores a little-endian 64-bit word.
 func (m *Memory) Write64(addr uint64, v uint64) *Fault {
+	off := addr - m.base
+	if pg, in := off/PageSize, off%PageSize; in <= PageSize-8 && pg < uint64(len(m.perms)) {
+		perm := m.perms[pg]
+		if perm&PermW == 0 {
+			return &Fault{Addr: addr, Access: AccessWrite, Size: 8}
+		}
+		if perm&PermX != 0 {
+			m.codeGen++
+		}
+		p := m.pages[pg]
+		if p == nil {
+			if v == 0 {
+				return nil
+			}
+			p = new([PageSize]byte)
+			m.pages[pg] = p
+		}
+		binary.LittleEndian.PutUint64(p[in:in+8], v)
+		return nil
+	}
 	if f := m.check(addr, 8, PermW, AccessWrite); f != nil {
 		return f
 	}
-	d := m.data[addr-m.base:]
-	d[0] = byte(v)
-	d[1] = byte(v >> 8)
-	d[2] = byte(v >> 16)
-	d[3] = byte(v >> 24)
-	d[4] = byte(v >> 32)
-	d[5] = byte(v >> 40)
-	d[6] = byte(v >> 48)
-	d[7] = byte(v >> 56)
-	m.notifyWrite(addr, 8)
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	m.store(off, buf[:])
 	return nil
 }
 
 // FetchWindow returns up to size bytes of executable memory starting at
-// addr, for instruction decoding. The returned slice aliases memory and must
-// not be written.
+// addr, for instruction decoding. A window inside one page aliases memory
+// (or the shared zero page) and must not be written; a window straddling a
+// page boundary is a copy.
 func (m *Memory) FetchWindow(addr uint64, size int) ([]byte, *Fault) {
 	if addr < m.base || addr >= m.End() {
 		return nil, &Fault{Addr: addr, Access: AccessExec, Size: size}
@@ -251,5 +321,14 @@ func (m *Memory) FetchWindow(addr uint64, size int) ([]byte, *Fault) {
 			break
 		}
 	}
-	return m.data[addr-m.base : end-m.base], nil
+	off, n := addr-m.base, end-addr
+	if in := off % PageSize; in+n <= PageSize {
+		if p := m.pages[off/PageSize]; p != nil {
+			return p[in : in+n], nil
+		}
+		return zeroPage[in : in+n], nil
+	}
+	win := make([]byte, n)
+	m.load(off, win)
+	return win, nil
 }

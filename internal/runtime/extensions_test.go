@@ -1,8 +1,10 @@
 package runtime_test
 
 import (
+	"fmt"
 	"testing"
 
+	"deflection/internal/asmtext"
 	"deflection/internal/compiler"
 	"deflection/internal/cpu"
 	"deflection/internal/dclib"
@@ -124,6 +126,85 @@ int main() {
 		// check stopped the overflow before it corrupted a sibling.
 	default:
 		t.Fatalf("unexpected trap %v", r1.Trap)
+	}
+}
+
+func TestCodeWriteReachesSiblingThreadICache(t *testing.T) {
+	// Thread 1 runs patchme once (warming its decoded-instruction cache),
+	// then waits; thread 0 rewrites patchme's immediate from 1 to 2 and
+	// releases it. Thread 1's second call must see the new code: exit 12,
+	// not the stale 11.
+	one := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 1}
+	two := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 2}
+	enc1, enc2 := isa.AppendEncode(nil, &one), isa.AppendEncode(nil, &two)
+	immOff := 0
+	for enc1[immOff] == enc2[immOff] {
+		immOff++
+	}
+	src := fmt.Sprintf(`
+.entry _start
+.bss warm 8
+.bss release 8
+.func _start
+  ocall %d
+  cmp rax, 0
+  jne reader
+  mov rbx, =warm
+wait_warm:
+  mov rcx, [rbx]
+  cmp rcx, 0
+  je wait_warm
+  mov rbx, =patchme
+  mov rcx, %d
+  movb [rbx+%d], rcx
+  mov rbx, =release
+  mov rcx, 1
+  mov [rbx], rcx
+  mov rax, 0
+  hlt
+reader:
+  call patchme
+  mov rdx, rax
+  mov rbx, =warm
+  mov rcx, 1
+  mov [rbx], rcx
+  mov rbx, =release
+wait_release:
+  mov rcx, [rbx]
+  cmp rcx, 0
+  je wait_release
+  call patchme
+  imul rdx, 10
+  add rax, rdx
+  hlt
+.func patchme
+  mov rax, 1
+  ret
+`, policy.OcallThreadID, enc2[immOff], immOff)
+	o, err := asmtext.Assemble(src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := enclave.DefaultConfig()
+	cfg.Threads = 2
+	m := runtime.DefaultManifest()
+	m.Policies = policy.SetNone
+	b, err := runtime.New(cfg, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ReceiveBinary(o.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := b.RunThreads(2, runtime.RunConfig{Gas: 1_000_000}, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rs[0].CPU; r.Status != cpu.StatusHalt || r.ExitValue != 0 {
+		t.Fatalf("writer thread: %v", r)
+	}
+	if r := rs[1].CPU; r.Status != cpu.StatusHalt || r.ExitValue != 12 {
+		t.Fatalf("reader thread: %v, want exit 12 (11 means a stale decoding ran)", r)
 	}
 }
 
