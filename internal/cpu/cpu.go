@@ -156,10 +156,16 @@ type Config struct {
 	Trace func(rip uint64, in isa.Inst)
 }
 
-type cachedInst struct {
-	inst isa.Inst
-	len  uint64
-	cost float64
+// entry is one decoded instruction in the CPU's instruction table. next and
+// taken memoise control flow as 1 + the table index of the fall-through
+// successor and of the direct-branch target; 0 means not resolved yet.
+type entry struct {
+	inst  isa.Inst
+	addr  uint64
+	cost  float64
+	len   uint32
+	next  int32
+	taken int32
 }
 
 // CPU is a single hardware thread bound to an enclave.
@@ -176,13 +182,21 @@ type CPU struct {
 	Layout enclave.Layout
 
 	cfg Config
-	// icache holds decoded instructions for the code region, indexed by
-	// RIP-CodeBase (len==0 entries are invalid); the map backs rare
+	// table holds every instruction decoded under codeGen, in first-fetch
+	// order. index maps RIP-CodeBase to 1 + its table index over the first
+	// indexCap bytes of the code region (0 = not decoded); far backs rare
 	// executions outside that window.
-	icache     []cachedInst
-	icacheBase uint64
-	icacheMap  map[uint64]cachedInst
-	// codeGen is the memory's code-write generation the icache was filled
+	table    []entry
+	index    []int32
+	indexCap uint64
+	far      map[uint64]int32
+	// cur is 1 + the table index of the instruction expected at RIP (0 =
+	// look RIP up). from is 1 + the index of the instruction whose link to
+	// RIP is still unresolved, fromTaken which of its two links that is.
+	cur       int32
+	from      int32
+	fromTaken bool
+	// codeGen is the memory's code-write generation the table was filled
 	// under; any other value means code may have changed since.
 	codeGen uint64
 	rng     *rand.Rand
@@ -206,13 +220,13 @@ func New(e *enclave.Enclave, cfg Config) *CPU {
 		cfg.Timing = DefaultTiming()
 	}
 	c := &CPU{
-		Mem:        e.Mem,
-		Layout:     e.Layout,
-		cfg:        cfg,
-		icacheBase: e.Layout.CodeBase,
-		icacheMap:  make(map[uint64]cachedInst),
-		rng:        rand.New(rand.NewSource(cfg.AEXSeed)),
-		codeGen:    e.Mem.CodeGen(),
+		Mem:      e.Mem,
+		Layout:   e.Layout,
+		cfg:      cfg,
+		indexCap: min(icacheCap, e.Layout.CodeEnd-e.Layout.CodeBase),
+		far:      make(map[uint64]int32),
+		rng:      rand.New(rand.NewSource(cfg.AEXSeed)),
+		codeGen:  e.Mem.CodeGen(),
 	}
 	if cfg.AEXInterval > 0 {
 		c.nextAEX = c.aexJitter()
@@ -254,53 +268,111 @@ func (c *CPU) classCost(in *isa.Inst) float64 {
 	}
 }
 
-// icacheCap bounds the dense decoded-instruction cache (per-byte entries
-// over the executed code span).
+// icacheCap bounds the per-byte instruction index (4 bytes per code byte);
+// code beyond it is looked up in the far map.
 const icacheCap = 8 << 20
 
-func (c *CPU) decode(addr uint64) (cachedInst, *enclave.Fault, error) {
+// sync drops the table if the memory's code generation moved since it was
+// filled: self-modifying code, a store by another thread of this enclave,
+// or a permission change.
+func (c *CPU) sync() {
 	if gen := c.Mem.CodeGen(); gen != c.codeGen {
-		// Self-modifying code, a store by another thread of this enclave,
-		// or a permission change: drop all cached decodings.
-		clear(c.icache)
-		clear(c.icacheMap)
-		c.codeGen = gen
+		c.flush(gen)
 	}
-	off := addr - c.icacheBase
-	dense := addr >= c.icacheBase && off < icacheCap
-	if dense && off < uint64(len(c.icache)) {
-		if ci := c.icache[off]; ci.len != 0 {
-			return ci, nil, nil
+}
+
+// flush drops every decoded instruction and link: code may have changed
+// since they were made.
+func (c *CPU) flush(gen uint64) {
+	c.table = c.table[:0]
+	clear(c.index)
+	clear(c.far)
+	c.cur, c.from = 0, 0
+	c.codeGen = gen
+}
+
+// lookup returns 1 + the table index of the instruction at addr, decoding
+// and appending it on its first fetch. On a fault or decode error it
+// returns 0 and the cause.
+func (c *CPU) lookup(addr uint64) (int32, *enclave.Fault, error) {
+	off := addr - c.Layout.CodeBase
+	dense := addr >= c.Layout.CodeBase && off < c.indexCap
+	if dense && off < uint64(len(c.index)) {
+		if i := c.index[off]; i != 0 {
+			return i, nil, nil
 		}
 	} else if !dense {
-		if ci, ok := c.icacheMap[addr]; ok {
-			return ci, nil, nil
+		if i, ok := c.far[addr]; ok {
+			return i, nil, nil
 		}
 	}
 	win, f := c.Mem.FetchWindow(addr, isa.MaxInstLen)
 	if f != nil {
-		return cachedInst{}, f, nil
+		return 0, f, nil
 	}
 	in, n, err := isa.Decode(win)
 	if err != nil {
-		return cachedInst{}, nil, err
+		return 0, nil, err
 	}
 	cost := c.classCost(&in)
 	if c.cfg.AnnotRanges.Contains(addr) {
 		cost = c.cfg.Timing.AnnotationCost
 	}
-	ci := cachedInst{inst: in, len: uint64(n), cost: cost}
+	c.table = append(c.table, entry{inst: in, addr: addr, cost: cost, len: uint32(n)})
+	i := int32(len(c.table))
 	if dense {
-		if off >= uint64(len(c.icache)) {
-			grown := make([]cachedInst, (off+1)*2)
-			copy(grown, c.icache)
-			c.icache = grown
+		if off >= uint64(len(c.index)) {
+			grown := make([]int32, min((off+1)*2, c.indexCap))
+			copy(grown, c.index)
+			c.index = grown
 		}
-		c.icache[off] = ci
+		c.index[off] = i
 	} else {
-		c.icacheMap[addr] = ci
+		c.far[addr] = i
 	}
-	return ci, nil, nil
+	return i, nil, nil
+}
+
+// decode returns the table entry for the instruction at addr, first
+// dropping the table if code may have changed since it was filled.
+func (c *CPU) decode(addr uint64) (*entry, *enclave.Fault, error) {
+	c.sync()
+	i, f, err := c.lookup(addr)
+	if i == 0 {
+		return nil, f, err
+	}
+	return &c.table[i-1], nil, nil
+}
+
+// resolve looks RIP up in the table and records it as the pending link of
+// the instruction that transferred control here, if that link leads to RIP.
+// It halts the CPU and returns 0 when the fetch faults or does not decode.
+func (c *CPU) resolve() int32 {
+	i, f, err := c.lookup(c.RIP)
+	if f != nil {
+		c.halt(StatusTrap, isa.TrapNonCanonical, f)
+		return 0
+	}
+	if err != nil {
+		c.halt(StatusTrap, isa.TrapInvalidOpcode, nil)
+		return 0
+	}
+	if c.from != 0 {
+		p := &c.table[c.from-1]
+		want := p.addr + uint64(p.len)
+		if c.fromTaken {
+			want += uint64(p.inst.Imm)
+		}
+		if want == c.RIP {
+			if c.fromTaken {
+				p.taken = i
+			} else {
+				p.next = i
+			}
+		}
+		c.from = 0
+	}
+	return i
 }
 
 func (c *CPU) halt(status Status, trap isa.TrapCode, fault *enclave.Fault) {
@@ -436,21 +508,25 @@ func (c *CPU) Step() {
 		}
 	}
 
-	ci, f, err := c.decode(c.RIP)
-	if f != nil {
-		c.halt(StatusTrap, isa.TrapNonCanonical, f)
-		return
+	c.sync()
+	// The link followed into RIP is trusted only if it names RIP: the
+	// caller may have moved RIP between Steps.
+	i := c.cur
+	if i == 0 || c.table[i-1].addr != c.RIP {
+		if i = c.resolve(); i == 0 {
+			return
+		}
 	}
-	if err != nil {
-		c.halt(StatusTrap, isa.TrapInvalidOpcode, nil)
-		return
-	}
-	in := &ci.inst
-	next := c.RIP + ci.len
+	e := &c.table[i-1]
+	in := &e.inst
+	next := c.RIP + uint64(e.len)
+	// link is the memoised successor slot to follow after execution; nil
+	// for indirect transfers, which look their target up on the next Step.
+	link, taken := &e.next, false
 	c.insts++
-	c.cycles += ci.cost
+	c.cycles += e.cost
 	if c.cfg.Trace != nil {
-		c.cfg.Trace(c.RIP, ci.inst)
+		c.cfg.Trace(c.RIP, e.inst)
 	}
 
 	switch in.Op {
@@ -618,18 +694,22 @@ func (c *CPU) Step() {
 
 	case isa.OpJmp:
 		next = next + uint64(in.Imm)
+		link, taken = &e.taken, true
 	case isa.OpJcc:
 		if c.condTrue(in.Cond) {
 			next = next + uint64(in.Imm)
+			link, taken = &e.taken, true
 		}
 	case isa.OpJmpR:
 		next = c.Regs[in.Dst]
+		link = nil
 	case isa.OpCall:
 		if f := c.push(next); f != nil {
 			c.halt(StatusTrap, isa.TrapStackOverflow, f)
 			return
 		}
 		next = next + uint64(in.Imm)
+		link, taken = &e.taken, true
 	case isa.OpCallR:
 		target := c.Regs[in.Dst]
 		if f := c.push(next); f != nil {
@@ -637,6 +717,7 @@ func (c *CPU) Step() {
 			return
 		}
 		next = target
+		link = nil
 	case isa.OpRet:
 		v, f := c.pop()
 		if f != nil {
@@ -644,6 +725,7 @@ func (c *CPU) Step() {
 			return
 		}
 		next = v
+		link = nil
 
 	case isa.OpOcall:
 		c.ocallCount++
@@ -675,6 +757,14 @@ func (c *CPU) Step() {
 	}
 
 	c.RIP = next
+	switch {
+	case link == nil:
+		c.cur = 0
+	case *link != 0:
+		c.cur = *link
+	default:
+		c.cur, c.from, c.fromTaken = 0, i, taken
+	}
 }
 
 func (c *CPU) fbin(in *isa.Inst, f func(a, b float64) float64) {
