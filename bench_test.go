@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"deflection"
+	"deflection/internal/apps"
 	"deflection/internal/bench"
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
@@ -17,6 +18,7 @@ import (
 	"deflection/internal/obj"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
+	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
 
@@ -192,6 +194,37 @@ func BenchmarkVerifier(b *testing.B) {
 		if _, err := verifier.Verify(text, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTaintPass verifies the two secret-declaring apps under P1-P7 and
+// reports the P7 taint pass on its own: its time (CFADur.Taint) and its
+// block transfers (Report.Steps) per verification.
+func BenchmarkTaintPass(b *testing.B) {
+	for _, w := range []struct{ name, src string }{
+		{"credit-secret", apps.CreditSource},
+		{"nw-secret", apps.NWSource},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			text, opts, err := bench.VerifyInput(w.name, w.src, policy.SetP1P7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var steps int
+			opts.TaintObserver = func(r *taint.Report) { steps += r.Steps }
+			var pass time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := verifier.Verify(text, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pass += res.CFADur.Taint
+			}
+			b.ReportMetric(float64(pass.Nanoseconds())/float64(b.N), "taint-ns/op")
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
 	}
 }
 

@@ -30,19 +30,28 @@ fn_out:
 
 // reachability is the smallest domain: a block's state is whether it is
 // reached, and every transfer is the identity.
-func reachability(g *cfa.Graph, b cfa.Budget) (*cfa.Engine[bool], map[int][]bool) {
-	e := cfa.NewEngine(g, b, func(r bool) bool { return r }, func(dst *bool, src bool) bool {
+func reachability(g *cfa.Graph, b cfa.Budget) (*cfa.Engine[bool], []*cfa.Context[bool]) {
+	e := cfa.NewEngine(g, b, func(dst *bool, src bool) bool {
 		if *dst || !src {
 			return false
 		}
 		*dst = true
 		return true
 	})
-	in := make(map[int][]bool)
+	cs := make([]*cfa.Context[bool], len(e.Funcs))
 	for _, f := range e.Funcs {
-		in[f.Index] = make([]bool, len(g.Blocks))
+		cs[f.Index] = e.NewContext(f)
 	}
-	return e, in
+	return e, cs
+}
+
+// solveReached enters each function reached and solves it under the
+// identity transfer.
+func solveReached(e *cfa.Engine[bool], cs []*cfa.Context[bool]) bool {
+	return e.Fixpoint(func(f *cfa.Func) {
+		e.Enter(cs[f.Index], -1, func() bool { return true })
+		e.Solve(cs[f.Index], func(_ *cfa.Block, s bool) bool { return s })
+	})
 }
 
 func TestEnginePartition(t *testing.T) {
@@ -85,30 +94,27 @@ func TestEnginePartition(t *testing.T) {
 
 func TestEngineFixpointAndSweep(t *testing.T) {
 	g, _ := build(t, callers)
-	e, in := reachability(g, cfa.Budget{Rounds: 8, Steps: 100})
-	analyze := func(f *cfa.Func) bool {
-		in[f.Index][f.Head] = true
-		return e.Solve(f, in[f.Index], func(_ *cfa.Block, s bool) bool { return s })
-	}
-	if !e.Fixpoint(analyze) {
+	e, cs := reachability(g, cfa.Budget{Rounds: 8, Steps: 100})
+	if !solveReached(e, cs) {
 		t.Fatal("fixpoint ran out of budget")
 	}
 	blocks := 0
 	for _, f := range e.Funcs {
 		blocks += len(f.Blocks)
-		for _, id := range f.Blocks {
-			if !in[f.Index][id] {
-				t.Errorf("block %d of %#x unreached", id, f.Entry)
-			}
-		}
 	}
 	if e.Steps != blocks {
 		t.Errorf("steps = %d, want one per block (%d)", e.Steps, blocks)
 	}
 	// Replays record in reverse address order, twice each: the sweep must
-	// deduplicate by (offset, kind) and return address order.
-	findings := e.Sweep(func(f *cfa.Func) [][]bool { return [][]bool{in[f.Index]} },
-		func(_ *cfa.Func, b *cfa.Block, _ bool, rec *cfa.Recorder) {
+	// visit every block reached, deduplicate by (offset, kind) and return
+	// address order.
+	replayed := 0
+	findings := e.Sweep(func(f *cfa.Func) []*cfa.Context[bool] { return []*cfa.Context[bool]{cs[f.Index]} },
+		func(f *cfa.Func, b *cfa.Block, in bool, rec *cfa.Recorder) {
+			if !in {
+				t.Errorf("block %d of %#x replayed unreached", b.ID, f.Entry)
+			}
+			replayed++
 			for i := len(b.Insts) - 1; i >= 0; i-- {
 				rec.Add(b.Insts[i].Off, "inst", "first")
 				rec.Add(b.Insts[i].Off, "inst", "second")
@@ -122,14 +128,13 @@ func TestEngineFixpointAndSweep(t *testing.T) {
 			t.Errorf("finding %d = %+v, want the first message at %#x", i, f, g.Dis.Insts[i].Off)
 		}
 	}
+	if replayed != blocks {
+		t.Errorf("sweep replayed %d blocks, want every block (%d)", replayed, blocks)
+	}
 	var nilRec *cfa.Recorder
 	nilRec.Add(0, "inst", "discarded") // a nil recorder is a no-op
 
-	e2, in2 := reachability(g, cfa.Budget{Rounds: 8, Steps: 2})
-	if e2.Fixpoint(func(f *cfa.Func) bool {
-		in2[f.Index][f.Head] = true
-		return e2.Solve(f, in2[f.Index], func(_ *cfa.Block, s bool) bool { return s })
-	}) {
+	if e2, cs2 := reachability(g, cfa.Budget{Rounds: 8, Steps: 2}); solveReached(e2, cs2) {
 		t.Error("fixpoint succeeded past its step budget")
 	}
 }

@@ -244,7 +244,7 @@ func Analyze(g *cfa.Graph, p *Protocol) (*Report, error) {
 		return rep, nil
 	}
 	a := &analysis{
-		Engine: cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 20}, func(m uint64) bool { return m != 0 }, joinMask),
+		Engine: cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 20}, joinMask),
 		p:      p,
 		trans:  make(map[[2]int64]int, len(p.Edges)),
 	}
@@ -253,6 +253,7 @@ func Analyze(g *cfa.Graph, p *Protocol) (*Report, error) {
 	}
 	a.fns = make([]fn, len(a.Funcs))
 	for i := range a.fns {
+		a.fns[i].index = i
 		a.fns[i].ctxs = make([]*ctx, len(p.States))
 	}
 	// The entry function starts in the protocol's start state.
@@ -280,19 +281,22 @@ func Analyze(g *cfa.Graph, p *Protocol) (*Report, error) {
 
 // fn is one function's requested entry states and their contexts.
 type fn struct {
-	reqs uint64
-	ctxs []*ctx // indexed by entry state; nil until requested
+	index int // cfa.Func.Index
+	reqs  uint64
+	ctxs  []*ctx // indexed by entry state; nil until requested
 }
 
 // ctx is one (function, entry state) analysis context. A zero in-mask is
 // bottom: the block is unreached in this context.
 type ctx struct {
-	in  []uint64 // block in-masks, indexed by block ID
-	ret uint64   // join of reachable states at every return
+	*cfa.Context[uint64]
+	key int    // engine key of ret
+	ret uint64 // join of reachable states at every return
 }
 
 // analysis is the protocol-state domain over the shared engine. Requested
-// contexts and grown summaries change only through Engine.Mark.
+// contexts and grown summaries are declared with Engine.Read where a
+// transfer reads them and change only through Engine.Mark.
 type analysis struct {
 	*cfa.Engine[uint64]
 	p     *Protocol
@@ -300,16 +304,20 @@ type analysis struct {
 	fns   []fn             // indexed by cfa.Func.Index
 }
 
-// contexts returns the in-masks of f's requested contexts in entry-state
-// order.
-func (a *analysis) contexts(f *cfa.Func) [][]uint64 {
-	var ins [][]uint64
+// Engine keys: per function, the return summary of each entry state and
+// the set of requested entry states.
+func (a *analysis) retKey(f *fn, s int) int { return f.index*(len(a.p.States)+1) + s }
+func (a *analysis) reqsKey(f *fn) int       { return a.retKey(f, len(a.p.States)) }
+
+// contexts returns f's requested contexts in entry-state order.
+func (a *analysis) contexts(f *cfa.Func) []*cfa.Context[uint64] {
+	var cs []*cfa.Context[uint64]
 	for _, c := range a.fns[f.Index].ctxs {
 		if c != nil {
-			ins = append(ins, c.in)
+			cs = append(cs, c.Context)
 		}
 	}
-	return ins
+	return cs
 }
 
 func joinMask(dst *uint64, src uint64) bool {
@@ -320,26 +328,23 @@ func joinMask(dst *uint64, src uint64) bool {
 	return true
 }
 
-// analyzeFn runs one engine worklist per requested context to local
-// stability under the current global state.
-func (a *analysis) analyzeFn(f *cfa.Func) bool {
+// analyzeFn re-transfers the stale blocks of every requested context under
+// the current global state, entering contexts requested since the last
+// call.
+func (a *analysis) analyzeFn(f *cfa.Func) {
 	fs := &a.fns[f.Index]
-	changed := false
 	for s := 0; s < len(a.p.States); s++ {
 		if fs.reqs&(1<<uint(s)) == 0 {
 			continue
 		}
 		c := fs.ctxs[s]
 		if c == nil {
-			c = &ctx{in: make([]uint64, len(a.G.Blocks))}
+			c = &ctx{Context: a.NewContext(f), key: a.retKey(fs, s)}
 			fs.ctxs[s] = c
+			a.Enter(c.Context, -1, func() uint64 { return 1 << uint(s) })
 		}
-		if joinMask(&c.in[f.Head], 1<<uint(s)) {
-			changed = true
-		}
-		changed = a.Solve(f, c.in, func(b *cfa.Block, in uint64) uint64 { return a.flow(c, b, in) }) || changed
+		a.Solve(c.Context, func(b *cfa.Block, in uint64) uint64 { return a.flow(c, b, in) })
 	}
-	return changed
 }
 
 // flow is a block's transfer within context c, composed with its exit: a
@@ -350,7 +355,7 @@ func (a *analysis) flow(c *ctx, b *cfa.Block, in uint64) uint64 {
 	switch last := b.Last(); last.Op {
 	case isa.OpRet:
 		if joinMask(&c.ret, out) {
-			a.Mark()
+			a.Mark(c.key)
 		}
 	case isa.OpCall:
 		out = a.callOut(disasm.DirectTarget(last), out)
@@ -383,8 +388,9 @@ func (a *analysis) callOut(entry int64, cur uint64) uint64 {
 			continue
 		}
 		if joinMask(&callee.reqs, 1<<uint(s)) {
-			a.Mark()
+			a.Mark(a.reqsKey(callee))
 		}
+		a.Read(a.retKey(callee, s))
 		if c := callee.ctxs[s]; c != nil {
 			out |= c.ret
 		}

@@ -300,6 +300,7 @@ func (a *analysis) memTainted(st *state, lo, hi uint64) bool {
 			return true
 		}
 	}
+	a.Read(keyMem)
 	if a.mem.overlaps(lo, hi) {
 		return true
 	}
@@ -385,8 +386,11 @@ func (a *analysis) loadSlot(f *fn, st *state, k int64, w int64) (val, bool) {
 			break
 		}
 	}
-	if k >= 8 && (f.args[k] || f.argsSmr) {
-		t = true
+	if k >= 8 {
+		a.Read(ctxKey(f))
+		if _, ok := f.args.get(k); ok || f.argsSmr {
+			t = true
+		}
 	}
 	if sl, ok := st.slots.get(k); ok && w == 8 {
 		// Fully tracked cell: the smear flag does not apply, because smear
@@ -473,7 +477,7 @@ func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off i
 		if a.cfg.DataLo <= lo && hi <= a.cfg.DataHi {
 			if t {
 				if a.mem.add(lo, hi) {
-					a.Mark()
+					a.Mark(keyMem)
 				}
 				if lo < a.cfg.StackHi && a.cfg.StackLo < hi {
 					st.smearTaint()
@@ -493,7 +497,7 @@ func (a *analysis) store(f *fn, st *state, av val, t bool, v val, w int64, off i
 	case kWin:
 		if t {
 			if a.mem.add(a.cfg.DataLo, a.cfg.DataHi) {
-				a.Mark()
+				a.Mark(keyMem)
 			}
 			st.smearTaint()
 		} else {
@@ -536,7 +540,7 @@ func (a *analysis) applyCall(f *fn, st *state, target int64) {
 		st.smearTaint()
 		st.degrade()
 		if a.mem.add(a.cfg.DataLo, a.cfg.DataHi) {
-			a.Mark()
+			a.Mark(keyMem)
 		}
 		havocRegs(st, 0xffff, 0, false)
 		return
@@ -550,41 +554,40 @@ func (a *analysis) applyCall(f *fn, st *state, target int64) {
 
 	if nt := callee.inRegs | st.taint; nt != callee.inRegs {
 		callee.inRegs = nt
-		a.Mark()
+		a.Mark(ctxKey(callee))
 	}
 	if st.smear && !callee.argsSmr {
 		callee.argsSmr = true
-		a.Mark()
+		a.Mark(ctxKey(callee))
 	}
 	// Caller-frame cells at or above the post-push RSP are the callee's
 	// argument space (its own positive offsets).
 	for i := st.slots.lower(dc); i < len(st.slots); i++ {
 		if e := st.slots[i]; e.sl.taint {
-			if d := e.off - base; !callee.args[d] {
-				callee.args[d] = true
-				a.Mark()
-			}
+			a.addArg(callee, e.off-base)
 		}
 	}
 	// Our own incoming argument taint is also visible to the callee,
-	// farther up its frame.
-	for k, t := range f.args {
-		if t && k >= dc {
-			if d := k - base; !callee.args[d] {
-				callee.args[d] = true
-				a.Mark()
-			}
-		}
+	// farther up its frame. A recursive call grows the very list it
+	// forwards, so forward a snapshot.
+	a.Read(ctxKey(f))
+	args := f.args[f.args.lower(dc):]
+	if callee == f {
+		args = append(slotMap(nil), args...)
+	}
+	for _, e := range args {
+		a.addArg(callee, e.off-base)
 	}
 	if f.argsSmr && !callee.argsSmr {
 		callee.argsSmr = true
-		a.Mark()
+		a.Mark(ctxKey(callee))
 	}
 
-	// Apply the callee's effect.
+	// Apply the callee's effect, in offset order.
+	a.Read(sumKey(callee))
 	sum := &callee.sum
-	for d, wt := range sum.writes {
-		st.storeSlot(d+base, 8, wt, val{k: kUnknown})
+	for _, w := range sum.writes {
+		st.storeSlot(w.off+base, 8, w.sl.taint, val{k: kUnknown})
 	}
 	if sum.wild {
 		st.degrade()
@@ -595,29 +598,37 @@ func (a *analysis) applyCall(f *fn, st *state, target int64) {
 	havocRegs(st, sum.retTaint, dc, true)
 }
 
+// addArg records taint of the callee-relative argument slot d.
+func (a *analysis) addArg(callee *fn, d int64) {
+	if _, ok := callee.args.get(d); !ok {
+		callee.args.set(d, slot{taint: true})
+		a.Mark(ctxKey(callee))
+	}
+}
+
 // recordRet folds the state at a return instruction into the function
 // summary.
 func (a *analysis) recordRet(f *fn, st *state) {
 	sum := &f.sum
 	if nt := sum.retTaint | st.taint; nt != sum.retTaint {
 		sum.retTaint = nt
-		a.Mark()
+		a.Mark(sumKey(f))
 	}
 	for i := st.slots.lower(0); i < len(st.slots); i++ {
 		k, sl := st.slots[i].off, st.slots[i].sl
-		old, ok := sum.writes[k]
-		if !ok || (sl.taint && !old) {
-			sum.writes[k] = old || sl.taint
-			a.Mark()
+		old, ok := sum.writes.get(k)
+		if !ok || (sl.taint && !old.taint) {
+			sum.writes.set(k, slot{taint: old.taint || sl.taint, v: val{k: kUnknown}})
+			a.Mark(sumKey(f))
 		}
 	}
 	if st.wild && !sum.wild {
 		sum.wild = true
-		a.Mark()
+		a.Mark(sumKey(f))
 	}
 	if st.smear && !sum.smear {
 		sum.smear = true
-		a.Mark()
+		a.Mark(sumKey(f))
 	}
 }
 
@@ -708,7 +719,7 @@ func (a *analysis) transfer(f *fn, b *cfa.Block, st *state, rec *cfa.Recorder) {
 				st.smearTaint()
 				st.degrade()
 				if a.mem.add(a.cfg.DataLo, a.cfg.DataHi) {
-					a.Mark()
+					a.Mark(keyMem)
 				}
 				rsp := st.regs[isa.RSP]
 				if rsp.k == kStack {

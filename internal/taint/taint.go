@@ -177,7 +177,7 @@ func Analyze(g *cfa.Graph, cfg Config) (*Report, error) {
 		return rep, nil
 	}
 	a := &analysis{
-		Engine:  cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 21}, func(s *state) bool { return s != nil }, joinState),
+		Engine:  cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 21}, joinState),
 		cfg:     cfg,
 		guarded: make(map[int64]bool, len(cfg.Guarded)),
 	}
@@ -187,9 +187,8 @@ func Analyze(g *cfa.Graph, cfg Config) (*Report, error) {
 	a.fns = make([]fn, len(a.Funcs))
 	for i, f := range a.Funcs {
 		fs := &a.fns[i]
-		fs.args = make(map[int64]bool)
-		fs.sum.writes = make(map[int64]bool)
-		fs.in = make([]*state, len(g.Blocks))
+		fs.index = i
+		fs.ctx = a.NewContext(f)
 		if a.Indirect && f.Entry != g.Entry {
 			// Any listed target may be invoked with any arguments through a
 			// guarded indirect call: analyze each as a fully tainted entry.
@@ -201,9 +200,9 @@ func Analyze(g *cfa.Graph, cfg Config) (*Report, error) {
 		return nil, ErrBudget
 	}
 	rep.Findings = a.Sweep(
-		func(f *cfa.Func) [][]*state { return [][]*state{a.fns[f.Index].in} },
+		func(f *cfa.Func) []*cfa.Context[*state] { return []*cfa.Context[*state]{a.fns[f.Index].ctx} },
 		func(f *cfa.Func, b *cfa.Block, in *state, rec *cfa.Recorder) {
-			st := in.clone()
+			st := in.cloneInto(&a.scratch)
 			a.transfer(&a.fns[f.Index], b, st, rec)
 			bt := rep.Blocks[b.ID]
 			bt.In |= in.taint
@@ -216,31 +215,41 @@ func Analyze(g *cfa.Graph, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// fn is one function's calling contexts, effect summary and block
+// fn is one function's calling context, effect summary and block
 // in-states.
 type fn struct {
+	index   int // cfa.Func.Index
 	inRegs  uint16
-	args    map[int64]bool // callee-relative slot offset (>= 8) -> taint
+	args    slotMap // tainted callee-relative slot offsets (>= 8)
 	argsSmr bool
 	sum     summary
-	in      []*state // block in-states, indexed by block ID (nil = unreached)
+	ctx     *cfa.Context[*state] // block in-states (nil = unreached)
 }
+
+// Engine keys of the global facts a transfer reads besides its block's
+// in-state: the memory taint, and per function its calling context
+// (entry register taint, argument slots) and its summary.
+const keyMem = 0
+
+func ctxKey(f *fn) int { return 1 + 2*f.index }
+func sumKey(f *fn) int { return 2 + 2*f.index }
 
 // summary is a function's externally visible effect (memory-taint growth
 // is applied directly to the global interval set, not summarised).
 type summary struct {
 	retTaint uint16
-	// writes records caller-frame slot writes by callee-relative offset;
-	// the value is the written taint (false = clean write, which still
-	// invalidates the caller's tracked slot value).
-	writes map[int64]bool
+	// writes records caller-frame slot writes by callee-relative offset,
+	// with the written taint (a clean write still invalidates the caller's
+	// tracked slot value).
+	writes slotMap
 	wild   bool // callee performed an untracked clean store
 	smear  bool // callee may have tainted any stack address
 }
 
 // analysis is the taint domain over the shared engine. Every global the
 // transfer reads besides a block's in-state — memory taint, calling
-// contexts, summaries — changes only through Engine.Mark.
+// contexts, summaries — is declared with Engine.Read and changes only
+// through Engine.Mark.
 type analysis struct {
 	*cfa.Engine[*state]
 	cfg     Config
@@ -260,17 +269,17 @@ func joinState(dst **state, src *state) bool {
 }
 
 // analyzeFn joins the function's calling context into its entry block and
-// runs its worklist to local stability under the current global state.
-func (a *analysis) analyzeFn(f *cfa.Func) bool {
+// re-transfers its stale blocks under the current global state.
+func (a *analysis) analyzeFn(f *cfa.Func) {
 	fs := &a.fns[f.Index]
-	changed := joinState(&fs.in[f.Head], a.entryState(fs))
-	return a.Solve(f, fs.in, func(b *cfa.Block, in *state) *state {
+	a.Enter(fs.ctx, ctxKey(fs), func() *state { return a.entryState(fs) })
+	a.Solve(fs.ctx, func(b *cfa.Block, in *state) *state {
 		// The out-state lives only until the engine has joined it into the
 		// successors, so one scratch state serves every step.
 		st := in.cloneInto(&a.scratch)
 		a.transfer(fs, b, st, nil)
 		return st
-	}) || changed
+	})
 }
 
 // entryState is the abstract state at a function's first instruction.

@@ -1,14 +1,20 @@
 package verifier_test
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"deflection/internal/apps"
 	"deflection/internal/asmtext"
+	"deflection/internal/compiler"
+	"deflection/internal/dclib"
 	"deflection/internal/enclave"
 	"deflection/internal/loader"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
+	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
 
@@ -237,4 +243,72 @@ const taintArgSlotSrc = `
 // caller-frame stack slot and leaked inside the callee.
 func TestTaintArgumentSlotLeak(t *testing.T) {
 	requireViolation(t, verifyAsmTaint(t, taintArgSlotSrc, p7Only), policy.P7, "taint")
+}
+
+// TestTaintReportsDeterministic: certificate sharing needs verdicts that
+// are identical in every process, so the P7 report of each secret-declaring
+// app — findings, block masks and the step count — must not depend on map
+// iteration order. Each app is verified 50 times from a fresh load.
+func TestTaintReportsDeterministic(t *testing.T) {
+	for _, a := range []struct{ name, src string }{
+		{"nw", apps.NWSource},
+		{"credit", apps.CreditSource},
+	} {
+		o, err := compiler.Compile(dclib.Program(a.src), compiler.Options{Policies: policy.SetP1P7})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", a.name, err)
+		}
+		var first *taint.Report
+		for i := 0; i < 50; i++ {
+			text, opts := loadObject(t, o, policy.SetP1P7)
+			var rep *taint.Report
+			opts.TaintObserver = func(r *taint.Report) { rep = r }
+			if _, err := verifier.Verify(text, opts); err != nil {
+				t.Fatalf("%s: run %d rejected: %v", a.name, i, err)
+			}
+			if rep == nil || rep.Trivial {
+				t.Fatalf("%s: run %d: no full taint report", a.name, i)
+			}
+			if first == nil {
+				first = rep
+			} else if !reflect.DeepEqual(rep, first) {
+				t.Fatalf("%s: run %d report differs: steps %d vs %d, %d vs %d findings",
+					a.name, i, rep.Steps, first.Steps, len(rep.Findings), len(first.Findings))
+			}
+		}
+	}
+}
+
+// taintBudgetSrc: rec calls itself with the caller's tainted argument slot
+// in reach, so every pass over the call grows rec's own calling context by
+// one more argument slot and the taint fixpoint never settles.
+const taintBudgetSrc = `
+.entry _start
+.bss key 8
+.secret key
+.func _start
+  mov rcx, =key
+  mov rax, [rcx]
+  push rax
+  call rec
+  pop rax
+  hlt
+.func rec
+  sub rsp, 16
+  call rec
+  add rsp, 16
+  ret
+`
+
+// TestTaintBudgetExhaustionRejected: running out of the analysis budget is
+// a conservative P7 rejection, never an acceptance.
+func TestTaintBudgetExhaustionRejected(t *testing.T) {
+	err := verifyAsmTaint(t, taintBudgetSrc, p7Only)
+	var vio *verifier.Violation
+	if !errors.As(err, &vio) || vio.Policy != policy.P7 || vio.Pass != "taint" {
+		t.Fatalf("err = %v, want a P7 taint violation", err)
+	}
+	if !strings.Contains(err.Error(), "budget") {
+		t.Errorf("err = %v, want the budget named", err)
+	}
 }
