@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
+.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
 # subsumes race-vplane/race-gateway/race-tenant/race-dataflow; the focused
 # targets exist for fast iteration. bench-smoke runs the benchmark module's
 # own tests, which the root go test ./... does not reach.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu bench-smoke
+check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu bench-smoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,15 @@ fuzz-disasm:
 # binaries, so minimizing a new corpus entry is capped at a few executions.
 fuzz-verify:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x -run '^$$' ./internal/verifier/
+
+# Short differential smoke of the table-driven annotation-template matcher
+# against the hand-written reference matchers it replaced (same verdict,
+# Violation, Stats, annotation ranges and anchors) over byte and
+# instruction mutations inside the annotation spans of compiled programs.
+# Inputs are whole binaries, so minimizing a new corpus entry is capped at a
+# few executions.
+fuzz-templates:
+	$(GO) test -fuzz=FuzzTemplates -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x -run '^$$' ./internal/verifier/
 
 # Short differential smoke of the shared dataflow engine against a
 # reference solver that re-transfers every reached block each round (same

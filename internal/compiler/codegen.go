@@ -131,10 +131,7 @@ func (g *progGen) run(prog *lang.Program) error {
 	// main's return value.
 	var start []obj.Item
 	if g.opts.Policies.Has(policy.P6) {
-		start = append(start,
-			annot(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicSSAMarkerDisp), Imm: policy.SSAMarkerMagic}),
-			annot(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicAEXCountDisp), Imm: 0}),
-		)
+		start = annotation(policy.Arming, "_start", isa.Inst{}, "")
 	}
 	start = append(start,
 		obj.BranchItem(isa.Inst{Op: isa.OpCall}, "main"),
@@ -146,8 +143,6 @@ func (g *progGen) run(prog *lang.Program) error {
 	g.asm.SetEntry("_start")
 	return nil
 }
-
-func annot(in isa.Inst) obj.Item { return obj.Item{Inst: in, Annot: true} }
 
 func (g *progGen) emitGlobal(gv *lang.GlobalVar) error {
 	size := gv.Ty.Size()

@@ -34,160 +34,87 @@ func instrument(a *obj.Assembler, opts Options) {
 	}
 }
 
-// Trap stub label suffixes, one per policy check. Each instrumented function
-// gets at most one stub per policy, appended after its body.
-const (
-	trapStoreSuffix = ".__trap.store"
-	trapStackSuffix = ".__trap.stack"
-	trapCFISuffix   = ".__trap.cfi"
-	trapSSSuffix    = ".__trap.ss"
-	trapAEXSuffix   = ".__trap.aex"
-)
+// trapSuffix names each trap stub of a function by its trap code. Each
+// instrumented function gets at most one stub per code, appended after its
+// body.
+var trapSuffix = map[isa.TrapCode]string{
+	isa.TrapStoreBounds: ".__trap.store",
+	isa.TrapStackBounds: ".__trap.stack",
+	isa.TrapCFI:         ".__trap.cfi",
+	isa.TrapShadowStack: ".__trap.ss",
+	isa.TrapAEXBudget:   ".__trap.aex",
+}
 
 func ai(in isa.Inst) obj.Item { return obj.Item{Inst: in, Annot: true} }
-
-func aBranch(in isa.Inst, target string) obj.Item {
-	return obj.Item{Inst: in, Target: target, Annot: true}
-}
 
 func aLabel(name string) obj.Item {
 	return obj.Item{IsLabel: true, Label: name, Annot: true}
 }
 
-func trapStub(label string, code isa.TrapCode) []obj.Item {
+func trapStub(fn string, code isa.TrapCode) []obj.Item {
 	return []obj.Item{
-		aLabel(label),
+		aLabel(fn + trapSuffix[code]),
 		ai(isa.Inst{Op: isa.OpTrap, Imm: int64(code)}),
 	}
 }
 
-// storeGuard is the P1/P3/P4 annotation of the paper's Fig. 5: bounds-check
-// the destination address of a store against placeholder bounds the loader
-// later rewrites.
-func storeGuard(store isa.Inst, trapLabel string) []obj.Item {
-	mem := store.Mem
-	if mem.HasBase && mem.Base == isa.RSP {
-		// The two pushes below moved RSP down by 16; compensate so the
-		// checked address is the one the store will actually use.
-		mem.Disp += 16
+// annotation instantiates template t in function fn with its placeholder
+// filled from anchor: a trap step branches to fn's stub for its code, and a
+// local step branches to local, which labels the template's last
+// instruction.
+func annotation(t policy.Template, fn string, anchor isa.Inst, local string) []obj.Item {
+	steps := t.Steps()
+	out := make([]obj.Item, 0, len(steps)+1)
+	for i, s := range steps {
+		it := ai(s.With(&anchor))
+		switch {
+		case s.Trap != isa.TrapNone:
+			it.Target = fn + trapSuffix[s.Trap]
+		case s.Local:
+			it.Target = local
+		}
+		if i == len(steps)-1 && local != "" {
+			out = append(out, aLabel(local))
+		}
+		out = append(out, it)
 	}
-	return []obj.Item{
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RBX}),
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
-		ai(isa.Inst{Op: isa.OpLea, Dst: isa.RAX, Mem: mem}),
-		ai(isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: policy.MagicStoreLo}),
-		ai(isa.Inst{Op: isa.OpCmpRR, Dst: isa.RAX, Src: isa.RBX}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondB}, trapLabel),
-		ai(isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: policy.MagicStoreHi}),
-		ai(isa.Inst{Op: isa.OpCmpRR, Dst: isa.RAX, Src: isa.RBX}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondAE}, trapLabel),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RAX}),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
-	}
+	return out
 }
 
 func passP1(name string, body []obj.Item) []obj.Item {
 	out := make([]obj.Item, 0, len(body)+16)
 	used := false
-	trapLabel := name + trapStoreSuffix
 	for _, it := range body {
 		if !it.IsLabel && !it.Annot && it.Inst.Op.IsStore() {
-			out = append(out, storeGuard(it.Inst, trapLabel)...)
+			out = append(out, annotation(policy.StoreGuard, name, it.Inst, "")...)
 			used = true
 		}
 		out = append(out, it)
 	}
 	if used {
-		out = append(out, trapStub(trapLabel, isa.TrapStoreBounds)...)
+		out = append(out, trapStub(name, isa.TrapStoreBounds)...)
 	}
 	return out
-}
-
-// rspGuard is the P2 annotation: validate RSP after an explicit stack
-// pointer write. It deliberately avoids touching the (possibly corrupt)
-// stack, using only immediate compares.
-func rspGuard(trapLabel string) []obj.Item {
-	return []obj.Item{
-		ai(isa.Inst{Op: isa.OpCmpRI, Dst: isa.RSP, Imm: policy.MagicStackLo}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondB}, trapLabel),
-		ai(isa.Inst{Op: isa.OpCmpRI, Dst: isa.RSP, Imm: policy.MagicStackHi}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondA}, trapLabel),
-	}
 }
 
 func passP2(name string, body []obj.Item) []obj.Item {
 	out := make([]obj.Item, 0, len(body)+16)
 	used := false
-	trapLabel := name + trapStackSuffix
 	for _, it := range body {
 		out = append(out, it)
 		if !it.IsLabel && !it.Annot && it.Inst.ModifiesRSP() {
-			out = append(out, rspGuard(trapLabel)...)
+			out = append(out, annotation(policy.RSPGuard, name, it.Inst, "")...)
 			used = true
 		}
 	}
 	if used {
-		out = append(out, trapStub(trapLabel, isa.TrapStackBounds)...)
+		out = append(out, trapStub(name, isa.TrapStackBounds)...)
 	}
 	return out
 }
 
-// cfiGuard is the P5 forward-edge annotation: the 8 bytes at the branch
-// target must be a BRMARK beacon, which the generator placed only at
-// legitimate targets (and P4 keeps code immutable).
-//
-// The expected pattern is materialised as its bitwise complement and flipped
-// with NOT so the pattern bytes themselves never appear inside the guard's
-// immediate: the verifier rejects any text byte-sequence equal to the BRMARK
-// pattern that is not a listed beacon, which is what stops jumps into the
-// middle of immediates that happen to contain it.
-func cfiGuard(target isa.Reg, trapLabel string) []obj.Item {
-	return []obj.Item{
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RBX}),
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RCX}),
-		ai(isa.Inst{Op: isa.OpMovRM, Dst: isa.RBX, Mem: isa.Mem(target, 0)}),
-		ai(isa.Inst{Op: isa.OpMovRI, Dst: isa.RCX, Imm: int64(^isa.BrMarkPattern())}),
-		ai(isa.Inst{Op: isa.OpNot, Dst: isa.RCX}),
-		ai(isa.Inst{Op: isa.OpCmpRR, Dst: isa.RBX, Src: isa.RCX}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondNE}, trapLabel),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RCX}),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
-	}
-}
-
-// shadowPush is the P5 function-entry annotation: copy the just-pushed
-// return address onto the shadow stack (R14 is the reserved shadow-stack
-// pointer).
-func shadowPush() []obj.Item {
-	return []obj.Item{
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
-		ai(isa.Inst{Op: isa.OpMovRM, Dst: isa.RAX, Mem: isa.Mem(isa.RSP, 8)}),
-		ai(isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: isa.Mem(isa.RegShadow, 0)}),
-		ai(isa.Inst{Op: isa.OpAddRI, Dst: isa.RegShadow, Imm: 8}),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RAX}),
-	}
-}
-
-// shadowCheck is the P5 pre-return annotation: the return address about to
-// be consumed must equal the shadow-stack top.
-func shadowCheck(trapLabel string) []obj.Item {
-	return []obj.Item{
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RBX}),
-		ai(isa.Inst{Op: isa.OpSubRI, Dst: isa.RegShadow, Imm: 8}),
-		ai(isa.Inst{Op: isa.OpMovRM, Dst: isa.RAX, Mem: isa.Mem(isa.RegShadow, 0)}),
-		ai(isa.Inst{Op: isa.OpMovRM, Dst: isa.RBX, Mem: isa.Mem(isa.RSP, 16)}),
-		ai(isa.Inst{Op: isa.OpCmpRR, Dst: isa.RAX, Src: isa.RBX}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondNE}, trapLabel),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RAX}),
-	}
-}
-
 func passP5(name string, body []obj.Item) []obj.Item {
 	out := make([]obj.Item, 0, len(body)+64)
-	cfiLabel := name + trapCFISuffix
-	ssLabel := name + trapSSSuffix
 	usedCFI, usedSS := false, false
 
 	// Entry: keep a leading BRMARK beacon first, then push the return
@@ -199,7 +126,7 @@ func passP5(name string, body []obj.Item) []obj.Item {
 			out = append(out, body[0])
 			i = 1
 		}
-		out = append(out, shadowPush()...)
+		out = append(out, annotation(policy.ShadowPush, name, isa.Inst{}, "")...)
 		usedSS = true
 	}
 
@@ -211,11 +138,11 @@ func passP5(name string, body []obj.Item) []obj.Item {
 		}
 		switch {
 		case it.Inst.Op.IsIndirectBranch():
-			out = append(out, cfiGuard(it.Inst.Dst, cfiLabel)...)
+			out = append(out, annotation(policy.CFIGuard, name, it.Inst, "")...)
 			usedCFI = true
 			out = append(out, it)
 		case it.Inst.Op == isa.OpRet:
-			out = append(out, shadowCheck(ssLabel)...)
+			out = append(out, annotation(policy.ShadowCheck, name, it.Inst, "")...)
 			usedSS = true
 			out = append(out, it)
 		default:
@@ -223,42 +150,21 @@ func passP5(name string, body []obj.Item) []obj.Item {
 		}
 	}
 	if usedCFI {
-		out = append(out, trapStub(cfiLabel, isa.TrapCFI)...)
+		out = append(out, trapStub(name, isa.TrapCFI)...)
 	}
 	if usedSS {
-		out = append(out, trapStub(ssLabel, isa.TrapShadowStack)...)
+		out = append(out, trapStub(name, isa.TrapShadowStack)...)
 	}
 	return out
 }
 
-// aexCheck is the P6 annotation (HyperRace-style): inspect the SSA marker;
-// if an AEX clobbered it, bump the AEX counter, re-arm the marker, and trap
-// once the counter exceeds the threshold.
-func aexCheck(okLabel, trapLabel string, threshold int64) []obj.Item {
-	return []obj.Item{
-		ai(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
-		ai(isa.Inst{Op: isa.OpMovRM, Dst: isa.RAX, Mem: isa.Abs(policy.MagicSSAMarkerDisp)}),
-		ai(isa.Inst{Op: isa.OpCmpRI, Dst: isa.RAX, Imm: policy.SSAMarkerMagic}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondE}, okLabel),
-		ai(isa.Inst{Op: isa.OpMovRM, Dst: isa.RAX, Mem: isa.Abs(policy.MagicAEXCountDisp)}),
-		ai(isa.Inst{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 1}),
-		ai(isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: isa.Abs(policy.MagicAEXCountDisp)}),
-		ai(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicSSAMarkerDisp), Imm: policy.SSAMarkerMagic}),
-		ai(isa.Inst{Op: isa.OpCmpRI, Dst: isa.RAX, Imm: threshold}),
-		aBranch(isa.Inst{Op: isa.OpJcc, Cond: isa.CondA}, trapLabel),
-		aLabel(okLabel),
-		ai(isa.Inst{Op: isa.OpPop, Dst: isa.RAX}),
-	}
-}
-
 func passP6(name string, body []obj.Item, opts Options) []obj.Item {
 	out := make([]obj.Item, 0, len(body)+64)
-	trapLabel := name + trapAEXSuffix
 	used := false
 	okN := 0
 	check := func() {
 		okN++
-		out = append(out, aexCheck(fmt.Sprintf("%s.__aexok%d", name, okN), trapLabel, opts.AEXThreshold)...)
+		out = append(out, annotation(policy.AEXCheck, name, isa.Inst{Imm: opts.AEXThreshold}, fmt.Sprintf("%s.__aexok%d", name, okN))...)
 		used = true
 	}
 
@@ -303,7 +209,7 @@ func passP6(name string, body []obj.Item, opts Options) []obj.Item {
 		out = append(out, it)
 	}
 	if used {
-		out = append(out, trapStub(trapLabel, isa.TrapAEXBudget)...)
+		out = append(out, trapStub(name, isa.TrapAEXBudget)...)
 	}
 	return out
 }

@@ -1,7 +1,8 @@
 // Package policy defines the security policies of the DEFLECTION model
 // (paper Section IV-B) and the annotation ABI shared between the untrusted
-// code generator and the trusted verifier/loader: which placeholder
-// immediates the generator plants and the loader's rewriter patches.
+// code generator and the trusted verifier/loader: the annotation templates
+// the generator plants and the verifier matches, and the placeholder
+// immediates inside them that the loader's rewriter patches.
 package policy
 
 import (

@@ -103,7 +103,7 @@ trapstore:
 // Only the dominance pass sees the whole-program property: a root-to-store
 // path exists that never executes the check.
 func TestBypassedGuardRejected(t *testing.T) {
-	err := verifyAsm(t, bypassedGuardSrc, policy.SetP1)
+	_, err := verifyAsm(t, bypassedGuardSrc, policy.SetP1)
 	requireViolation(t, err, policy.P1, "dominance")
 }
 
@@ -142,7 +142,7 @@ trapstore:
 // The check still dominates the store (every path executes it once), so
 // only the reaching-definitions walk catches the stale-check window.
 func TestClobberedCheckRejected(t *testing.T) {
-	err := verifyAsm(t, clobberedCheckSrc, policy.SetP1)
+	_, err := verifyAsm(t, clobberedCheckSrc, policy.SetP1)
 	requireViolation(t, err, policy.P1, "reaching-defs")
 }
 
@@ -173,7 +173,7 @@ trapstore:
 // unchecked. The store-coverage discipline already rejects this at the
 // template level; the test pins the structured evidence.
 func TestAnnotationAfterStoreRejected(t *testing.T) {
-	err := verifyAsm(t, annotationAfterStoreSrc, policy.SetP1)
+	_, err := verifyAsm(t, annotationAfterStoreSrc, policy.SetP1)
 	requireViolation(t, err, policy.P1, "")
 }
 
@@ -191,7 +191,7 @@ const deadBytesSrc = `
 // are unreachable text — exactly where side-loaded code would hide.
 func TestDeadBytesRejected(t *testing.T) {
 	pols := policy.SetP1.With(policy.P4)
-	err := verifyAsm(t, deadBytesSrc, pols)
+	_, err := verifyAsm(t, deadBytesSrc, pols)
 	requireViolation(t, err, policy.P4, "dead-byte")
 }
 

@@ -1,6 +1,7 @@
 package verifier_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
 	"deflection/internal/disasm"
+	"deflection/internal/isa"
 	"deflection/internal/nbench"
 	"deflection/internal/policy"
 	"deflection/internal/verifier"
@@ -20,16 +22,9 @@ import (
 // a second run), and every accepted result must satisfy the instruction
 // table's invariants, which all offset arithmetic in the passes relies on.
 func FuzzVerify(f *testing.F) {
-	k, _ := nbench.KernelByName("NUMERIC SORT")
-	var seeds []verifier.Options
-	for _, src := range []string{apps.CreditSource, k.Source} {
-		o, err := compiler.Compile(dclib.Program(src), compiler.Options{Policies: policy.SetP1P8})
-		if err != nil {
-			f.Fatal(err)
-		}
-		text, opts := loadObject(f, o, policy.SetP1P8)
-		f.Add(text, opts.EntryOffset, packTargets(opts.BranchTargetOffsets), uint8(len(seeds)))
-		seeds = append(seeds, opts)
+	texts, seeds := fuzzSeeds(f)
+	for i, text := range texts {
+		f.Add(text, seeds[i].EntryOffset, packTargets(seeds[i].BranchTargetOffsets), uint8(i))
 	}
 
 	f.Fuzz(func(t *testing.T, text []byte, entry int64, targets []byte, seed uint8) {
@@ -51,6 +46,102 @@ func FuzzVerify(f *testing.F) {
 			checkTable(t, res.Dis, len(text))
 		}
 	})
+}
+
+// fuzzSeeds compiles and loads the fuzz seed programs, credit and the
+// numeric-sort kernel, under p1-p8.
+func fuzzSeeds(f *testing.F) ([][]byte, []verifier.Options) {
+	k, _ := nbench.KernelByName("NUMERIC SORT")
+	var texts [][]byte
+	var seeds []verifier.Options
+	for _, src := range []string{apps.CreditSource, k.Source} {
+		o, err := compiler.Compile(dclib.Program(src), compiler.Options{Policies: policy.SetP1P8})
+		if err != nil {
+			f.Fatal(err)
+		}
+		text, opts := loadObject(f, o, policy.SetP1P8)
+		texts, seeds = append(texts, text), append(seeds, opts)
+	}
+	return texts, seeds
+}
+
+// FuzzTemplates is a differential fuzz of the table-driven template matcher
+// against the reference matchers it replaced: it mutates bytes and
+// instruction fields inside the annotation spans (trap stubs included) of
+// real compiled programs and requires the two to agree on the verdict, the
+// Violation, Stats, AnnotRanges and the store/RSP anchors (see
+// verifier.DiffReference for the one deliberate difference). Each 5-byte
+// chunk of muts is one mutation: kind, span index (2 bytes), position and
+// value.
+func FuzzTemplates(f *testing.F) {
+	texts, seeds := fuzzSeeds(f)
+	spans := make([][]verifier.Range, len(texts))
+	for i, text := range texts {
+		res, err := verifier.Verify(text, seeds[i])
+		if err != nil {
+			f.Fatal(err)
+		}
+		spans[i] = res.AnnotRanges
+		f.Add(uint8(i), []byte{0, 3, 0, 2, 0x10})
+		f.Add(uint8(i), []byte{1, 7, 0, 1, 0x0a, 1, 9, 1, 5, 0x23})
+	}
+	f.Fuzz(func(t *testing.T, seed uint8, muts []byte) {
+		i := int(seed) % len(texts)
+		text := bytes.Clone(texts[i])
+		for ; len(muts) >= 5; muts = muts[5:] {
+			r := spans[i][int(binary.LittleEndian.Uint16(muts[1:]))%len(spans[i])]
+			mutateSpan(text, r, muts[0], muts[3], muts[4])
+		}
+		if d := verifier.DiffReference(text, seeds[i]); d != "" {
+			t.Fatal(d)
+		}
+	})
+}
+
+// mutateSpan applies one mutation inside the annotation span r. An even
+// kind XORs the byte at pos with val. An odd kind decodes the pos-th
+// instruction of the span and perturbs one field chosen by val (opcode
+// within its format, registers, condition, immediate, displacement, base,
+// scale), writing it back only if the encoding keeps its length.
+func mutateSpan(text []byte, r verifier.Range, kind, pos, val byte) {
+	if kind%2 == 0 {
+		text[r.Lo+int64(pos)%(r.Hi-r.Lo)] ^= val
+		return
+	}
+	off := r.Lo
+	for n := int(pos) % 12; ; n-- {
+		_, size, err := isa.Decode(text[off:])
+		if err != nil {
+			return
+		}
+		if n == 0 || off+int64(size) >= r.Hi {
+			break
+		}
+		off += int64(size)
+	}
+	in, size, _ := isa.Decode(text[off:])
+	x := int64(int8(val)) >> 3
+	switch val % 8 {
+	case 0:
+		in.Op = sameFormatOp(in.Op)
+	case 1:
+		in.Dst = isa.Reg(uint8(val>>3) % isa.NumRegs)
+	case 2:
+		in.Src = isa.Reg(uint8(val>>3) % isa.NumRegs)
+	case 3:
+		in.Cond = isa.Cond(1 + (val>>3)%10)
+	case 4:
+		in.Imm += x
+	case 5:
+		in.Mem.Disp += int32(x)
+	case 6:
+		in.Mem.Base = isa.Reg(uint8(val>>3) % isa.NumRegs)
+	case 7:
+		in.Mem.Scale = 1 << ((val >> 3) % 4)
+	}
+	if enc := isa.AppendEncode(nil, &in); len(enc) == size {
+		copy(text[off:], enc)
+	}
 }
 
 func packTargets(offs []int64) []byte {

@@ -13,7 +13,7 @@ import (
 
 // verifyAsm assembles hand-written source and runs the verifier against the
 // given policy set.
-func verifyAsm(t *testing.T, src string, pols policy.Set) error {
+func verifyAsm(t *testing.T, src string, pols policy.Set) (*verifier.Result, error) {
 	t.Helper()
 	o, err := asmtext.Assemble(src, uint16(pols))
 	if err != nil {
@@ -35,12 +35,11 @@ func verifyAsm(t *testing.T, src string, pols policy.Set) error {
 	for _, bt := range ld.BranchTargets {
 		offs = append(offs, int64(bt-ld.TextBase))
 	}
-	_, err = verifier.Verify(text, verifier.Options{
+	return verifier.Verify(text, verifier.Options{
 		Required:            pols,
 		EntryOffset:         int64(ld.Entry - ld.TextBase),
 		BranchTargetOffsets: offs,
 	})
-	return err
 }
 
 // goodStoreGuard is a byte-exact hand transcription of the P1 annotation
@@ -68,7 +67,7 @@ trapstore:
 `
 
 func TestHandWrittenGuardAccepted(t *testing.T) {
-	if err := verifyAsm(t, goodStoreGuard, policy.SetP1); err != nil {
+	if _, err := verifyAsm(t, goodStoreGuard, policy.SetP1); err != nil {
 		t.Fatalf("correct hand-written guard rejected: %v", err)
 	}
 }
@@ -207,7 +206,7 @@ func TestNearMissGuardsRejected(t *testing.T) {
 	for name, src := range nearMissGuards {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
-			err := verifyAsm(t, src, policy.SetP1)
+			_, err := verifyAsm(t, src, policy.SetP1)
 			if !errors.Is(err, verifier.ErrViolation) {
 				t.Fatalf("near-miss accepted (err = %v)", err)
 			}
@@ -264,10 +263,10 @@ func TestRSPGuardNearMiss(t *testing.T) {
 	// The good version still fails overall P1 requirements? No stores, so
 	// P2-only is checkable with SetP1P2 minus... use P2 via SetP1P2: no
 	// stores present, so P1 is trivially satisfied.
-	if err := verifyAsm(t, rspGuardGood, policy.SetP1P2); err != nil {
+	if _, err := verifyAsm(t, rspGuardGood, policy.SetP1P2); err != nil {
 		t.Fatalf("correct RSP guard rejected: %v", err)
 	}
-	err := verifyAsm(t, rspGuardOneSided, policy.SetP1P2)
+	_, err := verifyAsm(t, rspGuardOneSided, policy.SetP1P2)
 	if !errors.Is(err, verifier.ErrViolation) {
 		t.Fatalf("one-sided RSP guard accepted (err = %v)", err)
 	}

@@ -166,6 +166,8 @@ type verifier struct {
 	opts Options
 	dis  *disasm.Result
 
+	disDur time.Duration // the disassembly's wall time
+
 	ranges []Range
 	marks  []mark // per instruction of dis.Insts
 	stats  Stats
@@ -231,6 +233,18 @@ func (v *verifier) timed(id policy.ID, f func() error) error {
 // set. It must run before immediate rewriting (placeholder immediates are
 // matched exactly).
 func Verify(text []byte, opts Options) (*Result, error) {
+	var v verifier
+	if err := v.setup(text, opts); err != nil {
+		return nil, err
+	}
+	if err := v.matchTemplates(); err != nil {
+		return nil, err
+	}
+	return v.finish()
+}
+
+// setup disassembles text from the entry and the listed targets.
+func (v *verifier) setup(text []byte, opts Options) error {
 	if opts.AEXCheckMaxGap == 0 {
 		opts.AEXCheckMaxGap = policy.DefaultAEXCheckInterval*2 + 64
 	}
@@ -238,7 +252,7 @@ func Verify(text []byte, opts Options) (*Result, error) {
 	// poison the disassembly entry queue.
 	for _, t := range opts.BranchTargetOffsets {
 		if t < 0 || t >= int64(len(text)) {
-			return nil, &Violation{Policy: policy.P5, Offset: t, Pass: "target-list",
+			return &Violation{Policy: policy.P5, Offset: t, Pass: "target-list",
 				Msg: fmt.Sprintf("listed indirect target outside text (len %d)", len(text))}
 		}
 	}
@@ -249,12 +263,13 @@ func Verify(text []byte, opts Options) (*Result, error) {
 	if err != nil {
 		// Undecodable or overlapping control flow defeats the CFI trust
 		// argument, so rejection is attributed to P5's decode stage.
-		return nil, &Violation{Policy: policy.P5, Pass: "decode", Msg: err.Error()}
+		return &Violation{Policy: policy.P5, Pass: "decode", Msg: err.Error()}
 	}
-	v := &verifier{
+	*v = verifier{
 		text:      text,
 		opts:      opts,
 		dis:       dis,
+		disDur:    disDur,
 		marks:     make([]mark, len(dis.Insts)),
 		targetSet: make(map[int64]bool, len(opts.BranchTargetOffsets)),
 	}
@@ -262,49 +277,62 @@ func Verify(text []byte, opts Options) (*Result, error) {
 		v.targetSet[t] = true
 	}
 	v.stats.Instructions = len(dis.Insts)
+	return nil
+}
 
-	req := opts.Required
+// matchTemplates runs the template checks of the required policies: the
+// beacon checks and every annotation match, recording the annotation
+// ranges, marks and anchors the later checks read.
+func (v *verifier) matchTemplates() error {
+	req := v.opts.Required
 	if req.Has(policy.P5) {
 		if err := v.timed(policy.P5, v.checkBranchTargetBeacons); err != nil {
-			return nil, err
+			return err
 		}
 		if err := v.timed(policy.P5, v.scanBeaconPattern); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if req.Has(policy.P6) {
 		if err := v.timed(policy.P6, v.matchP6Arming); err != nil {
-			return nil, err
+			return err
 		}
 		if err := v.timed(policy.P6, v.matchAEXChecks); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if req.Has(policy.P5) {
 		if err := v.timed(policy.P5, v.matchShadowPushes); err != nil {
-			return nil, err
+			return err
 		}
 		if err := v.timed(policy.P5, v.matchReturnChecks); err != nil {
-			return nil, err
+			return err
 		}
 		if err := v.timed(policy.P5, v.matchCFIGuards); err != nil {
-			return nil, err
+			return err
 		}
 		if err := v.timed(policy.P5, v.checkReservedRegisters); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if req.Has(policy.P2) {
 		if err := v.timed(policy.P2, v.matchRSPGuards); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if req.Has(policy.P1) || req.Has(policy.P3) || req.Has(policy.P4) {
 		id := storeGuardOwner(req)
 		if err := v.timed(id, func() error { return v.matchStoreGuards(id) }); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	return nil
+}
+
+// finish runs the closure checks over the matched annotations and, unless
+// disabled, the CFA passes, and builds the accepted-binary report.
+func (v *verifier) finish() (*Result, error) {
+	req := v.opts.Required
 	discStart := time.Now()
 	discErr := v.checkBranchDiscipline()
 	discDur := time.Since(discStart)
@@ -332,13 +360,13 @@ func Verify(text []byte, opts Options) (*Result, error) {
 	}
 
 	res := &Result{
-		Dis:                dis,
+		Dis:                v.dis,
 		Stats:              v.stats,
 		AnnotRanges:        v.ranges,
-		DisasmDuration:     disDur,
+		DisasmDuration:     v.disDur,
 		DisciplineDuration: discDur,
 	}
-	if !opts.DisableCFA {
+	if !v.opts.DisableCFA {
 		if err := v.runCFA(req, res); err != nil {
 			return nil, err
 		}
@@ -448,34 +476,93 @@ func (v *verifier) addRange(lo, hi int64, id policy.ID) {
 	}
 }
 
-// back returns the n-th linear predecessor of instruction i: each step goes
-// to the previous instruction, provided it ends exactly where the current
-// one starts.
-func (v *verifier) back(i, n int) (disasm.Inst, bool) {
-	insts := v.dis.Insts
-	for ; n > 0; n-- {
-		if i == 0 || insts[i-1].End() != insts[i].Off {
-			return disasm.Inst{}, false
+// match reports whether the instructions from off on form template t, with
+// its placeholder filled from anchor. On a match it records the trap stubs
+// the template branches to and then the template's span as annotation code
+// owned by id. It returns the end of the longest matching prefix (off when
+// none matched).
+func (v *verifier) match(t policy.Template, off int64, anchor isa.Inst, id policy.ID) (int64, bool) {
+	first, ok := v.dis.Index(off)
+	if !ok {
+		return off, false
+	}
+	insts, steps := v.dis.Insts, t.Steps()
+	end, local := off, int64(-1)
+	for k := range steps {
+		i, s := first+k, &steps[k]
+		if i == len(insts) || insts[i].Off != end || insts[i].Op != s.Op || !v.fits(s, &insts[i], &anchor) {
+			return end, false
 		}
-		i--
+		if s.Local {
+			local = disasm.DirectTarget(insts[i])
+		}
+		end = insts[i].End()
 	}
-	return insts[i], true
+	if local >= 0 && local != insts[first+len(steps)-1].Off {
+		return end, false
+	}
+	for k := range steps {
+		if steps[k].Trap != isa.TrapNone {
+			trap, _ := v.dis.At(disasm.DirectTarget(insts[first+k]))
+			v.addRange(trap.Off, trap.End(), id)
+		}
+	}
+	v.addRange(off, end, id)
+	return end, true
 }
 
-// next returns the linear successor of the instruction at off.
-func (v *verifier) next(in disasm.Inst) (disasm.Inst, bool) {
-	return v.dis.At(in.End())
+// matchBefore matches template t so that it ends exactly where instruction
+// i, its anchor, begins, and returns the start of its span.
+func (v *verifier) matchBefore(t policy.Template, i int, id policy.ID) (int64, bool) {
+	insts := v.dis.Insts
+	j := i - len(t.Steps())
+	if j < 0 || insts[i-1].End() != insts[i].Off {
+		return 0, false
+	}
+	_, ok := v.match(t, insts[j].Off, insts[i].Inst, id)
+	return insts[j].Off, ok
 }
 
-// trapTargetIs checks that a conditional branch lands on a TRAP with the
-// expected code, and marks the trap as annotation code owned by id.
-func (v *verifier) trapTargetIs(j disasm.Inst, code isa.TrapCode, id policy.ID) bool {
-	t, ok := v.dis.At(disasm.DirectTarget(j))
-	if !ok || t.Op != isa.OpTrap || t.Imm != int64(code) {
-		return false
+// fits reports whether in, which has step s's opcode, also has its operands:
+// those the opcode's format names, with the step's placeholder filled from
+// anchor.
+func (v *verifier) fits(s *policy.Step, in *disasm.Inst, anchor *isa.Inst) bool {
+	want := s.With(anchor)
+	imm := in.Imm == want.Imm
+	if s.Fill == policy.FillPositive {
+		imm = in.Imm > 0
 	}
-	v.addRange(t.Off, t.End(), id)
-	return true
+	mem := in.Mem == want.Mem
+	if s.Fill != policy.FillStoreMem {
+		// Base (if any) and displacement; the scale bits are ignored when
+		// there is no index.
+		mem = in.Mem.HasBase == want.Mem.HasBase && (!in.Mem.HasBase || in.Mem.Base == want.Mem.Base) &&
+			!in.Mem.HasIndex && in.Mem.Disp == want.Mem.Disp
+	}
+	switch in.Op.Format() {
+	case isa.FmtR:
+		return in.Dst == want.Dst
+	case isa.FmtRR:
+		return in.Dst == want.Dst && in.Src == want.Src
+	case isa.FmtRI:
+		return in.Dst == want.Dst && imm
+	case isa.FmtRM:
+		return in.Dst == want.Dst && mem
+	case isa.FmtMR:
+		return in.Src == want.Src && mem
+	case isa.FmtMI:
+		return mem && imm
+	case isa.FmtCondRel:
+		if in.Cond != want.Cond {
+			return false
+		}
+		if s.Trap == isa.TrapNone {
+			return true
+		}
+		trap, ok := v.dis.At(disasm.DirectTarget(*in))
+		return ok && trap.Op == isa.OpTrap && trap.Imm == int64(s.Trap)
+	}
+	return false // no template step has another format
 }
 
 // ---- P5: beacons ----
@@ -514,88 +601,30 @@ func (v *verifier) scanBeaconPattern() error {
 
 // ---- P6: AEX checks ----
 
-// aexCheckShape matches the 12-instruction SSA-marker inspection sequence
-// starting at in. On success it returns the end offset.
-func (v *verifier) aexCheckShape(in disasm.Inst) (int64, bool) {
-	if in.Op != isa.OpPush || in.Dst != isa.RAX {
-		return 0, false
-	}
-	load, ok := v.next(in)
-	if !ok || load.Op != isa.OpMovRM || load.Dst != isa.RAX || !isAbs(load.Mem, policy.MagicSSAMarkerDisp) {
-		return 0, false
-	}
-	cmp, ok := v.next(load)
-	if !ok || cmp.Op != isa.OpCmpRI || cmp.Dst != isa.RAX || cmp.Imm != int64(uint64(policy.SSAMarkerMagic)) {
-		return 0, false
-	}
-	je, ok := v.next(cmp)
-	if !ok || je.Op != isa.OpJcc || je.Cond != isa.CondE {
-		return 0, false
-	}
-	ldc, ok := v.next(je)
-	if !ok || ldc.Op != isa.OpMovRM || ldc.Dst != isa.RAX || !isAbs(ldc.Mem, policy.MagicAEXCountDisp) {
-		return 0, false
-	}
-	add, ok := v.next(ldc)
-	if !ok || add.Op != isa.OpAddRI || add.Dst != isa.RAX || add.Imm != 1 {
-		return 0, false
-	}
-	stc, ok := v.next(add)
-	if !ok || stc.Op != isa.OpMovMR || stc.Src != isa.RAX || !isAbs(stc.Mem, policy.MagicAEXCountDisp) {
-		return 0, false
-	}
-	rearm, ok := v.next(stc)
-	if !ok || rearm.Op != isa.OpMovMI || !isAbs(rearm.Mem, policy.MagicSSAMarkerDisp) || rearm.Imm != int64(uint64(policy.SSAMarkerMagic)) {
-		return 0, false
-	}
-	thr, ok := v.next(rearm)
-	if !ok || thr.Op != isa.OpCmpRI || thr.Dst != isa.RAX || thr.Imm <= 0 {
-		return 0, false
-	}
-	ja, ok := v.next(thr)
-	if !ok || ja.Op != isa.OpJcc || ja.Cond != isa.CondA {
-		return 0, false
-	}
-	if !v.trapTargetIs(ja, isa.TrapAEXBudget, policy.P6) {
-		return 0, false
-	}
-	pop, ok := v.next(ja)
-	if !ok || pop.Op != isa.OpPop || pop.Dst != isa.RAX {
-		return 0, false
-	}
-	// The early-out branch must land exactly on the final pop.
-	if disasm.DirectTarget(je) != pop.Off {
-		return 0, false
-	}
-	return pop.End(), true
-}
-
-func isAbs(m isa.MemRef, disp int32) bool {
-	return !m.HasBase && !m.HasIndex && m.Disp == disp
-}
-
 // matchP6Arming accepts the marker/counter arming pair, but only as the
 // very first instructions at the program entry: anywhere else a store to
 // the AEX counter would let the program reset its own exit budget.
 func (v *verifier) matchP6Arming() error {
-	arm, ok := v.dis.At(v.opts.EntryOffset)
-	if !ok || arm.Op != isa.OpMovMI || !isAbs(arm.Mem, policy.MagicSSAMarkerDisp) ||
-		arm.Imm != int64(uint64(policy.SSAMarkerMagic)) {
-		return v.violation(policy.P6, v.opts.EntryOffset, "entry does not arm the SSA marker (P6)")
+	end, ok := v.match(policy.Arming, v.opts.EntryOffset, isa.Inst{}, policy.P6)
+	switch {
+	case ok:
+		return nil
+	case end == v.opts.EntryOffset:
+		return v.violation(policy.P6, end, "entry does not arm the SSA marker (P6)")
 	}
-	clr, ok := v.next(arm)
-	if !ok || clr.Op != isa.OpMovMI || !isAbs(clr.Mem, policy.MagicAEXCountDisp) || clr.Imm != 0 {
-		return v.violation(policy.P6, arm.End(), "entry does not zero the AEX counter (P6)")
-	}
-	v.addRange(arm.Off, clr.End(), policy.P6)
-	return nil
+	return v.violation(policy.P6, end, "entry does not zero the AEX counter (P6)")
 }
 
 func (v *verifier) matchAEXChecks() error {
+	// Only an instruction with the template's first opcode can start a
+	// check; filtering on it keeps this every-instruction scan cheap.
+	head := policy.AEXCheck.Steps()[0].Op
 	for i, in := range v.dis.Insts {
-		if end, ok := v.aexCheckShape(in); ok {
+		if in.Op != head {
+			continue
+		}
+		if _, ok := v.match(policy.AEXCheck, in.Off, isa.Inst{}, policy.P6); ok {
 			v.marks[i].check = true
-			v.addRange(in.Off, end, policy.P6)
 			v.stats.AEXChecks++
 		}
 	}
@@ -606,33 +635,6 @@ func (v *verifier) matchAEXChecks() error {
 }
 
 // ---- P5: shadow stack ----
-
-// shadowPushShape matches the function-entry shadow push starting at off.
-func (v *verifier) shadowPushShape(off int64) (int64, bool) {
-	push, ok := v.dis.At(off)
-	if !ok || push.Op != isa.OpPush || push.Dst != isa.RAX {
-		return 0, false
-	}
-	ld, ok := v.next(push)
-	if !ok || ld.Op != isa.OpMovRM || ld.Dst != isa.RAX ||
-		!ld.Mem.HasBase || ld.Mem.Base != isa.RSP || ld.Mem.HasIndex || ld.Mem.Disp != 8 {
-		return 0, false
-	}
-	st, ok := v.next(ld)
-	if !ok || st.Op != isa.OpMovMR || st.Src != isa.RAX ||
-		!st.Mem.HasBase || st.Mem.Base != isa.RegShadow || st.Mem.HasIndex || st.Mem.Disp != 0 {
-		return 0, false
-	}
-	add, ok := v.next(st)
-	if !ok || add.Op != isa.OpAddRI || add.Dst != isa.RegShadow || add.Imm != 8 {
-		return 0, false
-	}
-	pop, ok := v.next(add)
-	if !ok || pop.Op != isa.OpPop || pop.Dst != isa.RAX {
-		return 0, false
-	}
-	return pop.End(), true
-}
 
 // matchShadowPushes requires a shadow push at every direct-call target and
 // at every listed indirect target that is callable (beacon + shadow push);
@@ -660,20 +662,16 @@ func (v *verifier) matchShadowPushes() error {
 		if bm := v.dis.Insts[ti]; bm.Op == isa.OpBrMark {
 			start = bm.End()
 		}
-		end, ok := v.shadowPushShape(start)
-		if !ok {
+		if _, ok := v.match(policy.ShadowPush, start, isa.Inst{}, policy.P5); !ok {
 			return v.violation(policy.P5, t, "call target lacks shadow-stack entry push (P5)")
 		}
-		v.addRange(start, end, policy.P5)
 		v.stats.ShadowPushes++
 	}
 	// Listed targets beginning with beacon+push are functions; record
 	// their push ranges too so coverage rules know them.
 	for _, t := range v.opts.BranchTargetOffsets {
 		if ti, ok := v.dis.Index(t); ok && !seen[ti] && v.dis.Insts[ti].Op == isa.OpBrMark {
-			bm := v.dis.Insts[ti]
-			if end, ok := v.shadowPushShape(bm.End()); ok {
-				v.addRange(bm.End(), end, policy.P5)
+			if _, ok := v.match(policy.ShadowPush, v.dis.Insts[ti].End(), isa.Inst{}, policy.P5); ok {
 				v.stats.ShadowPushes++
 			}
 		}
@@ -681,60 +679,14 @@ func (v *verifier) matchShadowPushes() error {
 	return nil
 }
 
-// returnCheckShape matches the pre-return shadow check ending right before
-// the RET at instruction ret.
-func (v *verifier) returnCheckShape(ret int) (int64, bool) {
-	first, ok := v.back(ret, 9)
-	if !ok || first.Op != isa.OpPush || first.Dst != isa.RAX {
-		return 0, false
-	}
-	p2, ok := v.next(first)
-	if !ok || p2.Op != isa.OpPush || p2.Dst != isa.RBX {
-		return 0, false
-	}
-	sub, ok := v.next(p2)
-	if !ok || sub.Op != isa.OpSubRI || sub.Dst != isa.RegShadow || sub.Imm != 8 {
-		return 0, false
-	}
-	lds, ok := v.next(sub)
-	if !ok || lds.Op != isa.OpMovRM || lds.Dst != isa.RAX ||
-		!lds.Mem.HasBase || lds.Mem.Base != isa.RegShadow || lds.Mem.HasIndex || lds.Mem.Disp != 0 {
-		return 0, false
-	}
-	ldr, ok := v.next(lds)
-	if !ok || ldr.Op != isa.OpMovRM || ldr.Dst != isa.RBX ||
-		!ldr.Mem.HasBase || ldr.Mem.Base != isa.RSP || ldr.Mem.HasIndex || ldr.Mem.Disp != 16 {
-		return 0, false
-	}
-	cmp, ok := v.next(ldr)
-	if !ok || cmp.Op != isa.OpCmpRR || cmp.Dst != isa.RAX || cmp.Src != isa.RBX {
-		return 0, false
-	}
-	jne, ok := v.next(cmp)
-	if !ok || jne.Op != isa.OpJcc || jne.Cond != isa.CondNE || !v.trapTargetIs(jne, isa.TrapShadowStack, policy.P5) {
-		return 0, false
-	}
-	popB, ok := v.next(jne)
-	if !ok || popB.Op != isa.OpPop || popB.Dst != isa.RBX {
-		return 0, false
-	}
-	popA, ok := v.next(popB)
-	if !ok || popA.Op != isa.OpPop || popA.Dst != isa.RAX {
-		return 0, false
-	}
-	return first.Off, popA.End() == v.dis.Insts[ret].Off
-}
-
 func (v *verifier) matchReturnChecks() error {
 	for i, in := range v.dis.Insts {
 		if in.Op != isa.OpRet {
 			continue
 		}
-		lo, ok := v.returnCheckShape(i)
-		if !ok {
+		if _, ok := v.matchBefore(policy.ShadowCheck, i, policy.P5); !ok {
 			return v.violation(policy.P5, in.Off, "return without shadow-stack check (P5)")
 		}
-		v.addRange(lo, in.Off, policy.P5)
 		v.marks[i].guarded = true
 		v.stats.ShadowChecks++
 	}
@@ -742,47 +694,6 @@ func (v *verifier) matchReturnChecks() error {
 }
 
 // ---- P5: forward-edge CFI ----
-
-func (v *verifier) cfiGuardShape(br int, target isa.Reg) (int64, bool) {
-	first, ok := v.back(br, 9)
-	if !ok || first.Op != isa.OpPush || first.Dst != isa.RBX {
-		return 0, false
-	}
-	p2, ok := v.next(first)
-	if !ok || p2.Op != isa.OpPush || p2.Dst != isa.RCX {
-		return 0, false
-	}
-	ld, ok := v.next(p2)
-	if !ok || ld.Op != isa.OpMovRM || ld.Dst != isa.RBX ||
-		!ld.Mem.HasBase || ld.Mem.Base != target || ld.Mem.HasIndex || ld.Mem.Disp != 0 {
-		return 0, false
-	}
-	mv, ok := v.next(ld)
-	if !ok || mv.Op != isa.OpMovRI || mv.Dst != isa.RCX || uint64(mv.Imm) != ^isa.BrMarkPattern() {
-		return 0, false
-	}
-	not, ok := v.next(mv)
-	if !ok || not.Op != isa.OpNot || not.Dst != isa.RCX {
-		return 0, false
-	}
-	cmp, ok := v.next(not)
-	if !ok || cmp.Op != isa.OpCmpRR || cmp.Dst != isa.RBX || cmp.Src != isa.RCX {
-		return 0, false
-	}
-	jne, ok := v.next(cmp)
-	if !ok || jne.Op != isa.OpJcc || jne.Cond != isa.CondNE || !v.trapTargetIs(jne, isa.TrapCFI, policy.P5) {
-		return 0, false
-	}
-	popC, ok := v.next(jne)
-	if !ok || popC.Op != isa.OpPop || popC.Dst != isa.RCX {
-		return 0, false
-	}
-	popB, ok := v.next(popC)
-	if !ok || popB.Op != isa.OpPop || popB.Dst != isa.RBX {
-		return 0, false
-	}
-	return first.Off, popB.End() == v.dis.Insts[br].Off
-}
 
 func (v *verifier) matchCFIGuards() error {
 	for i, in := range v.dis.Insts {
@@ -792,11 +703,9 @@ func (v *verifier) matchCFIGuards() error {
 		if in.Dst == isa.RSP || in.Dst == isa.RegShadow {
 			return v.violation(policy.P5, in.Off, "indirect branch through reserved register %v", in.Dst)
 		}
-		lo, ok := v.cfiGuardShape(i, in.Dst)
-		if !ok {
+		if _, ok := v.matchBefore(policy.CFIGuard, i, policy.P5); !ok {
 			return v.violation(policy.P5, in.Off, "indirect branch without CFI guard (P5)")
 		}
-		v.addRange(lo, in.Off, policy.P5)
 		v.marks[i].guarded = true
 		v.stats.CFIGuards++
 	}
@@ -816,36 +725,15 @@ func (v *verifier) checkReservedRegisters() error {
 
 // ---- P2: RSP guards ----
 
-func (v *verifier) rspGuardShape(afterOff int64) (int64, bool) {
-	cmpLo, ok := v.dis.At(afterOff)
-	if !ok || cmpLo.Op != isa.OpCmpRI || cmpLo.Dst != isa.RSP || cmpLo.Imm != policy.MagicStackLo {
-		return 0, false
-	}
-	jb, ok := v.next(cmpLo)
-	if !ok || jb.Op != isa.OpJcc || jb.Cond != isa.CondB || !v.trapTargetIs(jb, isa.TrapStackBounds, policy.P2) {
-		return 0, false
-	}
-	cmpHi, ok := v.next(jb)
-	if !ok || cmpHi.Op != isa.OpCmpRI || cmpHi.Dst != isa.RSP || cmpHi.Imm != policy.MagicStackHi {
-		return 0, false
-	}
-	ja, ok := v.next(cmpHi)
-	if !ok || ja.Op != isa.OpJcc || ja.Cond != isa.CondA || !v.trapTargetIs(ja, isa.TrapStackBounds, policy.P2) {
-		return 0, false
-	}
-	return ja.End(), true
-}
-
 func (v *verifier) matchRSPGuards() error {
 	for i, in := range v.dis.Insts {
 		if v.marks[i].annotated || !in.Inst.ModifiesRSP() {
 			continue
 		}
-		end, ok := v.rspGuardShape(in.End())
+		end, ok := v.match(policy.RSPGuard, in.End(), in.Inst, policy.P2)
 		if !ok {
 			return v.violation(policy.P2, in.Off, "explicit RSP write without stack-bounds check (P2)")
 		}
-		v.addRange(in.End(), end, policy.P2)
 		v.marks[i].guarded = true
 		v.rspAnchors = append(v.rspAnchors, rspAnchor{write: in.Off, lo: in.End(), hi: end})
 		v.stats.RSPGuards++
@@ -855,71 +743,15 @@ func (v *verifier) matchRSPGuards() error {
 
 // ---- P1/P3/P4: store guards ----
 
-func (v *verifier) storeGuardShape(st int, id policy.ID) (int64, bool) {
-	expect := v.dis.Insts[st].Mem
-	if expect.HasBase && expect.Base == isa.RSP {
-		expect.Disp += 16
-	}
-	if expect.Scale == 0 {
-		expect.Scale = 1
-	}
-	first, ok := v.back(st, 11)
-	if !ok || first.Op != isa.OpPush || first.Dst != isa.RBX {
-		return 0, false
-	}
-	p2, ok := v.next(first)
-	if !ok || p2.Op != isa.OpPush || p2.Dst != isa.RAX {
-		return 0, false
-	}
-	lea, ok := v.next(p2)
-	if !ok || lea.Op != isa.OpLea || lea.Dst != isa.RAX || lea.Mem != expect {
-		return 0, false
-	}
-	mvLo, ok := v.next(lea)
-	if !ok || mvLo.Op != isa.OpMovRI || mvLo.Dst != isa.RBX || mvLo.Imm != policy.MagicStoreLo {
-		return 0, false
-	}
-	cmpLo, ok := v.next(mvLo)
-	if !ok || cmpLo.Op != isa.OpCmpRR || cmpLo.Dst != isa.RAX || cmpLo.Src != isa.RBX {
-		return 0, false
-	}
-	jb, ok := v.next(cmpLo)
-	if !ok || jb.Op != isa.OpJcc || jb.Cond != isa.CondB || !v.trapTargetIs(jb, isa.TrapStoreBounds, id) {
-		return 0, false
-	}
-	mvHi, ok := v.next(jb)
-	if !ok || mvHi.Op != isa.OpMovRI || mvHi.Dst != isa.RBX || mvHi.Imm != policy.MagicStoreHi {
-		return 0, false
-	}
-	cmpHi, ok := v.next(mvHi)
-	if !ok || cmpHi.Op != isa.OpCmpRR || cmpHi.Dst != isa.RAX || cmpHi.Src != isa.RBX {
-		return 0, false
-	}
-	jae, ok := v.next(cmpHi)
-	if !ok || jae.Op != isa.OpJcc || jae.Cond != isa.CondAE || !v.trapTargetIs(jae, isa.TrapStoreBounds, id) {
-		return 0, false
-	}
-	popA, ok := v.next(jae)
-	if !ok || popA.Op != isa.OpPop || popA.Dst != isa.RAX {
-		return 0, false
-	}
-	popB, ok := v.next(popA)
-	if !ok || popB.Op != isa.OpPop || popB.Dst != isa.RBX {
-		return 0, false
-	}
-	return first.Off, popB.End() == v.dis.Insts[st].Off
-}
-
 func (v *verifier) matchStoreGuards(id policy.ID) error {
 	for i, in := range v.dis.Insts {
 		if v.marks[i].annotated || !in.Op.IsStore() {
 			continue // stores inside verified annotations are trusted
 		}
-		lo, ok := v.storeGuardShape(i, id)
+		lo, ok := v.matchBefore(policy.StoreGuard, i, id)
 		if !ok {
 			return v.violation(id, in.Off, "store without bounds check (P1)")
 		}
-		v.addRange(lo, in.Off, id)
 		v.marks[i].guarded = true
 		var regs uint16
 		if in.Mem.HasBase {
