@@ -12,6 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"deflection/internal/bench"
@@ -23,54 +25,49 @@ func main() {
 
 func run() int {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|table2|fig7|fig8|fig9|fig10|fig11|coloc|micro|stages|cfa|taint|order|cache|obs|tenant|ablation-annot|ablation-q|all")
 		quick   = flag.Bool("quick", false, "smaller workloads (smoke run)")
 		jsonDir = flag.String("json-dir", "", "append each experiment's result to <dir>/BENCH_<exp>.json trajectory files (empty = off)")
 	)
+	// experiments in the order -exp all runs them.
+	experiments := []struct {
+		name string
+		run  func() (fmt.Stringer, error)
+	}{
+		{"table1", func() (fmt.Stringer, error) { return bench.TableI() }},
+		{"table2", func() (fmt.Stringer, error) { return bench.TableII(bench.Table2Options{Quick: *quick}) }},
+		{"fig7", func() (fmt.Stringer, error) { return bench.Fig7(quickOr(*quick, []int64{60, 120}, nil)) }},
+		{"fig8", func() (fmt.Stringer, error) { return bench.Fig8(quickOr(*quick, []int64{1000, 10000}, nil)) }},
+		{"fig9", func() (fmt.Stringer, error) { return bench.Fig9(quickOr(*quick, []int64{500, 2000}, nil)) }},
+		{"fig10", func() (fmt.Stringer, error) {
+			return bench.Fig10(nil, 0, quickOr(*quick, 2*time.Second, 10*time.Second))
+		}},
+		{"fig11", func() (fmt.Stringer, error) { return bench.Fig11(nil) }},
+		{"coloc", func() (fmt.Stringer, error) { return bench.Coloc(quickOr(*quick, 50_000, 1_000_000)), nil }},
+		{"micro", func() (fmt.Stringer, error) { return bench.Micro() }},
+		{"cfa", func() (fmt.Stringer, error) { return bench.PassCost("cfa", *quick) }},
+		{"taint", func() (fmt.Stringer, error) { return bench.PassCost("taint", *quick) }},
+		{"order", func() (fmt.Stringer, error) { return bench.PassCost("order", *quick) }},
+		{"cache", func() (fmt.Stringer, error) { return bench.CacheBench(*quick) }},
+		{"obs", func() (fmt.Stringer, error) { return bench.ObsOverhead(*quick) }},
+		{"tenant", func() (fmt.Stringer, error) { return bench.TenantOverhead(*quick) }},
+		{"ablation-annot", func() (fmt.Stringer, error) { return bench.AnnotCostAblation(*quick) }},
+		{"ablation-q", func() (fmt.Stringer, error) { return bench.QSweep(nil, *quick) }},
+	}
+	names := make([]string, 0, len(experiments))
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|")+"|all")
 	flag.Parse()
 
-	experiments := map[string]func() (fmt.Stringer, error){
-		"table1": func() (fmt.Stringer, error) { return bench.TableI() },
-		"table2": func() (fmt.Stringer, error) { return bench.TableII(bench.Table2Options{Quick: *quick}) },
-		"fig7":   func() (fmt.Stringer, error) { return bench.Fig7(quickOr(*quick, []int64{60, 120}, nil)) },
-		"fig8":   func() (fmt.Stringer, error) { return bench.Fig8(quickOr(*quick, []int64{1000, 10000}, nil)) },
-		"fig9":   func() (fmt.Stringer, error) { return bench.Fig9(quickOr(*quick, []int64{500, 2000}, nil)) },
-		"fig10": func() (fmt.Stringer, error) {
-			d := 10 * time.Second
-			if *quick {
-				d = 2 * time.Second
-			}
-			return bench.Fig10(nil, 0, d)
-		},
-		"fig11": func() (fmt.Stringer, error) { return bench.Fig11(nil) },
-		"coloc": func() (fmt.Stringer, error) {
-			n := 1_000_000
-			if *quick {
-				n = 50_000
-			}
-			return bench.Coloc(n), nil
-		},
-		"micro":          func() (fmt.Stringer, error) { return bench.Micro() },
-		"stages":         func() (fmt.Stringer, error) { return bench.Stages() },
-		"cfa":            func() (fmt.Stringer, error) { return bench.CFA(*quick) },
-		"taint":          func() (fmt.Stringer, error) { return bench.Taint(*quick) },
-		"order":          func() (fmt.Stringer, error) { return bench.Order(*quick) },
-		"cache":          func() (fmt.Stringer, error) { return bench.CacheBench(*quick) },
-		"obs":            func() (fmt.Stringer, error) { return bench.ObsOverhead(*quick) },
-		"tenant":         func() (fmt.Stringer, error) { return bench.TenantOverhead(*quick) },
-		"ablation-annot": func() (fmt.Stringer, error) { return bench.AnnotCostAblation(*quick) },
-		"ablation-q":     func() (fmt.Stringer, error) { return bench.QSweep(nil, *quick) },
-	}
-	order := []string{"table1", "table2", "fig7", "fig8", "fig9", "fig10", "fig11", "coloc", "micro", "stages", "cfa", "taint", "order", "cache", "obs", "tenant", "ablation-annot", "ablation-q"}
-
 	runOne := func(name string) int {
-		fn, ok := experiments[name]
-		if !ok {
+		i := slices.Index(names, name)
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "deflection-bench: unknown experiment %q\n", name)
 			return 2
 		}
 		start := time.Now()
-		res, err := fn()
+		res, err := experiments[i].run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "deflection-bench: %s: %v\n", name, err)
 			return 1
@@ -89,7 +86,7 @@ func run() int {
 	}
 
 	if *exp == "all" {
-		for _, name := range order {
+		for _, name := range names {
 			if code := runOne(name); code != 0 {
 				return code
 			}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"deflection/internal/nbench"
 )
 
 func TestTableI(t *testing.T) {
@@ -165,6 +167,13 @@ func TestMicro(t *testing.T) {
 		if row.StoreGuards == 0 {
 			t.Errorf("%s: no store guards verified", row.Name)
 		}
+		var sum time.Duration
+		for _, d := range row.Stages {
+			sum += d
+		}
+		if sum != row.TraceTotal || sum <= 0 {
+			t.Errorf("%s: stage columns sum to %v, trace total %v", row.Name, sum, row.TraceTotal)
+		}
 	}
 }
 
@@ -239,30 +248,47 @@ func TestCacheBenchQuick(t *testing.T) {
 	}
 }
 
-func TestTaintQuick(t *testing.T) {
-	res, err := Taint(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) < 3 {
-		t.Fatalf("only %d rows", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		switch row.Name {
-		case "nw-secret", "credit-secret":
-			if row.Secrets != 2 || row.Trivial || row.Funcs == 0 {
-				t.Errorf("%s: secrets=%d trivial=%v funcs=%d, want full analysis of 2 secrets",
-					row.Name, row.Secrets, row.Trivial, row.Funcs)
+func TestPassCostQuick(t *testing.T) {
+	for _, e := range passCosts {
+		t.Run(e.name, func(t *testing.T) {
+			res, err := PassCost(e.name, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-		default:
-			// Untagged kernels must ride the trivial fast path.
-			if row.Secrets != 0 || !row.Trivial {
-				t.Errorf("%s: secrets=%d trivial=%v, want trivial", row.Name, row.Secrets, row.Trivial)
+			if len(res.Rows) != len(e.apps)+len(nbench.Kernels()) {
+				t.Fatalf("rows = %d, want %d apps + %d kernels", len(res.Rows), len(e.apps), len(nbench.Kernels()))
 			}
-		}
-	}
-	t.Logf("aggregate taint overhead %+.1f%% (budget +%.0f%%)", res.Overhead()*100, res.Budget*100)
-	if !strings.Contains(res.String(), "P7 secret-taint") {
-		t.Error("render missing title")
+			for i, row := range res.Rows {
+				app := i < len(e.apps)
+				s := row.Stats
+				switch e.name {
+				case "cfa":
+					if row.Pass <= 0 || row.Pass > row.Verify {
+						t.Errorf("%s: pass %v, verify %v, want 0 < pass <= verify", row.Name, row.Pass, row.Verify)
+					}
+				case "taint":
+					if app && (s.Secrets != 2 || s.TaintTrivial || s.TaintFuncs == 0) {
+						t.Errorf("%s: secrets=%d trivial=%v funcs=%d, want full analysis of 2 secrets",
+							row.Name, s.Secrets, s.TaintTrivial, s.TaintFuncs)
+					}
+					// Untagged kernels must ride the trivial fast path.
+					if !app && (s.Secrets != 0 || !s.TaintTrivial) {
+						t.Errorf("%s: secrets=%d trivial=%v, want trivial", row.Name, s.Secrets, s.TaintTrivial)
+					}
+				case "order":
+					if app && (s.OrderTrivial || s.OrderFuncs == 0) {
+						t.Errorf("%s: trivial=%v funcs=%d, want the full product fixpoint", row.Name, s.OrderTrivial, s.OrderFuncs)
+					}
+					// Protocol-free kernels must ride the trivial fast path.
+					if !app && !s.OrderTrivial {
+						t.Errorf("%s: order pass not trivial on a protocol-free kernel", row.Name)
+					}
+				}
+			}
+			t.Logf("aggregate %s overhead %s (budget %.0f%%)", e.name, pct(res.Overhead()), e.budget*100)
+			if !strings.Contains(res.String(), e.title) {
+				t.Error("render missing title")
+			}
+		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"deflection/internal/enclave"
 	"deflection/internal/hyperrace"
 	"deflection/internal/nbench"
+	"deflection/internal/obs"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
 )
@@ -63,7 +64,22 @@ func (r *ColocResult) String() string {
 	return fmt.Sprintf("Co-location test accuracy (Section IV-C), %d unit tests per cell\n", r.Rows[0].Tests) + t.String()
 }
 
-// MicroRow is one binary's load+verify cost.
+// microStages are the stage columns of the micro-benchmark, read from the
+// trace of the timed ReceiveBinary. Every span of an accepted P1-P6 load
+// on the default (non-SGXv2) enclave falls into exactly one of them.
+var microStages = []struct {
+	name string
+	dur  func(*obs.Trace) time.Duration
+}{
+	{"parse", func(tr *obs.Trace) time.Duration { return tr.Dur("parse") }},
+	{"load", func(tr *obs.Trace) time.Duration { return tr.Dur("load") }},
+	{"disasm", func(tr *obs.Trace) time.Duration { return tr.Dur("disasm") }},
+	{"policies", func(tr *obs.Trace) time.Duration { return tr.DurPrefix("policy/") + tr.Dur("discipline") }},
+	{"cfa", func(tr *obs.Trace) time.Duration { return tr.DurPrefix("cfa/") }},
+	{"rewrite", func(tr *obs.Trace) time.Duration { return tr.Dur("rewrite") }},
+}
+
+// MicroRow is one binary's load+verify cost and its stage split.
 type MicroRow struct {
 	Name        string
 	TextBytes   int
@@ -71,17 +87,20 @@ type MicroRow struct {
 	LoadVerify  time.Duration
 	PerKaByte   time.Duration // cost per KiB of text
 	StoreGuards int
+	Stages      []time.Duration // one per microStages column
+	TraceTotal  time.Duration   // sum of all traced spans
 }
 
 // MicroResult reproduces the loader/verifier turnaround micro-benchmark
-// (the paper's "quick turnaround" requirement, Section III-B).
+// (the paper's "quick turnaround" requirement, Section III-B) and breaks
+// each load down by pipeline stage.
 type MicroResult struct {
 	Rows []MicroRow
 }
 
 // Micro measures the full ECall-to-accept path (parse, load, relocate,
 // verify, rewrite) for every nBench kernel binary under the full policy
-// set.
+// set, splitting it by stage with the trace that ReceiveBinary records.
 func Micro() (*MicroResult, error) {
 	res := &MicroResult{}
 	for _, k := range nbench.Kernels() {
@@ -104,27 +123,53 @@ func Micro() (*MicroResult, error) {
 			return nil, fmt.Errorf("bench: micro %s: %w", k.Name, err)
 		}
 		elapsed := time.Since(start)
-		res.Rows = append(res.Rows, MicroRow{
+		row := MicroRow{
 			Name:        k.Name,
 			TextBytes:   rep.TextSize,
 			Insts:       rep.Stats.Instructions,
 			LoadVerify:  elapsed,
 			PerKaByte:   time.Duration(float64(elapsed) / (float64(rep.TextSize) / 1024)),
 			StoreGuards: rep.Stats.StoreGuards,
-		})
+			TraceTotal:  rep.Trace.Total(),
+		}
+		for _, st := range microStages {
+			row.Stages = append(row.Stages, st.dur(rep.Trace))
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// String renders the micro-benchmark table.
+// String renders the micro-benchmark table, each stage with its share of
+// the traced total.
 func (r *MicroResult) String() string {
-	t := &table{header: []string{"binary", "text", "insts", "load+verify", "per KiB"}}
+	header := []string{"binary", "text", "insts", "load+verify", "per KiB"}
+	for _, st := range microStages {
+		header = append(header, st.name)
+	}
+	t := &table{header: header}
+	cell := func(d, total time.Duration) string {
+		return fmt.Sprintf("%v (%.0f%%)", d.Round(time.Microsecond), ratio(d, total)*100)
+	}
+	sums := make([]time.Duration, len(microStages))
+	var sumTotal time.Duration
 	for _, row := range r.Rows {
-		t.add(row.Name,
+		cells := []string{row.Name,
 			fmt.Sprintf("%d KiB", row.TextBytes/1024),
 			fmt.Sprintf("%d", row.Insts),
 			row.LoadVerify.Round(time.Microsecond).String(),
-			row.PerKaByte.Round(time.Microsecond).String())
+			row.PerKaByte.Round(time.Microsecond).String()}
+		for i, d := range row.Stages {
+			cells = append(cells, cell(d, row.TraceTotal))
+			sums[i] += d
+		}
+		sumTotal += row.TraceTotal
+		t.add(cells...)
 	}
-	return "Loader/verifier turnaround (full P1-P6 verification)\n" + t.String()
+	cells := []string{"TOTAL", "", "", "", ""}
+	for _, d := range sums {
+		cells = append(cells, cell(d, sumTotal))
+	}
+	t.add(cells...)
+	return "Loader/verifier turnaround and stage split (full P1-P6 verification; shares of the traced total)\n" + t.String()
 }

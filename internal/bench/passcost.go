@@ -1,0 +1,219 @@
+package bench
+
+import (
+	"fmt"
+	"sort"
+	"time"
+
+	"deflection/internal/apps"
+	"deflection/internal/nbench"
+	"deflection/internal/policy"
+	"deflection/internal/verifier"
+)
+
+// passCost prices one group of verifier passes: every workload is verified
+// under pols, and the pass's own span (read from Result.CFADur, the same
+// timings the stage trace reports) is set against the rest of the same
+// Verify call, so no second, pass-less verification is needed.
+type passCost struct {
+	name   string
+	title  string
+	pols   policy.Set
+	apps   []passWorkload // benchmarked before the nBench kernels
+	span   func(verifier.CFADurations) time.Duration
+	budget float64 // relative overhead bar (0 = none)
+	header []string
+	stats  func(verifier.CFAStats) []string
+}
+
+type passWorkload struct{ name, src string }
+
+// benchProtocol admits every interface event the DC builtins can emit from a
+// single attested state. Declaring it forces the order pass through the real
+// product fixpoint on every path of the application without introducing
+// violations; it mirrors the permissive protocol used by the apps sweep.
+const benchProtocol = `
+protocol {
+    state run attested;
+    state end attested;
+    run: send -> run;
+    run: recv -> run;
+    run: print -> run;
+    run: tid -> run;
+    run: hlt -> end;
+}
+`
+
+// passCosts are the pass-cost experiments. The applications run the full
+// analysis (tagged secret buffers, a declared protocol); the untagged,
+// protocol-free kernels must ride the P7/P8 trivial fast path for free.
+var passCosts = []passCost{
+	{
+		name:  "cfa",
+		title: "CFG recovery + dominance verification cost under P1-P6",
+		pols:  policy.SetP1P6,
+		span: func(d verifier.CFADurations) time.Duration {
+			return d.Build + d.Dominance + d.DeadByte + d.Targets
+		},
+		header: []string{"blocks", "edges", "anchors"},
+		stats: func(s verifier.CFAStats) []string {
+			return []string{fmt.Sprint(s.Blocks), fmt.Sprint(s.Edges), fmt.Sprint(s.Anchors)}
+		},
+	},
+	{
+		name:  "taint",
+		title: "P7 secret-taint verification cost under P1-P7",
+		pols:  policy.SetP1P7,
+		apps: []passWorkload{
+			{"nw-secret", apps.NWSource},
+			{"credit-secret", apps.CreditSource},
+		},
+		span:   func(d verifier.CFADurations) time.Duration { return d.Taint },
+		budget: 0.15,
+		header: []string{"secrets", "funcs"},
+		stats: func(s verifier.CFAStats) []string {
+			funcs := fmt.Sprint(s.TaintFuncs)
+			if s.TaintTrivial {
+				funcs = "trivial"
+			}
+			return []string{fmt.Sprint(s.Secrets), funcs}
+		},
+	},
+	{
+		name:  "order",
+		title: "P8 interface-orderliness verification cost under P1-P8",
+		pols:  policy.SetP1P8,
+		apps: []passWorkload{
+			{"nw-proto", benchProtocol + apps.NWSource},
+			{"credit-proto", benchProtocol + apps.CreditSource},
+			{"seqgen-proto", benchProtocol + apps.SeqGenSource},
+			{"httpsrv-proto", benchProtocol + apps.HTTPSHandlerSource},
+		},
+		span:   func(d verifier.CFADurations) time.Duration { return d.Order },
+		budget: 0.10,
+		header: []string{"states", "ctxs"},
+		stats: func(s verifier.CFAStats) []string {
+			ctxs := fmt.Sprintf("%d/%d", s.OrderCtxs, s.OrderFuncs)
+			if s.OrderTrivial {
+				ctxs = "trivial"
+			}
+			return []string{fmt.Sprint(s.OrderStates), ctxs}
+		},
+	},
+}
+
+// PassCostRow is one binary's median verification time and the median
+// span of the priced pass within it.
+type PassCostRow struct {
+	Name      string
+	TextBytes int
+	Stats     verifier.CFAStats
+	Verify    time.Duration // whole verifier.Verify call
+	Pass      time.Duration // the priced pass's span inside it
+}
+
+// Overhead is the pass's cost relative to the rest of the verification.
+func (r PassCostRow) Overhead() float64 { return ratio(r.Pass, r.Verify-r.Pass) }
+
+// PassCostResult prices one pass group across its workloads.
+type PassCostResult struct {
+	Iters int
+	Rows  []PassCostRow
+	exp   *passCost
+}
+
+// PassCost runs the pass-cost experiment named cfa, taint or order:
+// verifier.Verify 30 times per binary (5 when quick) on the relocated text
+// VerifyInput produces, taking the median Verify time and the median pass
+// span.
+func PassCost(name string, quick bool) (*PassCostResult, error) {
+	var e *passCost
+	for i := range passCosts {
+		if passCosts[i].name == name {
+			e = &passCosts[i]
+			break
+		}
+	}
+	if e == nil {
+		return nil, fmt.Errorf("bench: unknown pass-cost experiment %q", name)
+	}
+	iters := 30
+	if quick {
+		iters = 5
+	}
+	ws := append([]passWorkload(nil), e.apps...)
+	for _, k := range nbench.Kernels() {
+		ws = append(ws, passWorkload{k.Name, k.Source})
+	}
+	res := &PassCostResult{Iters: iters, exp: e}
+	for _, w := range ws {
+		text, opts, err := VerifyInput(name+" "+w.name, w.src, e.pols)
+		if err != nil {
+			return nil, err
+		}
+		row := PassCostRow{Name: w.name, TextBytes: len(text)}
+		verify := make([]time.Duration, iters)
+		pass := make([]time.Duration, iters)
+		for i := range verify {
+			start := time.Now()
+			r, err := verifier.Verify(text, opts)
+			verify[i] = time.Since(start)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s %s: %w", name, w.name, err)
+			}
+			pass[i] = e.span(r.CFADur)
+			row.Stats = r.CFA
+		}
+		row.Verify, row.Pass = median(verify), median(pass)
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
+}
+
+// median sorts ds in place and returns its middle element.
+func median(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return quantDur(ds, 0.50)
+}
+
+func ratio(a, b time.Duration) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
+// Overhead is the aggregate cost of the pass across all workloads: summed
+// pass spans over the summed rest of the verifications.
+func (r *PassCostResult) Overhead() float64 {
+	var pass, rest time.Duration
+	for _, row := range r.Rows {
+		pass += row.Pass
+		rest += row.Verify - row.Pass
+	}
+	return ratio(pass, rest)
+}
+
+// String renders the per-binary pass cost, the aggregate overhead and, when
+// the experiment has one, the budget verdict.
+func (r *PassCostResult) String() string {
+	header := append([]string{"binary", "text"}, r.exp.header...)
+	t := &table{header: append(header, "verify", r.exp.name+" pass", "overhead")}
+	for _, row := range r.Rows {
+		cells := append([]string{row.Name, fmt.Sprintf("%d KiB", row.TextBytes/1024)}, r.exp.stats(row.Stats)...)
+		t.add(append(cells,
+			row.Verify.Round(time.Microsecond).String(),
+			row.Pass.Round(time.Microsecond).String(),
+			pct(row.Overhead()))...)
+	}
+	s := fmt.Sprintf("%s (median of %d runs; overhead = pass / (verify - pass))\n%saggregate overhead %s",
+		r.exp.title, r.Iters, t.String(), pct(r.Overhead()))
+	if b := r.exp.budget; b > 0 {
+		verdict := "within"
+		if r.Overhead() > b {
+			verdict = "OVER"
+		}
+		s += fmt.Sprintf(" — %s the +%.0f%% budget", verdict, b*100)
+	}
+	return s
+}

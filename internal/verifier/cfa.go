@@ -45,7 +45,7 @@ type CFAStats struct {
 	// Targets counts the proof-listed indirect targets cross-checked.
 	Targets int
 	// Secrets counts the declared P7 taint sources the taint pass analysed
-	// (0 when the pass was skipped or nothing was tagged).
+	// (0 when P7 is not required or nothing was tagged).
 	Secrets int
 	// TaintFuncs and TaintedRanges summarise the taint fixpoint: functions
 	// analysed and distinct tainted data intervals at convergence.
@@ -110,7 +110,7 @@ func (v *verifier) runCFA(req policy.Set, res *Result) error {
 	if err != nil {
 		return err
 	}
-	if req.Has(policy.P7) && !v.opts.DisableTaint {
+	if req.Has(policy.P7) {
 		// Unlike the other CFA stages, the taint pass is the entirety of
 		// one policy's check, so its time is billed to P7's audit entry as
 		// well as to the CFA stage timings.
@@ -121,7 +121,7 @@ func (v *verifier) runCFA(req policy.Set, res *Result) error {
 			return err
 		}
 	}
-	if req.Has(policy.P8) && !v.opts.DisableOrder {
+	if req.Has(policy.P8) {
 		// Like taint, the order pass is the entirety of P8's check: billed
 		// to its audit entry as well as the CFA stage timings.
 		start = time.Now()
@@ -150,10 +150,7 @@ func (v *verifier) orderPass(g *cfa.Graph, res *Result) error {
 }
 
 // orderDetail renders the P8 audit line.
-func orderDetail(s *CFAStats, ran bool) string {
-	if !ran {
-		return "order pass skipped (ablation); interface orderliness not proved"
-	}
+func orderDetail(s *CFAStats) string {
 	if s.OrderTrivial || s.OrderStates == 0 {
 		return "no interface protocol declared; P8 holds trivially"
 	}
@@ -199,10 +196,7 @@ func (v *verifier) dataflowVerdict(pass string, id policy.ID, findings []cfa.Fin
 }
 
 // taintDetail renders the P7 audit line.
-func taintDetail(s *CFAStats, ran bool) string {
-	if !ran {
-		return "taint pass skipped (ablation); secret confinement not proved"
-	}
+func taintDetail(s *CFAStats) string {
 	if s.TaintTrivial || s.Secrets == 0 {
 		return "no secret buffers tagged; P7 holds trivially"
 	}

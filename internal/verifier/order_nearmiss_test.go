@@ -291,8 +291,9 @@ const orderAblationSrc = `
   hlt
 `
 
-// TestOrderAblation: with the pass disabled the violating binary slips
-// through — the pass, not some other check, is what rejects it.
+// TestOrderAblation: the violating binary is accepted when the manifest
+// leaves P8 out, and rejected under P8 by the order pass itself — that
+// pass, not some other check, is what rejects it.
 func TestOrderAblation(t *testing.T) {
 	o, err := asmtext.Assemble(orderAblationSrc, uint16(p8Only))
 	if err != nil {
@@ -311,16 +312,20 @@ func TestOrderAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := verifier.Options{
-		Required:     p8Only,
-		EntryOffset:  int64(ld.Entry - ld.TextBase),
-		Order:        runtime.OrderProtocol(ld),
-		DisableOrder: true,
+		Required:    policy.SetNone,
+		EntryOffset: int64(ld.Entry - ld.TextBase),
+		Order:       runtime.OrderProtocol(ld),
 	}
 	if _, err := verifier.Verify(text, opts); err != nil {
-		t.Fatalf("ablated verification rejected: %v", err)
+		t.Fatalf("verification without P8 rejected: %v", err)
 	}
-	opts.DisableOrder = false
-	if _, err := verifier.Verify(text, opts); err == nil {
-		t.Fatal("un-ablated verification accepted a protocol violation")
+	opts.Required = p8Only
+	_, err = verifier.Verify(text, opts)
+	var vio *verifier.Violation
+	if !errors.As(err, &vio) {
+		t.Fatalf("verification under P8 = %v, want a *verifier.Violation", err)
+	}
+	if vio.Policy != policy.P8 || vio.Pass != "order" {
+		t.Errorf("violation policy %v pass %q, want P8 from the order pass (err = %v)", vio.Policy, vio.Pass, err)
 	}
 }

@@ -84,13 +84,6 @@ type Options struct {
 	// BranchTargetOffsets is the proof: the translated indirect-branch
 	// target list.
 	BranchTargetOffsets []int64
-	// DisableCFA skips the control-flow-analysis passes (CFG recovery,
-	// dominance, dead-byte, target-list, taint, order), leaving only the template
-	// checks — the pre-CFA verifier, kept for ablation benchmarks.
-	DisableCFA bool
-	// DisableTaint skips only the P7 taint pass while keeping the other
-	// CFA passes, for ablation benchmarks of the taint cost.
-	DisableTaint bool
 	// Taint carries the loaded memory geometry of the P7 taint pass: the
 	// absolute secret-buffer ranges plus the store-window and stack
 	// bounds. Ignored unless Required includes P7.
@@ -100,9 +93,6 @@ type Options struct {
 	// Verify otherwise discards with the Result. Debugging hook for
 	// deflection-disasm -taint; never influences the verdict.
 	TaintObserver func(*taint.Report)
-	// DisableOrder skips only the P8 interface-orderliness pass while
-	// keeping the other CFA passes, for ablation benchmarks of its cost.
-	DisableOrder bool
 	// Order is the declared interface protocol of the P8 orderliness pass
 	// (nil when the object declares none; the pass then holds trivially).
 	// Ignored unless Required includes P8.
@@ -153,8 +143,7 @@ type Result struct {
 	// disassembly and the branch-discipline closure check.
 	DisasmDuration     time.Duration
 	DisciplineDuration time.Duration
-	// CFA summarises the control-flow-analysis passes; zero when
-	// Options.DisableCFA skipped them.
+	// CFA summarises the control-flow-analysis passes.
 	CFA CFAStats
 	// CFADur times the CFA stages (kept out of the per-policy durations so
 	// trace totals do not double-count).
@@ -329,8 +318,8 @@ func (v *verifier) matchTemplates() error {
 	return nil
 }
 
-// finish runs the closure checks over the matched annotations and, unless
-// disabled, the CFA passes, and builds the accepted-binary report.
+// finish runs the closure checks over the matched annotations and the CFA
+// passes, and builds the accepted-binary report.
 func (v *verifier) finish() (*Result, error) {
 	req := v.opts.Required
 	discStart := time.Now()
@@ -366,10 +355,8 @@ func (v *verifier) finish() (*Result, error) {
 		DisasmDuration:     v.disDur,
 		DisciplineDuration: discDur,
 	}
-	if !v.opts.DisableCFA {
-		if err := v.runCFA(req, res); err != nil {
-			return nil, err
-		}
+	if err := v.runCFA(req, res); err != nil {
+		return nil, err
 	}
 	res.Audit = v.buildAudit(req, &res.CFA)
 	return res, nil
@@ -401,36 +388,23 @@ func (v *verifier) auditStoreCoverage(id policy.ID) error {
 }
 
 // buildAudit assembles the per-policy verdict trail for an accepted binary.
-// cfaStats is the CFA pass summary (the zero value when CFA was disabled).
+// cfaStats is the CFA pass summary.
 func (v *verifier) buildAudit(req policy.Set, cfaStats *CFAStats) []PolicyAudit {
-	cfaOn := cfaStats.Blocks > 0
-	annotate := func(base, cfaDetail string) string {
-		if !cfaOn {
-			return base
-		}
-		return base + "; " + cfaDetail
-	}
 	details := map[policy.ID]struct {
 		checks int
 		detail string
 	}{
-		policy.P1: {v.stats.StoreGuards, annotate(
-			fmt.Sprintf("%d stores confined to the enclave data range by verified bounds guards", v.stats.StoreGuards),
-			fmt.Sprintf("dominance pass proved all %d guards un-bypassable and clobber-free", len(v.storeAnchors)))},
-		policy.P2: {v.stats.RSPGuards, annotate(
-			fmt.Sprintf("%d explicit RSP writes followed by verified stack-bounds checks", v.stats.RSPGuards),
-			fmt.Sprintf("dominance pass proved all %d checks adjacent and un-bypassable", len(v.rspAnchors)))},
+		policy.P1: {v.stats.StoreGuards, fmt.Sprintf("%d stores confined to the enclave data range by verified bounds guards; dominance pass proved all %d guards un-bypassable and clobber-free",
+			v.stats.StoreGuards, len(v.storeAnchors))},
+		policy.P2: {v.stats.RSPGuards, fmt.Sprintf("%d explicit RSP writes followed by verified stack-bounds checks; dominance pass proved all %d checks adjacent and un-bypassable",
+			v.stats.RSPGuards, len(v.rspAnchors))},
 		policy.P3: {v.stats.StoreGuards, fmt.Sprintf("store bounds exclude SSA, shadow stack and branch table; %d stores audited", v.stats.StoreGuards)},
-		policy.P4: {v.stats.StoreGuards, annotate(
-			fmt.Sprintf("store bounds exclude code pages (software DEP); %d stores audited", v.stats.StoreGuards),
-			"dead-byte pass found no unreachable text bytes")},
-		policy.P5: {v.stats.CFIGuards + v.stats.ShadowChecks + v.stats.ShadowPushes, annotate(
-			fmt.Sprintf("%d indirect branches CFI-guarded, %d returns shadow-checked, %d shadow pushes, %d listed-target beacons",
-				v.stats.CFIGuards, v.stats.ShadowChecks, v.stats.ShadowPushes, v.stats.Beacons),
-			fmt.Sprintf("%d listed targets cross-checked against the %d-block CFG", cfaStats.Targets, cfaStats.Blocks))},
+		policy.P4: {v.stats.StoreGuards, fmt.Sprintf("store bounds exclude code pages (software DEP); %d stores audited; dead-byte pass found no unreachable text bytes", v.stats.StoreGuards)},
+		policy.P5: {v.stats.CFIGuards + v.stats.ShadowChecks + v.stats.ShadowPushes, fmt.Sprintf("%d indirect branches CFI-guarded, %d returns shadow-checked, %d shadow pushes, %d listed-target beacons; %d listed targets cross-checked against the %d-block CFG",
+			v.stats.CFIGuards, v.stats.ShadowChecks, v.stats.ShadowPushes, v.stats.Beacons, cfaStats.Targets, cfaStats.Blocks)},
 		policy.P6: {v.stats.AEXChecks, fmt.Sprintf("entry arming verified, %d SSA-marker checks, max straight-line gap %d", v.stats.AEXChecks, v.opts.AEXCheckMaxGap)},
-		policy.P7: {cfaStats.Secrets, taintDetail(cfaStats, cfaOn && !v.opts.DisableTaint)},
-		policy.P8: {cfaStats.OrderStates, orderDetail(cfaStats, cfaOn && !v.opts.DisableOrder)},
+		policy.P7: {cfaStats.Secrets, taintDetail(cfaStats)},
+		policy.P8: {cfaStats.OrderStates, orderDetail(cfaStats)},
 	}
 	var audit []PolicyAudit
 	for id := policy.P1; id <= policy.P8; id++ {
