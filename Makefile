@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
+.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu fuzz-receive test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
 # subsumes race-vplane/race-gateway/race-tenant/race-dataflow; the focused
 # targets exist for fast iteration. bench-smoke runs the benchmark module's
 # own tests, which the root go test ./... does not reach.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu bench-smoke
+check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu fuzz-receive bench-smoke
 
 build:
 	$(GO) build ./...
@@ -80,14 +80,23 @@ fuzz-order:
 fuzz-memory:
 	$(GO) test -fuzz=FuzzMemory -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x -run '^$$' ./internal/enclave/
 
-# Short differential smoke of the CPU's linked instruction table against a
-# stepper that decodes at RIP on every instruction (retired stream, final
-# registers and Result must agree) over random programs that branch, call,
-# return, rewrite their own code and change code permissions. Inputs are
-# whole programs, so minimizing a new corpus entry is capped at a few
-# executions.
+# Short differential smoke of the CPU's linked instruction table and fused
+# annotation handlers against a stepper that decodes at RIP on every
+# instruction (retired stream, final registers, Result and enclave memory
+# must agree) over random programs that branch, call, return, rewrite their
+# own code, change code permissions and run annotation templates, intact,
+# mutated or sent off their common path. Inputs are whole programs, so
+# minimizing a new corpus entry is capped at a few executions.
 fuzz-cpu:
 	$(GO) test -fuzz=FuzzStep -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x -run '^$$' ./internal/cpu/
+
+# Short smoke of the bootstrap enclave on arbitrary wire bytes under P1-P8
+# (no panics; an accepted binary runs alike through Run and a Step loop),
+# seeded with a compiled P1-P8 object that has a secret global. Inputs are
+# whole binaries, so minimizing a new corpus entry is capped at a few
+# executions.
+fuzz-receive:
+	$(GO) test -fuzz=FuzzReceiveBinary -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x -run '^$$' ./internal/runtime/
 
 test:
 	$(GO) test ./...

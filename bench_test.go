@@ -245,10 +245,23 @@ func BenchmarkDisassembler(b *testing.B) {
 
 func BenchmarkEmulator(b *testing.B) {
 	// Emulator throughput in instructions/sec over a full verified run.
+	benchmarkEmulator(b, policy.SetP1, runtime.RunConfig{})
+}
+
+func BenchmarkEmulatorP1P6(b *testing.B) {
+	// The same under P1-P6 at the Table II AEX cadence: about half of the
+	// retired instructions are annotation templates, most of which Run
+	// executes as one handler each.
+	benchmarkEmulator(b, policy.SetP1P6, runtime.RunConfig{AEXInterval: 400_000, AEXSeed: 1})
+}
+
+// benchmarkEmulator times whole runs of BITFIELD (4000 ops) compiled and
+// verified under pols, and reports retired instructions per second.
+func benchmarkEmulator(b *testing.B, pols policy.Set, rc runtime.RunConfig) {
 	m := runtime.DefaultManifest()
-	m.Policies = policy.SetP1
+	m.Policies = pols
 	k, _ := nbench.KernelByName("BITFIELD")
-	o, err := compiler.Compile(dclib.Program(k.Source), compiler.Options{Policies: policy.SetP1})
+	o, err := compiler.Compile(dclib.Program(k.Source), compiler.Options{Policies: pols})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,7 +280,7 @@ func BenchmarkEmulator(b *testing.B) {
 		buf[0] = 0xA0
 		buf[1] = 0x0F // 4000 ops
 		bt.ReceiveData(buf[:])
-		res, err := bt.Run(runtime.RunConfig{})
+		res, err := bt.Run(rc)
 		if err != nil {
 			b.Fatal(err)
 		}

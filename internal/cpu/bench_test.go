@@ -5,6 +5,7 @@ import (
 
 	"deflection/internal/enclave"
 	"deflection/internal/isa"
+	"deflection/internal/policy"
 )
 
 // stepLoop returns a loop running body unroll times and then jumping back,
@@ -23,40 +24,47 @@ func stepLoop(unroll int, body ...isa.Inst) []isa.Inst {
 	return append(prog, jmp)
 }
 
-// BenchmarkStep times Step per instruction class on hand-assembled loops
-// that never end: each b.N step retires one instruction, so ns/op is
-// ns/inst. RBX points at the heap, RSI holds the address of the loop's
-// first instruction, and the flags hold "equal".
+// BenchmarkStep times Run's loop per instruction class on hand-assembled
+// loops that never end. Each b.N iteration is one pass of the loop: one
+// Step, or one fused handler on the annotation-template classes, whose
+// templates are laid out as a loaded P1-P6 binary holds them. ns/inst is
+// the time per retired instruction. RBX points at the heap, RSI holds the
+// address of the loop's first instruction, the flags hold "equal", and
+// the SSA marker is armed.
 func BenchmarkStep(b *testing.B) {
 	heap := isa.Mem(isa.RBX, 64)
 	// L: call f; jmp L; f: ret
 	call, jmp := isa.Inst{Op: isa.OpCall}, isa.Inst{Op: isa.OpJmp}
 	call.Imm = int64(isa.EncodedLen(&jmp))
 	jmp.Imm = -int64(isa.EncodedLen(&call) + isa.EncodedLen(&jmp))
+	store := isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: heap}
+	layout := benchEnclave(b).Layout
 	cases := []struct {
 		name string
 		prog []isa.Inst
 	}{
 		{"alu", stepLoop(16, isa.Inst{Op: isa.OpAddRR, Dst: isa.RAX, Src: isa.RCX})},
 		{"load", stepLoop(16, isa.Inst{Op: isa.OpMovRM, Dst: isa.RAX, Mem: heap})},
-		{"store", stepLoop(16, isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: heap})},
+		{"store", stepLoop(16, store)},
 		{"push-pop", stepLoop(8, isa.Inst{Op: isa.OpPush, Dst: isa.RAX}, isa.Inst{Op: isa.OpPop, Dst: isa.RCX})},
 		{"jcc-taken", stepLoop(16, isa.Inst{Op: isa.OpJcc, Cond: isa.CondE})},
 		{"jcc-not-taken", stepLoop(16, isa.Inst{Op: isa.OpJcc, Cond: isa.CondNE})},
 		{"call-ret", []isa.Inst{call, jmp, {Op: isa.OpRet}}},
 		{"indirect-jmp", []isa.Inst{{Op: isa.OpJmpR, Dst: isa.RSI}}}, // L: jmp rsi
+		{"aex-check", stepLoop(4, instance(policy.AEXCheck, isa.Inst{Imm: 8}, layout)...)},
+		{"store-guard", stepLoop(4, append(instance(policy.StoreGuard, store, layout), store)...)},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			e, err := enclave.New(enclave.DefaultConfig(), []byte("cpu-bench"))
-			if err != nil {
-				b.Fatal(err)
-			}
+			e := benchEnclave(b)
 			var text []byte
 			for i := range tc.prog {
 				text = isa.AppendEncode(text, &tc.prog[i])
 			}
 			if f := e.Mem.Write(e.Layout.CodeBase, text); f != nil {
+				b.Fatal(f)
+			}
+			if f := e.Mem.Write64(e.Layout.SSAMarkerAddr(), policy.SSAMarkerMagic); f != nil {
 				b.Fatal(f)
 			}
 			c := New(e, Config{Gas: ^uint64(0)})
@@ -68,13 +76,23 @@ func BenchmarkStep(b *testing.B) {
 			c.setCmpFlags(1, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Step()
+				if !c.fused() {
+					c.Step()
+				}
 			}
 			b.StopTimer()
 			if r, done := c.Result(); done {
 				b.Fatalf("loop ended: %v", r)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/inst")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Insts()), "ns/inst")
 		})
 	}
+}
+
+func benchEnclave(b *testing.B) *enclave.Enclave {
+	e, err := enclave.New(enclave.DefaultConfig(), []byte("cpu-bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
 }

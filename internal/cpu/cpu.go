@@ -152,13 +152,17 @@ type Config struct {
 	// Ocall services OCALL instructions; nil denies them all.
 	Ocall OcallHandler
 	// Trace, when set, observes every retired instruction (debugging aid;
-	// large overhead).
+	// large overhead). Under Run, the instructions of an annotation template
+	// executed as one handler are reported together, in retirement order,
+	// before the handler changes registers or memory.
 	Trace func(rip uint64, in isa.Inst)
 }
 
 // entry is one decoded instruction in the CPU's instruction table. next and
 // taken memoise control flow as 1 + the table index of the fall-through
 // successor and of the direct-branch target; 0 means not resolved yet.
+// fused is 1 + the index in fusions of the annotation template anchored at
+// this instruction (0 = none); it fills the entry's padding.
 type entry struct {
 	inst  isa.Inst
 	addr  uint64
@@ -166,6 +170,7 @@ type entry struct {
 	len   uint32
 	next  int32
 	taken int32
+	fused int32
 }
 
 // CPU is a single hardware thread bound to an enclave.
@@ -187,6 +192,7 @@ type CPU struct {
 	// indexCap bytes of the code region (0 = not decoded); far backs rare
 	// executions outside that window.
 	table    []entry
+	fusions  []fusion
 	index    []int32
 	indexCap uint64
 	far      map[uint64]int32
@@ -285,6 +291,7 @@ func (c *CPU) sync() {
 // since they were made.
 func (c *CPU) flush(gen uint64) {
 	c.table = c.table[:0]
+	c.fusions = c.fusions[:0]
 	clear(c.index)
 	clear(c.far)
 	c.cur, c.from = 0, 0
@@ -292,35 +299,57 @@ func (c *CPU) flush(gen uint64) {
 }
 
 // lookup returns 1 + the table index of the instruction at addr, decoding
-// and appending it on its first fetch. On a fault or decode error it
-// returns 0 and the cause.
+// and appending it on its first fetch, and recognising any annotation
+// template it begins. On a fault or decode error it returns 0 and the
+// cause.
 func (c *CPU) lookup(addr uint64) (int32, *enclave.Fault, error) {
-	off := addr - c.Layout.CodeBase
-	dense := addr >= c.Layout.CodeBase && off < c.indexCap
-	if dense && off < uint64(len(c.index)) {
-		if i := c.index[off]; i != 0 {
-			return i, nil, nil
-		}
-	} else if !dense {
-		if i, ok := c.far[addr]; ok {
-			return i, nil, nil
-		}
+	if i := c.find(addr); i != 0 {
+		return i, nil, nil
 	}
+	in, n, f, err := c.fetch(addr)
+	if f != nil || err != nil {
+		return 0, f, err
+	}
+	i := c.insert(addr, &in, n)
+	fi := c.fuse(addr, &in, n)
+	c.table[i-1].fused = fi
+	return i, nil, nil
+}
+
+// find returns 1 + the table index of the instruction at addr, or 0 if it
+// has not been decoded.
+func (c *CPU) find(addr uint64) int32 {
+	off := addr - c.Layout.CodeBase
+	if addr >= c.Layout.CodeBase && off < c.indexCap {
+		if off < uint64(len(c.index)) {
+			return c.index[off]
+		}
+		return 0
+	}
+	return c.far[addr]
+}
+
+// fetch decodes the instruction at addr without touching the table.
+func (c *CPU) fetch(addr uint64) (isa.Inst, int, *enclave.Fault, error) {
 	win, f := c.Mem.FetchWindow(addr, isa.MaxInstLen)
 	if f != nil {
-		return 0, f, nil
+		return isa.Inst{}, 0, f, nil
 	}
 	in, n, err := isa.Decode(win)
-	if err != nil {
-		return 0, nil, err
-	}
-	cost := c.classCost(&in)
+	return in, n, nil, err
+}
+
+// insert appends the n-byte instruction in at addr to the table and
+// indexes it; it returns 1 + its table index.
+func (c *CPU) insert(addr uint64, in *isa.Inst, n int) int32 {
+	cost := c.classCost(in)
 	if c.cfg.AnnotRanges.Contains(addr) {
 		cost = c.cfg.Timing.AnnotationCost
 	}
-	c.table = append(c.table, entry{inst: in, addr: addr, cost: cost, len: uint32(n)})
+	c.table = append(c.table, entry{inst: *in, addr: addr, cost: cost, len: uint32(n)})
 	i := int32(len(c.table))
-	if dense {
+	off := addr - c.Layout.CodeBase
+	if addr >= c.Layout.CodeBase && off < c.indexCap {
 		if off >= uint64(len(c.index)) {
 			grown := make([]int32, min((off+1)*2, c.indexCap))
 			copy(grown, c.index)
@@ -330,7 +359,7 @@ func (c *CPU) lookup(addr uint64) (int32, *enclave.Fault, error) {
 	} else {
 		c.far[addr] = i
 	}
-	return i, nil, nil
+	return i
 }
 
 // decode returns the table entry for the instruction at addr, first
@@ -480,9 +509,21 @@ func (c *CPU) Result() (Result, bool) {
 	return r, true
 }
 
-// Run executes until halt, trap, fault or gas exhaustion.
+// Run executes until halt, trap, fault or gas exhaustion. An annotation
+// template recognised in the instruction table runs as one handler when its
+// common path applies (see fuse.go); everything else, and every template
+// whose handler declines, is single-stepped. The outcome, the counters, the
+// modelled cycles, the memory and the retired-instruction stream are those
+// of a Step loop.
 func (c *CPU) Run() Result {
 	for !c.done {
+		// Written out here rather than in a method, so that an
+		// instruction that anchors no template pays no extra call.
+		if i := c.cur; i != 0 {
+			if e := &c.table[i-1]; e.fused != 0 && c.runFused(e) {
+				continue
+			}
+		}
 		c.Step()
 	}
 	c.result.Insts = c.insts
@@ -492,7 +533,8 @@ func (c *CPU) Run() Result {
 	return c.result
 }
 
-// Step retires one instruction.
+// Step retires exactly one instruction, also at the start of an annotation
+// template that Run would execute as one handler.
 func (c *CPU) Step() {
 	if c.done {
 		return

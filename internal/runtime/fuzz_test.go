@@ -2,8 +2,10 @@ package runtime_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"deflection/internal/apps"
 	"deflection/internal/compiler"
 	"deflection/internal/cpu"
 	"deflection/internal/dclib"
@@ -126,4 +128,88 @@ int main() {
 			}
 		}
 	}
+}
+
+// receiveConfig is a small enclave, so that the memories of accepted
+// inputs compare quickly.
+var receiveConfig = enclave.Config{
+	CodeCap: 64 << 10, BrTableCap: 4 << 10, ShadowCap: 16 << 10,
+	StackCap: 64 << 10, HeapCap: 64 << 10, UntrustedCap: 16 << 10,
+}
+
+// receiveSeed is a P1-P8 program with a secret global whose value reaches
+// only the sealed output.
+const receiveSeed = `
+secret int key[4];
+int main() {
+	int n = read_param();
+	for (int i = 0; i < 4; i++) key[i] = n * (i + 3);
+	int s = 0;
+	for (int i = 0; i < 4; i++) s += key[i];
+	send_int(s);
+	return 0;
+}`
+
+// receive loads bin into a fresh P1-P8 bootstrap enclave.
+func receive(t *testing.T, bin []byte) (*runtime.Bootstrap, error) {
+	m := runtime.DefaultManifest()
+	m.Policies = policy.SetP1P8
+	b, err := runtime.New(receiveConfig, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = b.ReceiveBinary(bin)
+	return b, err
+}
+
+// FuzzReceiveBinary feeds arbitrary bytes to the bootstrap enclave as the
+// code provider's binary under P1-P8: nothing may panic, and an accepted
+// binary must run alike through Run and a Step loop within a small gas
+// bound (result, outputs, retired stream and memory).
+func FuzzReceiveBinary(f *testing.F) {
+	o, err := compiler.Compile(dclib.Program(receiveSeed), compiler.Options{Policies: policy.SetP1P8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(o.Secrets) == 0 {
+		f.Fatal("seed program declares no secret")
+	}
+	seed := o.Marshal()
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var boots [2]*runtime.Bootstrap
+		for i := range boots {
+			b, err := receive(t, data)
+			if err != nil {
+				if i == 1 {
+					t.Fatalf("accepted once, then rejected: %v", err)
+				}
+				return
+			}
+			boots[i] = b
+		}
+		var stream [2]retired
+		var res [2]*runtime.RunResult
+		for i, b := range boots {
+			b.ReceiveData(apps.Param(11))
+			rc := runtime.RunConfig{Gas: 20_000, AEXInterval: 997, AEXSeed: 1, Trace: stream[i].add}
+			run := b.Run
+			if i == 1 {
+				run = b.RunStepped
+			}
+			var err error
+			if res[i], err = run(rc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Fatalf("Run %+v, Step loop %+v", res[0].CPU, res[1].CPU)
+		}
+		if stream[0] != stream[1] {
+			t.Fatalf("retired stream (%d, %#x), Step loop (%d, %#x)", stream[0].n, stream[0].sum, stream[1].n, stream[1].sum)
+		}
+		sameMemory(t, boots[0].Enclave().Mem, boots[1].Enclave().Mem)
+	})
 }

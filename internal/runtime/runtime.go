@@ -428,6 +428,11 @@ func (b *Bootstrap) Run(rc RunConfig) (*RunResult, error) {
 	if b.loaded == nil {
 		return nil, ErrNotLoaded
 	}
+	return b.result(b.newCPU(rc).Run()), nil
+}
+
+// newCPU binds a CPU to the enclave at the program entry, configured by rc.
+func (b *Bootstrap) newCPU(rc RunConfig) *cpu.CPU {
 	l := b.encl.Layout
 	annot := b.AnnotRangeSet()
 	if rc.FlatAnnotationCost {
@@ -445,11 +450,13 @@ func (b *Bootstrap) Run(rc RunConfig) (*RunResult, error) {
 	c.RIP = b.loaded.Entry
 	c.Regs[isa.RSP] = l.StackHi
 	c.Regs[isa.RegShadow] = l.ShadowBase
+	return c
+}
 
-	res := c.Run()
+// result pads the run's modelled time and collects its outputs.
+func (b *Bootstrap) result(res cpu.Result) *RunResult {
 	b.padTime(&res)
-	out := &RunResult{CPU: res, Outputs: b.outputs, Debug: b.debug}
-	return out, nil
+	return &RunResult{CPU: res, Outputs: b.outputs, Debug: b.debug}
 }
 
 // padTime rounds the modelled execution time up to the manifest's quantum,

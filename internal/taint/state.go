@@ -286,11 +286,6 @@ func (s *state) degrade() {
 	}
 }
 
-// inWindow reports whether [lo, hi) intersects the store window.
-func (a *analysis) inWindow(lo, hi uint64) bool {
-	return lo < a.cfg.DataHi && a.cfg.DataLo < hi
-}
-
 // memTainted reports whether a load of [lo, hi) absolute may see secret
 // bytes: the range overlaps a secret buffer, grown memory taint, or — when
 // it reaches into the stack subrange — a smeared/tainted stack.
