@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu fuzz-receive test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
+.PHONY: check build fmt vet lint tcb-cover metric-lint fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu fuzz-receive test race race-vplane race-gateway race-tenant race-dataflow chaos bench bench-smoke metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
 # subsumes race-vplane/race-gateway/race-tenant/race-dataflow; the focused
 # targets exist for fast iteration. bench-smoke runs the benchmark module's
 # own tests, which the root go test ./... does not reach.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu fuzz-receive bench-smoke
+check: build fmt vet lint tcb-cover metric-lint race race-vplane race-gateway race-tenant race-dataflow fuzz-disasm fuzz-verify fuzz-templates fuzz-engine fuzz-taint fuzz-order fuzz-memory fuzz-cpu fuzz-receive bench-smoke
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,41 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# TCB import hygiene: the verification packages (verifier, cfa, taint,
-# order, disasm, loader, isa, policy) must not import the observability or
-# service planes,
-# nor anything under net/ or os/. Fails with the offending import chain.
+# TCB import hygiene: the trusted set declared in internal/lint (the
+# bootstrap runtime, the verification packages, the enclave model and
+# attest, with their first-party import closure) must not import the
+# observability or service planes, nor anything under net/ or os/. Fails
+# with the offending import chain; on success prints the walked packages.
 lint:
 	$(GO) run ./cmd/deflection-lint -root .
+
+# Statement coverage of the trusted set: the packages the TCB lint walks,
+# which are also the packages Table I counts. Runs the whole suite with
+# -coverpkg over them, counts a statement covered if any test binary ran
+# it, prints per-package and aggregate coverage, and fails when the
+# aggregate drops below TCB_COVER_FLOOR, the figure recorded when the gate
+# was added. Raise the floor as coverage grows.
+TCB_COVER_FLOOR = 92.9
+tcb-cover:
+	@pkgs=$$($(GO) run ./cmd/deflection-lint -root . | grep -v '^deflection-lint:' | paste -sd, -) && \
+	prof=$$(mktemp) && trap 'rm -f "$$prof" "$$prof.log"' EXIT && \
+	{ $(GO) test -count=1 -coverpkg="$$pkgs" -coverprofile="$$prof" ./... >"$$prof.log" 2>&1 || { cat "$$prof.log"; exit 1; }; } && \
+	awk -v floor=$(TCB_COVER_FLOOR) ' \
+		/^mode:/ { next } \
+		{ stmts[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { \
+			for (b in stmts) { \
+				pkg = b; sub(/\/[^\/]*$$/, "", pkg); \
+				all[pkg] += stmts[b]; total += stmts[b]; \
+				if (b in hit) { cov[pkg] += stmts[b]; covered += stmts[b] } \
+			} \
+			for (p in all) \
+				printf "%-28s %6.1f%%  %4d of %4d statements uncovered\n", p, 100*cov[p]/all[p], all[p]-cov[p], all[p] | "sort"; \
+			close("sort"); \
+			pct = 100*covered/total; \
+			printf "%-28s %6.2f%%  %4d of %4d statements uncovered (floor %.2f%%)\n", "trusted set", pct, total-covered, total, floor; \
+			if (pct < floor) { print "tcb-cover: aggregate coverage below the floor"; exit 1 } \
+		}' "$$prof"
 
 # Metric-name hygiene: every literal Counter/Gauge/Histogram name must be
 # lowercase snake_case and no name may be registered as two metric types

@@ -19,6 +19,7 @@ import (
 	"deflection/internal/cpu"
 	"deflection/internal/isa"
 	"deflection/internal/obj"
+	"deflection/internal/obs"
 	"deflection/internal/runtime"
 )
 
@@ -110,7 +111,7 @@ func run() int {
 	fmt.Printf("load+verify: ACCEPTED in %v (text %d bytes, hash %x)\n",
 		time.Since(start).Round(time.Microsecond), rep.TextSize, rep.BinaryHash[:8])
 	if *trace {
-		fmt.Print(rep.Trace.Text())
+		fmt.Print(obs.Text(rep.Trace))
 		fmt.Println("policy audit:")
 		for _, a := range rep.Audit {
 			verdict := "PASS"

@@ -1,8 +1,12 @@
 // Command deflection-lint gates the build on TCB import hygiene: the
-// in-enclave verification packages (verifier, cfa, taint, order, disasm,
-// loader, isa, policy) must not reach the observability plane, the service plane, or
-// the net/os standard-library trees. Exit status 1 means the TCB grew a
-// forbidden dependency; the offending import chains are printed.
+// trusted set declared by lint.DefaultConfig (the bootstrap runtime, the
+// verification packages, the enclave model and attest, with their whole
+// first-party import closure) must not reach the observability plane, the
+// service plane, or the net/os standard-library trees. Exit status 1 means
+// the TCB grew a forbidden dependency; the offending import chains are
+// printed. On success it prints the packages it walked, one import path a
+// line after the summary: the trusted set that Table I counts and make
+// tcb-cover measures.
 //
 // With -metrics it instead lints metric-name hygiene: every literal
 // Counter/Gauge/Histogram name in the repository must be lowercase
@@ -52,4 +56,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("deflection-lint: TCB import hygiene OK (%d first-party packages)\n", len(rep.Packages))
+	for _, pkg := range rep.Packages {
+		fmt.Println(pkg)
+	}
 }

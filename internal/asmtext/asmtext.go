@@ -45,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
 	"deflection/internal/obj"
 )
@@ -59,9 +60,9 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("asmtext: line %d: %s", e.Line, e.Msg) }
 
 type assembler struct {
-	out     *obj.Assembler
+	out     *asm.Assembler
 	curName string
-	curBody []obj.Item
+	curBody []asm.Item
 	mask    uint16
 
 	proto  *obj.Protocol
@@ -72,7 +73,7 @@ type assembler struct {
 // set the object claims (hand-written binaries usually claim what they
 // carry).
 func Assemble(source string, policyMask uint16) (*obj.Object, error) {
-	a := &assembler{out: obj.NewAssembler(), mask: policyMask}
+	a := &assembler{out: asm.NewAssembler(), mask: policyMask}
 	for i, raw := range strings.Split(source, "\n") {
 		line := raw
 		if idx := strings.IndexAny(line, ";#"); idx >= 0 {
@@ -118,7 +119,7 @@ func (a *assembler) statement(line string) error {
 		if a.curName == "" {
 			return fmt.Errorf("label %q outside a function", name)
 		}
-		a.curBody = append(a.curBody, obj.LabelItem(strings.TrimSpace(name)))
+		a.curBody = append(a.curBody, asm.LabelItem(strings.TrimSpace(name)))
 		return nil
 	}
 	if a.curName == "" {
@@ -294,7 +295,7 @@ var noOperand = map[string]isa.Op{
 	"ret": isa.OpRet, "hlt": isa.OpHlt, "nop": isa.OpNop,
 }
 
-func parseInst(line string) (obj.Item, error) {
+func parseInst(line string) (asm.Item, error) {
 	mnemonic, rest, _ := strings.Cut(line, " ")
 	mnemonic = strings.ToLower(strings.TrimSpace(mnemonic))
 	rest = strings.TrimSpace(rest)
@@ -303,27 +304,27 @@ func parseInst(line string) (obj.Item, error) {
 	switch {
 	case noOperand[mnemonic] != 0:
 		if rest != "" {
-			return obj.Item{}, fmt.Errorf("%s takes no operands", mnemonic)
+			return asm.Item{}, fmt.Errorf("%s takes no operands", mnemonic)
 		}
-		return obj.InstItem(isa.Inst{Op: noOperand[mnemonic]}), nil
+		return asm.InstItem(isa.Inst{Op: noOperand[mnemonic]}), nil
 
 	case mnemonic == "brmark":
-		return obj.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}), nil
+		return asm.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}), nil
 
 	case mnemonic == "trap" || mnemonic == "ocall":
 		v, err := parseImm(rest)
 		if err != nil {
-			return obj.Item{}, err
+			return asm.Item{}, err
 		}
 		op := isa.OpTrap
 		if mnemonic == "ocall" {
 			op = isa.OpOcall
 		}
-		return obj.InstItem(isa.Inst{Op: op, Imm: v}), nil
+		return asm.InstItem(isa.Inst{Op: op, Imm: v}), nil
 
 	case mnemonic == "jmp" || mnemonic == "call":
 		if rest == "" {
-			return obj.Item{}, fmt.Errorf("%s needs a target", mnemonic)
+			return asm.Item{}, fmt.Errorf("%s needs a target", mnemonic)
 		}
 		op := isa.OpJmp
 		indirect := isa.OpJmpR
@@ -332,123 +333,123 @@ func parseInst(line string) (obj.Item, error) {
 			indirect = isa.OpCallR
 		}
 		if r, ok := regNames[rest]; ok {
-			return obj.InstItem(isa.Inst{Op: indirect, Dst: r}), nil
+			return asm.InstItem(isa.Inst{Op: indirect, Dst: r}), nil
 		}
-		return obj.BranchItem(isa.Inst{Op: op}, rest), nil
+		return asm.BranchItem(isa.Inst{Op: op}, rest), nil
 
 	case jccConds[mnemonic] != 0:
 		if rest == "" {
-			return obj.Item{}, fmt.Errorf("%s needs a target", mnemonic)
+			return asm.Item{}, fmt.Errorf("%s needs a target", mnemonic)
 		}
-		return obj.BranchItem(isa.Inst{Op: isa.OpJcc, Cond: jccConds[mnemonic]}, rest), nil
+		return asm.BranchItem(isa.Inst{Op: isa.OpJcc, Cond: jccConds[mnemonic]}, rest), nil
 
 	case unary[mnemonic] != 0:
 		r, ok := regNames[rest]
 		if !ok {
-			return obj.Item{}, fmt.Errorf("%s needs a register, got %q", mnemonic, rest)
+			return asm.Item{}, fmt.Errorf("%s needs a register, got %q", mnemonic, rest)
 		}
-		return obj.InstItem(isa.Inst{Op: unary[mnemonic], Dst: r}), nil
+		return asm.InstItem(isa.Inst{Op: unary[mnemonic], Dst: r}), nil
 
 	case mnemonic == "mov" || mnemonic == "movb":
 		return parseMov(mnemonic, operands)
 
 	case mnemonic == "lea":
 		if len(operands) != 2 {
-			return obj.Item{}, fmt.Errorf("lea needs two operands")
+			return asm.Item{}, fmt.Errorf("lea needs two operands")
 		}
 		r, ok := regNames[operands[0]]
 		if !ok {
-			return obj.Item{}, fmt.Errorf("lea destination must be a register")
+			return asm.Item{}, fmt.Errorf("lea destination must be a register")
 		}
 		mem, err := parseMem(operands[1])
 		if err != nil {
-			return obj.Item{}, err
+			return asm.Item{}, err
 		}
-		return obj.InstItem(isa.Inst{Op: isa.OpLea, Dst: r, Mem: mem}), nil
+		return asm.InstItem(isa.Inst{Op: isa.OpLea, Dst: r, Mem: mem}), nil
 
 	default:
 		if _, isALU := aluRR[mnemonic]; isALU {
 			return parseALU(mnemonic, operands)
 		}
-		return obj.Item{}, fmt.Errorf("unknown mnemonic %q", mnemonic)
+		return asm.Item{}, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
 }
 
-func parseALU(mn string, ops []string) (obj.Item, error) {
+func parseALU(mn string, ops []string) (asm.Item, error) {
 	if len(ops) != 2 {
-		return obj.Item{}, fmt.Errorf("%s needs two operands", mn)
+		return asm.Item{}, fmt.Errorf("%s needs two operands", mn)
 	}
 	dst, ok := regNames[ops[0]]
 	if !ok {
-		return obj.Item{}, fmt.Errorf("%s destination must be a register", mn)
+		return asm.Item{}, fmt.Errorf("%s destination must be a register", mn)
 	}
 	if src, isReg := regNames[ops[1]]; isReg {
-		return obj.InstItem(isa.Inst{Op: aluRR[mn], Dst: dst, Src: src}), nil
+		return asm.InstItem(isa.Inst{Op: aluRR[mn], Dst: dst, Src: src}), nil
 	}
 	op, hasRI := aluRI[mn]
 	if !hasRI {
-		return obj.Item{}, fmt.Errorf("%s has no immediate form", mn)
+		return asm.Item{}, fmt.Errorf("%s has no immediate form", mn)
 	}
 	v, err := parseImm(ops[1])
 	if err != nil {
-		return obj.Item{}, err
+		return asm.Item{}, err
 	}
-	return obj.InstItem(isa.Inst{Op: op, Dst: dst, Imm: v}), nil
+	return asm.InstItem(isa.Inst{Op: op, Dst: dst, Imm: v}), nil
 }
 
-func parseMov(mn string, ops []string) (obj.Item, error) {
+func parseMov(mn string, ops []string) (asm.Item, error) {
 	if len(ops) != 2 {
-		return obj.Item{}, fmt.Errorf("%s needs two operands", mn)
+		return asm.Item{}, fmt.Errorf("%s needs two operands", mn)
 	}
 	byteOp := mn == "movb"
 	dstReg, dstIsReg := regNames[ops[0]]
 	srcReg, srcIsReg := regNames[ops[1]]
 	switch {
 	case dstIsReg && srcIsReg:
-		return obj.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: dstReg, Src: srcReg}), nil
+		return asm.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: dstReg, Src: srcReg}), nil
 	case dstIsReg && strings.HasPrefix(ops[1], "["):
 		mem, err := parseMem(ops[1])
 		if err != nil {
-			return obj.Item{}, err
+			return asm.Item{}, err
 		}
 		op := isa.OpMovRM
 		if byteOp {
 			op = isa.OpMovBRM
 		}
-		return obj.InstItem(isa.Inst{Op: op, Dst: dstReg, Mem: mem}), nil
+		return asm.InstItem(isa.Inst{Op: op, Dst: dstReg, Mem: mem}), nil
 	case dstIsReg && strings.HasPrefix(ops[1], "="):
-		return obj.Item{
+		return asm.Item{
 			Inst:   isa.Inst{Op: isa.OpMovRI, Dst: dstReg},
 			SymRef: strings.TrimPrefix(ops[1], "="),
 		}, nil
 	case dstIsReg:
 		v, err := parseImm(ops[1])
 		if err != nil {
-			return obj.Item{}, err
+			return asm.Item{}, err
 		}
-		return obj.InstItem(isa.Inst{Op: isa.OpMovRI, Dst: dstReg, Imm: v}), nil
+		return asm.InstItem(isa.Inst{Op: isa.OpMovRI, Dst: dstReg, Imm: v}), nil
 	case strings.HasPrefix(ops[0], "[") && srcIsReg:
 		mem, err := parseMem(ops[0])
 		if err != nil {
-			return obj.Item{}, err
+			return asm.Item{}, err
 		}
 		op := isa.OpMovMR
 		if byteOp {
 			op = isa.OpMovBMR
 		}
-		return obj.InstItem(isa.Inst{Op: op, Src: srcReg, Mem: mem}), nil
+		return asm.InstItem(isa.Inst{Op: op, Src: srcReg, Mem: mem}), nil
 	case strings.HasPrefix(ops[0], "["):
 		mem, err := parseMem(ops[0])
 		if err != nil {
-			return obj.Item{}, err
+			return asm.Item{}, err
 		}
 		v, err := parseImm(ops[1])
 		if err != nil {
-			return obj.Item{}, err
+			return asm.Item{}, err
 		}
-		return obj.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: mem, Imm: v}), nil
+		return asm.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: mem, Imm: v}), nil
 	default:
-		return obj.Item{}, fmt.Errorf("unsupported mov operands %q, %q", ops[0], ops[1])
+		return asm.Item{}, fmt.Errorf("unsupported mov operands %q, %q", ops[0], ops[1])
 	}
 }
 

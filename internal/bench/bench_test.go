@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"deflection/internal/lint"
 	"deflection/internal/nbench"
 )
 
@@ -25,6 +27,43 @@ func TestTableI(t *testing.T) {
 	}
 	if !strings.Contains(res.String(), "DEFLECTION") {
 		t.Error("render missing our row")
+	}
+
+	// The counted rows are exactly the packages the TCB lint walks, less
+	// the hardware models: one trusted set, counted honestly.
+	rep, err := lint.Check(lint.DefaultConfig("../.."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hardware := make(map[string]bool)
+	for _, pkg := range lint.HardwareModels {
+		hardware[pkg] = true
+	}
+	var want []string
+	for _, path := range rep.Packages {
+		if pkg := strings.TrimPrefix(path, rep.Module+"/"); !hardware[pkg] {
+			want = append(want, pkg)
+		}
+	}
+	var got []string
+	for _, row := range res.Rows {
+		if row.Counted {
+			got = append(got, row.Components)
+		}
+		if row.Components == "TOTAL trusted" && row.KLoC != total {
+			t.Errorf("TOTAL trusted row = %v, counted rows sum to %v", row.KLoC, total)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Table I counts %v, the lint walks %v (less hardware models)", got, want)
+	}
+	if !slices.Contains(got, "internal/obj") {
+		t.Error("Table I does not count internal/obj, the wire-format parser")
+	}
+	for _, pkg := range lint.HardwareModels {
+		if slices.Contains(got, pkg) {
+			t.Errorf("hardware model %s summed into the trusted total", pkg)
+		}
 	}
 }
 

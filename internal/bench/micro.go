@@ -71,12 +71,12 @@ var microStages = []struct {
 	name string
 	dur  func(*obs.Trace) time.Duration
 }{
-	{"parse", func(tr *obs.Trace) time.Duration { return tr.Dur("parse") }},
-	{"load", func(tr *obs.Trace) time.Duration { return tr.Dur("load") }},
-	{"disasm", func(tr *obs.Trace) time.Duration { return tr.Dur("disasm") }},
-	{"policies", func(tr *obs.Trace) time.Duration { return tr.DurPrefix("policy/") + tr.Dur("discipline") }},
-	{"cfa", func(tr *obs.Trace) time.Duration { return tr.DurPrefix("cfa/") }},
-	{"rewrite", func(tr *obs.Trace) time.Duration { return tr.Dur("rewrite") }},
+	{"parse", func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "parse") }},
+	{"load", func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "load") }},
+	{"disasm", func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "disasm") }},
+	{"policies", func(tr *obs.Trace) time.Duration { return obs.DurPrefix(tr, "policy/") + obs.Dur(tr, "discipline") }},
+	{"cfa", func(tr *obs.Trace) time.Duration { return obs.DurPrefix(tr, "cfa/") }},
+	{"rewrite", func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "rewrite") }},
 }
 
 // MicroRow is one binary's load+verify cost and its stage split.
@@ -130,7 +130,7 @@ func Micro() (*MicroResult, error) {
 			LoadVerify:  elapsed,
 			PerKaByte:   time.Duration(float64(elapsed) / (float64(rep.TextSize) / 1024)),
 			StoreGuards: rep.Stats.StoreGuards,
-			TraceTotal:  rep.Trace.Total(),
+			TraceTotal:  obs.Total(rep.Trace),
 		}
 		for _, st := range microStages {
 			row.Stages = append(row.Stages, st.dur(rep.Trace))

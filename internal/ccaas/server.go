@@ -43,11 +43,8 @@ type ServerConfig struct {
 	IOTimeout time.Duration
 	// MaxInputSize caps one tagData upload (0 = DefaultMaxInputSize).
 	MaxInputSize int
-	// Logf, if set, receives accept-retry and per-session error lines.
-	// Deprecated in favour of Log; kept so existing callers keep working.
-	Logf func(format string, args ...any)
 	// Log, if set, receives structured events with alternating key/value
-	// pairs (session IDs, durations, outcomes). Takes precedence over Logf.
+	// pairs (session IDs, durations, outcomes).
 	Log func(event string, kv ...any)
 	// Metrics, if set, receives session/byte/timing metrics. A nil registry
 	// is valid: instrumentation then updates throwaway metrics.
@@ -138,24 +135,10 @@ func (s *Server) ActiveSessions() int {
 	return s.active
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// log emits one structured event, preferring the structured sink and
-// falling back to a key=value line through the legacy Logf.
+// log emits one structured event to the configured sink, if any.
 func (s *Server) log(event string, kv ...any) {
-	switch {
-	case s.cfg.Log != nil:
+	if s.cfg.Log != nil {
 		s.cfg.Log(event, kv...)
-	case s.cfg.Logf != nil:
-		if extra := obs.KV(kv...); extra != "" {
-			s.cfg.Logf("%s %s", event, extra)
-		} else {
-			s.cfg.Logf("%s", event)
-		}
 	}
 }
 

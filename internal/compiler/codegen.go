@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
 	"deflection/internal/lang"
 	"deflection/internal/obj"
@@ -56,13 +57,13 @@ func Generate(prog *lang.Program, opts Options) (*obj.Object, error) {
 	opts.fillDefaults()
 	lang.Fold(prog)
 	g := &progGen{
-		asm:  obj.NewAssembler(),
+		asm:  asm.NewAssembler(),
 		opts: opts,
 	}
 	if err := g.run(prog); err != nil {
 		return nil, err
 	}
-	g.asm.RewriteFuncs(func(_ string, body []obj.Item) []obj.Item {
+	g.asm.RewriteFuncs(func(_ string, body []asm.Item) []asm.Item {
 		return pruneDeadTail(peephole(body))
 	})
 	// Drop dclib functions the program never reaches: the verifier's
@@ -103,7 +104,7 @@ func protocolTable(d *lang.ProtocolDecl) *obj.Protocol {
 }
 
 type progGen struct {
-	asm  *obj.Assembler
+	asm  *asm.Assembler
 	opts Options
 	strN int
 }
@@ -129,13 +130,13 @@ func (g *progGen) run(prog *lang.Program) error {
 	}
 	// _start: arm the P6 marker and AEX counter, call main, halt with
 	// main's return value.
-	var start []obj.Item
+	var start []asm.Item
 	if g.opts.Policies.Has(policy.P6) {
 		start = annotation(policy.Arming, "_start", isa.Inst{}, "")
 	}
 	start = append(start,
-		obj.BranchItem(isa.Inst{Op: isa.OpCall}, "main"),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+		asm.BranchItem(isa.Inst{Op: isa.OpCall}, "main"),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	)
 	if err := g.asm.AddFunc("_start", start); err != nil {
 		return err
@@ -192,7 +193,7 @@ type funcGen struct {
 	pg *progGen
 	fn *lang.FuncDecl
 
-	items     []obj.Item
+	items     []asm.Item
 	labelN    int
 	frameSize int64
 
@@ -209,10 +210,10 @@ func (f *funcGen) label() string {
 	return fmt.Sprintf("%s.L%d", f.fn.Name, f.labelN)
 }
 
-func (f *funcGen) emit(in isa.Inst)   { f.items = append(f.items, obj.InstItem(in)) }
-func (f *funcGen) emitLabel(l string) { f.items = append(f.items, obj.LabelItem(l)) }
+func (f *funcGen) emit(in isa.Inst)   { f.items = append(f.items, asm.InstItem(in)) }
+func (f *funcGen) emitLabel(l string) { f.items = append(f.items, asm.LabelItem(l)) }
 func (f *funcGen) emitBranch(in isa.Inst, to string) {
-	f.items = append(f.items, obj.BranchItem(in, to))
+	f.items = append(f.items, asm.BranchItem(in, to))
 }
 
 func (f *funcGen) emitJmp(to string) { f.emitBranch(isa.Inst{Op: isa.OpJmp}, to) }
@@ -222,7 +223,7 @@ func (f *funcGen) emitJcc(c isa.Cond, to string) {
 }
 
 func (f *funcGen) emitSymRef(dst isa.Reg, sym string) {
-	f.items = append(f.items, obj.Item{Inst: isa.Inst{Op: isa.OpMovRI, Dst: dst}, SymRef: sym})
+	f.items = append(f.items, asm.Item{Inst: isa.Inst{Op: isa.OpMovRI, Dst: dst}, SymRef: sym})
 }
 
 func (f *funcGen) retLabel() string { return f.fn.Name + ".ret" }
@@ -233,7 +234,7 @@ func (f *funcGen) retLabel() string { return f.fn.Name + ".ret" }
 // per-kernel store densities (and hence P1 overheads) meaningful.
 var allocRegs = []isa.Reg{isa.R8, isa.R9, isa.R10, isa.R11, isa.R12, isa.R13}
 
-func (f *funcGen) generate() ([]obj.Item, error) {
+func (f *funcGen) generate() ([]asm.Item, error) {
 	// Address-taken functions carry the BRMARK CFI beacon as their very
 	// first instruction so the P5 runtime check accepts them as targets.
 	if f.fn.AddrTaken {

@@ -3,8 +3,8 @@ package compiler
 import (
 	"fmt"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
-	"deflection/internal/obj"
 	"deflection/internal/policy"
 )
 
@@ -17,9 +17,9 @@ import (
 //
 // Pass order matters only in that P6 counts user instructions (so it runs
 // first) and every pass skips items earlier passes marked Annot.
-func instrument(a *obj.Assembler, opts Options) {
+func instrument(a *asm.Assembler, opts Options) {
 	if opts.Policies.Has(policy.P6) {
-		a.RewriteFuncs(func(name string, body []obj.Item) []obj.Item {
+		a.RewriteFuncs(func(name string, body []asm.Item) []asm.Item {
 			return passP6(name, body, opts)
 		})
 	}
@@ -45,14 +45,14 @@ var trapSuffix = map[isa.TrapCode]string{
 	isa.TrapAEXBudget:   ".__trap.aex",
 }
 
-func ai(in isa.Inst) obj.Item { return obj.Item{Inst: in, Annot: true} }
+func ai(in isa.Inst) asm.Item { return asm.Item{Inst: in, Annot: true} }
 
-func aLabel(name string) obj.Item {
-	return obj.Item{IsLabel: true, Label: name, Annot: true}
+func aLabel(name string) asm.Item {
+	return asm.Item{IsLabel: true, Label: name, Annot: true}
 }
 
-func trapStub(fn string, code isa.TrapCode) []obj.Item {
-	return []obj.Item{
+func trapStub(fn string, code isa.TrapCode) []asm.Item {
+	return []asm.Item{
 		aLabel(fn + trapSuffix[code]),
 		ai(isa.Inst{Op: isa.OpTrap, Imm: int64(code)}),
 	}
@@ -62,9 +62,9 @@ func trapStub(fn string, code isa.TrapCode) []obj.Item {
 // filled from anchor: a trap step branches to fn's stub for its code, and a
 // local step branches to local, which labels the template's last
 // instruction.
-func annotation(t policy.Template, fn string, anchor isa.Inst, local string) []obj.Item {
+func annotation(t policy.Template, fn string, anchor isa.Inst, local string) []asm.Item {
 	steps := t.Steps()
-	out := make([]obj.Item, 0, len(steps)+1)
+	out := make([]asm.Item, 0, len(steps)+1)
 	for i, s := range steps {
 		it := ai(s.With(&anchor))
 		switch {
@@ -81,8 +81,8 @@ func annotation(t policy.Template, fn string, anchor isa.Inst, local string) []o
 	return out
 }
 
-func passP1(name string, body []obj.Item) []obj.Item {
-	out := make([]obj.Item, 0, len(body)+16)
+func passP1(name string, body []asm.Item) []asm.Item {
+	out := make([]asm.Item, 0, len(body)+16)
 	used := false
 	for _, it := range body {
 		if !it.IsLabel && !it.Annot && it.Inst.Op.IsStore() {
@@ -97,8 +97,8 @@ func passP1(name string, body []obj.Item) []obj.Item {
 	return out
 }
 
-func passP2(name string, body []obj.Item) []obj.Item {
-	out := make([]obj.Item, 0, len(body)+16)
+func passP2(name string, body []asm.Item) []asm.Item {
+	out := make([]asm.Item, 0, len(body)+16)
 	used := false
 	for _, it := range body {
 		out = append(out, it)
@@ -113,8 +113,8 @@ func passP2(name string, body []obj.Item) []obj.Item {
 	return out
 }
 
-func passP5(name string, body []obj.Item) []obj.Item {
-	out := make([]obj.Item, 0, len(body)+64)
+func passP5(name string, body []asm.Item) []asm.Item {
+	out := make([]asm.Item, 0, len(body)+64)
 	usedCFI, usedSS := false, false
 
 	// Entry: keep a leading BRMARK beacon first, then push the return
@@ -158,8 +158,8 @@ func passP5(name string, body []obj.Item) []obj.Item {
 	return out
 }
 
-func passP6(name string, body []obj.Item, opts Options) []obj.Item {
-	out := make([]obj.Item, 0, len(body)+64)
+func passP6(name string, body []asm.Item, opts Options) []asm.Item {
+	out := make([]asm.Item, 0, len(body)+64)
 	used := false
 	okN := 0
 	check := func() {

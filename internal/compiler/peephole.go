@@ -1,8 +1,8 @@
 package compiler
 
 import (
+	"deflection/internal/asm"
 	"deflection/internal/isa"
-	"deflection/internal/obj"
 )
 
 // peephole performs local cleanups on a generated function body before
@@ -11,7 +11,7 @@ import (
 // following label are removed. None of the patterns cross labels or touch
 // items carrying relocations, and no transformed instruction affects flags
 // (moves and ALU ops do not set them on this ISA).
-func peephole(body []obj.Item) []obj.Item {
+func peephole(body []asm.Item) []asm.Item {
 	changed := true
 	for changed {
 		body, changed = peepholeOnce(body)
@@ -19,10 +19,10 @@ func peephole(body []obj.Item) []obj.Item {
 	return body
 }
 
-func peepholeOnce(body []obj.Item) ([]obj.Item, bool) {
-	out := make([]obj.Item, 0, len(body))
+func peepholeOnce(body []asm.Item) ([]asm.Item, bool) {
+	out := make([]asm.Item, 0, len(body))
 	changed := false
-	plain := func(it obj.Item) bool {
+	plain := func(it asm.Item) bool {
 		return !it.IsLabel && it.Target == "" && it.SymRef == "" && !it.Annot
 	}
 	for i := 0; i < len(body); i++ {
@@ -33,7 +33,7 @@ func peepholeOnce(body []obj.Item) ([]obj.Item, bool) {
 			nxt := body[i+1]
 			if plain(nxt) && nxt.Inst.Op == isa.OpPop {
 				if nxt.Inst.Dst != it.Inst.Dst {
-					out = append(out, obj.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: nxt.Inst.Dst, Src: it.Inst.Dst}))
+					out = append(out, asm.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: nxt.Inst.Dst, Src: it.Inst.Dst}))
 				}
 				i++
 				changed = true
@@ -72,7 +72,7 @@ func peepholeOnce(body []obj.Item) ([]obj.Item, bool) {
 // verifier's dead-byte pass would flag their encoded bytes as side-loaded
 // code. Branch-ending statement lowerings (abort paths, if/else arms) leave
 // such tails behind.
-func pruneDeadTail(body []obj.Item) []obj.Item {
+func pruneDeadTail(body []asm.Item) []asm.Item {
 	out := body[:0]
 	dead := false
 	for _, it := range body {

@@ -3,17 +3,17 @@ package compiler
 import (
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
-	"deflection/internal/obj"
 )
 
 func TestPeepholePushPop(t *testing.T) {
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
-		obj.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
-		obj.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RCX}),
-		obj.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RCX}),
-		obj.InstItem(isa.Inst{Op: isa.OpRet}),
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
+		asm.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
+		asm.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RCX}),
+		asm.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RCX}),
+		asm.InstItem(isa.Inst{Op: isa.OpRet}),
 	}
 	out := peephole(body)
 	if len(out) != 2 {
@@ -27,17 +27,17 @@ func TestPeepholePushPop(t *testing.T) {
 func TestPeepholeKeepsSeparatedPairs(t *testing.T) {
 	// A label between push and pop blocks the rewrite (a jump could land
 	// on it).
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
-		obj.LabelItem("f.L1"),
-		obj.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RAX}),
+		asm.LabelItem("f.L1"),
+		asm.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
 	}
 	out := peephole(body)
 	if len(out) != 3 {
 		t.Fatalf("label-separated pair must survive: %+v", out)
 	}
 	// Annotation items are never rewritten.
-	annotBody := []obj.Item{
+	annotBody := []asm.Item{
 		{Inst: isa.Inst{Op: isa.OpPush, Dst: isa.RAX}, Annot: true},
 		{Inst: isa.Inst{Op: isa.OpPop, Dst: isa.RAX}, Annot: true},
 	}
@@ -47,11 +47,11 @@ func TestPeepholeKeepsSeparatedPairs(t *testing.T) {
 }
 
 func TestPeepholeDropsNoops(t *testing.T) {
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: isa.RDX, Src: isa.RDX}),
-		obj.InstItem(isa.Inst{Op: isa.OpAddRI, Dst: isa.RSP, Imm: 0}),
-		obj.InstItem(isa.Inst{Op: isa.OpSubRI, Dst: isa.RSP, Imm: 0}),
-		obj.InstItem(isa.Inst{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 8}),
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: isa.RDX, Src: isa.RDX}),
+		asm.InstItem(isa.Inst{Op: isa.OpAddRI, Dst: isa.RSP, Imm: 0}),
+		asm.InstItem(isa.Inst{Op: isa.OpSubRI, Dst: isa.RSP, Imm: 0}),
+		asm.InstItem(isa.Inst{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 8}),
 	}
 	out := peephole(body)
 	if len(out) != 1 || out[0].Inst.Imm != 8 {
@@ -60,20 +60,20 @@ func TestPeepholeDropsNoops(t *testing.T) {
 }
 
 func TestPeepholeDropsJumpToNextLabel(t *testing.T) {
-	body := []obj.Item{
-		obj.BranchItem(isa.Inst{Op: isa.OpJmp}, "f.L2"),
-		obj.LabelItem("f.L2"),
-		obj.InstItem(isa.Inst{Op: isa.OpRet}),
+	body := []asm.Item{
+		asm.BranchItem(isa.Inst{Op: isa.OpJmp}, "f.L2"),
+		asm.LabelItem("f.L2"),
+		asm.InstItem(isa.Inst{Op: isa.OpRet}),
 	}
 	out := peephole(body)
 	if len(out) != 2 || !out[0].IsLabel {
 		t.Fatalf("out = %+v", out)
 	}
 	// A jump over something must survive.
-	body = []obj.Item{
-		obj.BranchItem(isa.Inst{Op: isa.OpJmp}, "f.L3"),
-		obj.InstItem(isa.Inst{Op: isa.OpNop}),
-		obj.LabelItem("f.L3"),
+	body = []asm.Item{
+		asm.BranchItem(isa.Inst{Op: isa.OpJmp}, "f.L3"),
+		asm.InstItem(isa.Inst{Op: isa.OpNop}),
+		asm.LabelItem("f.L3"),
 	}
 	if out := peephole(body); len(out) != 3 {
 		t.Fatalf("jump over nop must survive: %+v", out)
@@ -82,10 +82,10 @@ func TestPeepholeDropsJumpToNextLabel(t *testing.T) {
 
 func TestPeepholeCascades(t *testing.T) {
 	// mov rbx,rbx (dropped) exposes push rbx; pop rbx (dropped).
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RBX}),
-		obj.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: isa.RBX, Src: isa.RBX}),
-		obj.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpPush, Dst: isa.RBX}),
+		asm.InstItem(isa.Inst{Op: isa.OpMovRR, Dst: isa.RBX, Src: isa.RBX}),
+		asm.InstItem(isa.Inst{Op: isa.OpPop, Dst: isa.RBX}),
 	}
 	out := peephole(body)
 	if len(out) != 0 {

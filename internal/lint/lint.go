@@ -1,11 +1,16 @@
-// Package lint enforces import hygiene for the trusted computing base.
+// Package lint declares the trusted computing base and enforces its import
+// hygiene.
 //
-// The whole DEFLECTION argument rests on the in-enclave verifier staying
-// small enough to audit: the paper's TCB is the disassembler, the template
-// matchers and the CFG passes, and nothing else. The easiest way to lose
-// that property is an innocent-looking import — a metrics hook, a logging
-// helper, a convenience call into the service plane — that silently drags
-// the network stack or the host OS interface into the attested image.
+// The whole DEFLECTION argument rests on the in-enclave code staying small
+// enough to audit: the bootstrap runtime, the loader, the verifier with its
+// disassembler, template matchers and CFG passes, and remote attestation.
+// DefaultConfig's roots are the one declaration of that set: the lint
+// walks their first-party import closure, Table I counts exactly the
+// packages the walk visits (less the HardwareModels), and make tcb-cover
+// measures their test coverage. The easiest way to lose auditability is an
+// innocent-looking import — a metrics hook, a logging helper, a
+// convenience call into the service plane — that silently drags the
+// network stack or the host OS interface into the attested image.
 //
 // The lint walks the import graph of the TCB root packages with go/parser
 // (ImportsOnly, no type checking, no build system) and rejects any chain
@@ -31,8 +36,9 @@ import (
 )
 
 // Config names the module under lint, the TCB roots and the forbidden
-// import prefixes. TCB and Forbidden entries beginning with "internal/"
-// are module-relative; anything else matches standard-library paths.
+// import prefixes. TCB entries are module-relative. Forbidden entries
+// beginning with "internal/" are module-relative; anything else matches
+// standard-library paths.
 type Config struct {
 	Root      string   // module root directory (holds go.mod)
 	Module    string   // module path; read from go.mod when empty
@@ -40,13 +46,16 @@ type Config struct {
 	Forbidden []string // forbidden import prefixes
 }
 
-// DefaultConfig returns the repository's TCB rules: the verification
-// packages may not reach the observability plane, the service plane
-// (including the session gateway), or the net/os standard-library trees.
+// DefaultConfig returns the repository's TCB rules: the in-enclave
+// packages — the bootstrap runtime, the verification packages, the
+// enclave model and remote attestation — may not reach the observability
+// plane, the service plane (including the session gateway), or the net/os
+// standard-library trees.
 func DefaultConfig(root string) Config {
 	return Config{
 		Root: root,
 		TCB: []string{
+			"internal/runtime",
 			"internal/verifier",
 			"internal/cfa",
 			"internal/taint",
@@ -55,6 +64,8 @@ func DefaultConfig(root string) Config {
 			"internal/loader",
 			"internal/isa",
 			"internal/policy",
+			"internal/enclave",
+			"attest",
 		},
 		Forbidden: []string{
 			"internal/obs",
@@ -68,6 +79,12 @@ func DefaultConfig(root string) Config {
 		},
 	}
 }
+
+// HardwareModels are the trusted-closure packages that stand in for SGX
+// hardware rather than enclave software: the CPU emulator and the enclave
+// memory model. On real hardware they are the processor, so Table I lists
+// them but does not add them to the software TCB. Module-relative.
+var HardwareModels = []string{"internal/cpu", "internal/enclave"}
 
 // Finding is one forbidden import, with the full chain that reaches it
 // from a TCB root and the file:line of the offending import spec.
@@ -85,6 +102,7 @@ func (f Finding) String() string {
 // Report is the outcome of a lint run.
 type Report struct {
 	Findings []Finding
+	Module   string   // module path the packages are qualified with
 	Packages []string // first-party packages visited, sorted
 }
 
@@ -122,7 +140,7 @@ func Check(cfg Config) (*Report, error) {
 		return false
 	}
 
-	rep := &Report{}
+	rep := &Report{Module: module}
 	imports := make(map[string][]importSpec) // package path -> parsed imports
 	visited := make(map[string]bool)
 

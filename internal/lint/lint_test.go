@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,9 +19,14 @@ func TestRepoTCBHygiene(t *testing.T) {
 	for _, f := range rep.Findings {
 		t.Errorf("%s", f)
 	}
-	// The eight TCB roots plus their first-party closure (enclave, obj).
-	if len(rep.Packages) < 8 {
+	// The TCB roots plus their first-party closure (cpu, obj, stage).
+	if len(rep.Packages) < len(DefaultConfig(".").TCB) {
 		t.Fatalf("lint visited only %d packages: %v", len(rep.Packages), rep.Packages)
+	}
+	for _, pkg := range HardwareModels {
+		if !slices.Contains(rep.Packages, rep.Module+"/"+pkg) {
+			t.Errorf("hardware model %s is not in the walked trusted closure %v", pkg, rep.Packages)
+		}
 	}
 }
 
@@ -198,25 +204,27 @@ import _ "net/http"
 	}
 }
 
-// TestTCBRootsPinned: the default TCB root set must include every
-// verification-plane analysis package — dropping internal/order (or any
-// other pass) here would let the P8 automaton analysis silently grow
-// service-plane or network dependencies.
+// TestTCBRootsPinned: the default TCB roots are the one declaration of the
+// trusted set, so they are pinned exactly: the bootstrap runtime, every
+// verification-plane package, the enclave model and attestation. Dropping
+// internal/order (or any other pass) here would let the P8 automaton
+// analysis silently grow service-plane or network dependencies; dropping
+// internal/runtime would let the enclave link the observability plane
+// again. The hardware-model list, which Table I lists but does not sum,
+// is pinned alongside.
 func TestTCBRootsPinned(t *testing.T) {
 	cfg := DefaultConfig(".")
 	want := []string{
-		"internal/verifier", "internal/cfa", "internal/taint",
-		"internal/order", "internal/disasm", "internal/loader",
-		"internal/isa", "internal/policy",
+		"internal/runtime", "internal/verifier", "internal/cfa",
+		"internal/taint", "internal/order", "internal/disasm",
+		"internal/loader", "internal/isa", "internal/policy",
+		"internal/enclave", "attest",
 	}
-	have := make(map[string]bool, len(cfg.TCB))
-	for _, r := range cfg.TCB {
-		have[r] = true
+	if !slices.Equal(cfg.TCB, want) {
+		t.Errorf("DefaultConfig.TCB = %q, want %q", cfg.TCB, want)
 	}
-	for _, w := range want {
-		if !have[w] {
-			t.Errorf("DefaultConfig.TCB is missing %q", w)
-		}
+	if want := []string{"internal/cpu", "internal/enclave"}; !slices.Equal(HardwareModels, want) {
+		t.Errorf("HardwareModels = %q, want %q", HardwareModels, want)
 	}
 }
 
@@ -238,5 +246,36 @@ import _ "example.test/internal/obs"
 	}
 	if len(rep.Findings) != 1 || rep.Findings[0].Import != "example.test/internal/obs" {
 		t.Fatalf("findings = %v, want one internal/obs", rep.Findings)
+	}
+}
+
+// TestDetectsRuntimeObsImport: the bootstrap runtime is a TCB root; an
+// observability import reached from it, even through a helper package,
+// must be flagged. The stage-trace types the runtime records live outside
+// internal/obs for exactly this reason.
+func TestDetectsRuntimeObsImport(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "go.mod", "module example.test\n\ngo 1.22\n")
+	write(t, root, "internal/runtime/r.go", `package runtime
+
+import _ "example.test/internal/trace"
+`)
+	write(t, root, "internal/trace/t.go", `package trace
+
+import _ "example.test/internal/obs/render"
+`)
+	write(t, root, "internal/obs/render/r.go", "package render\n")
+	cfg := DefaultConfig(root)
+	cfg.TCB = []string{"internal/runtime"}
+	rep, err := Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || rep.Findings[0].Import != "example.test/internal/obs/render" {
+		t.Fatalf("findings = %v, want one internal/obs/render", rep.Findings)
+	}
+	want := "example.test/internal/runtime -> example.test/internal/trace"
+	if got := strings.Join(rep.Findings[0].Chain, " -> "); got != want {
+		t.Errorf("chain = %q, want %q", got, want)
 	}
 }

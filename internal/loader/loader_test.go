@@ -3,6 +3,7 @@ package loader_test
 import (
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/compiler"
 	"deflection/internal/disasm"
 	"deflection/internal/enclave"
@@ -24,25 +25,25 @@ func testEnclave(t *testing.T) *enclave.Enclave {
 
 func buildObject(t *testing.T) *obj.Object {
 	t.Helper()
-	a := obj.NewAssembler()
+	a := asm.NewAssembler()
 	if err := a.AddData("greet", []byte("hi\x00")); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.AddBSS("scratch", 64); err != nil {
 		t.Fatal(err)
 	}
-	body := []obj.Item{
+	body := []asm.Item{
 		{Inst: isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX}, SymRef: "greet"},
-		obj.InstItem(isa.Inst{Op: isa.OpMovBRM, Dst: isa.RAX, Mem: isa.Mem(isa.RBX, 0)}),
-		obj.BranchItem(isa.Inst{Op: isa.OpCall}, "fn"),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+		asm.InstItem(isa.Inst{Op: isa.OpMovBRM, Dst: isa.RAX, Mem: isa.Mem(isa.RBX, 0)}),
+		asm.BranchItem(isa.Inst{Op: isa.OpCall}, "fn"),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddFunc("fn", []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
-		obj.InstItem(isa.Inst{Op: isa.OpRet}),
+	if err := a.AddFunc("fn", []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
+		asm.InstItem(isa.Inst{Op: isa.OpRet}),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package obj defines the relocatable object format exchanged between the
-// untrusted code generator and the bootstrap enclave, plus the assembler that
-// produces it.
+// untrusted code generator and the bootstrap enclave. It is the first
+// trusted code to touch the code provider's bytes; the assembler that
+// produces objects lives outside the trusted set, in internal/asm.
 //
 // An Object is the paper's "target binary together with its proof": machine
 // code and data sections, a symbol table, relocation entries (the generator
@@ -434,13 +435,17 @@ func Unmarshal(b []byte) (*Object, error) {
 	if r.off != len(b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadObject, len(b)-r.off)
 	}
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	return o, nil
 }
 
-func (o *Object) validate() error {
+// Validate checks that the object's tables are consistent with its
+// sections: symbols, relocations, branch targets, the secret table and the
+// protocol all refer to defined, in-range entries. Unmarshal runs it on
+// every object it parses; the assembler runs it on every object it builds.
+func (o *Object) Validate() error {
 	secLen := func(s Section) int64 {
 		switch s {
 		case SecText:

@@ -1,4 +1,4 @@
-package obj
+package obj_test
 
 import (
 	"bytes"
@@ -6,34 +6,36 @@ import (
 	"testing"
 	"testing/quick"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
+	"deflection/internal/obj"
 )
 
-func sampleObject(t *testing.T) *Object {
+func sampleObject(t *testing.T) *obj.Object {
 	t.Helper()
-	a := NewAssembler()
+	a := asm.NewAssembler()
 	if err := a.AddData("greeting", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.AddBSS("scratch", 128); err != nil {
 		t.Fatal(err)
 	}
-	body := []Item{
-		InstItem(isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 7}),
-		LabelItem("main.loop"),
-		InstItem(isa.Inst{Op: isa.OpSubRI, Dst: isa.RAX, Imm: 1}),
-		InstItem(isa.Inst{Op: isa.OpCmpRI, Dst: isa.RAX, Imm: 0}),
-		BranchItem(isa.Inst{Op: isa.OpJcc, Cond: isa.CondG}, "main.loop"),
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 7}),
+		asm.LabelItem("main.loop"),
+		asm.InstItem(isa.Inst{Op: isa.OpSubRI, Dst: isa.RAX, Imm: 1}),
+		asm.InstItem(isa.Inst{Op: isa.OpCmpRI, Dst: isa.RAX, Imm: 0}),
+		asm.BranchItem(isa.Inst{Op: isa.OpJcc, Cond: isa.CondG}, "main.loop"),
 		{Inst: isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX}, SymRef: "greeting"},
-		BranchItem(isa.Inst{Op: isa.OpCall}, "helper"),
-		InstItem(isa.Inst{Op: isa.OpHlt}),
+		asm.BranchItem(isa.Inst{Op: isa.OpCall}, "helper"),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("main", body); err != nil {
 		t.Fatal(err)
 	}
-	helper := []Item{
-		InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
-		InstItem(isa.Inst{Op: isa.OpRet}),
+	helper := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
+		asm.InstItem(isa.Inst{Op: isa.OpRet}),
 	}
 	if err := a.AddFunc("helper", helper); err != nil {
 		t.Fatal(err)
@@ -50,7 +52,7 @@ func sampleObject(t *testing.T) *Object {
 func TestAssembleSymbols(t *testing.T) {
 	o := sampleObject(t)
 	mainSym, ok := o.Symbol("main")
-	if !ok || mainSym.Kind != SymFunc || mainSym.Offset != 0 {
+	if !ok || mainSym.Kind != obj.SymFunc || mainSym.Offset != 0 {
 		t.Fatalf("main symbol = %+v, ok=%v", mainSym, ok)
 	}
 	if mainSym.Size == 0 {
@@ -61,7 +63,7 @@ func TestAssembleSymbols(t *testing.T) {
 		t.Errorf("helper offset = %d, want %d", helper.Offset, mainSym.Size)
 	}
 	loop, ok := o.Symbol("main.loop")
-	if !ok || loop.Kind != SymLabel {
+	if !ok || loop.Kind != obj.SymLabel {
 		t.Errorf("main.loop symbol = %+v, ok=%v", loop, ok)
 	}
 	if _, ok := o.Symbol("greeting"); !ok {
@@ -109,7 +111,7 @@ func TestAssembleRelocs(t *testing.T) {
 	for _, r := range o.Relocs {
 		if r.Symbol == "greeting" {
 			found = true
-			if r.Section != SecText || r.Kind != RelAbs64 {
+			if r.Section != obj.SecText || r.Kind != obj.RelAbs64 {
 				t.Errorf("greeting reloc = %+v", r)
 			}
 		}
@@ -122,7 +124,7 @@ func TestAssembleRelocs(t *testing.T) {
 func TestMarshalRoundTrip(t *testing.T) {
 	o := sampleObject(t)
 	b := o.Marshal()
-	got, err := Unmarshal(b)
+	got, err := obj.Unmarshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +151,19 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		[]byte("XXXXXXXXwhatever"),
 	}
 	for _, c := range cases {
-		if _, err := Unmarshal(c); err == nil {
+		if _, err := obj.Unmarshal(c); err == nil {
 			t.Errorf("Unmarshal(%q) should fail", c)
 		}
 	}
 	// Truncations of a valid object must all fail cleanly.
 	b := sampleObject(t).Marshal()
-	for cut := len(objMagic); cut < len(b); cut += 7 {
-		if _, err := Unmarshal(b[:cut]); err == nil {
+	for cut := len(obj.Magic); cut < len(b); cut += 7 {
+		if _, err := obj.Unmarshal(b[:cut]); err == nil {
 			t.Errorf("truncated object (%d bytes) should fail", cut)
 		}
 	}
 	// Trailing bytes must be rejected.
-	if _, err := Unmarshal(append(append([]byte{}, b...), 0)); err == nil {
+	if _, err := obj.Unmarshal(append(append([]byte{}, b...), 0)); err == nil {
 		t.Error("trailing bytes should be rejected")
 	}
 }
@@ -169,40 +171,40 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 func TestValidateRejectsBadTables(t *testing.T) {
 	base := sampleObject(t)
 
-	mutate := func(f func(o *Object)) error {
+	mutate := func(f func(o *obj.Object)) error {
 		b := base.Marshal()
-		o, err := Unmarshal(b)
+		o, err := obj.Unmarshal(b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f(o)
-		_, err = Unmarshal(o.Marshal())
+		_, err = obj.Unmarshal(o.Marshal())
 		return err
 	}
 
-	if err := mutate(func(o *Object) { o.Symbols[0].Offset = 1 << 40 }); err == nil {
+	if err := mutate(func(o *obj.Object) { o.Symbols[0].Offset = 1 << 40 }); err == nil {
 		t.Error("out-of-range symbol should be rejected")
 	}
-	if err := mutate(func(o *Object) { o.Relocs[0].Symbol = "nonexistent" }); err == nil {
+	if err := mutate(func(o *obj.Object) { o.Relocs[0].Symbol = "nonexistent" }); err == nil {
 		t.Error("reloc against undefined symbol should be rejected")
 	}
-	if err := mutate(func(o *Object) { o.Relocs[0].Offset = int64(len(o.Text)) }); err == nil {
+	if err := mutate(func(o *obj.Object) { o.Relocs[0].Offset = int64(len(o.Text)) }); err == nil {
 		t.Error("reloc site past end of text should be rejected")
 	}
-	if err := mutate(func(o *Object) { o.BranchTargets[0].Symbol = "nope" }); err == nil {
+	if err := mutate(func(o *obj.Object) { o.BranchTargets[0].Symbol = "nope" }); err == nil {
 		t.Error("dangling branch target should be rejected")
 	}
-	if err := mutate(func(o *Object) { o.Entry = "nope" }); err == nil {
+	if err := mutate(func(o *obj.Object) { o.Entry = "nope" }); err == nil {
 		t.Error("undefined entry should be rejected")
 	}
 }
 
 func TestDuplicateLabelFails(t *testing.T) {
-	a := NewAssembler()
-	body := []Item{
-		LabelItem("f.x"),
-		LabelItem("f.x"),
-		InstItem(isa.Inst{Op: isa.OpRet}),
+	a := asm.NewAssembler()
+	body := []asm.Item{
+		asm.LabelItem("f.x"),
+		asm.LabelItem("f.x"),
+		asm.InstItem(isa.Inst{Op: isa.OpRet}),
 	}
 	if err := a.AddFunc("f", body); err != nil {
 		t.Fatal(err)
@@ -213,8 +215,8 @@ func TestDuplicateLabelFails(t *testing.T) {
 }
 
 func TestUndefinedBranchTargetFails(t *testing.T) {
-	a := NewAssembler()
-	body := []Item{BranchItem(isa.Inst{Op: isa.OpJmp}, "missing")}
+	a := asm.NewAssembler()
+	body := []asm.Item{asm.BranchItem(isa.Inst{Op: isa.OpJmp}, "missing")}
 	if err := a.AddFunc("f", body); err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +226,15 @@ func TestUndefinedBranchTargetFails(t *testing.T) {
 }
 
 func TestRewriteFuncs(t *testing.T) {
-	a := NewAssembler()
-	if err := a.AddFunc("f", []Item{InstItem(isa.Inst{Op: isa.OpRet})}); err != nil {
+	a := asm.NewAssembler()
+	if err := a.AddFunc("f", []asm.Item{asm.InstItem(isa.Inst{Op: isa.OpRet})}); err != nil {
 		t.Fatal(err)
 	}
-	a.RewriteFuncs(func(name string, body []Item) []Item {
+	a.RewriteFuncs(func(name string, body []asm.Item) []asm.Item {
 		if name != "f" {
 			t.Errorf("unexpected function %q", name)
 		}
-		return append([]Item{InstItem(isa.Inst{Op: isa.OpNop})}, body...)
+		return append([]asm.Item{asm.InstItem(isa.Inst{Op: isa.OpNop})}, body...)
 	})
 	got := a.FuncBody("f")
 	if len(got) != 2 || got[0].Inst.Op != isa.OpNop || got[1].Inst.Op != isa.OpRet {
@@ -241,12 +243,12 @@ func TestRewriteFuncs(t *testing.T) {
 }
 
 func TestAddPtrTable(t *testing.T) {
-	a := NewAssembler()
-	body := []Item{
-		LabelItem("f.case0"),
-		InstItem(isa.Inst{Op: isa.OpRet}),
-		LabelItem("f.case1"),
-		InstItem(isa.Inst{Op: isa.OpRet}),
+	a := asm.NewAssembler()
+	body := []asm.Item{
+		asm.LabelItem("f.case0"),
+		asm.InstItem(isa.Inst{Op: isa.OpRet}),
+		asm.LabelItem("f.case1"),
+		asm.InstItem(isa.Inst{Op: isa.OpRet}),
 	}
 	if err := a.AddFunc("f", body); err != nil {
 		t.Fatal(err)
@@ -264,7 +266,7 @@ func TestAddPtrTable(t *testing.T) {
 	}
 	var dataRelocs int
 	for _, r := range o.Relocs {
-		if r.Section == SecData {
+		if r.Section == obj.SecData {
 			dataRelocs++
 		}
 	}
@@ -280,7 +282,7 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	names := []string{"a", "bb", "ccc", "_d", "e.f", "long.symbol.name"}
 	f := func() bool {
-		o := &Object{
+		o := &obj.Object{
 			PolicyMask: uint16(rng.Intn(256)),
 			Text:       make([]byte, rng.Intn(64)),
 			Data:       make([]byte, rng.Intn(64)),
@@ -295,12 +297,12 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 				continue
 			}
 			used[name] = true
-			sec := Section(1 + rng.Intn(3))
+			sec := obj.Section(1 + rng.Intn(3))
 			var n int64
 			switch sec {
-			case SecText:
+			case obj.SecText:
 				n = int64(len(o.Text))
-			case SecData:
+			case obj.SecData:
 				n = int64(len(o.Data))
 			default:
 				n = o.BSSSize
@@ -309,12 +311,12 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 				continue
 			}
 			off := int64(rng.Intn(int(n)))
-			o.Symbols = append(o.Symbols, Symbol{
+			o.Symbols = append(o.Symbols, obj.Symbol{
 				Name: name, Section: sec, Offset: off, Size: 0,
-				Kind: SymKind(1 + rng.Intn(3)),
+				Kind: obj.SymKind(1 + rng.Intn(3)),
 			})
 		}
-		got, err := Unmarshal(o.Marshal())
+		got, err := obj.Unmarshal(o.Marshal())
 		if err != nil {
 			t.Logf("unmarshal: %v", err)
 			return false
@@ -338,8 +340,8 @@ func TestUnmarshalFuzzGarbage(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		n := rng.Intn(len(buf))
 		rng.Read(buf[:n])
-		copy(buf, objMagic)
-		_, _ = Unmarshal(buf[:n]) // error or success; no panic
+		copy(buf, obj.Magic)
+		_, _ = obj.Unmarshal(buf[:n]) // error or success; no panic
 	}
 }
 
@@ -351,12 +353,12 @@ func TestSecretTableRoundTrip(t *testing.T) {
 	base := sampleObject(t)
 	b0 := base.Marshal()
 
-	o, err := Unmarshal(b0)
+	o, err := obj.Unmarshal(b0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Secrets = []string{"greeting", "scratch"}
-	got, err := Unmarshal(o.Marshal())
+	got, err := obj.Unmarshal(o.Marshal())
 	if err != nil {
 		t.Fatalf("object with secret table rejected: %v", err)
 	}
@@ -375,7 +377,7 @@ func TestSecretTableRoundTrip(t *testing.T) {
 		"function symbol":  {"main"},
 	} {
 		o.Secrets = secrets
-		if _, err := Unmarshal(o.Marshal()); err == nil {
+		if _, err := obj.Unmarshal(o.Marshal()); err == nil {
 			t.Errorf("%s in secret table should be rejected", name)
 		}
 	}
@@ -384,11 +386,11 @@ func TestSecretTableRoundTrip(t *testing.T) {
 // TestAssemblerSecretValidation: AddSecret of an undefined object fails at
 // Assemble time, and duplicate tags collapse to one entry.
 func TestAssemblerSecretValidation(t *testing.T) {
-	a := NewAssembler()
+	a := asm.NewAssembler()
 	if err := a.AddBSS("key", 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddFunc("main", []Item{InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
+	if err := a.AddFunc("main", []asm.Item{asm.InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
 		t.Fatal(err)
 	}
 	a.SetEntry("main")
@@ -402,8 +404,8 @@ func TestAssemblerSecretValidation(t *testing.T) {
 		t.Fatalf("secret table = %v, want [key]", o.Secrets)
 	}
 
-	b := NewAssembler()
-	if err := b.AddFunc("main", []Item{InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
+	b := asm.NewAssembler()
+	if err := b.AddFunc("main", []asm.Item{asm.InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
 		t.Fatal(err)
 	}
 	b.SetEntry("main")

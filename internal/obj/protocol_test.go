@@ -1,24 +1,26 @@
-package obj
+package obj_test
 
 import (
 	"bytes"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
+	"deflection/internal/obj"
 )
 
-func sampleProtocol() *Protocol {
-	return &Protocol{
+func sampleProtocol() *obj.Protocol {
+	return &obj.Protocol{
 		Start: 0,
-		States: []ProtocolState{
+		States: []obj.ProtocolState{
 			{Name: "init"},
 			{Name: "ready", Attested: true},
 			{Name: "end", Attested: true},
 		},
-		Edges: []ProtocolEdge{
+		Edges: []obj.ProtocolEdge{
 			{From: 0, Event: 2, To: 1},
 			{From: 1, Event: 1, To: 1},
-			{From: 1, Event: EventHlt, To: 2},
+			{From: 1, Event: obj.EventHlt, To: 2},
 		},
 	}
 }
@@ -27,12 +29,12 @@ func TestProtocolRoundTrip(t *testing.T) {
 	base := sampleObject(t)
 	b0 := base.Marshal()
 
-	o, err := Unmarshal(b0)
+	o, err := obj.Unmarshal(b0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Protocol = sampleProtocol()
-	got, err := Unmarshal(o.Marshal())
+	got, err := obj.Unmarshal(o.Marshal())
 	if err != nil {
 		t.Fatalf("object with protocol table rejected: %v", err)
 	}
@@ -46,7 +48,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if p.States[1].Name != "ready" || !p.States[1].Attested || p.States[0].Attested {
 		t.Errorf("states did not round trip: %+v", p.States)
 	}
-	if p.Edges[2] != (ProtocolEdge{From: 1, Event: EventHlt, To: 2}) {
+	if p.Edges[2] != (obj.ProtocolEdge{From: 1, Event: obj.EventHlt, To: 2}) {
 		t.Errorf("edges did not round trip: %+v", p.Edges)
 	}
 
@@ -60,13 +62,13 @@ func TestProtocolRoundTrip(t *testing.T) {
 }
 
 func TestProtocolWithSecretsRoundTrip(t *testing.T) {
-	o, err := Unmarshal(sampleObject(t).Marshal())
+	o, err := obj.Unmarshal(sampleObject(t).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Secrets = []string{"greeting"}
 	o.Protocol = sampleProtocol()
-	got, err := Unmarshal(o.Marshal())
+	got, err := obj.Unmarshal(o.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +81,13 @@ func TestProtocolWithSecretsRoundTrip(t *testing.T) {
 }
 
 func TestHighPolicyMaskRoundTrip(t *testing.T) {
-	o, err := Unmarshal(sampleObject(t).Marshal())
+	o, err := obj.Unmarshal(sampleObject(t).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// P8 claims force the extension tail even without secrets or protocol.
 	o.PolicyMask = 0x1ff
-	got, err := Unmarshal(o.Marshal())
+	got, err := obj.Unmarshal(o.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,35 +100,35 @@ func TestHighPolicyMaskRoundTrip(t *testing.T) {
 }
 
 func TestProtocolValidation(t *testing.T) {
-	base, err := Unmarshal(sampleObject(t).Marshal())
+	base, err := obj.Unmarshal(sampleObject(t).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]*Protocol{
+	cases := map[string]*obj.Protocol{
 		"no states":       {},
-		"start range":     {Start: 5, States: []ProtocolState{{Name: "a"}}},
-		"empty name":      {States: []ProtocolState{{Name: ""}}},
-		"duplicate name":  {States: []ProtocolState{{Name: "a"}, {Name: "a"}}},
-		"edge state":      {States: []ProtocolState{{Name: "a"}}, Edges: []ProtocolEdge{{From: 0, Event: 2, To: 7}}},
-		"event zero":      {States: []ProtocolState{{Name: "a"}}, Edges: []ProtocolEdge{{From: 0, Event: 0, To: 0}}},
-		"event below hlt": {States: []ProtocolState{{Name: "a"}}, Edges: []ProtocolEdge{{From: 0, Event: -2, To: 0}}},
+		"start range":     {Start: 5, States: []obj.ProtocolState{{Name: "a"}}},
+		"empty name":      {States: []obj.ProtocolState{{Name: ""}}},
+		"duplicate name":  {States: []obj.ProtocolState{{Name: "a"}, {Name: "a"}}},
+		"edge state":      {States: []obj.ProtocolState{{Name: "a"}}, Edges: []obj.ProtocolEdge{{From: 0, Event: 2, To: 7}}},
+		"event zero":      {States: []obj.ProtocolState{{Name: "a"}}, Edges: []obj.ProtocolEdge{{From: 0, Event: 0, To: 0}}},
+		"event below hlt": {States: []obj.ProtocolState{{Name: "a"}}, Edges: []obj.ProtocolEdge{{From: 0, Event: -2, To: 0}}},
 	}
-	tooMany := &Protocol{}
-	for i := 0; i <= MaxProtocolStates; i++ {
-		tooMany.States = append(tooMany.States, ProtocolState{Name: string(rune('a'+i%26)) + string(rune('0'+i/26))})
+	tooMany := &obj.Protocol{}
+	for i := 0; i <= obj.MaxProtocolStates; i++ {
+		tooMany.States = append(tooMany.States, obj.ProtocolState{Name: string(rune('a'+i%26)) + string(rune('0'+i/26))})
 	}
 	cases["too many states"] = tooMany
 	for name, p := range cases {
 		base.Protocol = p
-		if _, err := Unmarshal(base.Marshal()); err == nil {
+		if _, err := obj.Unmarshal(base.Marshal()); err == nil {
 			t.Errorf("%s in protocol table should be rejected", name)
 		}
 	}
 }
 
 func TestAssemblerSetProtocol(t *testing.T) {
-	a := NewAssembler()
-	if err := a.AddFunc("main", []Item{InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
+	a := asm.NewAssembler()
+	if err := a.AddFunc("main", []asm.Item{asm.InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
 		t.Fatal(err)
 	}
 	a.SetEntry("main")
@@ -138,7 +140,7 @@ func TestAssemblerSetProtocol(t *testing.T) {
 	if o.Protocol == nil || len(o.Protocol.States) != 3 {
 		t.Fatalf("assembled protocol = %+v", o.Protocol)
 	}
-	got, err := Unmarshal(o.Marshal())
+	got, err := obj.Unmarshal(o.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +149,12 @@ func TestAssemblerSetProtocol(t *testing.T) {
 	}
 
 	// An invalid protocol is caught at Assemble time.
-	a2 := NewAssembler()
-	if err := a2.AddFunc("main", []Item{InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
+	a2 := asm.NewAssembler()
+	if err := a2.AddFunc("main", []asm.Item{asm.InstItem(isa.Inst{Op: isa.OpHlt})}); err != nil {
 		t.Fatal(err)
 	}
 	a2.SetEntry("main")
-	a2.SetProtocol(&Protocol{States: []ProtocolState{{Name: ""}}})
+	a2.SetProtocol(&obj.Protocol{States: []obj.ProtocolState{{Name: ""}}})
 	if _, err := a2.Assemble(0); err == nil {
 		t.Fatal("invalid protocol accepted at Assemble time")
 	}

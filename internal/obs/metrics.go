@@ -1,13 +1,15 @@
 // Package obs is the repo's observability substrate: a dependency-free
 // metrics core (counters, gauges, timing histograms with quantile
-// snapshots), pipeline stage traces, and a key=value structured logger.
+// snapshots), the renderers and span collector for the pipeline stage
+// traces of internal/stage, and a key=value structured logger.
 //
 // The metrics hot path is a single atomic add, cheap enough to leave on in
 // every build; aggregation (quantiles, JSON rendering) happens only when a
-// snapshot is taken. The package deliberately sits below every other layer
-// — it imports nothing but the standard library, so the TCB packages
-// (verifier, loader, disasm) can stay free of it while the runtime, CCaaS
-// service and benchmark harness all report through one registry.
+// snapshot is taken. The package imports only the standard library and
+// internal/stage. It is outside the trusted set: the TCB packages, the
+// bootstrap runtime included, record plain stage data and never import it,
+// while the CCaaS service, the verification plane and the benchmark
+// harness all report through one registry.
 package obs
 
 import (

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"deflection/internal/stage"
 )
 
 // TraceID identifies one end-to-end request across every process it
@@ -216,7 +218,7 @@ func (c *Collector) Observe(id TraceID, name string, start time.Time, dur time.D
 		Name:  name,
 		Start: start,
 		DurNs: dur.Nanoseconds(),
-		Attrs: attrs(kv),
+		Attrs: stage.Attrs(kv...),
 	})
 }
 

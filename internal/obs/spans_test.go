@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"deflection/internal/stage"
 )
 
 // fakeClock yields a deterministic, strictly advancing time source.
@@ -121,7 +123,7 @@ func TestCollectorRingWraps(t *testing.T) {
 
 func TestCollectorAddTrace(t *testing.T) {
 	clock := fakeClock(time.Millisecond)
-	tr := NewTraceWithClock("receive_binary", clock)
+	tr := stage.NewTraceWithClock("receive_binary", clock)
 	tm := tr.Start("parse")
 	tm.End("obj_bytes", 42)
 	tr.Add("disasm", 3*time.Millisecond, "instructions", 9)

@@ -4,120 +4,27 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
+
+	"deflection/internal/stage"
 )
 
-// Attr is one key/value annotation on a span. Attrs keep insertion order
-// so renderings are deterministic.
-type Attr struct {
-	Key string
-	Val any
-}
-
-// Span is one timed stage of a pipeline trace. Start is the offset from
-// the trace's first instant, so spans are self-contained and serialisable.
-type Span struct {
-	Name  string
-	Start time.Duration
-	Dur   time.Duration
-	Attrs []Attr
-}
-
-// Trace is a structured record of one pipeline run (e.g. the bootstrap
-// enclave's parse → load → disasm → verify → rewrite path). It is built
-// incrementally by the instrumented code and rendered as human-readable
-// text or JSON afterwards.
-type Trace struct {
-	Name string
-
-	mu    sync.Mutex
-	begin time.Time
-	spans []Span
-	clock func() time.Time
-}
+// The stage-trace data types live in internal/stage, which the bootstrap
+// enclave links without this package; obs re-exports them and renders
+// them.
+type (
+	Attr  = stage.Attr
+	Span  = stage.Span
+	Trace = stage.Trace
+	Timer = stage.Timer
+)
 
 // NewTrace starts a trace using the wall clock.
-func NewTrace(name string) *Trace { return NewTraceWithClock(name, time.Now) }
+func NewTrace(name string) *Trace { return stage.NewTraceWithClock(name, time.Now) }
 
-// NewTraceWithClock starts a trace with an explicit clock — tests inject a
-// deterministic one so rendered durations are reproducible.
-func NewTraceWithClock(name string, clock func() time.Time) *Trace {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Trace{Name: name, begin: clock(), clock: clock}
-}
-
-// Begin returns the trace's first instant (span Start offsets are
-// relative to it) — what a span collector needs to place stage spans on
-// the absolute timeline.
-func (t *Trace) Begin() time.Time { return t.begin }
-
-// Timer is an in-flight span started by Trace.Start.
-type Timer struct {
-	t     *Trace
-	name  string
-	start time.Time
-}
-
-// Start opens a span; call End on the returned timer to record it.
-func (t *Trace) Start(name string) *Timer {
-	return &Timer{t: t, name: name, start: t.clock()}
-}
-
-// End records the span with optional alternating key/value attributes.
-func (tm *Timer) End(kv ...any) {
-	now := tm.t.clock()
-	tm.t.append(Span{
-		Name:  tm.name,
-		Start: tm.start.Sub(tm.t.begin),
-		Dur:   now.Sub(tm.start),
-		Attrs: attrs(kv),
-	})
-}
-
-// Add records a span whose duration was measured elsewhere (aggregated
-// per-policy verifier phases); its start offset is the current trace time.
-func (t *Trace) Add(name string, d time.Duration, kv ...any) {
-	t.append(Span{
-		Name:  name,
-		Start: t.clock().Sub(t.begin),
-		Dur:   d,
-		Attrs: attrs(kv),
-	})
-}
-
-func (t *Trace) append(sp Span) {
-	t.mu.Lock()
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
-}
-
-func attrs(kv []any) []Attr {
-	if len(kv) == 0 {
-		return nil
-	}
-	out := make([]Attr, 0, (len(kv)+1)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		out = append(out, Attr{Key: fmt.Sprint(kv[i]), Val: kv[i+1]})
-	}
-	if len(kv)%2 != 0 {
-		out = append(out, Attr{Key: fmt.Sprint(kv[len(kv)-1]), Val: "(missing)"})
-	}
-	return out
-}
-
-// Spans returns a copy of the recorded spans in record order.
-func (t *Trace) Spans() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
-// Dur sums the durations of spans with exactly the given name.
-func (t *Trace) Dur(name string) time.Duration {
+// Dur sums the durations of the trace's spans with exactly the given name.
+func Dur(t *Trace, name string) time.Duration {
 	var d time.Duration
 	for _, sp := range t.Spans() {
 		if sp.Name == name {
@@ -127,8 +34,9 @@ func (t *Trace) Dur(name string) time.Duration {
 	return d
 }
 
-// DurPrefix sums the durations of spans whose name starts with prefix.
-func (t *Trace) DurPrefix(prefix string) time.Duration {
+// DurPrefix sums the durations of the trace's spans whose name starts with
+// prefix.
+func DurPrefix(t *Trace, prefix string) time.Duration {
 	var d time.Duration
 	for _, sp := range t.Spans() {
 		if strings.HasPrefix(sp.Name, prefix) {
@@ -139,18 +47,12 @@ func (t *Trace) DurPrefix(prefix string) time.Duration {
 }
 
 // Total sums every span's duration.
-func (t *Trace) Total() time.Duration {
-	var d time.Duration
-	for _, sp := range t.Spans() {
-		d += sp.Dur
-	}
-	return d
-}
+func Total(t *Trace) time.Duration { return DurPrefix(t, "") }
 
 // Text renders the trace as an aligned human-readable table.
-func (t *Trace) Text() string {
+func Text(t *Trace) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "trace %s (total %v)\n", t.Name, t.Total())
+	fmt.Fprintf(&sb, "trace %s (total %v)\n", t.Name, Total(t))
 	tw := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
 	for _, sp := range t.Spans() {
 		parts := make([]string, 0, len(sp.Attrs))
@@ -172,13 +74,13 @@ type jsonSpan struct {
 }
 
 // JSON renders the trace as a machine-readable document.
-func (t *Trace) JSON() ([]byte, error) {
+func JSON(t *Trace) ([]byte, error) {
 	spans := t.Spans()
 	doc := struct {
 		Name    string     `json:"name"`
 		TotalNs int64      `json:"total_ns"`
 		Spans   []jsonSpan `json:"spans"`
-	}{Name: t.Name, TotalNs: t.Total().Nanoseconds()}
+	}{Name: t.Name, TotalNs: Total(t).Nanoseconds()}
 	for _, sp := range spans {
 		js := jsonSpan{Name: sp.Name, StartNs: sp.Start.Nanoseconds(), DurNs: sp.Dur.Nanoseconds()}
 		if len(sp.Attrs) > 0 {

@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"deflection/internal/stage"
 )
 
 func TestTraceAttrsOddLength(t *testing.T) {
-	tr := NewTraceWithClock("t", fakeClock(time.Millisecond))
+	tr := stage.NewTraceWithClock("t", fakeClock(time.Millisecond))
 	tm := tr.Start("s")
 	tm.End("key_without_value") // odd-length kv
 	spans := tr.Spans()
@@ -28,7 +30,7 @@ func TestTraceAttrsOddLength(t *testing.T) {
 }
 
 func TestTraceAttrsNonStringKeys(t *testing.T) {
-	tr := NewTraceWithClock("t", fakeClock(time.Millisecond))
+	tr := stage.NewTraceWithClock("t", fakeClock(time.Millisecond))
 	type custom struct{ A int }
 	// Keys of any type are stringified with fmt.Sprint, never panic.
 	tr.Add("s", time.Millisecond, 42, "answer", custom{7}, "struct-key", nil, "nil-key")
@@ -47,7 +49,7 @@ func TestTraceAttrsNonStringKeys(t *testing.T) {
 	}
 
 	// The JSON rendering survives exotic keys too.
-	data, err := tr.JSON()
+	data, err := JSON(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestTraceAttrsNonStringKeys(t *testing.T) {
 }
 
 func TestTraceEmptyAttrs(t *testing.T) {
-	tr := NewTraceWithClock("t", fakeClock(time.Millisecond))
+	tr := stage.NewTraceWithClock("t", fakeClock(time.Millisecond))
 	tr.Add("s", time.Millisecond)
 	if attrs := tr.Spans()[0].Attrs; attrs != nil {
 		t.Fatalf("empty kv should yield nil attrs, got %+v", attrs)
@@ -73,7 +75,7 @@ func TestTraceEmptyAttrs(t *testing.T) {
 }
 
 func TestDurPrefixOverlapping(t *testing.T) {
-	tr := NewTraceWithClock("t", fakeClock(time.Millisecond))
+	tr := stage.NewTraceWithClock("t", fakeClock(time.Millisecond))
 	tr.Add("cfa/build", 10*time.Millisecond)
 	tr.Add("cfa/buildcache", 20*time.Millisecond) // shares the "cfa/build" prefix
 	tr.Add("cfa/targets", 40*time.Millisecond)
@@ -92,20 +94,20 @@ func TestDurPrefixOverlapping(t *testing.T) {
 		{"policy/", 160 * time.Millisecond},
 	}
 	for _, c := range cases {
-		if got := tr.DurPrefix(c.prefix); got != c.want {
+		if got := DurPrefix(tr, c.prefix); got != c.want {
 			t.Errorf("DurPrefix(%q) = %v, want %v", c.prefix, got, c.want)
 		}
 	}
 	// Dur is exact-name only: "cfa" must not absorb "cfa/build".
-	if got := tr.Dur("cfa"); got != 80*time.Millisecond {
+	if got := Dur(tr, "cfa"); got != 80*time.Millisecond {
 		t.Errorf("Dur(cfa) = %v, want 80ms", got)
 	}
 }
 
 func TestTraceTextRendering(t *testing.T) {
-	tr := NewTraceWithClock("pipeline", fakeClock(time.Millisecond))
+	tr := stage.NewTraceWithClock("pipeline", fakeClock(time.Millisecond))
 	tr.Add("parse", time.Millisecond, "bytes", 128)
-	text := tr.Text()
+	text := Text(tr)
 	if !strings.Contains(text, "trace pipeline") || !strings.Contains(text, "bytes=128") {
 		t.Fatalf("text rendering:\n%s", text)
 	}

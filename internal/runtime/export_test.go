@@ -6,7 +6,8 @@ func (b *Bootstrap) RunStepped(rc RunConfig) (*RunResult, error) {
 	if b.loaded == nil {
 		return nil, ErrNotLoaded
 	}
-	c := b.newCPU(rc)
+	l := b.encl.Layout
+	c := b.newCPU(rc, l.StackHi, l.ShadowBase, rc.AEXSeed)
 	for {
 		c.Step()
 		if res, done := c.Result(); done {

@@ -208,6 +208,56 @@ wait_release:
 	}
 }
 
+// TestRunThreadsHonoursTrace: RunThreads builds its CPUs like Run, so a
+// RunConfig.Trace sees every instruction a thread retires.
+func TestRunThreadsHonoursTrace(t *testing.T) {
+	b := multiThreadBootstrap(t, 1, policy.SetP1P5, threadedSrc)
+	var calls uint64
+	rs, err := b.RunThreads(1, runtime.RunConfig{Trace: func(uint64, isa.Inst) { calls++ }}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rs[0].CPU; r.Status != cpu.StatusHalt || r.Insts == 0 {
+		t.Fatalf("thread 0: %v", r)
+	}
+	if calls != rs[0].CPU.Insts {
+		t.Fatalf("Trace saw %d instructions, thread retired %d", calls, rs[0].CPU.Insts)
+	}
+}
+
+// TestRunThreadsFlatAnnotationCost: FlatAnnotationCost changes a one-thread
+// RunThreads' cycles exactly as it changes Run's. On a one-thread enclave
+// both start from the same stack, shadow stack and AEX seed, so the cycle
+// counts agree with and without the flag.
+func TestRunThreadsFlatAnnotationCost(t *testing.T) {
+	cycles := func(flat, threads bool) float64 {
+		b := multiThreadBootstrap(t, 1, policy.SetP1P5, threadedSrc)
+		rc := runtime.RunConfig{FlatAnnotationCost: flat}
+		if threads {
+			rs, err := b.RunThreads(1, rc, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs[0].CPU.Cycles
+		}
+		res, err := b.Run(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.CPU.Cycles
+	}
+	run, runFlat := cycles(false, false), cycles(true, false)
+	if runFlat <= run {
+		t.Fatalf("Run: flat annotation cost %v cycles, discounted %v; want flat > discounted", runFlat, run)
+	}
+	if got := cycles(false, true); got != run {
+		t.Errorf("RunThreads cycles %v, Run %v", got, run)
+	}
+	if got := cycles(true, true); got != runFlat {
+		t.Errorf("RunThreads flat cycles %v, Run flat %v", got, runFlat)
+	}
+}
+
 func TestRunThreadsValidation(t *testing.T) {
 	b := multiThreadBootstrap(t, 2, policy.SetP1, threadedSrc)
 	if _, err := b.RunThreads(5, runtime.RunConfig{}, 0); err == nil {

@@ -6,7 +6,7 @@ import (
 
 	"deflection/internal/enclave"
 	"deflection/internal/loader"
-	"deflection/internal/obs"
+	"deflection/internal/stage"
 	"deflection/internal/verifier"
 )
 
@@ -133,7 +133,7 @@ func (b *Bootstrap) InstallImage(img *Image) (*LoadReport, error) {
 	if img == nil {
 		return nil, ErrNoLoadedImage
 	}
-	tr := obs.NewTraceWithClock("install_image", b.traceClock)
+	tr := stage.NewTraceWithClock("install_image", b.traceClock)
 	b.setLastTrace(tr)
 
 	if b.encl.Layout != img.Layout {

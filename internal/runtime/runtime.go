@@ -22,9 +22,9 @@ import (
 	"deflection/internal/isa"
 	"deflection/internal/loader"
 	"deflection/internal/obj"
-	"deflection/internal/obs"
 	"deflection/internal/order"
 	"deflection/internal/policy"
+	"deflection/internal/stage"
 	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
@@ -95,7 +95,7 @@ type LoadReport struct {
 	TextSize   int
 	// Trace is the stage trace of this load: parse, P0 interface audit,
 	// load, disasm, per-policy verification, discipline closure, rewrite.
-	Trace *obs.Trace
+	Trace *stage.Trace
 	// Audit is the per-policy verdict trail, P0 first then the verifier's
 	// P1-P8 entries.
 	Audit []verifier.PolicyAudit
@@ -144,7 +144,7 @@ type Bootstrap struct {
 	// the verification plane's worker pool inspects traces from other
 	// goroutines, so the handoff must be race-clean.
 	traceMu   sync.Mutex
-	lastTrace *obs.Trace
+	lastTrace *stage.Trace
 }
 
 // SetTraceClock installs a deterministic clock for stage traces (tests).
@@ -153,14 +153,14 @@ func (b *Bootstrap) SetTraceClock(clock func() time.Time) { b.traceClock = clock
 // LastTrace returns the stage trace of the most recent ReceiveBinary or
 // InstallImage call (including a failed one), or nil before the first call.
 // Safe to call from a goroutine other than the one loading.
-func (b *Bootstrap) LastTrace() *obs.Trace {
+func (b *Bootstrap) LastTrace() *stage.Trace {
 	b.traceMu.Lock()
 	defer b.traceMu.Unlock()
 	return b.lastTrace
 }
 
 // setLastTrace records the trace of an in-progress load.
-func (b *Bootstrap) setLastTrace(tr *obs.Trace) {
+func (b *Bootstrap) setLastTrace(tr *stage.Trace) {
 	b.traceMu.Lock()
 	b.lastTrace = tr
 	b.traceMu.Unlock()
@@ -223,7 +223,7 @@ func (b *Bootstrap) SetSessionKey(key []byte) error {
 // and rewrite the target binary. The code provider never exposes source;
 // only this object and its proof cross the boundary.
 func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
-	tr := obs.NewTraceWithClock("receive_binary", b.traceClock)
+	tr := stage.NewTraceWithClock("receive_binary", b.traceClock)
 	b.setLastTrace(tr) // kept even on rejection, so failures can be examined
 
 	tm := tr.Start("parse")
@@ -285,7 +285,7 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 		tr.Add("verify", 0, "error", err.Error())
 		return nil, err
 	}
-	// The verifier self-times its phases (the TCB stays free of obs);
+	// The verifier self-times its phases and returns plain durations;
 	// convert its measurements into trace spans here.
 	tr.Add("disasm", vr.DisasmDuration,
 		"instructions", vr.Stats.Instructions, "blocks", vr.Dis.Blocks())
@@ -428,12 +428,14 @@ func (b *Bootstrap) Run(rc RunConfig) (*RunResult, error) {
 	if b.loaded == nil {
 		return nil, ErrNotLoaded
 	}
-	return b.result(b.newCPU(rc).Run()), nil
+	l := b.encl.Layout
+	return b.result(b.newCPU(rc, l.StackHi, l.ShadowBase, rc.AEXSeed).Run()), nil
 }
 
-// newCPU binds a CPU to the enclave at the program entry, configured by rc.
-func (b *Bootstrap) newCPU(rc RunConfig) *cpu.CPU {
-	l := b.encl.Layout
+// newCPU binds a CPU to the enclave at the program entry, configured by rc,
+// with the given stack top, shadow-stack base and AEX seed. Run and every
+// RunThreads thread are built here, so each honours all of rc.
+func (b *Bootstrap) newCPU(rc RunConfig, stackHi, shadowBase uint64, aexSeed int64) *cpu.CPU {
 	annot := b.AnnotRangeSet()
 	if rc.FlatAnnotationCost {
 		annot = cpu.NewRangeSet(nil)
@@ -443,13 +445,13 @@ func (b *Bootstrap) newCPU(rc RunConfig) *cpu.CPU {
 		Timing:      rc.Timing,
 		AnnotRanges: annot,
 		AEXInterval: rc.AEXInterval,
-		AEXSeed:     rc.AEXSeed,
+		AEXSeed:     aexSeed,
 		Ocall:       b.ocall,
 		Trace:       rc.Trace,
 	})
 	c.RIP = b.loaded.Entry
-	c.Regs[isa.RSP] = l.StackHi
-	c.Regs[isa.RegShadow] = l.ShadowBase
+	c.Regs[isa.RSP] = stackHi
+	c.Regs[isa.RegShadow] = shadowBase
 	return c
 }
 
@@ -501,17 +503,7 @@ func (b *Bootstrap) RunThreads(n int, rc RunConfig, sliceInsts uint64) ([]Thread
 	cpus := make([]*cpu.CPU, n)
 	tids := make(map[*cpu.CPU]int, n)
 	for i := 0; i < n; i++ {
-		c := cpu.New(b.encl, cpu.Config{
-			Gas:         rc.Gas,
-			Timing:      rc.Timing,
-			AnnotRanges: b.AnnotRangeSet(),
-			AEXInterval: rc.AEXInterval,
-			AEXSeed:     rc.AEXSeed + int64(i),
-			Ocall:       b.ocall,
-		})
-		c.RIP = b.loaded.Entry
-		c.Regs[isa.RSP] = l.StackHiFor(i)
-		c.Regs[isa.RegShadow] = l.ShadowBaseFor(i)
+		c := b.newCPU(rc, l.StackHiFor(i), l.ShadowBaseFor(i), rc.AEXSeed+int64(i))
 		cpus[i] = c
 		tids[c] = i
 	}

@@ -110,22 +110,20 @@ func (v *verifier) runCFA(req policy.Set, res *Result) error {
 	if err != nil {
 		return err
 	}
+	// The taint and order passes are the whole of P7's and P8's checks.
+	// Their time goes to CFADur only, so it is counted once; the P7 and P8
+	// audit entries carry no duration of their own.
 	if req.Has(policy.P7) {
-		// Unlike the other CFA stages, the taint pass is the entirety of
-		// one policy's check, so its time is billed to P7's audit entry as
-		// well as to the CFA stage timings.
 		start = time.Now()
-		err = v.timed(policy.P7, func() error { return v.taintPass(g, res) })
+		err = v.taintPass(g, res)
 		res.CFADur.Taint = time.Since(start)
 		if err != nil {
 			return err
 		}
 	}
 	if req.Has(policy.P8) {
-		// Like taint, the order pass is the entirety of P8's check: billed
-		// to its audit entry as well as the CFA stage timings.
 		start = time.Now()
-		err = v.timed(policy.P8, func() error { return v.orderPass(g, res) })
+		err = v.orderPass(g, res)
 		res.CFADur.Order = time.Since(start)
 	}
 	return err

@@ -118,7 +118,8 @@ type Stats struct {
 
 // PolicyAudit is one policy's verdict in the audit trail of an accepted
 // binary: whether the manifest required it, how many annotations satisfied
-// it, and how long its checks took.
+// it, and how long its checks took. P7's and P8's checks are the taint and
+// order passes, timed once in Result.CFADur, so their Duration is zero.
 type PolicyAudit struct {
 	Policy   policy.ID
 	Required bool

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/compiler"
 	"deflection/internal/disasm"
 	"deflection/internal/enclave"
@@ -138,12 +139,12 @@ func TestRejectsNeutralisedTrap(t *testing.T) {
 }
 
 func TestRejectsUnguardedStore(t *testing.T) {
-	a := obj.NewAssembler()
+	a := asm.NewAssembler()
 	a.AddBSS("g", 8)
-	body := []obj.Item{
+	body := []asm.Item{
 		{Inst: isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX}, SymRef: "g"},
-		obj.InstItem(isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: isa.Mem(isa.RBX, 0)}),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+		asm.InstItem(isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: isa.Mem(isa.RBX, 0)}),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
@@ -160,18 +161,18 @@ func TestRejectsUnguardedStore(t *testing.T) {
 }
 
 func TestRejectsUnguardedIndirectBranch(t *testing.T) {
-	a := obj.NewAssembler()
-	body := []obj.Item{
+	a := asm.NewAssembler()
+	body := []asm.Item{
 		{Inst: isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX}, SymRef: "f"},
-		obj.InstItem(isa.Inst{Op: isa.OpCallR, Dst: isa.RAX}),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+		asm.InstItem(isa.Inst{Op: isa.OpCallR, Dst: isa.RAX}),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddFunc("f", []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+	if err := a.AddFunc("f", []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -188,16 +189,16 @@ func TestRejectsUnguardedIndirectBranch(t *testing.T) {
 }
 
 func TestRejectsRetWithoutShadowCheck(t *testing.T) {
-	a := obj.NewAssembler()
+	a := asm.NewAssembler()
 	hlt := isa.Inst{Op: isa.OpHlt}
-	body := []obj.Item{
-		obj.BranchItem(isa.Inst{Op: isa.OpCall}, "f"),
-		obj.InstItem(hlt),
+	body := []asm.Item{
+		asm.BranchItem(isa.Inst{Op: isa.OpCall}, "f"),
+		asm.InstItem(hlt),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddFunc("f", []obj.Item{obj.InstItem(isa.Inst{Op: isa.OpRet})}); err != nil {
+	if err := a.AddFunc("f", []asm.Item{asm.InstItem(isa.Inst{Op: isa.OpRet})}); err != nil {
 		t.Fatal(err)
 	}
 	a.SetEntry("_start")
@@ -214,10 +215,10 @@ func TestRejectsRetWithoutShadowCheck(t *testing.T) {
 func TestRejectsStrayBeacon(t *testing.T) {
 	// A beacon not on the branch-target list would let any indirect branch
 	// jump there.
-	a := obj.NewAssembler()
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+	a := asm.NewAssembler()
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
@@ -236,10 +237,10 @@ func TestRejectsStrayBeacon(t *testing.T) {
 func TestRejectsBeaconPatternInImmediate(t *testing.T) {
 	// Hiding the beacon pattern inside a mov immediate would let indirect
 	// branches target the middle of that instruction.
-	a := obj.NewAssembler()
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: int64(isa.BrMarkPattern())}),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+	a := asm.NewAssembler()
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: int64(isa.BrMarkPattern())}),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
@@ -256,10 +257,10 @@ func TestRejectsBeaconPatternInImmediate(t *testing.T) {
 }
 
 func TestRejectsWriteToShadowRegister(t *testing.T) {
-	a := obj.NewAssembler()
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpMovRI, Dst: isa.RegShadow, Imm: 0}),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+	a := asm.NewAssembler()
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpMovRI, Dst: isa.RegShadow, Imm: 0}),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
@@ -307,11 +308,11 @@ func TestRejectsJumpIntoAnnotation(t *testing.T) {
 
 func TestRejectsMissingAEXChecks(t *testing.T) {
 	// A P6 claim with no checks at all.
-	a := obj.NewAssembler()
-	body := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicSSAMarkerDisp), Imm: policy.SSAMarkerMagic}),
-		obj.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicAEXCountDisp), Imm: 0}),
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+	a := asm.NewAssembler()
+	body := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicSSAMarkerDisp), Imm: policy.SSAMarkerMagic}),
+		asm.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicAEXCountDisp), Imm: 0}),
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", body); err != nil {
 		t.Fatal(err)
@@ -329,12 +330,12 @@ func TestRejectsMissingAEXChecks(t *testing.T) {
 
 func TestRejectsCounterResetOutsideEntry(t *testing.T) {
 	// Re-arming the AEX counter mid-program would defeat the P6 budget.
-	a := obj.NewAssembler()
-	start := []obj.Item{
-		obj.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicSSAMarkerDisp), Imm: policy.SSAMarkerMagic}),
-		obj.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicAEXCountDisp), Imm: 0}),
-		obj.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicAEXCountDisp), Imm: 0}), // illegal reset
-		obj.InstItem(isa.Inst{Op: isa.OpHlt}),
+	a := asm.NewAssembler()
+	start := []asm.Item{
+		asm.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicSSAMarkerDisp), Imm: policy.SSAMarkerMagic}),
+		asm.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicAEXCountDisp), Imm: 0}),
+		asm.InstItem(isa.Inst{Op: isa.OpMovMI, Mem: isa.Abs(policy.MagicAEXCountDisp), Imm: 0}), // illegal reset
+		asm.InstItem(isa.Inst{Op: isa.OpHlt}),
 	}
 	if err := a.AddFunc("_start", start); err != nil {
 		t.Fatal(err)
