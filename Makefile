@@ -30,14 +30,32 @@ lint:
 # which are also the packages Table I counts. Runs the whole suite with
 # -coverpkg over them, counts a statement covered if any test binary ran
 # it, prints per-package and aggregate coverage, and fails when the
-# aggregate drops below TCB_COVER_FLOOR, the figure recorded when the gate
-# was added. Raise the floor as coverage grows.
-TCB_COVER_FLOOR = 92.9
+# aggregate drops below TCB_COVER_FLOOR or a package drops below its entry
+# in TCB_COVER_PKG_FLOORS (a walked package without an entry has no floor
+# of its own). The floors are the figures last recorded, rounded down to
+# 0.1%: a ratchet, raised as coverage grows, never lowered to pass.
+TCB_COVER_FLOOR = 93.4
+TCB_COVER_PKG_FLOORS = \
+	deflection/attest=86.7 \
+	deflection/internal/cfa=97.1 \
+	deflection/internal/cpu=95.1 \
+	deflection/internal/disasm=96.4 \
+	deflection/internal/enclave=95.9 \
+	deflection/internal/isa=95.2 \
+	deflection/internal/loader=84.6 \
+	deflection/internal/obj=95.7 \
+	deflection/internal/order=98.6 \
+	deflection/internal/policy=100.0 \
+	deflection/internal/runtime=89.5 \
+	deflection/internal/stage=100.0 \
+	deflection/internal/taint=89.7 \
+	deflection/internal/verifier=94.8
 tcb-cover:
 	@pkgs=$$($(GO) run ./cmd/deflection-lint -root . | grep -v '^deflection-lint:' | paste -sd, -) && \
 	prof=$$(mktemp) && trap 'rm -f "$$prof" "$$prof.log"' EXIT && \
 	{ $(GO) test -count=1 -coverpkg="$$pkgs" -coverprofile="$$prof" ./... >"$$prof.log" 2>&1 || { cat "$$prof.log"; exit 1; }; } && \
-	awk -v floor=$(TCB_COVER_FLOOR) ' \
+	awk -v floor=$(TCB_COVER_FLOOR) -v pkgfloors="$(strip $(TCB_COVER_PKG_FLOORS))" ' \
+		BEGIN { n = split(pkgfloors, kv, " "); for (i = 1; i <= n; i++) { split(kv[i], f, "="); pf[f[1]] = f[2] + 0 } } \
 		/^mode:/ { next } \
 		{ stmts[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
 		END { \
@@ -46,11 +64,15 @@ tcb-cover:
 				all[pkg] += stmts[b]; total += stmts[b]; \
 				if (b in hit) { cov[pkg] += stmts[b]; covered += stmts[b] } \
 			} \
-			for (p in all) \
-				printf "%-28s %6.1f%%  %4d of %4d statements uncovered\n", p, 100*cov[p]/all[p], all[p]-cov[p], all[p] | "sort"; \
+			for (p in all) { \
+				pct = 100*cov[p]/all[p]; \
+				if (p in pf && pct < pf[p]) low = low " " p; \
+				printf "%-28s %6.1f%%  %4d of %4d statements uncovered (floor %s)\n", p, pct, all[p]-cov[p], all[p], ((p in pf) ? sprintf("%.1f%%", pf[p]) : "none") | "sort"; \
+			} \
 			close("sort"); \
 			pct = 100*covered/total; \
 			printf "%-28s %6.2f%%  %4d of %4d statements uncovered (floor %.2f%%)\n", "trusted set", pct, total-covered, total, floor; \
+			if (low != "") { print "tcb-cover: coverage below the package floor:" low; exit 1 } \
 			if (pct < floor) { print "tcb-cover: aggregate coverage below the floor"; exit 1 } \
 		}' "$$prof"
 

@@ -16,6 +16,7 @@ import (
 	"deflection/internal/loader"
 	"deflection/internal/nbench"
 	"deflection/internal/obj"
+	"deflection/internal/obs"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
 	"deflection/internal/taint"
@@ -198,8 +199,8 @@ func BenchmarkVerifier(b *testing.B) {
 }
 
 // BenchmarkTaintPass verifies the two secret-declaring apps under P1-P7 and
-// reports the P7 taint pass on its own: its time (CFADur.Taint) and its
-// block transfers (Report.Steps) per verification.
+// reports the P7 taint pass on its own: its time (the cfa/taint span of a
+// stage trace) and its block transfers (Report.Steps) per verification.
 func BenchmarkTaintPass(b *testing.B) {
 	for _, w := range []struct{ name, src string }{
 		{"credit-secret", apps.CreditSource},
@@ -216,11 +217,11 @@ func BenchmarkTaintPass(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := verifier.Verify(text, opts)
-				if err != nil {
+				opts.Trace = obs.NewTrace(w.name)
+				if _, err := verifier.Verify(text, opts); err != nil {
 					b.Fatal(err)
 				}
-				pass += res.CFADur.Taint
+				pass += obs.Dur(opts.Trace, "cfa/taint")
 			}
 			b.ReportMetric(float64(pass.Nanoseconds())/float64(b.N), "taint-ns/op")
 			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")

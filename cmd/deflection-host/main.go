@@ -106,6 +106,10 @@ func run() int {
 	rep, err := encl.Bootstrap().ReceiveBinary(raw)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "deflection-host: load/verify REJECTED: %v\n", err)
+		if *trace {
+			// A rejected load's trace ends with the phase that rejected it.
+			fmt.Print(obs.Text(encl.Bootstrap().LastTrace()))
+		}
 		return 1
 	}
 	fmt.Printf("load+verify: ACCEPTED in %v (text %d bytes, hash %x)\n",
@@ -121,7 +125,7 @@ func run() int {
 			if !a.Required {
 				verdict = "SKIP"
 			}
-			fmt.Printf("  %-3s %s  checks=%d dur=%v  %s\n", a.Policy, verdict, a.Checks, a.Duration, a.Detail)
+			fmt.Printf("  %-3s %s  checks=%d  %s\n", a.Policy, verdict, a.Checks, a.Detail)
 		}
 	}
 	if *verbose {

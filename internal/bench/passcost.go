@@ -7,20 +7,21 @@ import (
 
 	"deflection/internal/apps"
 	"deflection/internal/nbench"
+	"deflection/internal/obs"
 	"deflection/internal/policy"
 	"deflection/internal/verifier"
 )
 
 // passCost prices one group of verifier passes: every workload is verified
-// under pols, and the pass's own span (read from Result.CFADur, the same
-// timings the stage trace reports) is set against the rest of the same
-// Verify call, so no second, pass-less verification is needed.
+// under pols with a stage trace, and the pass's own spans in it are set
+// against the rest of the same Verify call, so no second, pass-less
+// verification is needed.
 type passCost struct {
 	name   string
 	title  string
 	pols   policy.Set
 	apps   []passWorkload // benchmarked before the nBench kernels
-	span   func(verifier.CFADurations) time.Duration
+	span   func(*obs.Trace) time.Duration
 	budget float64 // relative overhead bar (0 = none)
 	header []string
 	stats  func(verifier.CFAStats) []string
@@ -49,12 +50,10 @@ protocol {
 // protocol-free kernels must ride the P7/P8 trivial fast path for free.
 var passCosts = []passCost{
 	{
-		name:  "cfa",
-		title: "CFG recovery + dominance verification cost under P1-P6",
-		pols:  policy.SetP1P6,
-		span: func(d verifier.CFADurations) time.Duration {
-			return d.Build + d.Dominance + d.DeadByte + d.Targets
-		},
+		name:   "cfa",
+		title:  "CFG recovery + dominance verification cost under P1-P6",
+		pols:   policy.SetP1P6,
+		span:   func(tr *obs.Trace) time.Duration { return obs.DurPrefix(tr, "cfa/") },
 		header: []string{"blocks", "edges", "anchors"},
 		stats: func(s verifier.CFAStats) []string {
 			return []string{fmt.Sprint(s.Blocks), fmt.Sprint(s.Edges), fmt.Sprint(s.Anchors)}
@@ -68,7 +67,7 @@ var passCosts = []passCost{
 			{"nw-secret", apps.NWSource},
 			{"credit-secret", apps.CreditSource},
 		},
-		span:   func(d verifier.CFADurations) time.Duration { return d.Taint },
+		span:   func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "cfa/taint") },
 		budget: 0.15,
 		header: []string{"secrets", "funcs"},
 		stats: func(s verifier.CFAStats) []string {
@@ -89,7 +88,7 @@ var passCosts = []passCost{
 			{"seqgen-proto", benchProtocol + apps.SeqGenSource},
 			{"httpsrv-proto", benchProtocol + apps.HTTPSHandlerSource},
 		},
-		span:   func(d verifier.CFADurations) time.Duration { return d.Order },
+		span:   func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "cfa/order") },
 		budget: 0.10,
 		header: []string{"states", "ctxs"},
 		stats: func(s verifier.CFAStats) []string {
@@ -155,13 +154,14 @@ func PassCost(name string, quick bool) (*PassCostResult, error) {
 		verify := make([]time.Duration, iters)
 		pass := make([]time.Duration, iters)
 		for i := range verify {
+			opts.Trace = obs.NewTrace(w.name)
 			start := time.Now()
 			r, err := verifier.Verify(text, opts)
 			verify[i] = time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s %s: %w", name, w.name, err)
 			}
-			pass[i] = e.span(r.CFADur)
+			pass[i] = e.span(opts.Trace)
 			row.Stats = r.CFA
 		}
 		row.Verify, row.Pass = median(verify), median(pass)

@@ -2,7 +2,6 @@ package loader
 
 import (
 	"fmt"
-	"time"
 
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
@@ -11,10 +10,9 @@ import (
 
 // RewriteStats reports what the immediate rewriter patched.
 type RewriteStats struct {
-	StoreBounds int           // MagicStoreLo/Hi immediates patched
-	StackBounds int           // MagicStackLo/Hi immediates patched
-	SSASites    int           // P6 marker/counter displacements patched
-	Duration    time.Duration // wall time of the rewrite pass
+	StoreBounds int // MagicStoreLo/Hi immediates patched
+	StackBounds int // MagicStackLo/Hi immediates patched
+	SSASites    int // P6 marker/counter displacements patched
 }
 
 // RewriteImmediates is the paper's "Imm rewriter" (Section V-B): after the
@@ -26,9 +24,8 @@ type RewriteStats struct {
 // The rewriter works from the verifier's disassembly so it patches exactly
 // the decoded instruction stream; placeholder values are globally unique
 // 63-bit constants that cannot collide with legitimate loaded addresses.
-func RewriteImmediates(ld *Loaded, dis *disasm.Result) (stats RewriteStats, err error) {
-	start := time.Now()
-	defer func() { stats.Duration = time.Since(start) }()
+func RewriteImmediates(ld *Loaded, dis *disasm.Result) (RewriteStats, error) {
+	var stats RewriteStats
 	l := ld.Enclave.Layout
 
 	imm64Map := map[int64]uint64{

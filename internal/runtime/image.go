@@ -202,7 +202,7 @@ func (b *Bootstrap) InstallImage(img *Image) (*LoadReport, error) {
 	return &LoadReport{
 		BinaryHash: img.BinaryHash,
 		Stats:      img.Stats,
-		Rewrites:   img.Rewrites, // durations are the original cold run's
+		Rewrites:   img.Rewrites,
 		TextSize:   len(img.Text),
 		Trace:      tr,
 		Audit:      append([]verifier.PolicyAudit(nil), img.Audit...),

@@ -94,7 +94,8 @@ type LoadReport struct {
 	Rewrites   loader.RewriteStats
 	TextSize   int
 	// Trace is the stage trace of this load: parse, P0 interface audit,
-	// load, disasm, per-policy verification, discipline closure, rewrite.
+	// load, the verifier's phases (disasm, per-policy template checks,
+	// discipline closure, CFA passes), rewrite.
 	Trace *stage.Trace
 	// Audit is the per-policy verdict trail, P0 first then the verifier's
 	// P1-P8 entries.
@@ -135,9 +136,8 @@ type Bootstrap struct {
 	// tids maps CPUs to thread indices during a RunThreads execution.
 	tids map[*cpu.CPU]int
 
-	// traceClock, when set, replaces the wall clock for trace spans
-	// (deterministic traces in tests); verifier/loader self-timed phases
-	// still use the wall clock.
+	// traceClock, when set, replaces the wall clock for every span of the
+	// stage traces, the verifier's included (deterministic traces in tests).
 	traceClock func() time.Time
 
 	// traceMu guards lastTrace: loads run one at a time per Bootstrap, but
@@ -180,6 +180,9 @@ const defaultOutputPadBlock = 256
 // New launches a bootstrap enclave with the given memory configuration and
 // manifest.
 func New(cfg enclave.Config, m Manifest) (*Bootstrap, error) {
+	if m.OutputPadBlock < 0 {
+		return nil, fmt.Errorf("runtime: negative output pad block %d", m.OutputPadBlock)
+	}
 	if m.OutputPadBlock == 0 {
 		m.OutputPadBlock = defaultOutputPadBlock
 	}
@@ -237,7 +240,6 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 	// P0 is enforced by the bootstrap enclave itself — interface
 	// restriction, output sealing and entropy budget — so its audit entry
 	// is produced here, not by the verifier.
-	p0Start := time.Now()
 	tm = tr.Start("policy/P0")
 	instrumented := b.manifest.Policies &^ policy.Bit(policy.P0) // P0 is enclave config, not code
 	maskOK := policy.Set(o.PolicyMask)&instrumented == instrumented
@@ -249,7 +251,6 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 		Detail: fmt.Sprintf("interface restricted to %d whitelisted ocalls, outputs padded to %d-byte blocks, entropy budget %d bits",
 			len(b.manifest.AllowedOcalls), b.manifest.OutputPadBlock, b.manifest.OutputBudgetBits),
 	}
-	p0.Duration = time.Since(p0Start)
 	tm.End("ocalls", len(b.manifest.AllowedOcalls), "passed", maskOK)
 	if !maskOK {
 		return nil, fmt.Errorf("%w: binary claims %s, manifest requires %s",
@@ -280,36 +281,19 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 		BranchTargetOffsets: offsets,
 		Taint:               TaintConfig(ld),
 		Order:               OrderProtocol(ld),
+		Trace:               tr,
 	})
 	if err != nil {
-		tr.Add("verify", 0, "error", err.Error())
 		return nil, err
 	}
-	// The verifier self-times its phases and returns plain durations;
-	// convert its measurements into trace spans here.
-	tr.Add("disasm", vr.DisasmDuration,
-		"instructions", vr.Stats.Instructions, "blocks", vr.Dis.Blocks())
-	for _, a := range vr.Audit {
-		tr.Add("policy/"+a.Policy.String(), a.Duration,
-			"required", a.Required, "checks", a.Checks)
-	}
-	tr.Add("discipline", vr.DisciplineDuration, "annotations", len(vr.AnnotRanges))
-	tr.Add("cfa/build", vr.CFADur.Build, "blocks", vr.CFA.Blocks, "edges", vr.CFA.Edges)
-	tr.Add("cfa/targets", vr.CFADur.Targets, "targets", vr.CFA.Targets)
-	tr.Add("cfa/deadbyte", vr.CFADur.DeadByte, "dead_bytes", vr.CFA.DeadBytes)
-	tr.Add("cfa/dominance", vr.CFADur.Dominance, "anchors", vr.CFA.Anchors)
-	tr.Add("cfa/taint", vr.CFADur.Taint,
-		"secrets", vr.CFA.Secrets, "funcs", vr.CFA.TaintFuncs, "tainted_ranges", vr.CFA.TaintedRanges)
-	tr.Add("cfa/order", vr.CFADur.Order,
-		"states", vr.CFA.OrderStates, "funcs", vr.CFA.OrderFuncs, "contexts", vr.CFA.OrderCtxs)
 
+	tm = tr.Start("rewrite")
 	rw, err := loader.RewriteImmediates(ld, vr.Dis)
 	if err != nil {
-		tr.Add("rewrite", rw.Duration, "error", err.Error())
+		tm.End("error", err.Error())
 		return nil, err
 	}
-	tr.Add("rewrite", rw.Duration,
-		"store_bounds", rw.StoreBounds, "stack_bounds", rw.StackBounds, "ssa_sites", rw.SSASites)
+	tm.End("store_bounds", rw.StoreBounds, "stack_bounds", rw.StackBounds, "ssa_sites", rw.SSASites)
 	if b.encl.Layout.SGXv2 {
 		// EDMM: with verification and rewriting complete, drop write
 		// permission from the code pages — hardware DEP instead of relying
@@ -613,13 +597,9 @@ func (b *Bootstrap) seal(msg []byte) ([]byte, error) {
 	if b.sessionKey == nil {
 		return padded, nil
 	}
-	block, err := aes.NewCipher(b.sessionKey)
+	gcm, err := newGCM(b.sessionKey)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
+		return nil, err
 	}
 	nonce := make([]byte, gcm.NonceSize())
 	if _, err := rand.Read(nonce); err != nil {
@@ -631,13 +611,9 @@ func (b *Bootstrap) seal(msg []byte) ([]byte, error) {
 // OpenOutput decrypts and unpads a sealed output given the session key
 // (data-owner side helper).
 func OpenOutput(key, sealed []byte) ([]byte, error) {
-	block, err := aes.NewCipher(key)
+	gcm, err := newGCM(key)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
+		return nil, err
 	}
 	if len(sealed) < gcm.NonceSize() {
 		return nil, errors.New("runtime: sealed message too short")
@@ -647,6 +623,15 @@ func OpenOutput(key, sealed []byte) ([]byte, error) {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	return Unpad(padded)
+}
+
+// newGCM returns the AES-GCM cipher under key.
+func newGCM(key []byte) (cipher.AEAD, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	return cipher.NewGCM(block)
 }
 
 // padToBlock frames msg with a length prefix and pads the frame to a block

@@ -1,9 +1,11 @@
 package runtime_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"deflection/internal/asmtext"
 	"deflection/internal/compiler"
 	"deflection/internal/cpu"
 	"deflection/internal/enclave"
@@ -410,5 +412,112 @@ func TestUnpadRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := runtime.Unpad([]byte{255, 255, 255, 127}); err == nil {
 		t.Error("oversized length must fail")
+	}
+}
+
+// TestNegativeOutputPadBlockRejected: a negative pad block would make the
+// send stub's padding allocate a negative length, so New refuses it.
+func TestNegativeOutputPadBlockRejected(t *testing.T) {
+	m := runtime.DefaultManifest()
+	m.OutputPadBlock = -256
+	if _, err := runtime.New(enclave.DefaultConfig(), m); err == nil {
+		t.Fatal("New accepted a negative output pad block")
+	}
+}
+
+// TestOcallStubRefusals drives the send and recv stubs with the arguments a
+// hostile service would pass: transfers over the 1 MiB cap, buffers that
+// fault, an oversized input, and an index the manifest allows but no stub
+// serves.
+func TestOcallStubRefusals(t *testing.T) {
+	const unmapped = 1 << 60
+	cases := []struct {
+		name     string
+		rdi      string // buffer address operand
+		rsi      int64  // length or capacity
+		index    int64
+		input    string
+		trap     isa.TrapCode // 0: the program must halt
+		exit     int64
+		received string // buffer contents after a halt
+	}{
+		{name: "send over 1 MiB", rdi: "=buf", rsi: 1<<20 + 1, index: policy.OcallSend, trap: isa.TrapOcallDenied},
+		{name: "recv over 1 MiB", rdi: "=buf", rsi: 1<<20 + 1, index: policy.OcallRecv, trap: isa.TrapOcallDenied},
+		{name: "send faulting buffer", rdi: fmt.Sprint(unmapped), rsi: 8, index: policy.OcallSend, trap: isa.TrapPageFault},
+		{name: "recv faulting buffer", rdi: fmt.Sprint(unmapped), rsi: 8, index: policy.OcallRecv, input: "data", trap: isa.TrapPageFault},
+		{name: "recv truncated to capacity", rdi: "=buf", rsi: 5, index: policy.OcallRecv, input: "hello, world", exit: 5, received: "hello"},
+		{name: "allowed unknown index", rdi: "=buf", rsi: 8, index: 99, trap: isa.TrapOcallDenied},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := asmtext.Assemble(fmt.Sprintf(`
+.entry _start
+.bss buf 16
+.func _start
+  mov rdi, %s
+  mov rsi, %d
+  ocall %d
+  hlt
+`, tc.rdi, tc.rsi, tc.index), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := runtime.DefaultManifest()
+			m.Policies = policy.SetNone
+			m.AllowedOcalls = append(m.AllowedOcalls, 99)
+			b, err := runtime.New(enclave.DefaultConfig(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.ReceiveBinary(o.Marshal()); err != nil {
+				t.Fatal(err)
+			}
+			if tc.input != "" {
+				b.ReceiveData([]byte(tc.input))
+			}
+			res, err := b.Run(runtime.RunConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.trap != 0 {
+				if res.CPU.Status != cpu.StatusTrap || res.CPU.Trap != tc.trap {
+					t.Fatalf("got %v, want trap %v", res.CPU, tc.trap)
+				}
+				if len(res.Outputs) != 0 {
+					t.Errorf("%d outputs left the enclave", len(res.Outputs))
+				}
+				return
+			}
+			if res.CPU.Status != cpu.StatusHalt || res.CPU.ExitValue != tc.exit {
+				t.Fatalf("got %v, want halt with %d", res.CPU, tc.exit)
+			}
+			// buf is the object's only data, so it starts at the heap base.
+			got, f := b.Enclave().Mem.Read(b.Enclave().Layout.HeapBase, len(tc.received)+1)
+			if f != nil {
+				t.Fatal(f)
+			}
+			if string(got) != tc.received+"\x00" {
+				t.Errorf("buffer = %q, want %q", got, tc.received)
+			}
+		})
+	}
+}
+
+// TestOpenOutputErrors: the data owner's unsealing refuses a bad key
+// length, a message shorter than the nonce, and a forged tag; the enclave
+// refuses a session key of a length AES does not take.
+func TestOpenOutputErrors(t *testing.T) {
+	if err := newBootstrap(t, policy.SetNone).SetSessionKey(make([]byte, 5)); err == nil {
+		t.Error("SetSessionKey accepted a 5-byte key")
+	}
+	key := []byte("0123456789abcdef")
+	for name, tc := range map[string]struct{ key, sealed []byte }{
+		"bad key length": {key[:5], make([]byte, 64)},
+		"too short":      {key, make([]byte, 4)},
+		"forged tag":     {key, make([]byte, 64)},
+	} {
+		if _, err := runtime.OpenOutput(tc.key, tc.sealed); err == nil {
+			t.Errorf("%s: OpenOutput accepted it", name)
+		}
 	}
 }

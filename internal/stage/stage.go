@@ -65,13 +65,21 @@ type Timer struct {
 	start time.Time
 }
 
-// Start opens a span; call End on the returned timer to record it.
+// Start opens a span; call End on the returned timer to record it. A nil
+// trace returns a nil timer, whose End does nothing, so instrumented code
+// runs untraced without nil checks.
 func (t *Trace) Start(name string) *Timer {
+	if t == nil {
+		return nil
+	}
 	return &Timer{t: t, name: name, start: t.clock()}
 }
 
 // End records the span with optional alternating key/value attributes.
 func (tm *Timer) End(kv ...any) {
+	if tm == nil {
+		return
+	}
 	now := tm.t.clock()
 	tm.t.append(Span{
 		Name:  tm.name,
@@ -81,8 +89,8 @@ func (tm *Timer) End(kv ...any) {
 	})
 }
 
-// Add records a span whose duration was measured elsewhere (aggregated
-// per-policy verifier phases); its start offset is the current trace time.
+// Add records a span whose duration was measured elsewhere (a session
+// phase timed by its caller); its start offset is the current trace time.
 func (t *Trace) Add(name string, d time.Duration, kv ...any) {
 	t.append(Span{
 		Name:  name,

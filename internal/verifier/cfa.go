@@ -22,7 +22,6 @@ package verifier
 
 import (
 	"fmt"
-	"time"
 
 	"deflection/internal/cfa"
 	"deflection/internal/disasm"
@@ -39,9 +38,6 @@ type CFAStats struct {
 	// Anchors counts the P1 store guards and P2 RSP guards the dominance
 	// pass re-verified.
 	Anchors int
-	// DeadBytes counts text bytes not covered by any decoded instruction
-	// (always 0 for an accepted binary when the dead-byte pass ran).
-	DeadBytes int
 	// Targets counts the proof-listed indirect targets cross-checked.
 	Targets int
 	// Secrets counts the declared P7 taint sources the taint pass analysed
@@ -62,16 +58,6 @@ type CFAStats struct {
 	OrderTrivial bool
 }
 
-// CFADurations times the CFA stages.
-type CFADurations struct {
-	Build     time.Duration
-	Dominance time.Duration
-	DeadByte  time.Duration
-	Targets   time.Duration
-	Taint     time.Duration
-	Order     time.Duration
-}
-
 // cfaViolation builds a structured rejection attributed to a CFA pass.
 func (v *verifier) cfaViolation(pass string, id policy.ID, off int64, format string, args ...any) error {
 	e := v.violation(id, off, format, args...).(*Violation)
@@ -79,54 +65,48 @@ func (v *verifier) cfaViolation(pass string, id policy.ID, off int64, format str
 	return e
 }
 
-// runCFA recovers the CFG and runs the dominance, dead-byte and target-list
-// passes, filling res.CFA and res.CFADur.
+// runCFA recovers the CFG and runs the target-list, dead-byte, dominance,
+// taint and order passes, filling res.CFA. Each runs in its own cfa/* span;
+// the taint and order passes are the whole of P7's and P8's checks.
 func (v *verifier) runCFA(req policy.Set, res *Result) error {
-	start := time.Now()
+	tr, c := v.opts.Trace, &res.CFA
+	tm := tr.Start("cfa/build")
 	g := cfa.Build(v.dis, v.opts.EntryOffset, v.opts.BranchTargetOffsets)
-	res.CFADur.Build = time.Since(start)
-	res.CFA.Blocks = len(g.Blocks) - 1
-	res.CFA.Edges = g.Edges
+	c.Blocks = len(g.Blocks) - 1
+	c.Edges = g.Edges
+	tm.End("blocks", c.Blocks, "edges", c.Edges)
 
 	if req.Has(policy.P5) {
-		start = time.Now()
+		tm = tr.Start("cfa/targets")
 		err := v.targetListPass(g, res)
-		res.CFADur.Targets = time.Since(start)
-		if err != nil {
+		if endSpan(tm, err, "targets", c.Targets) != nil {
 			return err
 		}
 	}
 	if req.Has(policy.P4) || req.Has(policy.P5) {
-		start = time.Now()
-		err := v.deadBytePass(g, req, res)
-		res.CFADur.DeadByte = time.Since(start)
-		if err != nil {
+		tm = tr.Start("cfa/deadbyte")
+		if err := endSpan(tm, v.deadBytePass(g, req), "dead_bytes", 0); err != nil {
 			return err
 		}
 	}
-	start = time.Now()
+	tm = tr.Start("cfa/dominance")
 	err := v.dominancePass(g, res)
-	res.CFADur.Dominance = time.Since(start)
-	if err != nil {
+	if endSpan(tm, err, "anchors", c.Anchors) != nil {
 		return err
 	}
-	// The taint and order passes are the whole of P7's and P8's checks.
-	// Their time goes to CFADur only, so it is counted once; the P7 and P8
-	// audit entries carry no duration of their own.
 	if req.Has(policy.P7) {
-		start = time.Now()
-		err = v.taintPass(g, res)
-		res.CFADur.Taint = time.Since(start)
-		if err != nil {
+		tm = tr.Start("cfa/taint")
+		err := v.taintPass(g, res)
+		if endSpan(tm, err, "secrets", c.Secrets, "funcs", c.TaintFuncs, "tainted_ranges", c.TaintedRanges) != nil {
 			return err
 		}
 	}
 	if req.Has(policy.P8) {
-		start = time.Now()
-		err = v.orderPass(g, res)
-		res.CFADur.Order = time.Since(start)
+		tm = tr.Start("cfa/order")
+		err := v.orderPass(g, res)
+		return endSpan(tm, err, "states", c.OrderStates, "funcs", c.OrderFuncs, "contexts", c.OrderCtxs)
 	}
-	return err
+	return nil
 }
 
 // orderPass runs the P8 interface-orderliness analysis over the recovered
@@ -230,7 +210,7 @@ func (v *verifier) targetListPass(g *cfa.Graph, res *Result) error {
 // unreachable from the entry and the branch-target list, so a compliant
 // generator never emits them and they could hide side-loaded code. The
 // finding is attributed to P4 (software DEP) when required, else P5.
-func (v *verifier) deadBytePass(g *cfa.Graph, req policy.Set, res *Result) error {
+func (v *verifier) deadBytePass(g *cfa.Graph, req policy.Set) error {
 	dead := g.DeadRanges(len(v.text))
 	if len(dead) == 0 {
 		return nil
@@ -239,7 +219,6 @@ func (v *verifier) deadBytePass(g *cfa.Graph, req policy.Set, res *Result) error
 	for _, r := range dead {
 		total += r.Hi - r.Lo
 	}
-	res.CFA.DeadBytes = int(total)
 	id := policy.P4
 	if !req.Has(policy.P4) {
 		id = policy.P5

@@ -2,6 +2,7 @@ package verifier_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"deflection/internal/asmtext"
@@ -212,6 +213,23 @@ const targetListSrc = `
   brmark
   hlt
 `
+
+// TestListedTargetWithoutBeaconRejected: a listed target that decodes but
+// does not start with a BRMARK beacon is refused by P5's beacon check.
+func TestListedTargetWithoutBeaconRejected(t *testing.T) {
+	err := verifyAsmTargets(t, `
+.entry _start
+.target fn
+.func _start
+  hlt
+.func fn
+  hlt
+`, policy.SetP1P5, nil)
+	vio := requireViolation(t, err, policy.P5, "")
+	if !strings.Contains(vio.Msg, "lacks a BRMARK beacon") {
+		t.Errorf("rejected for %q, want the missing beacon", vio.Msg)
+	}
+}
 
 // TestBogusTargetListRejected drives the verifier with tampered target
 // lists: entries outside text or mid-instruction die in the beacon check,

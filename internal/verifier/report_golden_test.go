@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"deflection/internal/obj"
 	"deflection/internal/order"
 	"deflection/internal/policy"
+	"deflection/internal/stage"
 	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
@@ -174,7 +176,8 @@ func goldenCompiled(t *testing.T, sb *strings.Builder, name, src string) {
 
 // goldenReports loads o exactly as the runtime does, verifies it under pols
 // with both report observers attached, and serialises the verdict and
-// whichever reports the passes produced.
+// whichever reports the passes produced. It then verifies o again with a
+// stage trace (tracedAgrees).
 func goldenReports(t *testing.T, sb *strings.Builder, name string, o *obj.Object, pols policy.Set, mangle func([]int64) []int64) {
 	t.Helper()
 	text, opts := loadObject(t, o, pols)
@@ -186,6 +189,7 @@ func goldenReports(t *testing.T, sb *strings.Builder, name string, o *obj.Object
 	opts.TaintObserver = func(r *taint.Report) { trep = r }
 	opts.OrderObserver = func(r *order.Report) { orep = r }
 	res, verr := verifier.Verify(text, opts)
+	tracedAgrees(t, name, text, opts, res, verr)
 	fmt.Fprintf(sb, "== %s\n", name)
 	if verr != nil {
 		fmt.Fprintf(sb, "verdict: rejected: %v\n", verr)
@@ -215,11 +219,40 @@ func goldenReports(t *testing.T, sb *strings.Builder, name string, o *obj.Object
 	}
 }
 
-// goldenResult serialises an accepted Result, leaving out the durations.
+// tracedAgrees verifies text again with Options.Trace set and fails unless
+// the verdict and the Result (Stats, AnnotRanges, CFA, Audit) equal the
+// untraced run's res and verr, and the trace is well formed: a disasm span
+// first, and an error attribute on the last span exactly when the binary
+// was rejected.
+func tracedAgrees(t *testing.T, name string, text []byte, opts verifier.Options, res *verifier.Result, verr error) {
+	t.Helper()
+	opts.TaintObserver, opts.OrderObserver = nil, nil
+	opts.Trace = stage.NewTraceWithClock(name, nil)
+	tres, terr := verifier.Verify(text, opts)
+	if fmt.Sprint(terr) != fmt.Sprint(verr) {
+		t.Fatalf("%s: traced verdict %v, untraced %v", name, terr, verr)
+	}
+	if verr == nil && (!reflect.DeepEqual(tres.Stats, res.Stats) || !reflect.DeepEqual(tres.AnnotRanges, res.AnnotRanges) ||
+		!reflect.DeepEqual(tres.CFA, res.CFA) || !reflect.DeepEqual(tres.Audit, res.Audit)) {
+		t.Fatalf("%s: traced Result differs from the untraced one", name)
+	}
+	spans := opts.Trace.Spans()
+	if len(spans) == 0 || spans[0].Name != "disasm" {
+		t.Fatalf("%s: trace does not open with disasm: %+v", name, spans)
+	}
+	last := spans[len(spans)-1]
+	if hasErr := len(last.Attrs) == 1 && last.Attrs[0].Key == "error"; hasErr != (verr != nil) {
+		t.Fatalf("%s: last span %s %v does not match verdict %v", name, last.Name, last.Attrs, verr)
+	}
+}
+
+// goldenResult serialises an accepted Result.
 func goldenResult(sb *strings.Builder, res *verifier.Result) {
 	fmt.Fprintf(sb, "stats: %+v\n", res.Stats)
 	fmt.Fprintf(sb, "dis: insts=%d blocks=%d\n", len(res.Dis.Insts), res.Dis.Blocks())
-	fmt.Fprintf(sb, "cfa: %+v\n", res.CFA)
+	// The golden keeps the column of the removed CFAStats.DeadBytes, which
+	// every accepted Result held at 0 (dead bytes reject the binary).
+	fmt.Fprintf(sb, "cfa: %s\n", strings.Replace(fmt.Sprintf("%+v", res.CFA), " Targets:", " DeadBytes:0 Targets:", 1))
 	for _, a := range res.Audit {
 		fmt.Fprintf(sb, "audit %v required=%t passed=%t checks=%d: %s\n", a.Policy, a.Required, a.Passed, a.Checks, a.Detail)
 	}

@@ -10,23 +10,24 @@
 // verifier only needs byte-precise pattern matching plus control-flow
 // closure arguments — which is what keeps the in-enclave TCB small.
 //
-// Every acceptance produces a per-policy audit trail (PolicyAudit) with
-// measured per-policy check durations, and every rejection is a structured
-// Violation naming the policy, the text offset and the disassembled
-// instruction at the anchor — the evidence a data owner needs to decide
-// *why* a proof was (not) accepted, not just whether.
+// Every acceptance produces a per-policy audit trail (PolicyAudit), and
+// every rejection is a structured Violation naming the policy, the text
+// offset and the disassembled instruction at the anchor — the evidence a
+// data owner needs to decide *why* a proof was (not) accepted, not just
+// whether. With Options.Trace set, each phase is also timed as a span of
+// the caller's stage trace, the rejecting one with an error attribute.
 package verifier
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
 	"deflection/internal/order"
 	"deflection/internal/policy"
+	"deflection/internal/stage"
 	"deflection/internal/taint"
 )
 
@@ -102,6 +103,12 @@ type Options struct {
 	// Debugging hook for deflection-disasm -order; never influences the
 	// verdict.
 	OrderObserver func(*order.Report)
+	// Trace, when non-nil, receives one span per verification phase in the
+	// order the phases run: disasm, policy/<id> around each template phase
+	// (P5 and P6 run in two phases each), discipline and the cfa/* passes.
+	// A rejecting phase ends its span with an "error" attribute. An output
+	// sink only; never influences the verdict.
+	Trace *stage.Trace
 }
 
 // Stats counts verified annotations.
@@ -118,15 +125,13 @@ type Stats struct {
 
 // PolicyAudit is one policy's verdict in the audit trail of an accepted
 // binary: whether the manifest required it, how many annotations satisfied
-// it, and how long its checks took. P7's and P8's checks are the taint and
-// order passes, timed once in Result.CFADur, so their Duration is zero.
+// it, and what its checks established.
 type PolicyAudit struct {
 	Policy   policy.ID
 	Required bool
 	Passed   bool
 	Checks   int
 	Detail   string
-	Duration time.Duration
 }
 
 // Result is the verifier's accepted-binary report.
@@ -139,24 +144,14 @@ type Result struct {
 	AnnotRanges []Range
 	// Audit holds one verdict per policy P1-P8 in ascending order.
 	Audit []PolicyAudit
-	// DisasmDuration and DisciplineDuration time the shared stages that
-	// are not attributable to a single policy: the recursive-descent
-	// disassembly and the branch-discipline closure check.
-	DisasmDuration     time.Duration
-	DisciplineDuration time.Duration
 	// CFA summarises the control-flow-analysis passes.
 	CFA CFAStats
-	// CFADur times the CFA stages (kept out of the per-policy durations so
-	// trace totals do not double-count).
-	CFADur CFADurations
 }
 
 type verifier struct {
 	text []byte
 	opts Options
 	dis  *disasm.Result
-
-	disDur time.Duration // the disassembly's wall time
 
 	ranges []Range
 	marks  []mark // per instruction of dis.Insts
@@ -168,8 +163,6 @@ type verifier struct {
 	// dominance pass re-verifies, collected by the template matchers.
 	storeAnchors []storeAnchor
 	rspAnchors   []rspAnchor
-
-	durs [9]time.Duration // per-policy check time, indexed by policy.ID
 }
 
 // mark is what the template matchers proved about one instruction.
@@ -210,13 +203,42 @@ func (v *verifier) violation(id policy.ID, off int64, format string, args ...any
 	return e
 }
 
-// timed runs one policy's check phase and accrues its wall time to that
-// policy's audit entry.
-func (v *verifier) timed(id policy.ID, f func() error) error {
-	start := time.Now()
-	err := f()
-	v.durs[id] += time.Since(start)
+// endSpan closes a phase's span: with an error attribute when the phase
+// rejected the binary, else with the phase's attributes kv. It returns err.
+func endSpan(tm *stage.Timer, err error, kv ...any) error {
+	if err != nil {
+		kv = []any{"error", err.Error()}
+	}
+	tm.End(kv...)
 	return err
+}
+
+// policyPhase runs checks, one template phase of policy id, in a
+// policy/<id> span that counts the annotations the phase verified.
+func (v *verifier) policyPhase(id policy.ID, checks ...func() error) error {
+	tm := v.opts.Trace.Start("policy/" + id.String())
+	before := v.checks(id)
+	for _, f := range checks {
+		if err := f(); err != nil {
+			return endSpan(tm, err)
+		}
+	}
+	return endSpan(tm, nil, "required", true, "checks", v.checks(id)-before)
+}
+
+// checks counts the verified annotations that satisfy template policy id
+// (P1-P6), as its audit entry reports them.
+func (v *verifier) checks(id policy.ID) int {
+	switch id {
+	case policy.P1, policy.P3, policy.P4:
+		return v.stats.StoreGuards
+	case policy.P2:
+		return v.stats.RSPGuards
+	case policy.P5:
+		return v.stats.CFIGuards + v.stats.ShadowChecks + v.stats.ShadowPushes
+	default: // P6
+		return v.stats.AEXChecks
+	}
 }
 
 // Verify statically checks the relocated text against the required policy
@@ -238,28 +260,27 @@ func (v *verifier) setup(text []byte, opts Options) error {
 	if opts.AEXCheckMaxGap == 0 {
 		opts.AEXCheckMaxGap = policy.DefaultAEXCheckInterval*2 + 64
 	}
+	tm := opts.Trace.Start("disasm")
 	// Out-of-range proof targets get a structured rejection before they can
 	// poison the disassembly entry queue.
 	for _, t := range opts.BranchTargetOffsets {
 		if t < 0 || t >= int64(len(text)) {
-			return &Violation{Policy: policy.P5, Offset: t, Pass: "target-list",
-				Msg: fmt.Sprintf("listed indirect target outside text (len %d)", len(text))}
+			return endSpan(tm, &Violation{Policy: policy.P5, Offset: t, Pass: "target-list",
+				Msg: fmt.Sprintf("listed indirect target outside text (len %d)", len(text))})
 		}
 	}
 	entries := append([]int64{opts.EntryOffset}, opts.BranchTargetOffsets...)
-	disStart := time.Now()
 	dis, err := disasm.Disassemble(text, entries)
-	disDur := time.Since(disStart)
 	if err != nil {
 		// Undecodable or overlapping control flow defeats the CFI trust
 		// argument, so rejection is attributed to P5's decode stage.
-		return &Violation{Policy: policy.P5, Pass: "decode", Msg: err.Error()}
+		return endSpan(tm, &Violation{Policy: policy.P5, Pass: "decode", Msg: err.Error()})
 	}
+	tm.End("instructions", len(dis.Insts), "blocks", dis.Blocks())
 	*v = verifier{
 		text:      text,
 		opts:      opts,
 		dis:       dis,
-		disDur:    disDur,
 		marks:     make([]mark, len(dis.Insts)),
 		targetSet: make(map[int64]bool, len(opts.BranchTargetOffsets)),
 	}
@@ -276,43 +297,28 @@ func (v *verifier) setup(text []byte, opts Options) error {
 func (v *verifier) matchTemplates() error {
 	req := v.opts.Required
 	if req.Has(policy.P5) {
-		if err := v.timed(policy.P5, v.checkBranchTargetBeacons); err != nil {
-			return err
-		}
-		if err := v.timed(policy.P5, v.scanBeaconPattern); err != nil {
+		if err := v.policyPhase(policy.P5, v.checkBranchTargetBeacons, v.scanBeaconPattern); err != nil {
 			return err
 		}
 	}
 	if req.Has(policy.P6) {
-		if err := v.timed(policy.P6, v.matchP6Arming); err != nil {
-			return err
-		}
-		if err := v.timed(policy.P6, v.matchAEXChecks); err != nil {
+		if err := v.policyPhase(policy.P6, v.matchP6Arming, v.matchAEXChecks); err != nil {
 			return err
 		}
 	}
 	if req.Has(policy.P5) {
-		if err := v.timed(policy.P5, v.matchShadowPushes); err != nil {
-			return err
-		}
-		if err := v.timed(policy.P5, v.matchReturnChecks); err != nil {
-			return err
-		}
-		if err := v.timed(policy.P5, v.matchCFIGuards); err != nil {
-			return err
-		}
-		if err := v.timed(policy.P5, v.checkReservedRegisters); err != nil {
+		if err := v.policyPhase(policy.P5, v.matchShadowPushes, v.matchReturnChecks, v.matchCFIGuards, v.checkReservedRegisters); err != nil {
 			return err
 		}
 	}
 	if req.Has(policy.P2) {
-		if err := v.timed(policy.P2, v.matchRSPGuards); err != nil {
+		if err := v.policyPhase(policy.P2, v.matchRSPGuards); err != nil {
 			return err
 		}
 	}
 	if req.Has(policy.P1) || req.Has(policy.P3) || req.Has(policy.P4) {
 		id := storeGuardOwner(req)
-		if err := v.timed(id, func() error { return v.matchStoreGuards(id) }); err != nil {
+		if err := v.policyPhase(id, func() error { return v.matchStoreGuards(id) }); err != nil {
 			return err
 		}
 	}
@@ -323,38 +329,24 @@ func (v *verifier) matchTemplates() error {
 // passes, and builds the accepted-binary report.
 func (v *verifier) finish() (*Result, error) {
 	req := v.opts.Required
-	discStart := time.Now()
-	discErr := v.checkBranchDiscipline()
-	discDur := time.Since(discStart)
-	if discErr != nil {
-		return nil, discErr
+	tm := v.opts.Trace.Start("discipline")
+	if err := endSpan(tm, v.checkBranchDiscipline(), "annotations", len(v.ranges)); err != nil {
+		return nil, err
 	}
 	if req.Has(policy.P6) {
-		if err := v.timed(policy.P6, v.checkAEXCoverage); err != nil {
+		if err := v.policyPhase(policy.P6, v.checkAEXCoverage); err != nil {
 			return nil, err
 		}
 	}
-	// Policies P3 and P4 are enforced by the same store-bound range as P1
-	// (the range excludes the SSA, shadow stack, branch table and code
-	// pages); their audit re-walks the text to confirm the coverage claim
-	// they inherit.
-	if req.Has(policy.P3) {
-		if err := v.timed(policy.P3, func() error { return v.auditStoreCoverage(policy.P3) }); err != nil {
-			return nil, err
-		}
-	}
-	if req.Has(policy.P4) {
-		if err := v.timed(policy.P4, func() error { return v.auditStoreCoverage(policy.P4) }); err != nil {
-			return nil, err
-		}
-	}
+	// Policies P3 and P4 need no check of their own: they are enforced by
+	// the same store-bound range as P1 (the range excludes the SSA, shadow
+	// stack, branch table and code pages), and matchStoreGuards left every
+	// store outside an annotation guarded or rejected the binary.
 
 	res := &Result{
-		Dis:                v.dis,
-		Stats:              v.stats,
-		AnnotRanges:        v.ranges,
-		DisasmDuration:     v.disDur,
-		DisciplineDuration: discDur,
+		Dis:         v.dis,
+		Stats:       v.stats,
+		AnnotRanges: v.ranges,
 	}
 	if err := v.runCFA(req, res); err != nil {
 		return nil, err
@@ -376,18 +368,6 @@ func storeGuardOwner(req policy.Set) policy.ID {
 	}
 }
 
-// auditStoreCoverage re-confirms, for a policy that inherits the store
-// bounds (P3: critical data, P4: code pages), that every store anchor is
-// either guarded or inside a verified annotation.
-func (v *verifier) auditStoreCoverage(id policy.ID) error {
-	for i, in := range v.dis.Insts {
-		if in.Op.IsStore() && !v.marks[i].guarded && !v.marks[i].annotated {
-			return v.violation(id, in.Off, "store escaped the shared bounds guard (%v)", id)
-		}
-	}
-	return nil
-}
-
 // buildAudit assembles the per-policy verdict trail for an accepted binary.
 // cfaStats is the CFA pass summary.
 func (v *verifier) buildAudit(req policy.Set, cfaStats *CFAStats) []PolicyAudit {
@@ -395,21 +375,21 @@ func (v *verifier) buildAudit(req policy.Set, cfaStats *CFAStats) []PolicyAudit 
 		checks int
 		detail string
 	}{
-		policy.P1: {v.stats.StoreGuards, fmt.Sprintf("%d stores confined to the enclave data range by verified bounds guards; dominance pass proved all %d guards un-bypassable and clobber-free",
+		policy.P1: {v.checks(policy.P1), fmt.Sprintf("%d stores confined to the enclave data range by verified bounds guards; dominance pass proved all %d guards un-bypassable and clobber-free",
 			v.stats.StoreGuards, len(v.storeAnchors))},
-		policy.P2: {v.stats.RSPGuards, fmt.Sprintf("%d explicit RSP writes followed by verified stack-bounds checks; dominance pass proved all %d checks adjacent and un-bypassable",
+		policy.P2: {v.checks(policy.P2), fmt.Sprintf("%d explicit RSP writes followed by verified stack-bounds checks; dominance pass proved all %d checks adjacent and un-bypassable",
 			v.stats.RSPGuards, len(v.rspAnchors))},
-		policy.P3: {v.stats.StoreGuards, fmt.Sprintf("store bounds exclude SSA, shadow stack and branch table; %d stores audited", v.stats.StoreGuards)},
-		policy.P4: {v.stats.StoreGuards, fmt.Sprintf("store bounds exclude code pages (software DEP); %d stores audited; dead-byte pass found no unreachable text bytes", v.stats.StoreGuards)},
-		policy.P5: {v.stats.CFIGuards + v.stats.ShadowChecks + v.stats.ShadowPushes, fmt.Sprintf("%d indirect branches CFI-guarded, %d returns shadow-checked, %d shadow pushes, %d listed-target beacons; %d listed targets cross-checked against the %d-block CFG",
+		policy.P3: {v.checks(policy.P3), fmt.Sprintf("store bounds exclude SSA, shadow stack and branch table; %d stores audited", v.stats.StoreGuards)},
+		policy.P4: {v.checks(policy.P4), fmt.Sprintf("store bounds exclude code pages (software DEP); %d stores audited; dead-byte pass found no unreachable text bytes", v.stats.StoreGuards)},
+		policy.P5: {v.checks(policy.P5), fmt.Sprintf("%d indirect branches CFI-guarded, %d returns shadow-checked, %d shadow pushes, %d listed-target beacons; %d listed targets cross-checked against the %d-block CFG",
 			v.stats.CFIGuards, v.stats.ShadowChecks, v.stats.ShadowPushes, v.stats.Beacons, cfaStats.Targets, cfaStats.Blocks)},
-		policy.P6: {v.stats.AEXChecks, fmt.Sprintf("entry arming verified, %d SSA-marker checks, max straight-line gap %d", v.stats.AEXChecks, v.opts.AEXCheckMaxGap)},
+		policy.P6: {v.checks(policy.P6), fmt.Sprintf("entry arming verified, %d SSA-marker checks, max straight-line gap %d", v.stats.AEXChecks, v.opts.AEXCheckMaxGap)},
 		policy.P7: {cfaStats.Secrets, taintDetail(cfaStats)},
 		policy.P8: {cfaStats.OrderStates, orderDetail(cfaStats)},
 	}
 	var audit []PolicyAudit
 	for id := policy.P1; id <= policy.P8; id++ {
-		a := PolicyAudit{Policy: id, Required: req.Has(id), Passed: true, Duration: v.durs[id]}
+		a := PolicyAudit{Policy: id, Required: req.Has(id), Passed: true}
 		if !a.Required {
 			a.Detail = "not required by manifest; skipped"
 		} else {

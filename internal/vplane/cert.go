@@ -83,40 +83,50 @@ func (s *MemCertStore) Len() int {
 }
 
 // ImageDigest computes the content digest a verdict certificate binds: a
-// domain-separated SHA-256 over every field of the verified image,
-// including the enclave layout its absolute addresses were rewritten for.
+// domain-separated SHA-256 over every field of the verified image — the
+// verdict evidence (Stats, Rewrites, Audit) a cache hit replays to the
+// client included — and the enclave layout its absolute addresses were
+// rewritten for.
 func ImageDigest(img *runtime.Image) [32]byte {
 	h := sha256.New()
-	h.Write([]byte("deflection-image-digest-v1\x00"))
+	h.Write([]byte("deflection-image-digest-v2\x00"))
 	h.Write(img.BinaryHash[:])
 	var n [8]byte
-	for _, v := range []uint64{
-		img.Entry, img.TextBase, img.TextEnd, img.DataBase, img.HeapFree,
-	} {
-		binary.LittleEndian.PutUint64(n[:], v)
-		h.Write(n[:])
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(n[:], v)
+			h.Write(n[:])
+		}
 	}
-	writeBytes := func(b []byte) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-		h.Write(n[:])
+	putBytes := func(b []byte) {
+		put(uint64(len(b)))
 		h.Write(b)
 	}
-	writeBytes(img.Text)
-	writeBytes(img.Data)
-	writeBytes(img.BranchTable)
-	binary.LittleEndian.PutUint64(n[:], uint64(len(img.BranchTargets)))
-	h.Write(n[:])
-	for _, t := range img.BranchTargets {
-		binary.LittleEndian.PutUint64(n[:], t)
-		h.Write(n[:])
-	}
-	binary.LittleEndian.PutUint64(n[:], uint64(len(img.AnnotRanges)))
-	h.Write(n[:])
+	put(img.Entry, img.TextBase, img.TextEnd, img.DataBase, img.HeapFree)
+	putBytes(img.Text)
+	putBytes(img.Data)
+	putBytes(img.BranchTable)
+	put(uint64(len(img.BranchTargets)))
+	put(img.BranchTargets...)
+	put(uint64(len(img.AnnotRanges)))
 	for _, r := range img.AnnotRanges {
-		binary.LittleEndian.PutUint64(n[:], uint64(r.Lo))
-		h.Write(n[:])
-		binary.LittleEndian.PutUint64(n[:], uint64(r.Hi))
-		h.Write(n[:])
+		put(uint64(r.Lo), uint64(r.Hi))
+	}
+	st, rw := img.Stats, img.Rewrites
+	for _, v := range []int{st.StoreGuards, st.RSPGuards, st.CFIGuards, st.ShadowPushes, st.ShadowChecks,
+		st.AEXChecks, st.Beacons, st.Instructions, rw.StoreBounds, rw.StackBounds, rw.SSASites, len(img.Audit)} {
+		put(uint64(v))
+	}
+	for _, a := range img.Audit {
+		var flags uint64
+		if a.Required {
+			flags |= 1
+		}
+		if a.Passed {
+			flags |= 2
+		}
+		put(uint64(a.Policy), flags, uint64(a.Checks))
+		putBytes([]byte(a.Detail))
 	}
 	hashLayout(h, img.Layout)
 	var d [32]byte

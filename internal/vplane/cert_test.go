@@ -2,6 +2,8 @@ package vplane_test
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"deflection/internal/obs"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
+	"deflection/internal/verifier"
 	"deflection/internal/vplane"
 )
 
@@ -389,14 +392,52 @@ func TestCertLookupSingleFlight(t *testing.T) {
 	}
 }
 
-// TestImageDigestCoversLayout: two images differing only in layout must
-// digest differently (the digest must pin the address map the text was
-// rewritten for).
+// TestImageDigestCoversLayout: an image differing from another only in its
+// layout, or in any one field of the verdict evidence a cache hit replays
+// to the client (Stats, Rewrites, an Audit entry), must digest differently
+// — the digest must pin the address map the text was rewritten for, and an
+// untrusted cert store must not be able to alter the evidence.
 func TestImageDigestCoversLayout(t *testing.T) {
-	img := &runtime.Image{Text: []byte{1, 2, 3}, Layout: defaultLayout(t)}
-	other := *img
-	other.Layout.HeapEnd += 4096
-	if vplane.ImageDigest(img) == vplane.ImageDigest(&other) {
-		t.Fatal("image digest ignores the enclave layout")
+	img := &runtime.Image{
+		Text:   []byte{1, 2, 3},
+		Layout: defaultLayout(t),
+		Audit:  []verifier.PolicyAudit{{Policy: policy.P1, Required: true, Passed: true, Checks: 2, Detail: "2 stores"}},
+	}
+	mutations := map[string]func(*runtime.Image){
+		"Layout": func(m *runtime.Image) { m.Layout.HeapEnd += 4096 },
+	}
+	// Every field of each evidence struct, so a field added later is
+	// covered without touching this test.
+	evidence := map[string]func(*runtime.Image) reflect.Value{
+		"Stats":    func(m *runtime.Image) reflect.Value { return reflect.ValueOf(&m.Stats).Elem() },
+		"Rewrites": func(m *runtime.Image) reflect.Value { return reflect.ValueOf(&m.Rewrites).Elem() },
+		"Audit[0]": func(m *runtime.Image) reflect.Value { return reflect.ValueOf(&m.Audit[0]).Elem() },
+	}
+	for name, struc := range evidence {
+		typ := struc(img).Type()
+		for i := 0; i < typ.NumField(); i++ {
+			mutations[name+"."+typ.Field(i).Name] = func(m *runtime.Image) {
+				switch f := struc(m).Field(i); f.Kind() {
+				case reflect.Bool:
+					f.SetBool(!f.Bool())
+				case reflect.String:
+					f.SetString(f.String() + "!")
+				case reflect.Int, reflect.Int64:
+					f.SetInt(f.Int() + 1)
+				case reflect.Uint8:
+					f.SetUint(f.Uint() + 1)
+				default:
+					t.Fatalf("%s.%s: no mutation for kind %v", name, typ.Field(i).Name, f.Kind())
+				}
+			}
+		}
+	}
+	for name, mutate := range mutations {
+		other := *img
+		other.Audit = slices.Clone(img.Audit)
+		mutate(&other)
+		if vplane.ImageDigest(img) == vplane.ImageDigest(&other) {
+			t.Errorf("image digest ignores %s", name)
+		}
 	}
 }
