@@ -34,7 +34,7 @@ lint:
 # in TCB_COVER_PKG_FLOORS (a walked package without an entry has no floor
 # of its own). The floors are the figures last recorded, rounded down to
 # 0.1%: a ratchet, raised as coverage grows, never lowered to pass.
-TCB_COVER_FLOOR = 93.4
+TCB_COVER_FLOOR = 94.0
 TCB_COVER_PKG_FLOORS = \
 	deflection/attest=86.7 \
 	deflection/internal/cfa=97.1 \
@@ -42,14 +42,14 @@ TCB_COVER_PKG_FLOORS = \
 	deflection/internal/disasm=96.4 \
 	deflection/internal/enclave=95.9 \
 	deflection/internal/isa=95.2 \
-	deflection/internal/loader=84.6 \
-	deflection/internal/obj=95.7 \
-	deflection/internal/order=98.6 \
+	deflection/internal/loader=89.8 \
+	deflection/internal/obj=98.6 \
+	deflection/internal/order=99.2 \
 	deflection/internal/policy=100.0 \
 	deflection/internal/runtime=89.5 \
 	deflection/internal/stage=100.0 \
 	deflection/internal/taint=89.7 \
-	deflection/internal/verifier=94.8
+	deflection/internal/verifier=95.9
 tcb-cover:
 	@pkgs=$$($(GO) run ./cmd/deflection-lint -root . | grep -v '^deflection-lint:' | paste -sd, -) && \
 	prof=$$(mktemp) && trap 'rm -f "$$prof" "$$prof.log"' EXIT && \

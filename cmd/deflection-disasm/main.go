@@ -101,16 +101,12 @@ func run() int {
 			fmt.Fprintln(os.Stderr, perr)
 			return 2
 		}
-		ld, text, offs, lerr := load(o)
+		text, opts, lerr := load(o, pols)
 		if lerr != nil {
 			fmt.Fprintln(os.Stderr, lerr)
 			return 1
 		}
-		res, verr := verifier.Verify(text, verifier.Options{
-			Required:            pols,
-			EntryOffset:         int64(ld.Entry - ld.TextBase),
-			BranchTargetOffsets: offs,
-		})
+		res, verr := verifier.Verify(text, opts)
 		if verr != nil {
 			fmt.Printf("verifier: REJECTED: %v\n\n", verr)
 			rejected = true
@@ -184,11 +180,7 @@ func dumpCFG(o *obj.Object, format string) int {
 	entries := []int64{entry.Offset}
 	var targets []int64
 	for _, bt := range o.BranchTargets {
-		s, ok := o.Symbol(bt.Symbol)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "deflection-disasm: branch target %q not found\n", bt.Symbol)
-			return 1
-		}
+		s, _ := o.Symbol(bt.Symbol) // Unmarshal validated every target
 		targets = append(targets, s.Offset)
 		entries = append(entries, s.Offset)
 	}
@@ -210,26 +202,22 @@ func dumpCFG(o *obj.Object, format string) int {
 }
 
 // load places the object in a fresh enclave exactly as the runtime would
-// and returns the loaded image, its relocated text and the branch-target
-// offsets within that text.
-func load(o *obj.Object) (*loader.Loaded, []byte, []int64, error) {
+// and returns its relocated text with the verifier options the load implies
+// under pols.
+func load(o *obj.Object, pols policy.Set) ([]byte, verifier.Options, error) {
 	e, err := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, verifier.Options{}, err
 	}
 	ld, err := loader.Load(e, o)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("load: %w", err)
+		return nil, verifier.Options{}, fmt.Errorf("load: %w", err)
 	}
 	text, err := ld.TextBytes()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, verifier.Options{}, err
 	}
-	var offs []int64
-	for _, t := range ld.BranchTargets {
-		offs = append(offs, int64(t-ld.TextBase))
-	}
-	return ld, text, offs, nil
+	return text, runtime.VerifyOptions(ld, pols), nil
 }
 
 // dumpAnnotatedCFG loads and relocates the object exactly as the runtime
@@ -239,29 +227,22 @@ func load(o *obj.Object) (*loader.Loaded, []byte, []int64, error) {
 // inline findings. The verdict goes to stderr so dot output on stdout stays
 // valid graphviz.
 func dumpAnnotatedCFG(o *obj.Object, format, pass string) int {
-	ld, text, offs, err := load(o)
+	pols, policyID, holds := policy.SetP1P7, "P7", "no secret buffers tagged; P7 holds trivially"
+	if pass == "order" {
+		pols, policyID, holds = policy.SetP1P8, "P8", "no interface protocol declared; P8 holds trivially"
+	}
+	text, opts, err := load(o, pols)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	entryOff := int64(ld.Entry - ld.TextBase)
-	opts := verifier.Options{
-		EntryOffset:         entryOff,
-		BranchTargetOffsets: offs,
-		Taint:               runtime.TaintConfig(ld),
-	}
-	policyID, holds := "P7", "no secret buffers tagged; P7 holds trivially"
 	ann := annotation{tag: "TAINT"}
-	switch pass {
-	case "taint":
-		opts.Required = policy.SetP1P7
+	if pass == "taint" {
 		opts.TaintObserver = func(r *taint.Report) { ann = taintAnnotation(r) }
-	case "order":
-		p := runtime.OrderProtocol(ld)
-		opts.Required, opts.Order = policy.SetP1P8, p
+	} else {
+		p := opts.Order
 		ann = orderAnnotation(p, nil)
 		opts.OrderObserver = func(r *order.Report) { ann = orderAnnotation(p, r) }
-		policyID, holds = "P8", "no interface protocol declared; P8 holds trivially"
 	}
 	_, verr := verifier.Verify(text, opts)
 	switch {
@@ -276,12 +257,13 @@ func dumpAnnotatedCFG(o *obj.Object, format, pass string) int {
 		fmt.Fprintf(os.Stderr, "deflection-disasm: %s annotations unavailable (an earlier pass rejected the binary before %s ran)\n", pass, policyID)
 	}
 
-	dis, err := disasm.Disassemble(text, append([]int64{entryOff}, offs...))
+	offs := opts.BranchTargetOffsets
+	dis, err := disasm.Disassemble(text, append([]int64{opts.EntryOffset}, offs...))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "deflection-disasm: %v\n", err)
 		return 1
 	}
-	printCFG(cfa.Build(dis, entryOff, offs), format, ann)
+	printCFG(cfa.Build(dis, opts.EntryOffset, offs), format, ann)
 	if verr != nil {
 		return 1
 	}
@@ -388,7 +370,7 @@ func taintAnnotation(r *taint.Report) annotation {
 // orderAnnotation renders a P8 report's per-block reachable protocol-state
 // sets (r is nil when an earlier pass rejected); a block is drawn red when
 // it holds a finding.
-func orderAnnotation(p *order.Protocol, r *order.Report) annotation {
+func orderAnnotation(p *policy.Protocol, r *order.Report) annotation {
 	ann := annotation{tag: "ORDER", redFindings: true}
 	if p != nil {
 		ann.header = fmt.Sprintf("protocol: %d states, start %q\n", len(p.States), p.States[p.Start].Name)
@@ -402,13 +384,13 @@ func orderAnnotation(p *order.Protocol, r *order.Report) annotation {
 	}
 	ann.text = func(b *cfa.Block) string {
 		if bs, ok := r.Blocks[b.ID]; ok {
-			return fmt.Sprintf(" states-in={%s} states-out={%s}", p.StateNames(bs.In), p.StateNames(bs.Out))
+			return fmt.Sprintf(" states-in={%s} states-out={%s}", order.StateNames(p, bs.In), order.StateNames(p, bs.Out))
 		}
 		return " states: unreached"
 	}
 	ann.dot = func(b *cfa.Block) (string, bool) {
 		if bs, ok := r.Blocks[b.ID]; ok {
-			return fmt.Sprintf("states in={%s} out={%s}\\l", p.StateNames(bs.In), p.StateNames(bs.Out)), false
+			return fmt.Sprintf("states in={%s} out={%s}\\l", order.StateNames(p, bs.In), order.StateNames(p, bs.Out)), false
 		}
 		return "", false
 	}

@@ -50,7 +50,7 @@ protocol {
 // TestCFGGolden pins every -cfg rendering (text and dot, plain and
 // annotated with the P7 or the P8 pass) of an app that declares both
 // secrets and an interface protocol, byte for byte, together with the
-// verdict line and exit status. Regenerate with
+// verdict line and exit status of each and of -verify p1-p8. Regenerate with
 // `go test ./cmd/deflection-disasm/ -update`.
 func TestCFGGolden(t *testing.T) {
 	o, err := compiler.Compile(dclib.Program(strictProtocol+apps.CreditSource), compiler.Options{Policies: policy.SetP1P8})
@@ -73,6 +73,15 @@ func TestCFGGolden(t *testing.T) {
 			stdout, stderr, code := runCommand(t, append(args, dfo)...)
 			fmt.Fprintf(&verdicts, "%s: exit %d\n%s", name, code, stderr)
 			checkGolden(t, name+".golden", stdout)
+		}
+	}
+	// -verify builds the verifier's inputs as the runtime does, secret
+	// table and protocol included, so it reaches the runtime's P8 verdict.
+	stdout, _, code := runCommand(t, "-d=false", "-verify", "p1-p8", dfo)
+	fmt.Fprintf(&verdicts, "credit.verify.p1-p8: exit %d\n", code)
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "verifier: ") {
+			fmt.Fprintln(&verdicts, line)
 		}
 	}
 	checkGolden(t, "credit.verdicts.golden", verdicts.String())

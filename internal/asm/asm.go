@@ -11,6 +11,7 @@ import (
 
 	"deflection/internal/isa"
 	"deflection/internal/obj"
+	"deflection/internal/policy"
 )
 
 // Item is one element of a function body under assembly: either a label
@@ -62,7 +63,7 @@ type Assembler struct {
 	btSet         map[string]bool
 	secrets       []string
 	secretSet     map[string]bool
-	protocol      *obj.Protocol
+	protocol      *policy.Protocol
 
 	entry string
 }
@@ -87,7 +88,7 @@ func (a *Assembler) SetEntry(name string) { a.entry = name }
 // SetProtocol records the declared interface protocol (the P8 proof). The
 // assembler stores it as given; structural validation happens in Assemble
 // via Object.Validate.
-func (a *Assembler) SetProtocol(p *obj.Protocol) { a.protocol = p }
+func (a *Assembler) SetProtocol(p *policy.Protocol) { a.protocol = p }
 
 func (a *Assembler) addSym(s obj.Symbol) error {
 	if a.symset[s.Name] {

@@ -48,6 +48,7 @@ import (
 	"deflection/internal/asm"
 	"deflection/internal/isa"
 	"deflection/internal/obj"
+	"deflection/internal/policy"
 )
 
 // Error reports an assembly failure with its line number.
@@ -65,7 +66,7 @@ type assembler struct {
 	curBody []asm.Item
 	mask    uint16
 
-	proto  *obj.Protocol
+	proto  *policy.Protocol
 	states map[string]int64
 }
 
@@ -207,7 +208,7 @@ func (a *assembler) directive(line string) error {
 			return fmt.Errorf(".pstate needs a name and optionally 'attested'")
 		}
 		if a.proto == nil {
-			a.proto = &obj.Protocol{}
+			a.proto = &policy.Protocol{}
 			a.states = make(map[string]int64)
 		}
 		name := fields[1]
@@ -215,7 +216,7 @@ func (a *assembler) directive(line string) error {
 			return fmt.Errorf("duplicate protocol state %q", name)
 		}
 		a.states[name] = int64(len(a.proto.States))
-		a.proto.States = append(a.proto.States, obj.ProtocolState{
+		a.proto.States = append(a.proto.States, policy.State{
 			Name:     name,
 			Attested: len(fields) == 3,
 		})
@@ -239,7 +240,7 @@ func (a *assembler) directive(line string) error {
 		if err != nil {
 			return fmt.Errorf("bad .pedge event %q", fields[2])
 		}
-		a.proto.Edges = append(a.proto.Edges, obj.ProtocolEdge{From: from, Event: ev, To: to})
+		a.proto.Edges = append(a.proto.Edges, policy.Edge{From: from, Event: ev, To: to})
 		return nil
 	case ".ptrtable":
 		if len(fields) < 3 {

@@ -177,10 +177,7 @@ func TestHandWrittenAttackRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = verifier.Verify(text, verifier.Options{
-		Required:    policy.SetP1,
-		EntryOffset: int64(ld.Entry - ld.TextBase),
-	})
+	_, err = verifier.Verify(text, runtime.VerifyOptions(ld, policy.SetP1))
 	if err == nil {
 		t.Fatal("hand-written unguarded store accepted")
 	}

@@ -35,15 +35,5 @@ func VerifyInput(name, src string, pols policy.Set) ([]byte, verifier.Options, e
 	if err != nil {
 		return nil, verifier.Options{}, err
 	}
-	targets := make([]int64, 0, len(ld.BranchTargets))
-	for _, t := range ld.BranchTargets {
-		targets = append(targets, int64(t-ld.TextBase))
-	}
-	return text, verifier.Options{
-		Required:            pols,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: targets,
-		Taint:               runtime.TaintConfig(ld),
-		Order:               runtime.OrderProtocol(ld),
-	}, nil
+	return text, runtime.VerifyOptions(ld, pols), nil
 }

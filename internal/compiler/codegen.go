@@ -85,16 +85,16 @@ func Generate(prog *lang.Program, opts Options) (*obj.Object, error) {
 // protocolTable lowers a checked protocol declaration to the object-file
 // table the verifier's order pass consumes. Indices were resolved by
 // lang.Check.
-func protocolTable(d *lang.ProtocolDecl) *obj.Protocol {
+func protocolTable(d *lang.ProtocolDecl) *policy.Protocol {
 	if d == nil {
 		return nil
 	}
-	p := &obj.Protocol{Start: 0}
+	p := &policy.Protocol{Start: 0}
 	for _, st := range d.States {
-		p.States = append(p.States, obj.ProtocolState{Name: st.Name, Attested: st.Attested})
+		p.States = append(p.States, policy.State{Name: st.Name, Attested: st.Attested})
 	}
 	for _, e := range d.Edges {
-		p.Edges = append(p.Edges, obj.ProtocolEdge{
+		p.Edges = append(p.Edges, policy.Edge{
 			From:  int64(e.FromIdx),
 			Event: e.EventIndex,
 			To:    int64(e.ToIdx),

@@ -38,10 +38,10 @@ int main() { return 0; }
 	if p.States[0].Name != "init" || p.States[0].Attested || !p.States[1].Attested {
 		t.Errorf("states = %+v", p.States)
 	}
-	want := []obj.ProtocolEdge{
+	want := []policy.Edge{
 		{From: 0, Event: policy.OcallRecv, To: 1},
 		{From: 1, Event: policy.OcallSend, To: 1},
-		{From: 1, Event: obj.EventHlt, To: 2},
+		{From: 1, Event: policy.EventHlt, To: 2},
 	}
 	for i, e := range p.Edges {
 		if e != want[i] {

@@ -2,6 +2,8 @@ package lang
 
 import (
 	"fmt"
+
+	"deflection/internal/policy"
 )
 
 // CheckError reports a semantic error.
@@ -91,18 +93,14 @@ func Check(prog *Program) error {
 	return nil
 }
 
-// MaxProtocolStates bounds declared protocols so the verifier's order pass
-// can represent reachable-state sets as a single 64-bit mask.
-const MaxProtocolStates = 64
-
-// protocolEvents maps event keywords to OCall indices (hlt is -1; the
-// generic "ocall" form carries its own index).
+// protocolEvents maps event keywords to OCall indices (the generic "ocall"
+// form carries its own index).
 var protocolEvents = map[string]int64{
-	"send":  1, // OcallSend
-	"recv":  2, // OcallRecv
-	"print": 3, // OcallPrint
-	"tid":   4, // OcallThreadID
-	"hlt":   -1,
+	"send":  policy.OcallSend,
+	"recv":  policy.OcallRecv,
+	"print": policy.OcallPrint,
+	"tid":   policy.OcallThreadID,
+	"hlt":   policy.EventHlt,
 }
 
 // checkProtocol resolves state and event names in a protocol declaration,
@@ -117,8 +115,8 @@ func checkProtocol(d *ProtocolDecl) error {
 	if len(d.States) == 0 {
 		return &CheckError{Msg: "protocol declares no states"}
 	}
-	if len(d.States) > MaxProtocolStates {
-		return &CheckError{Msg: fmt.Sprintf("protocol declares %d states; at most %d supported", len(d.States), MaxProtocolStates)}
+	if len(d.States) > policy.MaxStates {
+		return &CheckError{Msg: fmt.Sprintf("protocol declares %d states; at most %d supported", len(d.States), policy.MaxStates)}
 	}
 	idx := make(map[string]int, len(d.States))
 	for i, st := range d.States {

@@ -3,6 +3,8 @@ package lang
 import (
 	"strings"
 	"testing"
+
+	"deflection/internal/policy"
 )
 
 const protoMain = "int main() { return 0; }\n"
@@ -127,7 +129,7 @@ protocol { state a; state b; a: recv -> a; a: recv -> b; }` + protoMain},
 func TestProtocolTooManyStates(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("protocol {\n")
-	for i := 0; i <= MaxProtocolStates; i++ {
+	for i := 0; i <= policy.MaxStates; i++ {
 		sb.WriteString("state s")
 		sb.WriteString(strings.Repeat("x", i+1))
 		sb.WriteString(";\n")

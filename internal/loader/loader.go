@@ -49,7 +49,13 @@ func (ld *Loaded) TextBytes() ([]byte, error) {
 	return b, nil
 }
 
-// Load relocates o into e.
+// Load relocates o into e. Its precondition is a validated object
+// (obj.Validate, which obj.Unmarshal and the assembler both run): every
+// symbol lies in a known section, every relocation is an in-range 64-bit
+// site in .text or .data against a defined symbol, and every branch target
+// names a defined symbol. Load checks only what depends on the enclave
+// layout: that the sections fit their regions and that each branch target
+// lies in text.
 func Load(e *enclave.Enclave, o *obj.Object) (*Loaded, error) {
 	l := e.Layout
 
@@ -68,44 +74,21 @@ func Load(e *enclave.Enclave, o *obj.Object) (*Loaded, error) {
 	}
 
 	// Rebase symbols.
+	bases := [...]uint64{obj.SecText: textBase, obj.SecData: dataBase, obj.SecBSS: bssBase}
 	syms := make(map[string]uint64, len(o.Symbols))
 	for _, s := range o.Symbols {
-		var base uint64
-		switch s.Section {
-		case obj.SecText:
-			base = textBase
-		case obj.SecData:
-			base = dataBase
-		case obj.SecBSS:
-			base = bssBase
-		default:
-			return nil, fmt.Errorf("loader: symbol %q in unknown section", s.Name)
-		}
-		syms[s.Name] = base + uint64(s.Offset)
+		syms[s.Name] = bases[s.Section] + uint64(s.Offset)
 	}
 
 	// Apply relocations on private copies of the sections.
 	text := append([]byte(nil), o.Text...)
 	data := append([]byte(nil), o.Data...)
 	for _, r := range o.Relocs {
-		addr, ok := syms[r.Symbol]
-		if !ok {
-			return nil, fmt.Errorf("loader: relocation against undefined symbol %q", r.Symbol)
-		}
-		v := addr + uint64(r.Addend)
-		var sec []byte
-		switch r.Section {
-		case obj.SecText:
-			sec = text
-		case obj.SecData:
+		sec := text
+		if r.Section == obj.SecData {
 			sec = data
-		default:
-			return nil, fmt.Errorf("loader: relocation in unsupported section %v", r.Section)
 		}
-		if r.Offset < 0 || int(r.Offset)+8 > len(sec) {
-			return nil, fmt.Errorf("loader: relocation site %d out of range", r.Offset)
-		}
-		putU64(sec[r.Offset:], v)
+		putU64(sec[r.Offset:], syms[r.Symbol]+uint64(r.Addend))
 	}
 
 	// Copy sections into the enclave. Code pages are RWX under SGXv1; the
@@ -125,10 +108,7 @@ func Load(e *enclave.Enclave, o *obj.Object) (*Loaded, error) {
 	targets := make([]uint64, 0, len(o.BranchTargets))
 	var table []byte
 	for _, bt := range o.BranchTargets {
-		addr, ok := syms[bt.Symbol]
-		if !ok {
-			return nil, fmt.Errorf("loader: branch target %q undefined", bt.Symbol)
-		}
+		addr := syms[bt.Symbol]
 		if addr < textBase || addr >= textBase+uint64(len(text)) {
 			return nil, fmt.Errorf("loader: branch target %q outside text", bt.Symbol)
 		}

@@ -1,6 +1,7 @@
 package loader_test
 
 import (
+	"errors"
 	"testing"
 
 	"deflection/internal/asm"
@@ -11,6 +12,7 @@ import (
 	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/policy"
+	"deflection/internal/runtime"
 	"deflection/internal/verifier"
 )
 
@@ -153,6 +155,35 @@ func TestLoadRejectsBranchTargetOutsideText(t *testing.T) {
 	}
 }
 
+func TestLoadRejectsOversizedBranchTable(t *testing.T) {
+	cfg := enclave.DefaultConfig()
+	cfg.BrTableCap = enclave.PageSize
+	e, err := enclave.New(cfg, []byte("small"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := buildObject(t)
+	for len(o.BranchTargets)*8 <= int(enclave.PageSize) {
+		o.BranchTargets = append(o.BranchTargets, obj.BranchTarget{Symbol: "fn"})
+	}
+	if _, err := loader.Load(e, o); !errors.Is(err, loader.ErrTooLarge) {
+		t.Fatalf("Load = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestLoadRejectsMissingEntry: obj.Validate admits an object without an
+// entry symbol; the loader's entry lookup is what rejects it.
+func TestLoadRejectsMissingEntry(t *testing.T) {
+	o := buildObject(t)
+	o.Entry = ""
+	if err := o.Validate(); err != nil {
+		t.Fatalf("Validate = %v, want nil", err)
+	}
+	if _, err := loader.Load(testEnclave(t), o); err == nil {
+		t.Fatal("object without an entry symbol loaded")
+	}
+}
+
 func TestRewriteImmediates(t *testing.T) {
 	src := `
 int g;
@@ -173,15 +204,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs := make([]int64, 0, len(ld.BranchTargets))
-	for _, bt := range ld.BranchTargets {
-		offs = append(offs, int64(bt-ld.TextBase))
-	}
-	vr, err := verifier.Verify(text, verifier.Options{
-		Required:            policy.SetP1P6,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-	})
+	vr, err := verifier.Verify(text, runtime.VerifyOptions(ld, policy.SetP1P6))
 	if err != nil {
 		t.Fatal(err)
 	}

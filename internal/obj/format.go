@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"deflection/internal/policy"
 )
 
 // Section identifies which section an offset refers to.
@@ -91,43 +93,6 @@ type BranchTarget struct {
 	Symbol string
 }
 
-// ProtocolState is one state of a declared interface protocol. Attested
-// marks states in which the attestation/provisioning exchange has completed
-// and sealed output is admissible.
-type ProtocolState struct {
-	Name     string
-	Attested bool
-}
-
-// ProtocolEdge is one transition of a declared interface protocol: in state
-// From, interface event Event (an OCall index, or EventHlt for the final
-// hlt) is admitted and moves the automaton to state To.
-type ProtocolEdge struct {
-	From  int64
-	Event int64
-	To    int64
-}
-
-// EventHlt is the pseudo-event index of the program's terminating hlt in a
-// protocol edge (real OCall indices are positive).
-const EventHlt int64 = -1
-
-// Protocol is the declared interface protocol carried by the object proof:
-// a small DFA over interface events that policy P8's order pass checks the
-// recovered CFG against. Like the secret table it is part of the proof —
-// a weaker table weakens nothing for the provider, because the verifier's
-// meta-validation (internal/order) rejects protocols that admit output from
-// unattested states.
-type Protocol struct {
-	Start  int64
-	States []ProtocolState
-	Edges  []ProtocolEdge
-}
-
-// MaxProtocolStates bounds the state count so reachable-state sets fit one
-// 64-bit word in the verifier's order pass.
-const MaxProtocolStates = 64
-
 // Object is a relocatable target binary plus its proof.
 type Object struct {
 	// Entry is the symbol where execution starts.
@@ -157,7 +122,7 @@ type Object struct {
 
 	// Protocol is the declared interface protocol (the P8 proof), or nil
 	// when the generator declared none.
-	Protocol *Protocol
+	Protocol *policy.Protocol
 }
 
 // Symbol returns the named symbol, if present.
@@ -407,20 +372,20 @@ func Unmarshal(b []byte) (*Object, error) {
 		o.PolicyMask |= uint16(r.u8()) << 8
 		nst := r.count("protocol state")
 		if r.err == nil && nst > 0 {
-			p := &Protocol{Start: r.i64()}
-			p.States = make([]ProtocolState, 0, nst)
+			p := &policy.Protocol{Start: r.i64()}
+			p.States = make([]policy.State, 0, nst)
 			for i := 0; i < nst && r.err == nil; i++ {
-				var st ProtocolState
+				var st policy.State
 				st.Name = r.str()
 				st.Attested = r.u8() != 0
 				p.States = append(p.States, st)
 			}
 			ne := r.count("protocol edge")
 			if r.err == nil {
-				p.Edges = make([]ProtocolEdge, 0, ne)
+				p.Edges = make([]policy.Edge, 0, ne)
 			}
 			for i := 0; i < ne && r.err == nil; i++ {
-				var e ProtocolEdge
+				var e policy.Edge
 				e.From = r.i64()
 				e.Event = r.i64()
 				e.To = r.i64()
@@ -510,32 +475,10 @@ func (o *Object) Validate() error {
 		}
 	}
 	if p := o.Protocol; p != nil {
-		// Structural validation only: semantic meta-rules (determinism,
-		// attestation monotonicity, output gating) belong to the verifier's
-		// order pass, which must re-derive them inside the TCB anyway.
-		if len(p.States) == 0 || len(p.States) > MaxProtocolStates {
-			return fmt.Errorf("%w: protocol has %d states (want 1..%d)", ErrBadObject, len(p.States), MaxProtocolStates)
-		}
-		names := make(map[string]bool, len(p.States))
-		for _, st := range p.States {
-			if st.Name == "" {
-				return fmt.Errorf("%w: protocol state with empty name", ErrBadObject)
-			}
-			if names[st.Name] {
-				return fmt.Errorf("%w: protocol state %q declared twice", ErrBadObject, st.Name)
-			}
-			names[st.Name] = true
-		}
-		if p.Start < 0 || p.Start >= int64(len(p.States)) {
-			return fmt.Errorf("%w: protocol start state %d out of range", ErrBadObject, p.Start)
-		}
-		for _, e := range p.Edges {
-			if e.From < 0 || e.From >= int64(len(p.States)) || e.To < 0 || e.To >= int64(len(p.States)) {
-				return fmt.Errorf("%w: protocol edge %d-[%d]->%d references undefined state", ErrBadObject, e.From, e.Event, e.To)
-			}
-			if e.Event < EventHlt || e.Event == 0 {
-				return fmt.Errorf("%w: protocol edge event %d invalid (want an OCall index or %d for hlt)", ErrBadObject, e.Event, EventHlt)
-			}
+		// Structural rules only: the meta-rules (determinism, attestation
+		// monotonicity, output gating) belong to the verifier's order pass.
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadObject, err)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package obj_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -168,34 +169,33 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadTables: Unmarshal rejects every object whose tables
+// disagree with its sections. The loader relies on this: it no longer
+// re-checks symbol sections, relocation symbols and sites, or branch-target
+// symbols.
 func TestValidateRejectsBadTables(t *testing.T) {
-	base := sampleObject(t)
-
-	mutate := func(f func(o *obj.Object)) error {
-		b := base.Marshal()
-		o, err := obj.Unmarshal(b)
+	base := sampleObject(t).Marshal()
+	for name, mutate := range map[string]func(o *obj.Object){
+		"symbol out of range":       func(o *obj.Object) { o.Symbols[0].Offset = 1 << 40 },
+		"symbol in invalid section": func(o *obj.Object) { o.Symbols[0].Section = obj.SecNone },
+		"unknown relocation kind":   func(o *obj.Object) { o.Relocs[0].Kind = 9 },
+		"relocation in .bss":        func(o *obj.Object) { o.Relocs[0].Section = obj.SecBSS },
+		"relocation in no section":  func(o *obj.Object) { o.Relocs[0].Section = obj.SecNone },
+		"relocation site past end":  func(o *obj.Object) { o.Relocs[0].Offset = int64(len(o.Text)) },
+		"negative relocation site":  func(o *obj.Object) { o.Relocs[0].Offset = -1 },
+		"undefined relocation":      func(o *obj.Object) { o.Relocs[0].Symbol = "nonexistent" },
+		"addend out of range":       func(o *obj.Object) { o.Relocs[0].Addend = 1 << 31 },
+		"undefined branch target":   func(o *obj.Object) { o.BranchTargets[0].Symbol = "nope" },
+		"undefined entry":           func(o *obj.Object) { o.Entry = "nope" },
+	} {
+		o, err := obj.Unmarshal(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f(o)
-		_, err = obj.Unmarshal(o.Marshal())
-		return err
-	}
-
-	if err := mutate(func(o *obj.Object) { o.Symbols[0].Offset = 1 << 40 }); err == nil {
-		t.Error("out-of-range symbol should be rejected")
-	}
-	if err := mutate(func(o *obj.Object) { o.Relocs[0].Symbol = "nonexistent" }); err == nil {
-		t.Error("reloc against undefined symbol should be rejected")
-	}
-	if err := mutate(func(o *obj.Object) { o.Relocs[0].Offset = int64(len(o.Text)) }); err == nil {
-		t.Error("reloc site past end of text should be rejected")
-	}
-	if err := mutate(func(o *obj.Object) { o.BranchTargets[0].Symbol = "nope" }); err == nil {
-		t.Error("dangling branch target should be rejected")
-	}
-	if err := mutate(func(o *obj.Object) { o.Entry = "nope" }); err == nil {
-		t.Error("undefined entry should be rejected")
+		mutate(o)
+		if _, err := obj.Unmarshal(o.Marshal()); !errors.Is(err, obj.ErrBadObject) {
+			t.Errorf("%s: Unmarshal = %v, want ErrBadObject", name, err)
+		}
 	}
 }
 

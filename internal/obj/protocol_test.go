@@ -2,25 +2,27 @@ package obj_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"deflection/internal/asm"
 	"deflection/internal/isa"
 	"deflection/internal/obj"
+	"deflection/internal/policy"
 )
 
-func sampleProtocol() *obj.Protocol {
-	return &obj.Protocol{
+func sampleProtocol() *policy.Protocol {
+	return &policy.Protocol{
 		Start: 0,
-		States: []obj.ProtocolState{
+		States: []policy.State{
 			{Name: "init"},
 			{Name: "ready", Attested: true},
 			{Name: "end", Attested: true},
 		},
-		Edges: []obj.ProtocolEdge{
+		Edges: []policy.Edge{
 			{From: 0, Event: 2, To: 1},
 			{From: 1, Event: 1, To: 1},
-			{From: 1, Event: obj.EventHlt, To: 2},
+			{From: 1, Event: policy.EventHlt, To: 2},
 		},
 	}
 }
@@ -48,7 +50,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if p.States[1].Name != "ready" || !p.States[1].Attested || p.States[0].Attested {
 		t.Errorf("states did not round trip: %+v", p.States)
 	}
-	if p.Edges[2] != (obj.ProtocolEdge{From: 1, Event: obj.EventHlt, To: 2}) {
+	if p.Edges[2] != (policy.Edge{From: 1, Event: policy.EventHlt, To: 2}) {
 		t.Errorf("edges did not round trip: %+v", p.Edges)
 	}
 
@@ -99,29 +101,33 @@ func TestHighPolicyMaskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProtocolValidation: Unmarshal rejects every protocol table that
+// breaks a structural rule of policy.Protocol.Validate.
 func TestProtocolValidation(t *testing.T) {
 	base, err := obj.Unmarshal(sampleObject(t).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]*obj.Protocol{
+	cases := map[string]*policy.Protocol{
 		"no states":       {},
-		"start range":     {Start: 5, States: []obj.ProtocolState{{Name: "a"}}},
-		"empty name":      {States: []obj.ProtocolState{{Name: ""}}},
-		"duplicate name":  {States: []obj.ProtocolState{{Name: "a"}, {Name: "a"}}},
-		"edge state":      {States: []obj.ProtocolState{{Name: "a"}}, Edges: []obj.ProtocolEdge{{From: 0, Event: 2, To: 7}}},
-		"event zero":      {States: []obj.ProtocolState{{Name: "a"}}, Edges: []obj.ProtocolEdge{{From: 0, Event: 0, To: 0}}},
-		"event below hlt": {States: []obj.ProtocolState{{Name: "a"}}, Edges: []obj.ProtocolEdge{{From: 0, Event: -2, To: 0}}},
+		"start range":     {Start: 5, States: []policy.State{{Name: "a"}}},
+		"negative start":  {Start: -1, States: []policy.State{{Name: "a"}}},
+		"empty name":      {States: []policy.State{{Name: ""}}},
+		"duplicate name":  {States: []policy.State{{Name: "a"}, {Name: "a"}}},
+		"edge from":       {States: []policy.State{{Name: "a"}}, Edges: []policy.Edge{{From: -1, Event: 2, To: 0}}},
+		"edge to":         {States: []policy.State{{Name: "a"}}, Edges: []policy.Edge{{From: 0, Event: 2, To: 7}}},
+		"event zero":      {States: []policy.State{{Name: "a"}}, Edges: []policy.Edge{{From: 0, Event: 0, To: 0}}},
+		"event below hlt": {States: []policy.State{{Name: "a"}}, Edges: []policy.Edge{{From: 0, Event: -2, To: 0}}},
 	}
-	tooMany := &obj.Protocol{}
-	for i := 0; i <= obj.MaxProtocolStates; i++ {
-		tooMany.States = append(tooMany.States, obj.ProtocolState{Name: string(rune('a'+i%26)) + string(rune('0'+i/26))})
+	tooMany := &policy.Protocol{}
+	for i := 0; i <= policy.MaxStates; i++ {
+		tooMany.States = append(tooMany.States, policy.State{Name: string(rune('a'+i%26)) + string(rune('0'+i/26))})
 	}
 	cases["too many states"] = tooMany
 	for name, p := range cases {
 		base.Protocol = p
-		if _, err := obj.Unmarshal(base.Marshal()); err == nil {
-			t.Errorf("%s in protocol table should be rejected", name)
+		if _, err := obj.Unmarshal(base.Marshal()); !errors.Is(err, obj.ErrBadObject) {
+			t.Errorf("%s in protocol table: Unmarshal = %v, want ErrBadObject", name, err)
 		}
 	}
 }
@@ -154,7 +160,7 @@ func TestAssemblerSetProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	a2.SetEntry("main")
-	a2.SetProtocol(&obj.Protocol{States: []obj.ProtocolState{{Name: ""}}})
+	a2.SetProtocol(&policy.Protocol{States: []policy.State{{Name: ""}}})
 	if _, err := a2.Assemble(0); err == nil {
 		t.Fatal("invalid protocol accepted at Assemble time")
 	}

@@ -24,8 +24,9 @@
 // maps each state s to its (s, k) successor, and records a finding when a
 // reachable state has no such edge (the event fires where the protocol does
 // not admit it; the state is retained so one root cause does not cascade).
-// A hlt requires every reachable state to admit the EventHlt pseudo-event —
-// terminating with the protocol incomplete is itself an ordering violation.
+// A hlt requires every reachable state to admit the policy.EventHlt
+// pseudo-event — terminating with the protocol incomplete is itself an
+// ordering violation.
 //
 // # Interprocedural model
 //
@@ -43,13 +44,15 @@
 //
 // The protocol table is part of the proof, so — like the P7 secret table —
 // a hostile generator must not be able to weaken the property by declaring
-// a permissive automaton. Validate therefore enforces, inside the TCB, the
-// invariants that make any accepted protocol meaningful: determinism (at
-// most one successor per (state, event)), output gating (events that move
-// data out of the enclave — OcallSend, OcallPrint and every unknown index —
-// are admissible only from attestation-complete states), attestation
-// monotonicity (no edge from an attested state to an unattested one), and
-// terminal closure (a state entered by a hlt edge has no outgoing edges).
+// a permissive automaton. Validate therefore enforces, inside the TCB and
+// after the structural check the object parser also runs
+// (policy.Protocol.Validate), the invariants that make any accepted
+// protocol meaningful: determinism (at most one successor per (state,
+// event)), output gating (events that move data out of the enclave —
+// OcallSend, OcallPrint and every unknown index — are admissible only from
+// attestation-complete states), attestation monotonicity (no edge from an
+// attested state to an unattested one), and terminal closure (a state
+// entered by a hlt edge has no outgoing edges).
 package order
 
 import (
@@ -61,39 +64,6 @@ import (
 	"deflection/internal/isa"
 	"deflection/internal/policy"
 )
-
-// EventHlt is the pseudo-event of the program's terminating hlt; every real
-// interface event is a positive OCall index.
-const EventHlt int64 = -1
-
-// MaxStates bounds the protocol size so a reachable-state set fits one
-// 64-bit word.
-const MaxStates = 64
-
-// State is one protocol state. Attested marks states in which the
-// attestation/provisioning exchange has completed and output events become
-// admissible.
-type State struct {
-	Name     string
-	Attested bool
-}
-
-// Edge admits interface event Event in state From and moves the automaton
-// to state To.
-type Edge struct {
-	From  int
-	Event int64
-	To    int
-}
-
-// Protocol is a declared interface protocol: a DFA over interface events.
-// State identity is the index into States; Start is the state at program
-// entry.
-type Protocol struct {
-	States []State
-	Start  int
-	Edges  []Edge
-}
 
 // Finding kinds.
 const (
@@ -147,54 +117,37 @@ var (
 // does not know — is treated as output and gated on attestation.
 func outputEvent(ev int64) bool {
 	switch ev {
-	case policy.OcallRecv, policy.OcallThreadID, EventHlt:
+	case policy.OcallRecv, policy.OcallThreadID, policy.EventHlt:
 		return false
 	}
 	return true
 }
 
-// Validate checks the protocol's meta-invariants (see the package comment).
-// Every error wraps ErrProtocol.
-func (p *Protocol) Validate() error {
-	if n := len(p.States); n == 0 || n > MaxStates {
-		return fmt.Errorf("%w: %d states (want 1..%d)", ErrProtocol, len(p.States), MaxStates)
-	}
-	names := make(map[string]bool, len(p.States))
-	for _, st := range p.States {
-		if st.Name == "" {
-			return fmt.Errorf("%w: state with empty name", ErrProtocol)
-		}
-		if names[st.Name] {
-			return fmt.Errorf("%w: state %q declared twice", ErrProtocol, st.Name)
-		}
-		names[st.Name] = true
-	}
-	if p.Start < 0 || p.Start >= len(p.States) {
-		return fmt.Errorf("%w: start state %d out of range", ErrProtocol, p.Start)
+// Validate checks the protocol's structure (policy.Protocol.Validate) and
+// then its meta-invariants (see the package comment). Every error wraps
+// ErrProtocol.
+func Validate(p *policy.Protocol) error {
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	seen := make(map[[2]int64]bool, len(p.Edges))
 	outDeg := make([]int, len(p.States))
 	hltTo := make([]bool, len(p.States))
 	for _, e := range p.Edges {
-		if e.From < 0 || e.From >= len(p.States) || e.To < 0 || e.To >= len(p.States) {
-			return fmt.Errorf("%w: edge %d-[%d]->%d references an undefined state", ErrProtocol, e.From, e.Event, e.To)
-		}
-		if e.Event < EventHlt || e.Event == 0 {
-			return fmt.Errorf("%w: event %d is neither an OCall index nor hlt", ErrProtocol, e.Event)
-		}
-		k := [2]int64{int64(e.From), e.Event}
+		from, to := p.States[e.From], p.States[e.To]
+		k := [2]int64{e.From, e.Event}
 		if seen[k] {
-			return fmt.Errorf("%w: nondeterministic: two edges from %q on event %d", ErrProtocol, p.States[e.From].Name, e.Event)
+			return fmt.Errorf("%w: nondeterministic: two edges from %q on event %d", ErrProtocol, from.Name, e.Event)
 		}
 		seen[k] = true
 		outDeg[e.From]++
-		if outputEvent(e.Event) && !p.States[e.From].Attested {
-			return fmt.Errorf("%w: output event %d admitted in unattested state %q", ErrProtocol, e.Event, p.States[e.From].Name)
+		if outputEvent(e.Event) && !from.Attested {
+			return fmt.Errorf("%w: output event %d admitted in unattested state %q", ErrProtocol, e.Event, from.Name)
 		}
-		if p.States[e.From].Attested && !p.States[e.To].Attested {
-			return fmt.Errorf("%w: edge from attested %q to unattested %q loses attestation", ErrProtocol, p.States[e.From].Name, p.States[e.To].Name)
+		if from.Attested && !to.Attested {
+			return fmt.Errorf("%w: edge from attested %q to unattested %q loses attestation", ErrProtocol, from.Name, to.Name)
 		}
-		if e.Event == EventHlt {
+		if e.Event == policy.EventHlt {
 			hltTo[e.To] = true
 		}
 	}
@@ -208,7 +161,7 @@ func (p *Protocol) Validate() error {
 
 // StateNames renders a state bitmask using the protocol's names, in index
 // order, for findings and debug renderings.
-func (p *Protocol) StateNames(mask uint64) string {
+func StateNames(p *policy.Protocol, mask uint64) string {
 	var parts []string
 	for i := range p.States {
 		if mask&(1<<uint(i)) != 0 {
@@ -230,13 +183,13 @@ func (p *Protocol) StateNames(mask uint64) string {
 // exactly like P7 with no tagged secrets). It returns a non-nil Report
 // unless the protocol fails meta-validation or the analysis budget is
 // exhausted; either error must be treated as rejection by callers.
-func Analyze(g *cfa.Graph, p *Protocol) (*Report, error) {
+func Analyze(g *cfa.Graph, p *policy.Protocol) (*Report, error) {
 	rep := &Report{Blocks: make(map[int]BlockStates)}
 	if p == nil {
 		rep.Trivial = true
 		return rep, nil
 	}
-	if err := p.Validate(); err != nil {
+	if err := Validate(p); err != nil {
 		return nil, err
 	}
 	if g == nil || len(g.Blocks) <= 1 {
@@ -246,10 +199,10 @@ func Analyze(g *cfa.Graph, p *Protocol) (*Report, error) {
 	a := &analysis{
 		Engine: cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 20}, joinMask),
 		p:      p,
-		trans:  make(map[[2]int64]int, len(p.Edges)),
+		trans:  make(map[[2]int64]int64, len(p.Edges)),
 	}
 	for _, e := range p.Edges {
-		a.trans[[2]int64{int64(e.From), e.Event}] = e.To
+		a.trans[[2]int64{e.From, e.Event}] = e.To
 	}
 	a.fns = make([]fn, len(a.Funcs))
 	for i := range a.fns {
@@ -299,9 +252,9 @@ type ctx struct {
 // transfer reads them and change only through Engine.Mark.
 type analysis struct {
 	*cfa.Engine[uint64]
-	p     *Protocol
-	trans map[[2]int64]int // (state, event) -> successor state
-	fns   []fn             // indexed by cfa.Func.Index
+	p     *policy.Protocol
+	trans map[[2]int64]int64 // (state, event) -> successor state
+	fns   []fn               // indexed by cfa.Func.Index
 }
 
 // Engine keys: per function, the return summary of each entry state and
@@ -403,7 +356,7 @@ func (a *analysis) callOut(entry int64, cur uint64) uint64 {
 // state is retained (not dropped) so a single root cause does not cascade
 // into derived findings downstream, and the recorder deduplicates by
 // offset. A hlt additionally requires every reachable state to admit
-// EventHlt.
+// policy.EventHlt.
 func (a *analysis) transfer(b *cfa.Block, in uint64, rec *cfa.Recorder) uint64 {
 	cur := in
 	for _, di := range b.Insts {
@@ -420,7 +373,7 @@ func (a *analysis) transfer(b *cfa.Block, in uint64, rec *cfa.Recorder) uint64 {
 					if rec != nil {
 						rec.Add(di.Off, KindEventOrder,
 							"ocall %d fires in protocol state %q which does not admit it (reachable states: %s)",
-							di.Imm, a.p.States[s].Name, a.p.StateNames(cur))
+							di.Imm, a.p.States[s].Name, StateNames(a.p, cur))
 					}
 					next |= 1 << uint(s)
 				}
@@ -432,10 +385,10 @@ func (a *analysis) transfer(b *cfa.Block, in uint64, rec *cfa.Recorder) uint64 {
 					if cur&(1<<uint(s)) == 0 {
 						continue
 					}
-					if _, ok := a.trans[[2]int64{int64(s), EventHlt}]; !ok {
+					if _, ok := a.trans[[2]int64{int64(s), policy.EventHlt}]; !ok {
 						rec.Add(di.Off, KindHaltOrder,
 							"program can halt in protocol state %q which does not admit termination (reachable states: %s)",
-							a.p.States[s].Name, a.p.StateNames(cur))
+							a.p.States[s].Name, StateNames(a.p, cur))
 					}
 				}
 			}

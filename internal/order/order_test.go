@@ -9,6 +9,7 @@ import (
 	"deflection/internal/cfa"
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
+	"deflection/internal/policy"
 )
 
 // testProtocol is the canonical three-state exchange: provision in, then
@@ -16,24 +17,24 @@ import (
 //
 //	init --recv(2)--> ready* --send(1)--> ready*
 //	ready* --hlt--> end*
-func testProtocol() *Protocol {
-	return &Protocol{
-		States: []State{{Name: "init"}, {Name: "ready", Attested: true}, {Name: "end", Attested: true}},
-		Edges: []Edge{
+func testProtocol() *policy.Protocol {
+	return &policy.Protocol{
+		States: []policy.State{{Name: "init"}, {Name: "ready", Attested: true}, {Name: "end", Attested: true}},
+		Edges: []policy.Edge{
 			{From: 0, Event: 2, To: 1},
 			{From: 1, Event: 1, To: 1},
-			{From: 1, Event: EventHlt, To: 2},
+			{From: 1, Event: policy.EventHlt, To: 2},
 		},
 	}
 }
 
 // singleShot admits exactly one recv and then termination — no repetition.
-func singleShot() *Protocol {
-	return &Protocol{
-		States: []State{{Name: "init"}, {Name: "done", Attested: true}, {Name: "end", Attested: true}},
-		Edges: []Edge{
+func singleShot() *policy.Protocol {
+	return &policy.Protocol{
+		States: []policy.State{{Name: "init"}, {Name: "done", Attested: true}, {Name: "end", Attested: true}},
+		Edges: []policy.Edge{
 			{From: 0, Event: 2, To: 1},
-			{From: 1, Event: EventHlt, To: 2},
+			{From: 1, Event: policy.EventHlt, To: 2},
 		},
 	}
 }
@@ -76,7 +77,7 @@ func buildGraph(t *testing.T, text []byte, targets []int64) *cfa.Graph {
 	return cfa.Build(dis, 0, targets)
 }
 
-func analyze(t *testing.T, p *Protocol, items []item) (*Report, []int64) {
+func analyze(t *testing.T, p *policy.Protocol, items []item) (*Report, []int64) {
 	t.Helper()
 	text, offs := link(t, items)
 	rep, err := Analyze(buildGraph(t, text, nil), p)
@@ -87,36 +88,27 @@ func analyze(t *testing.T, p *Protocol, items []item) (*Report, []int64) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	st := func(names ...string) []State {
-		var out []State
+	st := func(names ...string) []policy.State {
+		var out []policy.State
 		for _, n := range names {
 			attested := strings.HasSuffix(n, "*")
-			out = append(out, State{Name: strings.TrimSuffix(n, "*"), Attested: attested})
+			out = append(out, policy.State{Name: strings.TrimSuffix(n, "*"), Attested: attested})
 		}
 		return out
 	}
-	many := make([]State, MaxStates+1)
-	for i := range many {
-		many[i] = State{Name: strings.Repeat("s", i+1)}
-	}
-	cases := map[string]*Protocol{
-		"no states":      {},
-		"too many":       {States: many},
-		"empty name":     {States: []State{{Name: ""}}},
-		"duplicate name": {States: st("a", "a")},
-		"start range":    {States: st("a"), Start: 1},
-		"edge state ref": {States: st("a"), Edges: []Edge{{From: 0, Event: 2, To: 3}}},
-		"event zero":     {States: st("a"), Edges: []Edge{{From: 0, Event: 0, To: 0}}},
-		"event too low":  {States: st("a"), Edges: []Edge{{From: 0, Event: -2, To: 0}}},
-		"nondeterministic": {States: st("a"), Edges: []Edge{
+	// The structural rules are policy.Protocol.Validate's (tested there);
+	// one case shows Validate runs them first and wraps their error.
+	cases := map[string]*policy.Protocol{
+		"no states": {},
+		"nondeterministic": {States: st("a"), Edges: []policy.Edge{
 			{From: 0, Event: 2, To: 0}, {From: 0, Event: 2, To: 0}}},
-		"output unattested": {States: st("a"), Edges: []Edge{{From: 0, Event: 1, To: 0}}},
-		"loses attestation": {States: st("a*", "b"), Edges: []Edge{{From: 0, Event: 2, To: 1}}},
-		"terminal outgoing": {States: st("a*", "b*"), Edges: []Edge{
-			{From: 0, Event: EventHlt, To: 1}, {From: 1, Event: 1, To: 1}}},
+		"output unattested": {States: st("a"), Edges: []policy.Edge{{From: 0, Event: 1, To: 0}}},
+		"loses attestation": {States: st("a*", "b"), Edges: []policy.Edge{{From: 0, Event: 2, To: 1}}},
+		"terminal outgoing": {States: st("a*", "b*"), Edges: []policy.Edge{
+			{From: 0, Event: policy.EventHlt, To: 1}, {From: 1, Event: 1, To: 1}}},
 	}
 	for name, p := range cases {
-		if err := p.Validate(); !errors.Is(err, ErrProtocol) {
+		if err := Validate(p); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: Validate() = %v, want ErrProtocol", name, err)
 		}
 		// Analyze must surface the same rejection.
@@ -124,11 +116,11 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("%s: Analyze = %v, want ErrProtocol", name, err)
 		}
 	}
-	for name, p := range map[string]*Protocol{
+	for name, p := range map[string]*policy.Protocol{
 		"canonical":   testProtocol(),
 		"single-shot": singleShot(),
 	} {
-		if err := p.Validate(); err != nil {
+		if err := Validate(p); err != nil {
 			t.Errorf("%s: Validate() = %v, want nil", name, err)
 		}
 	}
@@ -160,7 +152,7 @@ func TestStateNames(t *testing.T) {
 		0b111:  "init,ready,end",
 		1 << 1: "ready",
 	} {
-		if got := p.StateNames(mask); got != want {
+		if got := StateNames(p, mask); got != want {
 			t.Errorf("StateNames(%#b) = %q, want %q", mask, got, want)
 		}
 	}
@@ -340,6 +332,33 @@ func TestIndirectCallUnionsTargets(t *testing.T) {
 	}
 }
 
+// TestBudgetExhaustionRejects: a call chain laid out so each callee lies
+// below its caller lets each fixpoint round request just one more context.
+// A chain within the round budget converges; one deeper than it must make
+// the pass give up with ErrBudget rather than accept.
+func TestBudgetExhaustionRejects(t *testing.T) {
+	chain := func(depth int) *cfa.Graph {
+		// _start calls f(depth); f(k) at index 2k calls f(k-1); f(1) returns.
+		items := []item{{in: isa.Inst{Op: isa.OpCall}, target: 2 * depth}, ins(isa.Inst{Op: isa.OpHlt})}
+		for k := 1; k <= depth; k++ {
+			if k == 1 {
+				items = append(items, ins(isa.Inst{Op: isa.OpNop}))
+			} else {
+				items = append(items, item{in: isa.Inst{Op: isa.OpCall}, target: 2 * (k - 1)})
+			}
+			items = append(items, ins(isa.Inst{Op: isa.OpRet}))
+		}
+		text, _ := link(t, items)
+		return buildGraph(t, text, nil)
+	}
+	if _, err := Analyze(chain(200), testProtocol()); err != nil {
+		t.Fatalf("chain within the budget: %v", err)
+	}
+	if rep, err := Analyze(chain(300), testProtocol()); !errors.Is(err, ErrBudget) {
+		t.Fatalf("rep=%+v err=%v, want ErrBudget", rep, err)
+	}
+}
+
 // FuzzOrderPass drives the pass with arbitrary machine code and perturbed
 // protocols. The verifier runs Analyze on attacker-controlled (but
 // decodable) text and an attacker-declared protocol, so it must never
@@ -372,10 +391,10 @@ func FuzzOrderPass(f *testing.F) {
 		// Perturb the protocol with fuzz-derived edges; invalid ones must
 		// be rejected with ErrProtocol, never accepted or crashed on.
 		for i := 0; i+2 < len(edges); i += 3 {
-			p.Edges = append(p.Edges, Edge{
-				From:  int(edges[i]) - 1,
+			p.Edges = append(p.Edges, policy.Edge{
+				From:  int64(edges[i]) - 1,
 				Event: int64(edges[i+1]%7) - 2,
-				To:    int(edges[i+2]) % 4,
+				To:    int64(edges[i+2]) % 4,
 			})
 		}
 		rep, err := Analyze(g, p)

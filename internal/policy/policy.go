@@ -2,7 +2,9 @@
 // (paper Section IV-B) and the annotation ABI shared between the untrusted
 // code generator and the trusted verifier/loader: the annotation templates
 // the generator plants and the verifier matches, and the placeholder
-// immediates inside them that the loader's rewriter patches.
+// immediates inside them that the loader's rewriter patches. It also
+// defines the interface-event alphabet (the OCall indices) and the P8
+// protocol over it that the object proof carries.
 package policy
 
 import (

@@ -22,7 +22,6 @@ import (
 	"deflection/internal/isa"
 	"deflection/internal/loader"
 	"deflection/internal/obj"
-	"deflection/internal/order"
 	"deflection/internal/policy"
 	"deflection/internal/stage"
 	"deflection/internal/taint"
@@ -270,19 +269,10 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 	}
 	tm.End("text_bytes", len(text), "branch_targets", len(ld.BranchTargets))
 
-	offsets := make([]int64, 0, len(ld.BranchTargets))
-	for _, t := range ld.BranchTargets {
-		offsets = append(offsets, int64(t-ld.TextBase))
-	}
-	vr, err := verifier.Verify(text, verifier.Options{
-		Required:            instrumented,
-		AEXCheckMaxGap:      b.manifest.AEXCheckMaxGap,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offsets,
-		Taint:               TaintConfig(ld),
-		Order:               OrderProtocol(ld),
-		Trace:               tr,
-	})
+	opts := VerifyOptions(ld, instrumented)
+	opts.AEXCheckMaxGap = b.manifest.AEXCheckMaxGap
+	opts.Trace = tr
+	vr, err := verifier.Verify(text, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -348,47 +338,38 @@ type RunConfig struct {
 	Trace func(rip uint64, in isa.Inst)
 }
 
-// TaintConfig builds the P7 taint-pass geometry for a loaded binary: the
-// secret table resolved to absolute address ranges, the store window and
-// its stack subrange. Exposed for benchmarks and tools that call the
-// verifier directly on a loaded image.
-func TaintConfig(ld *loader.Loaded) taint.Config {
+// VerifyOptions builds the verifier's inputs for a loaded binary under the
+// required policy set req: the entry and the branch-target list as text
+// offsets, the P7 taint geometry (the secret table resolved to absolute
+// ranges, the store window and its stack subrange) and the declared P8
+// protocol. ReceiveBinary adds only the manifest's AEX gap and its trace;
+// tools and benchmarks that call the verifier directly on a loaded image
+// use it unchanged.
+func VerifyOptions(ld *loader.Loaded, req policy.Set) verifier.Options {
 	l := ld.Enclave.Layout
-	cfg := taint.Config{
-		DataLo:  l.StoreLo(),
-		DataHi:  l.StoreHi(),
-		StackLo: l.StackLo,
-		StackHi: l.StackHi,
+	opts := verifier.Options{
+		Required:            req,
+		EntryOffset:         int64(ld.Entry - ld.TextBase),
+		BranchTargetOffsets: make([]int64, 0, len(ld.BranchTargets)),
+		Taint: taint.Config{
+			DataLo:  l.StoreLo(),
+			DataHi:  l.StoreHi(),
+			StackLo: l.StackLo,
+			StackHi: l.StackHi,
+		},
+		Order: ld.Object.Protocol,
+	}
+	for _, t := range ld.BranchTargets {
+		opts.BranchTargetOffsets = append(opts.BranchTargetOffsets, int64(t-ld.TextBase))
 	}
 	for _, name := range ld.Object.Secrets {
 		// Unmarshal validated that every secret names a defined data
 		// object; a zero-size range is rejected later by Config.validate.
 		s, _ := ld.Object.Symbol(name)
 		base := ld.Symbols[name]
-		cfg.Secrets = append(cfg.Secrets, taint.Range{Lo: base, Hi: base + uint64(s.Size)})
+		opts.Taint.Secrets = append(opts.Taint.Secrets, taint.Range{Lo: base, Hi: base + uint64(s.Size)})
 	}
-	return cfg
-}
-
-// OrderProtocol converts the loaded object's declared interface protocol to
-// the P8 order pass's form (nil when none was declared — the pass then
-// holds trivially). The protocol needs no address resolution, only the
-// table carried by the proof; semantic meta-validation happens inside the
-// pass. Exposed for benchmarks and tools that call the verifier directly on
-// a loaded image.
-func OrderProtocol(ld *loader.Loaded) *order.Protocol {
-	op := ld.Object.Protocol
-	if op == nil {
-		return nil
-	}
-	p := &order.Protocol{Start: int(op.Start)}
-	for _, st := range op.States {
-		p.States = append(p.States, order.State{Name: st.Name, Attested: st.Attested})
-	}
-	for _, e := range op.Edges {
-		p.Edges = append(p.Edges, order.Edge{From: int(e.From), Event: e.Event, To: int(e.To)})
-	}
-	return p
+	return opts
 }
 
 // AnnotRangeSet converts the verifier's annotation spans to absolute

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
 	"deflection/internal/enclave"
+	"deflection/internal/loader"
 	"deflection/internal/obs"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
@@ -255,5 +257,30 @@ int main() { g = 1; return g; }`, compiler.Options{Policies: policy.SetNone})
 		if len(last.Attrs) != 1 || last.Attrs[0].Key != "error" || last.Attrs[0].Val != err.Error() {
 			t.Errorf("%s: attributes %v, want error=%q", last.Name, last.Attrs, err)
 		}
+	}
+}
+
+// TestTraceLoadRejection: an object whose .bss exceeds the enclave heap is
+// rejected by the loader, and the trace ends with the load span carrying
+// the error.
+func TestTraceLoadRejection(t *testing.T) {
+	o, err := asmtext.Assemble(`
+.entry _start
+.bss big 16777216
+.func _start
+  hlt
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBootstrap(t, policy.SetNone)
+	_, err = b.ReceiveBinary(o.Marshal())
+	if !errors.Is(err, loader.ErrTooLarge) {
+		t.Fatalf("ReceiveBinary = %v, want loader.ErrTooLarge", err)
+	}
+	spans := b.LastTrace().Spans()
+	last := spans[len(spans)-1]
+	if last.Name != "load" || len(last.Attrs) != 1 || last.Attrs[0].Key != "error" || last.Attrs[0].Val != err.Error() {
+		t.Errorf("trace ends with %+v, want the load span with error=%q", last, err)
 	}
 }

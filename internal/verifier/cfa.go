@@ -14,8 +14,8 @@ package verifier
 //     re-enter the store with a hostile base after passing the check once.
 //   - dead-byte: every text byte must be covered by the recursive-descent
 //     decode; uncovered bytes are potential side-loaded code (P4/P5).
-//   - target-list: each proof-listed indirect target must be a decoded
-//     instruction start, listed exactly once (P5).
+//   - target-list: each proof-listed indirect target must be listed
+//     exactly once (P5).
 //
 // All passes run over the internal/cfa graph, which (like this package) is
 // TCB-resident and depends only on isa, disasm and the standard library.
@@ -78,7 +78,7 @@ func (v *verifier) runCFA(req policy.Set, res *Result) error {
 
 	if req.Has(policy.P5) {
 		tm = tr.Start("cfa/targets")
-		err := v.targetListPass(g, res)
+		err := v.targetListPass(res)
 		if endSpan(tm, err, "targets", c.Targets) != nil {
 			return err
 		}
@@ -182,25 +182,17 @@ func taintDetail(s *CFAStats) string {
 		s.Secrets, s.TaintFuncs, s.TaintedRanges)
 }
 
-// targetListPass cross-checks the proof's indirect-branch target list
-// against the recovered CFG: every entry must be a decoded instruction
-// start, listed exactly once, in a root-reachable block. (Verify rejected
-// entries outside text before disassembling.)
-func (v *verifier) targetListPass(g *cfa.Graph, res *Result) error {
-	seen := make([]bool, len(v.dis.Insts))
+// targetListPass cross-checks the proof's indirect-branch target list: each
+// entry must be listed exactly once. (Verify rejected entries outside text,
+// every entry is a disassembly entry and so a decoded instruction start,
+// and cfa.Build gives each an edge from the virtual root.)
+func (v *verifier) targetListPass(res *Result) error {
+	seen := make(map[int64]bool, len(v.opts.BranchTargetOffsets))
 	for _, t := range v.opts.BranchTargetOffsets {
-		i, ok := v.dis.Index(t)
-		if !ok {
-			return v.cfaViolation("target-list", policy.P5, t, "listed indirect target is not a decoded instruction start")
-		}
-		if seen[i] {
+		if seen[t] {
 			return v.cfaViolation("target-list", policy.P5, t, "indirect target listed twice")
 		}
-		seen[i] = true
-		b := g.BlockAt(t)
-		if b == nil || !g.Reachable(b.ID) {
-			return v.cfaViolation("target-list", policy.P5, t, "listed indirect target unreachable in the recovered CFG")
-		}
+		seen[t] = true
 		res.CFA.Targets++
 	}
 	return nil

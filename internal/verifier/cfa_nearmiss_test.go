@@ -5,9 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"deflection/internal/asmtext"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/policy"
 	"deflection/internal/verifier"
 )
@@ -17,34 +14,11 @@ import (
 // target list rather than on the binary itself.
 func verifyAsmTargets(t *testing.T, src string, pols policy.Set, mangle func([]int64) []int64) error {
 	t.Helper()
-	o, err := asmtext.Assemble(src, uint16(pols))
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("nearmiss-cfa"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs []int64
-	for _, bt := range ld.BranchTargets {
-		offs = append(offs, int64(bt-ld.TextBase))
-	}
+	text, opts := assemble(t, src, pols)
 	if mangle != nil {
-		offs = mangle(offs)
+		opts.BranchTargetOffsets = mangle(opts.BranchTargetOffsets)
 	}
-	_, err = verifier.Verify(text, verifier.Options{
-		Required:            pols,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-	})
+	_, err := verifier.Verify(text, opts)
 	return err
 }
 

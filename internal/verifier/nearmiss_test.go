@@ -2,44 +2,38 @@ package verifier_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"deflection/internal/asmtext"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/policy"
 	"deflection/internal/verifier"
 )
 
-// verifyAsm assembles hand-written source and runs the verifier against the
-// given policy set.
-func verifyAsm(t *testing.T, src string, pols policy.Set) (*verifier.Result, error) {
+// assemble assembles hand-written source and loads it as the runtime does,
+// returning the relocated text and the verifier options the load implies.
+func assemble(t *testing.T, src string, pols policy.Set) ([]byte, verifier.Options) {
 	t.Helper()
 	o, err := asmtext.Assemble(src, uint16(pols))
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("nearmiss"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs []int64
-	for _, bt := range ld.BranchTargets {
-		offs = append(offs, int64(bt-ld.TextBase))
-	}
-	return verifier.Verify(text, verifier.Options{
-		Required:            pols,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-	})
+	return loadObject(t, o, pols)
+}
+
+// verifyAsm assembles hand-written source and runs the verifier against the
+// given policy set.
+func verifyAsm(t *testing.T, src string, pols policy.Set) (*verifier.Result, error) {
+	t.Helper()
+	text, opts := assemble(t, src, pols)
+	return verifier.Verify(text, opts)
+}
+
+// verifyErr is verifyAsm's verdict alone.
+func verifyErr(t *testing.T, src string, pols policy.Set) error {
+	t.Helper()
+	_, err := verifyAsm(t, src, pols)
+	return err
 }
 
 // goodStoreGuard is a byte-exact hand transcription of the P1 annotation
@@ -279,23 +273,7 @@ func TestRSPGuardNearMiss(t *testing.T) {
 // TestVerifierIdempotent: verifying the same text twice yields identical
 // statistics (no hidden state).
 func TestVerifierIdempotent(t *testing.T) {
-	o, err := asmtext.Assemble(goodStoreGuard, uint16(policy.SetP1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("idem"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := verifier.Options{Required: policy.SetP1, EntryOffset: int64(ld.Entry - ld.TextBase)}
+	text, opts := assemble(t, goodStoreGuard, policy.SetP1)
 	r1, err := verifier.Verify(text, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -306,5 +284,63 @@ func TestVerifierIdempotent(t *testing.T) {
 	}
 	if r1.Stats != r2.Stats || len(r1.AnnotRanges) != len(r2.AnnotRanges) {
 		t.Fatalf("verification not idempotent: %+v vs %+v", r1.Stats, r2.Stats)
+	}
+}
+
+// targetInsideGuardSrc lists a branch target inside a valid store guard:
+// an indirect branch there would skip the lower-bound check. Under P1
+// alone no beacon check runs, so branch discipline is what rejects it.
+const targetInsideGuardSrc = `
+.entry _start
+.bss slot 8
+.func _start
+  mov rcx, =slot
+  push rbx
+  push rax
+  lea rax, [rcx]
+  mov rbx, 0x3FFFFFFFFFFFFFFF
+  cmp rax, rbx
+  jb trapstore
+midguard:
+  mov rbx, 0x4FFFFFFFFFFFFFFF
+  cmp rax, rbx
+  jae trapstore
+  pop rax
+  pop rbx
+  mov [rcx], rdx
+  hlt
+trapstore:
+  trap 1
+.target midguard
+`
+
+func TestTargetInsideAnnotationRejected(t *testing.T) {
+	_, err := verifyAsm(t, targetInsideGuardSrc, policy.SetP1)
+	vio := requireViolation(t, err, policy.P1, "")
+	if !strings.Contains(vio.Msg, "branch-target list entry inside a P1 security annotation") {
+		t.Fatalf("rejected for another reason: %v", err)
+	}
+}
+
+// TestIndirectBranchThroughReservedRegister: an indirect branch through
+// RSP or the shadow-stack register is rejected under P5 before any CFI
+// guard is looked for.
+func TestIndirectBranchThroughReservedRegister(t *testing.T) {
+	for _, reg := range []string{"rsp", "r14"} {
+		src := `
+.entry _start
+.func _start
+  nop
+  jmp ` + reg + `
+.func helper
+  brmark
+  hlt
+.target helper
+`
+		_, err := verifyAsm(t, src, policy.Bit(policy.P5))
+		vio := requireViolation(t, err, policy.P5, "")
+		if !strings.Contains(vio.Msg, "indirect branch through reserved register") {
+			t.Fatalf("jmp %s rejected for another reason: %v", reg, err)
+		}
 	}
 }

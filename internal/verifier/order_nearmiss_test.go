@@ -5,47 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"deflection/internal/asmtext"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 	"deflection/internal/verifier"
 )
-
-// verifyAsmOrder assembles hand-written source, loads it and runs the
-// verifier with the object's declared interface protocol, exactly as the
-// runtime wires the P8 pass.
-func verifyAsmOrder(t *testing.T, src string, pols policy.Set) error {
-	t.Helper()
-	o, err := asmtext.Assemble(src, uint16(pols))
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("nearmiss-order"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs []int64
-	for _, bt := range ld.BranchTargets {
-		offs = append(offs, int64(bt-ld.TextBase))
-	}
-	_, err = verifier.Verify(text, verifier.Options{
-		Required:            pols,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-		Order:               runtime.OrderProtocol(ld),
-	})
-	return err
-}
 
 // p8Only isolates the orderliness pass: no template annotations are
 // required, so the near-miss sources stay minimal and the rejection can
@@ -84,7 +46,7 @@ again:
 // follows its declared protocol to the letter must verify P8-clean,
 // including across calls and loops.
 func TestOrderConformingAccepted(t *testing.T) {
-	if err := verifyAsmOrder(t, orderConformingSrc, p8Only); err != nil {
+	if err := verifyErr(t, orderConformingSrc, p8Only); err != nil {
 		t.Fatalf("conforming program rejected: %v", err)
 	}
 }
@@ -178,7 +140,7 @@ again:
 func TestOrderNearMissesRejected(t *testing.T) {
 	for name, tc := range orderNearMisses {
 		t.Run(name, func(t *testing.T) {
-			err := verifyAsmOrder(t, tc.src, p8Only)
+			err := verifyErr(t, tc.src, p8Only)
 			vio := requireViolation(t, err, policy.P8, "order")
 			if !strings.Contains(vio.Msg, tc.want) {
 				t.Errorf("violation %q does not name finding kind %q", vio.Msg, tc.want)
@@ -244,7 +206,7 @@ var tamperedProtocols = map[string]string{
 func TestOrderTamperedProtocolRejected(t *testing.T) {
 	for name, src := range tamperedProtocols {
 		t.Run(name, func(t *testing.T) {
-			err := verifyAsmOrder(t, src, p8Only)
+			err := verifyErr(t, src, p8Only)
 			// A tampered table has no violating instruction to anchor, so
 			// assert the structured rejection directly instead of via
 			// requireViolation (which demands an anchor offset).
@@ -276,10 +238,10 @@ const orderSkippedSrc = `
 // when the manifest does not demand P8 — orderliness is a policy, not a
 // default.
 func TestOrderPassSkippedWithoutP8(t *testing.T) {
-	if err := verifyAsmOrder(t, orderSkippedSrc, policy.SetNone); err != nil {
+	if err := verifyErr(t, orderSkippedSrc, policy.SetNone); err != nil {
 		t.Fatalf("violation rejected despite P8 not being required: %v", err)
 	}
-	requireViolation(t, verifyAsmOrder(t, orderSkippedSrc, p8Only), policy.P8, "order")
+	requireViolation(t, verifyErr(t, orderSkippedSrc, p8Only), policy.P8, "order")
 }
 
 const orderAblationSrc = `
@@ -295,32 +257,13 @@ const orderAblationSrc = `
 // leaves P8 out, and rejected under P8 by the order pass itself — that
 // pass, not some other check, is what rejects it.
 func TestOrderAblation(t *testing.T) {
-	o, err := asmtext.Assemble(orderAblationSrc, uint16(p8Only))
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("nearmiss-order"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := verifier.Options{
-		Required:    policy.SetNone,
-		EntryOffset: int64(ld.Entry - ld.TextBase),
-		Order:       runtime.OrderProtocol(ld),
-	}
+	text, opts := assemble(t, orderAblationSrc, p8Only)
+	opts.Required = policy.SetNone
 	if _, err := verifier.Verify(text, opts); err != nil {
 		t.Fatalf("verification without P8 rejected: %v", err)
 	}
 	opts.Required = p8Only
-	_, err = verifier.Verify(text, opts)
+	_, err := verifier.Verify(text, opts)
 	var vio *verifier.Violation
 	if !errors.As(err, &vio) {
 		t.Fatalf("verification under P8 = %v, want a *verifier.Violation", err)

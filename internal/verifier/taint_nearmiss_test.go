@@ -7,50 +7,12 @@ import (
 	"testing"
 
 	"deflection/internal/apps"
-	"deflection/internal/asmtext"
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
-
-// verifyAsmTaint assembles hand-written source, loads it and runs the
-// verifier with the loaded image's taint geometry (secret ranges resolved
-// to absolute addresses, store window, stack bounds).
-func verifyAsmTaint(t *testing.T, src string, pols policy.Set) error {
-	t.Helper()
-	o, err := asmtext.Assemble(src, uint16(pols))
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("nearmiss-taint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs []int64
-	for _, bt := range ld.BranchTargets {
-		offs = append(offs, int64(bt-ld.TextBase))
-	}
-	_, err = verifier.Verify(text, verifier.Options{
-		Required:            pols,
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-		Taint:               runtime.TaintConfig(ld),
-	})
-	return err
-}
 
 // p7Only isolates the taint pass: no template annotations are required, so
 // the near-miss sources stay minimal and the rejection can only come from
@@ -78,7 +40,7 @@ const taintSealedFlowSrc = `
 // flows only to the sealed-output ocall must verify P7-clean, including
 // after a round trip through a scratch global.
 func TestTaintSealedFlowAccepted(t *testing.T) {
-	if err := verifyAsmTaint(t, taintSealedFlowSrc, p7Only); err != nil {
+	if err := verifyErr(t, taintSealedFlowSrc, p7Only); err != nil {
 		t.Fatalf("sealed secret flow rejected: %v", err)
 	}
 }
@@ -170,7 +132,7 @@ var taintLeaks = map[string]struct {
 func TestTaintLeaksRejected(t *testing.T) {
 	for name, tc := range taintLeaks {
 		t.Run(name, func(t *testing.T) {
-			err := verifyAsmTaint(t, tc.src, p7Only)
+			err := verifyErr(t, tc.src, p7Only)
 			vio := requireViolation(t, err, policy.P7, "taint")
 			if !strings.Contains(vio.Msg, tc.kind) {
 				t.Errorf("violation %q does not name finding kind %q", vio.Msg, tc.kind)
@@ -193,10 +155,10 @@ const taintSkippedSrc = `
 // TestTaintPassSkippedWithoutP7: the same leaking program is accepted when
 // the manifest does not demand P7 — taint is a policy, not a default.
 func TestTaintPassSkippedWithoutP7(t *testing.T) {
-	if err := verifyAsmTaint(t, taintSkippedSrc, policy.SetNone); err != nil {
+	if err := verifyErr(t, taintSkippedSrc, policy.SetNone); err != nil {
 		t.Fatalf("leak rejected despite P7 not being required: %v", err)
 	}
-	requireViolation(t, verifyAsmTaint(t, taintSkippedSrc, p7Only), policy.P7, "taint")
+	requireViolation(t, verifyErr(t, taintSkippedSrc, p7Only), policy.P7, "taint")
 }
 
 const taintInterprocSrc = `
@@ -218,7 +180,7 @@ const taintInterprocSrc = `
 // in the callee, leaked by the caller through the returned register), so
 // only the interprocedural summary can see the flow.
 func TestTaintInterproceduralLeak(t *testing.T) {
-	requireViolation(t, verifyAsmTaint(t, taintInterprocSrc, p7Only), policy.P7, "taint")
+	requireViolation(t, verifyErr(t, taintInterprocSrc, p7Only), policy.P7, "taint")
 }
 
 const taintArgSlotSrc = `
@@ -242,7 +204,7 @@ const taintArgSlotSrc = `
 // TestTaintArgumentSlotLeak: the secret is passed to the callee through a
 // caller-frame stack slot and leaked inside the callee.
 func TestTaintArgumentSlotLeak(t *testing.T) {
-	requireViolation(t, verifyAsmTaint(t, taintArgSlotSrc, p7Only), policy.P7, "taint")
+	requireViolation(t, verifyErr(t, taintArgSlotSrc, p7Only), policy.P7, "taint")
 }
 
 // TestTaintReportsDeterministic: certificate sharing needs verdicts that
@@ -303,7 +265,7 @@ const taintBudgetSrc = `
 // TestTaintBudgetExhaustionRejected: running out of the analysis budget is
 // a conservative P7 rejection, never an acceptance.
 func TestTaintBudgetExhaustionRejected(t *testing.T) {
-	err := verifyAsmTaint(t, taintBudgetSrc, p7Only)
+	err := verifyErr(t, taintBudgetSrc, p7Only)
 	var vio *verifier.Violation
 	if !errors.As(err, &vio) || vio.Policy != policy.P7 || vio.Pass != "taint" {
 		t.Fatalf("err = %v, want a P7 taint violation", err)

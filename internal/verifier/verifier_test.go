@@ -44,17 +44,7 @@ func loadObject(t testing.TB, o *obj.Object, pols policy.Set) ([]byte, verifier.
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs := make([]int64, 0, len(ld.BranchTargets))
-	for _, bt := range ld.BranchTargets {
-		offs = append(offs, int64(bt-ld.TextBase))
-	}
-	return text, verifier.Options{
-		Required:            pols &^ policy.Bit(policy.P0),
-		EntryOffset:         int64(ld.Entry - ld.TextBase),
-		BranchTargetOffsets: offs,
-		Taint:               runtime.TaintConfig(ld),
-		Order:               runtime.OrderProtocol(ld),
-	}
+	return text, runtime.VerifyOptions(ld, pols)
 }
 
 const guardedSrc = `
