@@ -44,7 +44,7 @@ TCB_COVER_PKG_FLOORS = \
 	deflection/internal/isa=95.2 \
 	deflection/internal/loader=89.8 \
 	deflection/internal/obj=98.6 \
-	deflection/internal/order=99.2 \
+	deflection/internal/order=100.0 \
 	deflection/internal/policy=100.0 \
 	deflection/internal/runtime=89.5 \
 	deflection/internal/stage=100.0 \

@@ -18,15 +18,13 @@ import (
 	"os"
 	"strings"
 
+	"deflection/internal/apps"
 	"deflection/internal/cfa"
 	"deflection/internal/disasm"
-	"deflection/internal/enclave"
 	"deflection/internal/isa"
-	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/order"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
@@ -101,7 +99,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, perr)
 			return 2
 		}
-		text, opts, lerr := load(o, pols)
+		text, opts, lerr := apps.VerifyObject(o, pols)
 		if lerr != nil {
 			fmt.Fprintln(os.Stderr, lerr)
 			return 1
@@ -201,25 +199,6 @@ func dumpCFG(o *obj.Object, format string) int {
 	return 0
 }
 
-// load places the object in a fresh enclave exactly as the runtime would
-// and returns its relocated text with the verifier options the load implies
-// under pols.
-func load(o *obj.Object, pols policy.Set) ([]byte, verifier.Options, error) {
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
-	if err != nil {
-		return nil, verifier.Options{}, err
-	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		return nil, verifier.Options{}, fmt.Errorf("load: %w", err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		return nil, verifier.Options{}, err
-	}
-	return text, runtime.VerifyOptions(ld, pols), nil
-}
-
 // dumpAnnotatedCFG loads and relocates the object exactly as the runtime
 // would, runs a full verification up to the requested dataflow pass (p1-p7
 // for taint, p1-p8 for order) capturing its report, and renders the CFG
@@ -231,7 +210,7 @@ func dumpAnnotatedCFG(o *obj.Object, format, pass string) int {
 	if pass == "order" {
 		pols, policyID, holds = policy.SetP1P8, "P8", "no interface protocol declared; P8 holds trivially"
 	}
-	text, opts, err := load(o, pols)
+	text, opts, err := apps.VerifyObject(o, pols)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -4,13 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 
 	"deflection/internal/compiler"
 	"deflection/internal/cpu"
 	"deflection/internal/dclib"
 	"deflection/internal/enclave"
+	"deflection/internal/loader"
+	"deflection/internal/obj"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
+	"deflection/internal/verifier"
 )
 
 // Result is the outcome of one application execution.
@@ -21,45 +25,79 @@ type Result struct {
 	Insts   uint64
 	Cycles  float64
 	Outputs [][]byte
+	// Stats are the verifier's counts for the binary that ran.
+	Stats verifier.Stats
 }
 
 // Ok reports whether the run halted normally with a non-negative exit.
 func (r *Result) Ok() bool { return r.Status == cpu.StatusHalt && r.Exit >= 0 }
 
-var (
-	objMu    sync.Mutex
-	objCache = make(map[string][]byte)
-)
-
-func compileCached(name, src string, pols policy.Set) ([]byte, error) {
-	key := fmt.Sprintf("%s|%d", name, pols)
-	objMu.Lock()
-	defer objMu.Unlock()
-	if b, ok := objCache[key]; ok {
-		return b, nil
-	}
-	o, err := compiler.Compile(dclib.Program(src), compiler.Options{Policies: pols})
-	if err != nil {
-		return nil, fmt.Errorf("apps: compiling %s: %w", name, err)
-	}
-	b := o.Marshal()
-	objCache[key] = b
-	return b, nil
-}
-
-// RunConfig tunes an application execution.
+// RunConfig tunes an application execution. The zero value runs the
+// uninstrumented baseline on the default enclave and cycle model.
 type RunConfig struct {
 	Policies    policy.Set
 	AEXInterval uint64
 	Gas         uint64
 	Config      enclave.Config  // zero value selects the default config
 	Timing      cpu.TimingModel // zero value selects the default model
+	// FlatAnnotationCost charges annotation instructions at their full
+	// class costs (runtime.RunConfig.FlatAnnotationCost).
+	FlatAnnotationCost bool
+	// AEXCheckInterval is the generator's q, the most instructions between
+	// P6 SSA checks (0 = the compiler default). A non-zero q also sets the
+	// manifest's AEXCheckMaxGap to 2q+64.
+	AEXCheckInterval int
 }
 
-// Run compiles (with caching) and executes a DC application, feeding it the
-// given input messages.
-func Run(name, src string, rc RunConfig, inputs ...[]byte) (*Result, error) {
-	objBytes, err := compileCached(name, src, rc.Policies)
+// objKey is everything a compiled object depends on: the source and each
+// compiler option the harness sets.
+type objKey struct {
+	src  string
+	pols policy.Set
+	q    int
+}
+
+// objCache compiles each (source, options) once and keeps the marshalled
+// object.
+type objCache struct {
+	mu   sync.Mutex
+	objs map[objKey][]byte
+}
+
+var objects = &objCache{objs: make(map[objKey][]byte)}
+
+func (c *objCache) compile(name, src string, rc RunConfig) ([]byte, error) {
+	key := objKey{src, rc.Policies, rc.AEXCheckInterval}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if b, ok := c.objs[key]; ok {
+		return b, nil
+	}
+	o, err := compiler.Compile(dclib.Program(src), compiler.Options{Policies: rc.Policies, AEXCheckInterval: rc.AEXCheckInterval})
+	if err != nil {
+		return nil, fmt.Errorf("apps: compiling %s: %w", name, err)
+	}
+	b := o.Marshal()
+	c.objs[key] = b
+	return b, nil
+}
+
+// Loaded is a compiled application verified into a fresh bootstrap
+// enclave, ready to run once.
+type Loaded struct {
+	rc RunConfig
+	b  *runtime.Bootstrap
+	// Report is the bootstrap's load report: verifier stats and the stage
+	// trace.
+	Report *runtime.LoadReport
+	// LoadTime is the wall time of the ReceiveBinary call alone.
+	LoadTime time.Duration
+}
+
+// Load compiles src under rc (cached) and loads it into a fresh bootstrap
+// enclave whose manifest requires rc.Policies.
+func Load(name, src string, rc RunConfig) (*Loaded, error) {
+	objBytes, err := objects.compile(name, src, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -69,17 +107,29 @@ func Run(name, src string, rc RunConfig, inputs ...[]byte) (*Result, error) {
 	}
 	m := runtime.DefaultManifest()
 	m.Policies = rc.Policies
+	if q := rc.AEXCheckInterval; q != 0 {
+		m.AEXCheckMaxGap = 2*q + 64
+	}
 	b, err := runtime.New(cfg, m)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := b.ReceiveBinary(objBytes); err != nil {
+	start := time.Now()
+	rep, err := b.ReceiveBinary(objBytes)
+	if err != nil {
 		return nil, fmt.Errorf("apps: loading %s: %w", name, err)
 	}
+	return &Loaded{rc: rc, b: b, Report: rep, LoadTime: time.Since(start)}, nil
+}
+
+// Run feeds the given input messages to the loaded application and
+// executes it.
+func (l *Loaded) Run(inputs ...[]byte) (*Result, error) {
 	for _, in := range inputs {
-		b.ReceiveData(in)
+		l.b.ReceiveData(in)
 	}
-	res, err := b.Run(runtime.RunConfig{Gas: rc.Gas, AEXInterval: rc.AEXInterval, AEXSeed: 1, Timing: rc.Timing})
+	res, err := l.b.Run(runtime.RunConfig{Gas: l.rc.Gas, AEXInterval: l.rc.AEXInterval, AEXSeed: 1,
+		Timing: l.rc.Timing, FlatAnnotationCost: l.rc.FlatAnnotationCost})
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +139,58 @@ func Run(name, src string, rc RunConfig, inputs ...[]byte) (*Result, error) {
 		Insts:   res.CPU.Insts,
 		Cycles:  res.CPU.Cycles,
 		Outputs: res.Outputs,
+		Stats:   l.Report.Stats,
 	}
 	if res.CPU.Status == cpu.StatusTrap {
 		out.Trap = res.CPU.Trap.String()
 	}
 	return out, nil
+}
+
+// Run compiles (with caching), loads and executes a DC application,
+// feeding it the given input messages. It is the evaluation tooling's one
+// compile→load→run path.
+func Run(name, src string, rc RunConfig, inputs ...[]byte) (*Result, error) {
+	l, err := Load(name, src, rc)
+	if err != nil {
+		return nil, err
+	}
+	return l.Run(inputs...)
+}
+
+// VerifyInput compiles src under pols (cached) and returns what
+// VerifyObject returns for it.
+func VerifyInput(name, src string, pols policy.Set) ([]byte, verifier.Options, error) {
+	objBytes, err := objects.compile(name, src, RunConfig{Policies: pols})
+	if err != nil {
+		return nil, verifier.Options{}, err
+	}
+	o, err := obj.Unmarshal(objBytes)
+	if err != nil {
+		return nil, verifier.Options{}, err
+	}
+	return VerifyObject(o, pols)
+}
+
+// VerifyObject loads o into a fresh enclave exactly as the runtime does and
+// returns the relocated text with the verifier options that load implies
+// under pols: entry, branch-target list, the P7 secret geometry and the P8
+// protocol. Tools and benchmarks that call verifier.Verify directly share
+// it.
+func VerifyObject(o *obj.Object, pols policy.Set) ([]byte, verifier.Options, error) {
+	e, err := enclave.New(enclave.DefaultConfig(), []byte("verify-input"))
+	if err != nil {
+		return nil, verifier.Options{}, err
+	}
+	ld, err := loader.Load(e, o)
+	if err != nil {
+		return nil, verifier.Options{}, fmt.Errorf("load: %w", err)
+	}
+	text, err := ld.TextBytes()
+	if err != nil {
+		return nil, verifier.Options{}, err
+	}
+	return text, runtime.VerifyOptions(ld, pols), nil
 }
 
 // Param encodes an integer parameter message for read_param.

@@ -282,3 +282,43 @@ func TestFASTAFedToAlignment(t *testing.T) {
 		t.Fatalf("alignment failed: %+v", res)
 	}
 }
+
+// TestObjectCache pins the harness's compile cache: a repeated (source,
+// options) pair compiles once, and every compiler option the harness sets —
+// the policy set and the generator's q — selects its own entry.
+func TestObjectCache(t *testing.T) {
+	c := &objCache{objs: make(map[objKey][]byte)}
+	compile := func(rc RunConfig) []byte {
+		t.Helper()
+		b, err := c.compile("credit", CreditSource, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	entries := func(want int) {
+		t.Helper()
+		if n := len(c.objs); n != want {
+			t.Fatalf("cache holds %d objects, want %d", n, want)
+		}
+	}
+
+	p1 := compile(RunConfig{Policies: policy.SetP1})
+	if again := compile(RunConfig{Policies: policy.SetP1}); &again[0] != &p1[0] {
+		t.Error("the same source and options compiled twice")
+	}
+	entries(1)
+
+	p1p6 := compile(RunConfig{Policies: policy.SetP1P6})
+	entries(2)
+	if bytes.Equal(p1, p1p6) {
+		t.Error("P1 and P1-P6 objects are identical")
+	}
+
+	q5 := compile(RunConfig{Policies: policy.SetP1P6, AEXCheckInterval: 5})
+	q50 := compile(RunConfig{Policies: policy.SetP1P6, AEXCheckInterval: 50})
+	entries(4)
+	if bytes.Equal(q5, q50) {
+		t.Error("q=5 and q=50 objects are identical")
+	}
+}

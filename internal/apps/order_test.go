@@ -4,10 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"deflection/internal/enclave"
 	"deflection/internal/nbench"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 )
 
 // permissiveProtocol admits every interface event the DC builtins can emit
@@ -29,22 +27,12 @@ protocol {
 // manifest and asserts the P8 audit entry passed with the expected detail.
 func verifyOrderClean(t *testing.T, name, src string, pols policy.Set, wantDetail string) {
 	t.Helper()
-	objBytes, err := compileCached(name, src, pols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := runtime.DefaultManifest()
-	m.Policies = pols
-	b, err := runtime.New(enclave.DefaultConfig(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := b.ReceiveBinary(objBytes)
+	l, err := Load(name, src, RunConfig{Policies: pols})
 	if err != nil {
 		t.Fatalf("%s rejected under %v: %v", name, pols, err)
 	}
 	found := false
-	for _, a := range rep.Audit {
+	for _, a := range l.Report.Audit {
 		if a.Policy != policy.P8 {
 			continue
 		}

@@ -3,6 +3,10 @@
 // bootstrap enclave: Needleman–Wunsch sequence alignment and sequence
 // generation (Figs. 7-8), BP-neural-network credit scoring (Fig. 9) and the
 // HTTPS service handler used by the web-server experiments (Figs. 10-11).
+// It also holds the evaluation tooling's one harness: Run (and Load) compile
+// a DC program once per source and compiler options, verify it into a fresh
+// bootstrap enclave and run it; VerifyInput prepares the inputs of a direct
+// verifier.Verify call.
 package apps
 
 // NWSource aligns two sequences received from the data owner with the

@@ -5,10 +5,8 @@ import (
 
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
-	"deflection/internal/enclave"
 	"deflection/internal/nbench"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 )
 
 // verifyClean compiles src with pols instrumentation and pushes it through
@@ -16,21 +14,11 @@ import (
 // demanding the same set.
 func verifyClean(t *testing.T, name, src string, pols policy.Set) {
 	t.Helper()
-	objBytes, err := compileCached(name, src, pols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := runtime.DefaultManifest()
-	m.Policies = pols
-	b, err := runtime.New(enclave.DefaultConfig(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := b.ReceiveBinary(objBytes)
+	l, err := Load(name, src, RunConfig{Policies: pols})
 	if err != nil {
 		t.Fatalf("%s rejected under %v: %v", name, pols, err)
 	}
-	for _, a := range rep.Audit {
+	for _, a := range l.Report.Audit {
 		if a.Policy == policy.P7 && !a.Passed {
 			t.Errorf("%s: P7 audit entry not passed", name)
 		}

@@ -1,16 +1,11 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"deflection/internal/compiler"
-	"deflection/internal/cpu"
-	"deflection/internal/dclib"
-	"deflection/internal/enclave"
+	"deflection/internal/apps"
 	"deflection/internal/nbench"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 )
 
 // AblationRow compares one kernel's P1-P5 overhead under the calibrated
@@ -32,64 +27,27 @@ type AnnotCostResult struct {
 // densities).
 var annotKernels = []string{"NUMERIC SORT", "FP EMULATION", "ASSIGNMENT", "HUFFMAN"}
 
-func runKernelWith(k nbench.Kernel, pols policy.Set, params []int64, flat bool) (cpu.Result, error) {
-	o, err := compiler.Compile(dclib.Program(k.Source), compiler.Options{Policies: pols})
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	m := runtime.DefaultManifest()
-	m.Policies = pols
-	b, err := runtime.New(enclave.DefaultConfig(), m)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	if _, err := b.ReceiveBinary(o.Marshal()); err != nil {
-		return cpu.Result{}, err
-	}
-	for _, p := range params {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(p))
-		b.ReceiveData(buf[:])
-	}
-	res, err := b.Run(runtime.RunConfig{FlatAnnotationCost: flat})
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	if res.CPU.Status != cpu.StatusHalt || res.CPU.ExitValue < 0 {
-		return cpu.Result{}, fmt.Errorf("bench: ablation kernel %s failed: %v", k.Name, res.CPU)
-	}
-	return res.CPU, nil
-}
-
 // AnnotCostAblation measures P1-P5 overheads under both annotation-cost
 // models.
 func AnnotCostAblation(quick bool) (*AnnotCostResult, error) {
+	models := []apps.RunConfig{
+		{Policies: policy.SetP1P5},
+		{Policies: policy.SetP1P5, FlatAnnotationCost: true},
+	}
 	res := &AnnotCostResult{}
 	for _, name := range annotKernels {
 		k, ok := nbench.KernelByName(name)
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown kernel %q", name)
 		}
-		params := k.Params
-		if quick {
-			params = quickParams[name]
-		}
-		base, err := runKernelWith(k, policy.SetNone, params, false)
-		if err != nil {
-			return nil, err
-		}
-		disc, err := runKernelWith(k, policy.SetP1P5, params, false)
-		if err != nil {
-			return nil, err
-		}
-		flat, err := runKernelWith(k, policy.SetP1P5, params, true)
+		base, runs, err := sweep(name, models, kernelRun(k, quick, 0))
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, AblationRow{
 			Program:      name,
-			DiscountedOv: disc.Cycles/base.Cycles - 1,
-			FlatOv:       flat.Cycles/base.Cycles - 1,
+			DiscountedOv: overhead(base, runs[0]),
+			FlatOv:       overhead(base, runs[1]),
 		})
 	}
 	return res, nil
@@ -127,52 +85,17 @@ func QSweep(qs []int, quick bool) (*QSweepResult, error) {
 		qs = []int{5, 10, 20, 50}
 	}
 	k, _ := nbench.KernelByName("NUMERIC SORT")
-	params := k.Params
-	if quick {
-		params = quickParams[k.Name]
+	var qsets []apps.RunConfig
+	for _, q := range qs {
+		qsets = append(qsets, apps.RunConfig{Policies: policy.SetP1P6, AEXCheckInterval: q})
 	}
-	res := &QSweepResult{Kernel: k.Name}
-
-	base, err := runKernelWith(k, policy.SetNone, params, false)
+	base, runs, err := sweep(k.Name, qsets, kernelRun(k, quick, 0))
 	if err != nil {
 		return nil, err
 	}
-	for _, q := range qs {
-		o, err := compiler.Compile(dclib.Program(k.Source), compiler.Options{
-			Policies:         policy.SetP1P6,
-			AEXCheckInterval: q,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m := runtime.DefaultManifest()
-		m.Policies = policy.SetP1P6
-		m.AEXCheckMaxGap = 2*q + 64
-		b, err := runtime.New(enclave.DefaultConfig(), m)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := b.ReceiveBinary(o.Marshal())
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range params {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], uint64(p))
-			b.ReceiveData(buf[:])
-		}
-		run, err := b.Run(runtime.RunConfig{})
-		if err != nil {
-			return nil, err
-		}
-		if run.CPU.Status != cpu.StatusHalt {
-			return nil, fmt.Errorf("bench: q=%d: %v", q, run.CPU)
-		}
-		res.Rows = append(res.Rows, QRow{
-			Q:         q,
-			AEXChecks: rep.Stats.AEXChecks,
-			Overhead:  run.CPU.Cycles/base.Cycles - 1,
-		})
+	res := &QSweepResult{Kernel: k.Name}
+	for i, r := range runs {
+		res.Rows = append(res.Rows, QRow{Q: qs[i], AEXChecks: r.Stats.AEXChecks, Overhead: overhead(base, r)})
 	}
 	return res, nil
 }

@@ -6,26 +6,26 @@
 // Section VI-A loader/verifier micro-benchmarks.
 //
 // Each experiment returns a typed result whose String method renders the
-// same rows/series the paper reports; cmd/deflection-bench and the root
-// bench_test.go drive them.
+// same rows/series the paper reports; cmd/deflection-bench drives them.
+// Every experiment that runs a program goes through apps.Run, and every
+// overhead column through one base-once sweep.
 package bench
 
 import (
 	"fmt"
 	"strings"
 
+	"deflection/internal/apps"
 	"deflection/internal/policy"
 )
 
-// Settings are the instrumentation columns of the paper's evaluation.
-var Settings = []struct {
-	Name string
-	Set  policy.Set
-}{
-	{"P1", policy.SetP1},
-	{"P1+P2", policy.SetP1P2},
-	{"P1-P5", policy.SetP1P5},
-	{"P1-P6", policy.SetP1P6},
+// settings are the instrumentation columns of the paper's evaluation: P1,
+// P1+P2, P1-P5 and P1-P6.
+var settings = []apps.RunConfig{
+	{Policies: policy.SetP1},
+	{Policies: policy.SetP1P2},
+	{Policies: policy.SetP1P5},
+	{Policies: policy.SetP1P6},
 }
 
 // table renders aligned rows.

@@ -1,13 +1,16 @@
 package bench
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"deflection/internal/apps"
 	"deflection/internal/lint"
 	"deflection/internal/nbench"
+	"deflection/internal/policy"
 )
 
 func TestTableI(t *testing.T) {
@@ -68,7 +71,7 @@ func TestTableI(t *testing.T) {
 }
 
 func TestTableIIQuick(t *testing.T) {
-	res, err := TableII(Table2Options{Quick: true})
+	res, err := TableII(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,35 +258,59 @@ func TestQSweep(t *testing.T) {
 	}
 }
 
-func TestCacheBenchQuick(t *testing.T) {
-	res, err := CacheBench(true)
+// TestSweep pins the base-once sweep: each setting's overhead is its
+// cycles over the one baseline run's, and a run whose exit value departs
+// from the baseline's fails the sweep.
+func TestSweep(t *testing.T) {
+	k, ok := nbench.KernelByName("NUMERIC SORT")
+	if !ok {
+		t.Fatal("kernel missing")
+	}
+	var runs int
+	run := kernelRun(k, true, 0)
+	counted := func(rc apps.RunConfig) (*apps.Result, error) {
+		runs++
+		return run(rc)
+	}
+	base, ovs, err := columns(k.Name, counted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 in quick mode", len(res.Rows))
+	if runs != 1+len(settings) {
+		t.Errorf("%d runs, want one baseline and %d settings", runs, len(settings))
 	}
-	for _, row := range res.Rows {
-		if row.Cold <= 0 || row.WarmP50 <= 0 {
-			t.Errorf("%s: non-positive latency (cold %v, warm %v)", row.Name, row.Cold, row.WarmP50)
+	if base.Cycles <= 0 || ovs[0] <= 0 || ovs[0] > 1 {
+		t.Errorf("baseline %.0f cycles, P1 overhead %.3f: implausible", base.Cycles, ovs[0])
+	}
+
+	wrong := func(rc apps.RunConfig) (*apps.Result, error) {
+		res, err := run(rc)
+		if err == nil && rc.Policies != policy.SetNone {
+			res.Exit++
 		}
-		if row.WarmP50 >= row.Cold {
-			t.Errorf("%s: cache hit (%v) not faster than cold pipeline (%v)", row.Name, row.WarmP50, row.Cold)
-		}
+		return res, err
 	}
-	// 3 cold misses + 1 re-verification after the purge; every warm session
-	// and the deduplicated burst sessions must avoid the pipeline.
-	if res.Runs != 4 {
-		t.Errorf("pipeline runs = %d, want 4", res.Runs)
+	if _, _, err := columns(k.Name, wrong); err == nil || !strings.Contains(err.Error(), "want") {
+		t.Errorf("exit mismatch not reported: %v", err)
 	}
-	if res.DedupRuns != 1 {
-		t.Errorf("burst pipeline runs = %d, want 1", res.DedupRuns)
+}
+
+func TestTenantOverheadQuick(t *testing.T) {
+	res, err := TenantOverhead(true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.HitRatio <= 0.5 {
-		t.Errorf("hit ratio = %.2f, want > 0.5", res.HitRatio)
+	if res.Iters != 150 {
+		t.Errorf("iters = %d, want 150 in quick mode", res.Iters)
 	}
-	if res.String() == "" {
-		t.Error("empty render")
+	if res.Base <= 0 || res.Admitted <= 0 {
+		t.Errorf("non-positive session medians: base %v, admitted %v", res.Base, res.Admitted)
+	}
+	if res.Decision <= 0 {
+		t.Errorf("admission decision time not recorded: %v", res.Decision)
+	}
+	if !strings.Contains(res.String(), "bare admission decision") {
+		t.Error("render missing the decision row")
 	}
 }
 
@@ -325,8 +352,18 @@ func TestPassCostQuick(t *testing.T) {
 				}
 			}
 			t.Logf("aggregate %s overhead %s (budget %.0f%%)", e.name, pct(res.Overhead()), e.budget*100)
-			if !strings.Contains(res.String(), e.title) {
+			out := res.String()
+			if !strings.Contains(out, e.title) {
 				t.Error("render missing title")
+			}
+			// The analysed apps' aggregate is reported on its own line,
+			// next to the all-binary aggregate.
+			appsLine := fmt.Sprintf("analysed apps (%d) aggregate overhead %s\n", len(e.apps), pct(res.AppsOverhead()))
+			if got := strings.Contains(out, appsLine); got != (len(e.apps) > 0) {
+				t.Errorf("apps aggregate line present = %v, want %v:\n%s", got, len(e.apps) > 0, out)
+			}
+			if !strings.Contains(out, "aggregate overhead "+pct(res.Overhead())) {
+				t.Error("render missing the all-binary aggregate")
 			}
 		})
 	}

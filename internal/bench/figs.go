@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"deflection/internal/apps"
-	"deflection/internal/policy"
 )
 
 // SweepPoint is one x-axis point of an overhead figure: the baseline cost
@@ -44,29 +43,53 @@ func (r *SweepResult) MaxOverhead(col int) float64 {
 	return max
 }
 
-// runApp executes fn once per policy setting and fills a sweep point.
-func runApp(x int64, fn func(pols policy.Set) (*apps.Result, error)) (SweepPoint, error) {
-	pt := SweepPoint{X: x}
-	base, err := fn(policy.SetNone)
+// sweep runs one workload at the uninstrumented baseline and then under
+// each setting, checking that every run halts normally with the baseline's
+// exit value. run receives the setting's configuration and adds what the
+// workload fixes for all of its runs.
+func sweep(what string, settings []apps.RunConfig, run func(apps.RunConfig) (*apps.Result, error)) (base *apps.Result, runs []*apps.Result, err error) {
+	base, err = run(apps.RunConfig{})
 	if err != nil {
-		return pt, err
+		return nil, nil, err
 	}
 	if !base.Ok() {
-		return pt, fmt.Errorf("bench: baseline failed at x=%d: status=%v exit=%d trap=%s", x, base.Status, base.Exit, base.Trap)
+		return nil, nil, fmt.Errorf("bench: %s baseline failed: status=%v exit=%d trap=%s", what, base.Status, base.Exit, base.Trap)
 	}
-	pt.BaseInsts = base.Insts
-	pt.BaseMs = base.Cycles / 3.6e9 * 1000
-	for i, s := range Settings {
-		res, err := fn(s.Set)
+	for _, rc := range settings {
+		res, err := run(rc)
 		if err != nil {
-			return pt, err
+			return nil, nil, err
 		}
 		if !res.Ok() || res.Exit != base.Exit {
-			return pt, fmt.Errorf("bench: %s at x=%d: status=%v exit=%d (want %d)", s.Name, x, res.Status, res.Exit, base.Exit)
+			return nil, nil, fmt.Errorf("bench: %s under %+v: status=%v exit=%d (want %d)", what, rc, res.Status, res.Exit, base.Exit)
 		}
-		pt.Overheads[i] = res.Cycles/base.Cycles - 1
+		runs = append(runs, res)
 	}
-	return pt, nil
+	return base, runs, nil
+}
+
+// overhead is res's relative cycle overhead over base (0.12 for +12%).
+func overhead(base, res *apps.Result) float64 { return res.Cycles/base.Cycles - 1 }
+
+// columns sweeps one workload over the four settings columns.
+func columns(what string, run func(apps.RunConfig) (*apps.Result, error)) (base *apps.Result, ovs [4]float64, err error) {
+	base, runs, err := sweep(what, settings, run)
+	if err != nil {
+		return nil, ovs, err
+	}
+	for i, r := range runs {
+		ovs[i] = overhead(base, r)
+	}
+	return base, ovs, nil
+}
+
+// sweepPoint runs one x-axis point of an overhead figure.
+func sweepPoint(x int64, run func(apps.RunConfig) (*apps.Result, error)) (SweepPoint, error) {
+	base, ovs, err := columns(fmt.Sprintf("x=%d", x), run)
+	if err != nil {
+		return SweepPoint{}, err
+	}
+	return SweepPoint{X: x, BaseInsts: base.Insts, BaseMs: base.Cycles / 3.6e9 * 1000, Overheads: ovs}, nil
 }
 
 // Fig7InputLengths are the alignment input sizes (bytes per sequence).
@@ -81,8 +104,8 @@ func Fig7(lengths []int64) (*SweepResult, error) {
 	for _, n := range lengths {
 		a := apps.RandomSequence(int(n), 11)
 		b := apps.RandomSequence(int(n), 22)
-		pt, err := runApp(n, func(pols policy.Set) (*apps.Result, error) {
-			return apps.AlignGenomes(apps.RunConfig{Policies: pols}, a, b)
+		pt, err := sweepPoint(n, func(rc apps.RunConfig) (*apps.Result, error) {
+			return apps.AlignGenomes(rc, a, b)
 		})
 		if err != nil {
 			return nil, err
@@ -102,8 +125,8 @@ func Fig8(lengths []int64) (*SweepResult, error) {
 	}
 	res := &SweepResult{Title: "Fig. 8: sequence generation", XLabel: "output len (nt)"}
 	for _, n := range lengths {
-		pt, err := runApp(n, func(pols policy.Set) (*apps.Result, error) {
-			return apps.GenerateSequence(apps.RunConfig{Policies: pols}, n, 7)
+		pt, err := sweepPoint(n, func(rc apps.RunConfig) (*apps.Result, error) {
+			return apps.GenerateSequence(rc, n, 7)
 		})
 		if err != nil {
 			return nil, err
@@ -126,8 +149,9 @@ func Fig9(records []int64) (*SweepResult, error) {
 	}
 	res := &SweepResult{Title: "Fig. 9: credit scoring (BP network)", XLabel: "records"}
 	for _, n := range records {
-		pt, err := runApp(n, func(pols policy.Set) (*apps.Result, error) {
-			return apps.CreditScore(apps.RunConfig{Policies: pols, Gas: 4_000_000_000}, n)
+		pt, err := sweepPoint(n, func(rc apps.RunConfig) (*apps.Result, error) {
+			rc.Gas = 4_000_000_000
+			return apps.CreditScore(rc, n)
 		})
 		if err != nil {
 			return nil, err

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"deflection/internal/compiler"
-	"deflection/internal/dclib"
-	"deflection/internal/enclave"
+	"deflection/internal/apps"
 	"deflection/internal/hyperrace"
 	"deflection/internal/nbench"
 	"deflection/internal/obs"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 )
 
 // ColocRow is one processor's co-location accuracy.
@@ -104,31 +101,18 @@ type MicroResult struct {
 func Micro() (*MicroResult, error) {
 	res := &MicroResult{}
 	for _, k := range nbench.Kernels() {
-		o, err := compiler.Compile(dclib.Program(k.Source), compiler.Options{Policies: policy.SetP1P6})
-		if err != nil {
-			return nil, err
-		}
-		objBytes := o.Marshal()
-
-		m := runtime.DefaultManifest()
-		m.Policies = policy.SetP1P6
 		// Fresh enclave per measurement, as each load would be.
-		b, err := runtime.New(enclave.DefaultConfig(), m)
+		l, err := apps.Load(k.Name, k.Source, apps.RunConfig{Policies: policy.SetP1P6})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bench: micro: %w", err)
 		}
-		start := time.Now()
-		rep, err := b.ReceiveBinary(objBytes)
-		if err != nil {
-			return nil, fmt.Errorf("bench: micro %s: %w", k.Name, err)
-		}
-		elapsed := time.Since(start)
+		rep := l.Report
 		row := MicroRow{
 			Name:        k.Name,
 			TextBytes:   rep.TextSize,
 			Insts:       rep.Stats.Instructions,
-			LoadVerify:  elapsed,
-			PerKaByte:   time.Duration(float64(elapsed) / (float64(rep.TextSize) / 1024)),
+			LoadVerify:  l.LoadTime,
+			PerKaByte:   time.Duration(float64(l.LoadTime) / (float64(rep.TextSize) / 1024)),
 			StoreGuards: rep.Stats.StoreGuards,
 			TraceTotal:  obs.Total(rep.Trace),
 		}

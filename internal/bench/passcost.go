@@ -123,7 +123,7 @@ type PassCostResult struct {
 
 // PassCost runs the pass-cost experiment named cfa, taint or order:
 // verifier.Verify 30 times per binary (5 when quick) on the relocated text
-// VerifyInput produces, taking the median Verify time and the median pass
+// apps.VerifyInput produces, taking the median Verify time and the median pass
 // span.
 func PassCost(name string, quick bool) (*PassCostResult, error) {
 	var e *passCost
@@ -146,7 +146,7 @@ func PassCost(name string, quick bool) (*PassCostResult, error) {
 	}
 	res := &PassCostResult{Iters: iters, exp: e}
 	for _, w := range ws {
-		text, opts, err := VerifyInput(name+" "+w.name, w.src, e.pols)
+		text, opts, err := apps.VerifyInput(name+" "+w.name, w.src, e.pols)
 		if err != nil {
 			return nil, err
 		}
@@ -170,10 +170,14 @@ func PassCost(name string, quick bool) (*PassCostResult, error) {
 	return res, nil
 }
 
-// median sorts ds in place and returns its middle element.
+// median sorts ds in place and returns its middle element (the lower one
+// of an even count).
 func median(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return quantDur(ds, 0.50)
+	return ds[(len(ds)-1)/2]
 }
 
 func ratio(a, b time.Duration) float64 {
@@ -185,9 +189,16 @@ func ratio(a, b time.Duration) float64 {
 
 // Overhead is the aggregate cost of the pass across all workloads: summed
 // pass spans over the summed rest of the verifications.
-func (r *PassCostResult) Overhead() float64 {
+func (r *PassCostResult) Overhead() float64 { return aggregate(r.Rows) }
+
+// AppsOverhead is the aggregate over the analysed applications alone,
+// without the kernels that ride the trivial fast path (0 when the
+// experiment has none).
+func (r *PassCostResult) AppsOverhead() float64 { return aggregate(r.Rows[:len(r.exp.apps)]) }
+
+func aggregate(rows []PassCostRow) float64 {
 	var pass, rest time.Duration
-	for _, row := range r.Rows {
+	for _, row := range rows {
 		pass += row.Pass
 		rest += row.Verify - row.Pass
 	}
@@ -206,8 +217,11 @@ func (r *PassCostResult) String() string {
 			row.Pass.Round(time.Microsecond).String(),
 			pct(row.Overhead()))...)
 	}
-	s := fmt.Sprintf("%s (median of %d runs; overhead = pass / (verify - pass))\n%saggregate overhead %s",
-		r.exp.title, r.Iters, t.String(), pct(r.Overhead()))
+	s := fmt.Sprintf("%s (median of %d runs; overhead = pass / (verify - pass))\n%s", r.exp.title, r.Iters, t.String())
+	if n := len(r.exp.apps); n > 0 {
+		s += fmt.Sprintf("analysed apps (%d) aggregate overhead %s\n", n, pct(r.AppsOverhead()))
+	}
+	s += "aggregate overhead " + pct(r.Overhead())
 	if b := r.exp.budget; b > 0 {
 		verdict := "within"
 		if r.Overhead() > b {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"deflection/internal/apps"
 	"deflection/internal/nbench"
-	"deflection/internal/policy"
 )
 
 // Table2Row is one nBench kernel's overheads across the four instrumentation
@@ -26,14 +26,6 @@ type Table2Result struct {
 	GeoMeanP1P6 float64
 }
 
-// Table2Options scales the experiment.
-type Table2Options struct {
-	// Quick shrinks kernel parameters for smoke runs.
-	Quick bool
-	// Kernels restricts the run to the named kernels (nil = all).
-	Kernels []string
-}
-
 var quickParams = map[string][]int64{
 	"NUMERIC SORT":     {256, 1},
 	"STRING SORT":      {64, 1},
@@ -47,40 +39,39 @@ var quickParams = map[string][]int64{
 	"LU DECOMPOSITION": {12, 1},
 }
 
-// TableII measures nBench overheads for every kernel and setting.
-func TableII(opts Table2Options) (*Table2Result, error) {
-	r := nbench.NewRunner()
-	kernels := nbench.Kernels()
-	if opts.Kernels != nil {
-		var filtered []nbench.Kernel
-		for _, name := range opts.Kernels {
-			k, ok := nbench.KernelByName(name)
-			if !ok {
-				return nil, fmt.Errorf("bench: unknown kernel %q", name)
-			}
-			filtered = append(filtered, k)
-		}
-		kernels = filtered
+// table2AEXInterval is the benign interrupt cadence of the Table II runs:
+// about one timer tick every 400k instructions.
+const table2AEXInterval = 400_000
+
+// kernelRun is a sweep workload running kernel k at its default parameters
+// (the quick ones when quick) with AEXes every aexInterval instructions (0
+// disables them).
+func kernelRun(k nbench.Kernel, quick bool, aexInterval uint64) func(apps.RunConfig) (*apps.Result, error) {
+	params := k.Params
+	if quick {
+		params = quickParams[k.Name]
 	}
+	var inputs [][]byte
+	for _, p := range params {
+		inputs = append(inputs, apps.Param(p))
+	}
+	return func(rc apps.RunConfig) (*apps.Result, error) {
+		rc.AEXInterval = aexInterval
+		return apps.Run(k.Name, k.Source, rc, inputs...)
+	}
+}
+
+// TableII measures nBench overheads for every kernel and setting; quick
+// shrinks the kernel parameters for smoke runs.
+func TableII(quick bool) (*Table2Result, error) {
 	res := &Table2Result{}
 	var prodP5, prodP6 float64 = 1, 1
-	for _, k := range kernels {
-		params := k.Params
-		if opts.Quick {
-			params = quickParams[k.Name]
-		}
-		base, err := r.Run(k, policy.SetNone, params)
+	for _, k := range nbench.Kernels() {
+		base, ovs, err := columns(k.Name, kernelRun(k, quick, table2AEXInterval))
 		if err != nil {
 			return nil, err
 		}
-		row := Table2Row{Program: k.Name, BaseInsts: base.Insts}
-		for i, s := range Settings {
-			ov, err := r.Overhead(k, s.Set, params)
-			if err != nil {
-				return nil, err
-			}
-			row.Overheads[i] = ov
-		}
+		row := Table2Row{Program: k.Name, Overheads: ovs, BaseInsts: base.Insts}
 		prodP5 *= 1 + row.Overheads[2]
 		prodP6 *= 1 + row.Overheads[3]
 		res.Rows = append(res.Rows, row)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"time"
 
@@ -177,13 +176,10 @@ func TenantOverhead(quick bool) (*TenantResult, error) {
 		}
 		admitted = append(admitted, d)
 	}
-	sort.Slice(base, func(i, j int) bool { return base[i] < base[j] })
-	sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
-
 	res := &TenantResult{
 		Iters:    iters,
-		Base:     quantDur(base, 0.50),
-		Admitted: quantDur(admitted, 0.50),
+		Base:     median(base),
+		Admitted: median(admitted),
 	}
 	if res.Base > 0 {
 		res.OverheadPct = float64(res.Admitted-res.Base) / float64(res.Base) * 100
@@ -208,8 +204,7 @@ func TenantOverhead(quick bool) (*TenantResult, error) {
 		release()
 		decs = append(decs, time.Since(start))
 	}
-	sort.Slice(decs, func(i, j int) bool { return decs[i] < decs[j] })
-	res.Decision = quantDur(decs, 0.50)
+	res.Decision = median(decs)
 	return res, nil
 }
 

@@ -6,6 +6,42 @@
 // is what the policy-overhead shape depends on.
 package nbench
 
+// Kernel is one benchmark program.
+type Kernel struct {
+	// Name matches the paper's Table II row.
+	Name string
+	// Source is the DC program (without the support library).
+	Source string
+	// Params are the default host-supplied parameters.
+	Params []int64
+}
+
+// Kernels returns the full suite in the paper's Table II order.
+func Kernels() []Kernel {
+	return []Kernel{
+		{Name: "NUMERIC SORT", Source: NumericSort, Params: []int64{1500, 2}},
+		{Name: "STRING SORT", Source: StringSort, Params: []int64{300, 2}},
+		{Name: "BITFIELD", Source: BitField, Params: []int64{4000}},
+		{Name: "FP EMULATION", Source: FPEmulation, Params: []int64{20000}},
+		{Name: "FOURIER", Source: Fourier, Params: []int64{8, 64}},
+		{Name: "ASSIGNMENT", Source: Assignment, Params: []int64{40, 2}},
+		{Name: "IDEA", Source: IDEA, Params: []int64{2048}},
+		{Name: "HUFFMAN", Source: Huffman, Params: []int64{2048}},
+		{Name: "NEURAL NET", Source: NeuralNet, Params: []int64{30}},
+		{Name: "LU DECOMPOSITION", Source: LUDecomposition, Params: []int64{45, 2}},
+	}
+}
+
+// KernelByName looks a kernel up by its Table II row name.
+func KernelByName(name string) (Kernel, bool) {
+	for _, k := range Kernels() {
+		if k.Name == name {
+			return k, true
+		}
+	}
+	return Kernel{}, false
+}
+
 // NumericSort: heap sort of random integer arrays (nBench "NUMERIC SORT").
 const NumericSort = `
 int arr[8192];

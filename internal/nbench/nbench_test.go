@@ -3,6 +3,7 @@ package nbench
 import (
 	"testing"
 
+	"deflection/internal/apps"
 	"deflection/internal/cpu"
 	"deflection/internal/policy"
 )
@@ -21,16 +22,26 @@ var smallParams = map[string][]int64{
 	"LU DECOMPOSITION": {12, 1},
 }
 
+// run executes kernel k at its small parameters under pols through the
+// evaluation harness.
+func run(t *testing.T, k Kernel, pols policy.Set) *apps.Result {
+	t.Helper()
+	var inputs [][]byte
+	for _, p := range smallParams[k.Name] {
+		inputs = append(inputs, apps.Param(p))
+	}
+	res, err := apps.Run(k.Name, k.Source, apps.RunConfig{Policies: pols}, inputs...)
+	if err != nil {
+		t.Fatalf("%v: %v", pols, err)
+	}
+	return res
+}
+
 func TestKernelsRunAndSelfValidate(t *testing.T) {
-	r := NewRunner()
-	r.AEXInterval = 0
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			m, err := r.Run(k, policy.SetNone, smallParams[k.Name])
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := run(t, k, policy.SetNone)
 			if m.Status != cpu.StatusHalt {
 				t.Fatalf("status = %v", m.Status)
 			}
@@ -47,18 +58,13 @@ func TestKernelsRunAndSelfValidate(t *testing.T) {
 func TestKernelsInvariantUnderInstrumentation(t *testing.T) {
 	// The same kernel must compute the same checksum under every policy
 	// set — instrumentation must be semantically transparent.
-	r := NewRunner()
-	r.AEXInterval = 0
 	sets := []policy.Set{policy.SetNone, policy.SetP1, policy.SetP1P2, policy.SetP1P5, policy.SetP1P6}
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			var want int64
 			for i, pols := range sets {
-				m, err := r.Run(k, pols, smallParams[k.Name])
-				if err != nil {
-					t.Fatalf("%v: %v", pols, err)
-				}
+				m := run(t, k, pols)
 				if m.Status != cpu.StatusHalt {
 					t.Fatalf("%v: status %v", pols, m.Status)
 				}
@@ -72,47 +78,11 @@ func TestKernelsInvariantUnderInstrumentation(t *testing.T) {
 	}
 }
 
-func TestOverheadComputation(t *testing.T) {
-	r := NewRunner()
-	r.AEXInterval = 0
-	k, ok := KernelByName("NUMERIC SORT")
-	if !ok {
-		t.Fatal("kernel missing")
-	}
-	ov, err := r.Overhead(k, policy.SetP1, smallParams[k.Name])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov <= 0 || ov > 1 {
-		t.Errorf("P1 overhead = %.3f, implausible", ov)
-	}
-}
-
 func TestKernelByName(t *testing.T) {
 	if _, ok := KernelByName("NO SUCH"); ok {
 		t.Error("bogus name found")
 	}
 	if len(Kernels()) != 10 {
 		t.Errorf("kernel count = %d, want 10", len(Kernels()))
-	}
-}
-
-func TestRunnerCachesObjects(t *testing.T) {
-	r := NewRunner()
-	r.AEXInterval = 0
-	k, _ := KernelByName("BITFIELD")
-	if _, err := r.Run(k, policy.SetP1, smallParams[k.Name]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(k, policy.SetP1, smallParams[k.Name]); err != nil {
-		t.Fatal(err)
-	}
-	r.mu.Lock()
-	n := len(r.cache)
-	r.mu.Unlock()
-	if n != 2 { // baseline implied? no: only P1 compiled here
-		if n != 1 {
-			t.Errorf("cache entries = %d", n)
-		}
 	}
 }

@@ -325,16 +325,12 @@ func (a *analysis) flow(c *ctx, b *cfa.Block, in uint64) uint64 {
 // callOut composes a call in states cur with the callee's per-entry-state
 // summaries, requesting contexts not yet analyzed. An unanalyzed (or
 // non-returning) context contributes bottom; chaotic iteration revisits the
-// caller when the summary grows.
+// caller when the summary grows. Every call target is a function entry:
+// Disassemble decodes each direct target or rejects, and cfa.NewEngine
+// makes each decoded call target, and each listed target of a binary with
+// an indirect call, an entry.
 func (a *analysis) callOut(entry int64, cur uint64) uint64 {
-	f := a.Func(entry)
-	if f == nil {
-		// No decoded function at the target: the disassembler and the
-		// target-list pass reject such binaries before this pass runs;
-		// keep the states to stay conservative if they did not.
-		return cur
-	}
-	callee := &a.fns[f.Index]
+	callee := &a.fns[a.Func(entry).Index]
 	var out uint64
 	for s := 0; s < len(a.p.States); s++ {
 		if cur&(1<<uint(s)) == 0 {
