@@ -1,10 +1,11 @@
-// Package attest models the SGX attestation trust chain the DEFLECTION
-// protocol rests on (paper Sections III-A and V-B): a platform attestation
-// key signs Quotes over the bootstrap enclave's measurement, an Attestation
-// Service (the IAS analogue) verifies Quotes for remote parties, and an
-// RA-TLS-style key exchange binds an in-enclave ECDH key to the Quote so
-// each party (data owner or code provider, distinguished by Role) ends up
-// with an authenticated session key shared only with the measured enclave.
+// Package attest is the untrusted side of the SGX attestation trust chain
+// the DEFLECTION protocol rests on (paper Sections III-A and V-B): a
+// platform attestation key signs Quotes over the bootstrap enclave's
+// measurement, an Attestation Service (the IAS analogue) verifies Quotes
+// for remote parties, and each party runs its side of the RA-TLS-style
+// handshake against the enclave's side in package ra. None of this runs in
+// the bootstrap enclave: the platform key belongs to the hardware vendor's
+// TCB, the service and the parties sit outside the enclave.
 package attest
 
 import (
@@ -13,36 +14,26 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
+
+	"deflection/internal/ra"
 )
 
-// Role distinguishes the two remote parties of the DEFLECTION model; it is
-// mixed into the session-key derivation so the enclave can tell the
-// channels apart.
-type Role string
+// Role and the two parties that attest the bootstrap enclave, as named by
+// callers that hold only this package.
+type Role = ra.Role
 
-// The two parties that attest the bootstrap enclave.
 const (
-	RoleDataOwner    Role = "data-owner"
-	RoleCodeProvider Role = "code-provider"
+	RoleDataOwner    = ra.RoleDataOwner
+	RoleCodeProvider = ra.RoleCodeProvider
 )
 
-// ReportDataSize is the free-form field bound into a Quote (64 bytes, as on
-// SGX).
-const ReportDataSize = 64
-
-// Quote is a signed attestation statement: this measurement, with this
-// report data, runs on the platform identified by PlatformID.
-type Quote struct {
-	PlatformID  string
-	Measurement [32]byte
-	ReportData  [ReportDataSize]byte
-	Sig         []byte // ASN.1 ECDSA signature
-}
-
-func (q *Quote) digest() []byte {
+// quoteDigest is what a platform signs over a quote.
+func quoteDigest(q *ra.Quote) []byte {
 	h := sha256.New()
 	h.Write([]byte("DEFLECTION-QUOTE-v1|"))
 	h.Write([]byte(q.PlatformID))
@@ -77,13 +68,13 @@ func (p *Platform) PublicKey() *ecdsa.PublicKey { return &p.priv.PublicKey }
 // Quote signs an attestation statement for an enclave with the given
 // measurement; reportData (at most 64 bytes) is caller-bound data, here the
 // hash of the enclave's ephemeral key-exchange public key.
-func (p *Platform) Quote(measurement [32]byte, reportData []byte) (*Quote, error) {
-	if len(reportData) > ReportDataSize {
-		return nil, fmt.Errorf("attest: report data %d bytes > %d", len(reportData), ReportDataSize)
+func (p *Platform) Quote(measurement [32]byte, reportData []byte) (*ra.Quote, error) {
+	if len(reportData) > ra.ReportDataSize {
+		return nil, fmt.Errorf("attest: report data %d bytes > %d", len(reportData), ra.ReportDataSize)
 	}
-	q := &Quote{PlatformID: p.id, Measurement: measurement}
+	q := &ra.Quote{PlatformID: p.id, Measurement: measurement}
 	copy(q.ReportData[:], reportData)
-	sig, err := ecdsa.SignASN1(rand.Reader, p.priv, q.digest())
+	sig, err := ecdsa.SignASN1(rand.Reader, p.priv, quoteDigest(q))
 	if err != nil {
 		return nil, fmt.Errorf("attest: %w", err)
 	}
@@ -121,90 +112,23 @@ func (s *Service) lookup(id string) (*ecdsa.PublicKey, bool) {
 	return pub, ok
 }
 
-// Report is the Service's verdict on a Quote.
-type Report struct {
-	PlatformID  string
-	Measurement [32]byte
-	ReportData  [ReportDataSize]byte
-}
-
 // ErrUnknownPlatform is returned for quotes from unregistered platforms.
 var ErrUnknownPlatform = errors.New("attest: unknown platform")
 
 // ErrBadQuote is returned when a quote's signature fails.
 var ErrBadQuote = errors.New("attest: quote signature invalid")
 
-// Verify checks the quote and returns an attestation report.
-func (s *Service) Verify(q *Quote) (*Report, error) {
+// Verify checks the quote's signature against the registered platform key.
+func (s *Service) Verify(q *ra.Quote) error {
 	pub, ok := s.lookup(q.PlatformID)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPlatform, q.PlatformID)
+		return fmt.Errorf("%w: %q", ErrUnknownPlatform, q.PlatformID)
 	}
-	if !ecdsa.VerifyASN1(pub, q.digest(), q.Sig) {
-		return nil, ErrBadQuote
+	if !ecdsa.VerifyASN1(pub, quoteDigest(q), q.Sig) {
+		return ErrBadQuote
 	}
-	return &Report{PlatformID: q.PlatformID, Measurement: q.Measurement, ReportData: q.ReportData}, nil
+	return nil
 }
-
-// EnclaveKEX is the enclave side of the RA-TLS-style key exchange: an
-// ephemeral ECDH key whose public half is bound into the Quote's report
-// data.
-type EnclaveKEX struct {
-	priv *ecdh.PrivateKey
-}
-
-// NewEnclaveKEX generates the enclave's ephemeral key.
-func NewEnclaveKEX() (*EnclaveKEX, error) {
-	priv, err := ecdh.P256().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("attest: %w", err)
-	}
-	return &EnclaveKEX{priv: priv}, nil
-}
-
-// PublicBytes returns the enclave's key-exchange public key.
-func (k *EnclaveKEX) PublicBytes() []byte { return k.priv.PublicKey().Bytes() }
-
-// ReportData returns the value to bind into the Quote: the hash of the
-// public key, padded to the report-data size.
-func (k *EnclaveKEX) ReportData() []byte {
-	h := sha256.Sum256(k.PublicBytes())
-	out := make([]byte, ReportDataSize)
-	copy(out, h[:])
-	return out
-}
-
-// Derive computes the enclave-side session key for a peer of the given
-// role.
-func (k *EnclaveKEX) Derive(peerPub []byte, role Role) ([]byte, error) {
-	pub, err := ecdh.P256().NewPublicKey(peerPub)
-	if err != nil {
-		return nil, fmt.Errorf("attest: peer public key: %w", err)
-	}
-	shared, err := k.priv.ECDH(pub)
-	if err != nil {
-		return nil, fmt.Errorf("attest: %w", err)
-	}
-	return kdf(shared, k.PublicBytes(), peerPub, role), nil
-}
-
-// PartyKEX is a remote party's ephemeral key.
-type PartyKEX struct {
-	priv *ecdh.PrivateKey
-	role Role
-}
-
-// NewPartyKEX generates a key for a party acting in the given role.
-func NewPartyKEX(role Role) (*PartyKEX, error) {
-	priv, err := ecdh.P256().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("attest: %w", err)
-	}
-	return &PartyKEX{priv: priv, role: role}, nil
-}
-
-// PublicBytes returns the party's key-exchange public key.
-func (p *PartyKEX) PublicBytes() []byte { return p.priv.PublicKey().Bytes() }
 
 // ErrMeasurementMismatch is returned when the attested enclave is not the
 // one the party expected.
@@ -214,42 +138,69 @@ var ErrMeasurementMismatch = errors.New("attest: measurement mismatch")
 // the quote's report data.
 var ErrKeyNotBound = errors.New("attest: key-exchange key not bound to quote")
 
-// VerifyAndDerive is the remote party's side of the protocol: submit the
-// quote to the attestation service, check the enclave measurement against
-// the expected bootstrap-enclave build, check the key binding, and derive
-// the shared session key.
-func (p *PartyKEX) VerifyAndDerive(s *Service, q *Quote, enclavePub []byte, expected [32]byte) ([]byte, error) {
-	rep, err := s.Verify(q)
+// PartyHandshake performs the remote party's side over rw: read the hello,
+// verify the quote at the attestation service against the expected
+// bootstrap measurement, reply with the party key and confirmation, and
+// return the session key plus an authenticated channel.
+func PartyHandshake(rw io.ReadWriter, as *Service, expected [32]byte, role ra.Role) ([]byte, *ra.Channel, error) {
+	payload, err := ra.ReadFrame(rw)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if rep.Measurement != expected {
-		return nil, fmt.Errorf("%w: got %x", ErrMeasurementMismatch, rep.Measurement[:8])
-	}
-	want := sha256.Sum256(enclavePub)
-	if [32]byte(rep.ReportData[:32]) != want {
-		return nil, ErrKeyNotBound
-	}
-	pub, err := ecdh.P256().NewPublicKey(enclavePub)
-	if err != nil {
-		return nil, fmt.Errorf("attest: enclave public key: %w", err)
-	}
-	shared, err := p.priv.ECDH(pub)
-	if err != nil {
-		return nil, fmt.Errorf("attest: %w", err)
-	}
-	return kdf(shared, enclavePub, p.PublicBytes(), p.role), nil
+	return PartyHandshakeHello(payload, rw, as, expected, role)
 }
 
-// kdf derives a 32-byte session key over the shared secret and the protocol
-// transcript (both public keys and the party role).
-func kdf(shared, enclavePub, partyPub []byte, role Role) []byte {
-	h := sha256.New()
-	h.Write([]byte("DEFLECTION-SESSION-v1|"))
-	h.Write([]byte(role))
-	h.Write([]byte{'|'})
-	h.Write(shared)
-	h.Write(enclavePub)
-	h.Write(partyPub)
-	return h.Sum(nil)
+// PartyHandshakeHello is PartyHandshake for a caller that already read the
+// first frame off the wire (a client behind a gateway must inspect it for
+// an unauthenticated busy reply before treating it as the enclave hello).
+func PartyHandshakeHello(payload []byte, rw io.ReadWriter, as *Service, expected [32]byte, role ra.Role) ([]byte, *ra.Channel, error) {
+	var msg ra.Hello
+	if err := json.Unmarshal(payload, &msg); err != nil {
+		return nil, nil, fmt.Errorf("attest: %w", err)
+	}
+	if len(msg.Measurement) != 32 || len(msg.ReportData) != ra.ReportDataSize {
+		return nil, nil, errors.New("attest: malformed hello")
+	}
+	q := &ra.Quote{PlatformID: msg.PlatformID, Sig: msg.Sig}
+	copy(q.Measurement[:], msg.Measurement)
+	copy(q.ReportData[:], msg.ReportData)
+	if err := as.Verify(q); err != nil {
+		return nil, nil, err
+	}
+	if q.Measurement != expected {
+		return nil, nil, fmt.Errorf("%w: got %x", ErrMeasurementMismatch, q.Measurement[:8])
+	}
+	if [32]byte(q.ReportData[:32]) != sha256.Sum256(msg.KexPub) {
+		return nil, nil, ErrKeyNotBound
+	}
+	enclavePub, err := ecdh.P256().NewPublicKey(msg.KexPub)
+	if err != nil {
+		return nil, nil, fmt.Errorf("attest: enclave public key: %w", err)
+	}
+	priv, err := ecdh.P256().GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, nil, fmt.Errorf("attest: %w", err)
+	}
+	shared, err := priv.ECDH(enclavePub)
+	if err != nil {
+		return nil, nil, fmt.Errorf("attest: %w", err)
+	}
+	partyPub := priv.PublicKey().Bytes()
+	key := ra.SessionKey(shared, msg.KexPub, partyPub, role)
+	out, err := json.Marshal(ra.Reply{
+		Role:     string(role),
+		PartyPub: partyPub,
+		Confirm:  ra.ConfirmMAC(key, role, msg.KexPub, partyPub),
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("attest: %w", err)
+	}
+	if err := ra.WriteFrame(rw, out); err != nil {
+		return nil, nil, err
+	}
+	ch, err := ra.NewChannel(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	return key, ch, nil
 }

@@ -2,8 +2,11 @@ package attest
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
+
+	"deflection/internal/ra"
 )
 
 func setup(t *testing.T) (*Platform, *Service) {
@@ -25,12 +28,8 @@ func TestQuoteVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Verify(q)
-	if err != nil {
+	if err := s.Verify(q); err != nil {
 		t.Fatal(err)
-	}
-	if rep.Measurement != m {
-		t.Error("measurement mismatch in report")
 	}
 }
 
@@ -42,12 +41,12 @@ func TestQuoteTamperDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Measurement[0] ^= 1
-	if _, err := s.Verify(q); !errors.Is(err, ErrBadQuote) {
+	if err := s.Verify(q); !errors.Is(err, ErrBadQuote) {
 		t.Fatalf("tampered quote: %v", err)
 	}
 	q.Measurement[0] ^= 1
 	q.ReportData[5] ^= 1
-	if _, err := s.Verify(q); !errors.Is(err, ErrBadQuote) {
+	if err := s.Verify(q); !errors.Is(err, ErrBadQuote) {
 		t.Fatalf("tampered report data: %v", err)
 	}
 }
@@ -60,7 +59,7 @@ func TestUnknownPlatformRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Verify(q); !errors.Is(err, ErrUnknownPlatform) {
+	if err := s2.Verify(q); !errors.Is(err, ErrUnknownPlatform) {
 		t.Fatalf("unknown platform: %v", err)
 	}
 }
@@ -76,7 +75,7 @@ func TestForgedPlatformRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Verify(q); !errors.Is(err, ErrBadQuote) {
+	if err := s.Verify(q); !errors.Is(err, ErrBadQuote) {
 		t.Fatalf("forged platform quote: %v", err)
 	}
 }
@@ -84,35 +83,51 @@ func TestForgedPlatformRejected(t *testing.T) {
 func TestOversizedReportDataRejected(t *testing.T) {
 	p, _ := setup(t)
 	var m [32]byte
-	if _, err := p.Quote(m, make([]byte, ReportDataSize+1)); err == nil {
+	if _, err := p.Quote(m, make([]byte, ra.ReportDataSize+1)); err == nil {
 		t.Fatal("oversized report data accepted")
 	}
+}
+
+// hello returns the hello frame a fresh enclave session sends under a quote
+// over meas, and the session.
+func hello(t *testing.T, p *Platform, meas [32]byte) ([]byte, *ra.EnclaveSession) {
+	t.Helper()
+	sess, err := ra.NewEnclaveSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := p.Quote(meas, sess.ReportData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sess.SendHello(&buf, q); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := ra.ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload, sess
 }
 
 func TestKeyExchangeBothRoles(t *testing.T) {
 	p, s := setup(t)
 	var m [32]byte
 	copy(m[:], "bootstrap-v1")
+	payload, sess := hello(t, p, m)
 
-	kex, err := NewEnclaveKEX()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := p.Quote(m, kex.ReportData())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, role := range []Role{RoleDataOwner, RoleCodeProvider} {
-		party, err := NewPartyKEX(role)
+	// One enclave key serves both parties.
+	for _, role := range []ra.Role{ra.RoleDataOwner, ra.RoleCodeProvider} {
+		var reply bytes.Buffer
+		partyKey, _, err := PartyHandshakeHello(payload, &reply, s, m, role)
 		if err != nil {
 			t.Fatal(err)
 		}
-		partyKey, err := party.VerifyAndDerive(s, q, kex.PublicBytes(), m)
-		if err != nil {
-			t.Fatal(err)
+		if got, _, err := sess.Accept(&reply); err != nil || got != role {
+			t.Fatalf("role %s: accept %q, %v", role, got, err)
 		}
-		enclaveKey, err := kex.Derive(party.PublicBytes(), role)
+		enclaveKey, err := sess.Key(role)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,17 +136,9 @@ func TestKeyExchangeBothRoles(t *testing.T) {
 		}
 	}
 
-	// Different roles must yield different keys for the same peer key.
-	owner, _ := NewPartyKEX(RoleDataOwner)
-	k1, err := kex.Derive(owner.PublicBytes(), RoleDataOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := kex.Derive(owner.PublicBytes(), RoleCodeProvider)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(k1, k2) {
+	// Different roles must yield different keys for the same transcript.
+	shared, a, b := []byte("shared"), []byte("enclave"), []byte("party")
+	if bytes.Equal(ra.SessionKey(shared, a, b, ra.RoleDataOwner), ra.SessionKey(shared, a, b, ra.RoleCodeProvider)) {
 		t.Error("roles must separate keys")
 	}
 }
@@ -141,20 +148,13 @@ func TestKeyExchangeRejectsWrongMeasurement(t *testing.T) {
 	var m, other [32]byte
 	copy(m[:], "real")
 	copy(other[:], "expected-something-else")
-	kex, err := NewEnclaveKEX()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := p.Quote(m, kex.ReportData())
-	if err != nil {
-		t.Fatal(err)
-	}
-	party, err := NewPartyKEX(RoleDataOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := party.VerifyAndDerive(s, q, kex.PublicBytes(), other); !errors.Is(err, ErrMeasurementMismatch) {
+	payload, _ := hello(t, p, m)
+	var reply bytes.Buffer
+	if _, _, err := PartyHandshakeHello(payload, &reply, s, other, ra.RoleDataOwner); !errors.Is(err, ErrMeasurementMismatch) {
 		t.Fatalf("wrong measurement: %v", err)
+	}
+	if reply.Len() != 0 {
+		t.Error("party replied to a hello it rejected")
 	}
 }
 
@@ -163,23 +163,22 @@ func TestKeyExchangeRejectsUnboundKey(t *testing.T) {
 	// the report-data binding.
 	p, s := setup(t)
 	var m [32]byte
-	kexReal, err := NewEnclaveKEX()
+	real, _ := hello(t, p, m)
+	mitm, _ := hello(t, p, m)
+	var msg, other ra.Hello
+	if err := json.Unmarshal(real, &msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(mitm, &other); err != nil {
+		t.Fatal(err)
+	}
+	msg.KexPub = other.KexPub
+	forged, err := json.Marshal(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kexMITM, err := NewEnclaveKEX()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := p.Quote(m, kexReal.ReportData())
-	if err != nil {
-		t.Fatal(err)
-	}
-	party, err := NewPartyKEX(RoleDataOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := party.VerifyAndDerive(s, q, kexMITM.PublicBytes(), m); !errors.Is(err, ErrKeyNotBound) {
+	var reply bytes.Buffer
+	if _, _, err := PartyHandshakeHello(forged, &reply, s, m, ra.RoleDataOwner); !errors.Is(err, ErrKeyNotBound) {
 		t.Fatalf("unbound key: %v", err)
 	}
 }
@@ -189,11 +188,11 @@ func TestChannelRoundTrip(t *testing.T) {
 	for i := range key {
 		key[i] = byte(i)
 	}
-	a, err := NewChannel(key)
+	a, err := ra.NewChannel(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewChannel(key)
+	b, err := ra.NewChannel(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,25 +211,25 @@ func TestChannelRoundTrip(t *testing.T) {
 
 func TestChannelDetectsReplayAndTamper(t *testing.T) {
 	key := make([]byte, 32)
-	a, _ := NewChannel(key)
-	b, _ := NewChannel(key)
+	a, _ := ra.NewChannel(key)
+	b, _ := ra.NewChannel(key)
 	ct := a.Seal([]byte("msg0"))
 	if _, err := b.Open(ct); err != nil {
 		t.Fatal(err)
 	}
 	// Replay of msg0 arrives with sequence 1 — must fail.
-	if _, err := b.Open(ct); !errors.Is(err, ErrReplay) {
+	if _, err := b.Open(ct); !errors.Is(err, ra.ErrReplay) {
 		t.Fatalf("replay: %v", err)
 	}
 	ct2 := a.Seal([]byte("msg1"))
 	ct2[0] ^= 1
-	if _, err := b.Open(ct2); !errors.Is(err, ErrReplay) {
+	if _, err := b.Open(ct2); !errors.Is(err, ra.ErrReplay) {
 		t.Fatalf("tamper: %v", err)
 	}
 }
 
 func TestChannelBadKey(t *testing.T) {
-	if _, err := NewChannel([]byte("short")); err == nil {
+	if _, err := ra.NewChannel([]byte("short")); err == nil {
 		t.Fatal("short key accepted")
 	}
 }

@@ -136,7 +136,7 @@ func TestServiceConcurrentProvisioning(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := svc.Verify(quote); err != nil {
+				if err := svc.Verify(quote); err != nil {
 					t.Error(err)
 					return
 				}

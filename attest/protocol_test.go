@@ -5,22 +5,35 @@ import (
 	"errors"
 	"net"
 	"testing"
+
+	"deflection/internal/ra"
 )
 
-// handshake runs the full two-sided protocol over an in-memory connection.
-func handshake(t *testing.T, role Role, expected [32]byte, meas [32]byte) (*Channel, *Channel, error) {
+// session starts an enclave session and gets its quote over meas.
+func session(t *testing.T, p *Platform, meas [32]byte) (*ra.EnclaveSession, *ra.Quote) {
 	t.Helper()
-	p, s := setup(t)
-	sess, err := NewEnclaveSession(p, meas)
+	sess, err := ra.NewEnclaveSession()
 	if err != nil {
 		t.Fatal(err)
 	}
+	q, err := p.Quote(meas, sess.ReportData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, q
+}
+
+// handshake runs the full two-sided protocol over an in-memory connection.
+func handshake(t *testing.T, role ra.Role, expected [32]byte, meas [32]byte) (*ra.Channel, *ra.Channel, error) {
+	t.Helper()
+	p, s := setup(t)
+	sess, q := session(t, p, meas)
 	cEncl, cParty := net.Pipe()
 	defer cEncl.Close()
 	defer cParty.Close()
 
 	type partyRes struct {
-		ch  *Channel
+		ch  *ra.Channel
 		err error
 	}
 	done := make(chan partyRes, 1)
@@ -34,7 +47,7 @@ func handshake(t *testing.T, role Role, expected [32]byte, meas [32]byte) (*Chan
 		done <- partyRes{ch: ch, err: err}
 	}()
 
-	if err := sess.SendHello(cEncl); err != nil {
+	if err := sess.SendHello(cEncl, q); err != nil {
 		t.Fatal(err)
 	}
 	gotRole, enclCh, enclErr := sess.Accept(cEncl)
@@ -54,7 +67,7 @@ func handshake(t *testing.T, role Role, expected [32]byte, meas [32]byte) (*Chan
 func TestProtocolHandshake(t *testing.T) {
 	var meas [32]byte
 	copy(meas[:], "bootstrap-build-1")
-	for _, role := range []Role{RoleDataOwner, RoleCodeProvider} {
+	for _, role := range []ra.Role{ra.RoleDataOwner, ra.RoleCodeProvider} {
 		encl, party, err := handshake(t, role, meas, meas)
 		if err != nil {
 			t.Fatalf("role %s: %v", role, err)
@@ -73,7 +86,7 @@ func TestProtocolRejectsWrongMeasurement(t *testing.T) {
 	var meas, other [32]byte
 	copy(meas[:], "actual")
 	copy(other[:], "expected-other")
-	_, _, err := handshake(t, RoleDataOwner, other, meas)
+	_, _, err := handshake(t, ra.RoleDataOwner, other, meas)
 	if !errors.Is(err, ErrMeasurementMismatch) {
 		t.Fatalf("err = %v, want measurement mismatch", err)
 	}
@@ -82,10 +95,7 @@ func TestProtocolRejectsWrongMeasurement(t *testing.T) {
 func TestProtocolRejectsTamperedConfirmation(t *testing.T) {
 	p, s := setup(t)
 	var meas [32]byte
-	sess, err := NewEnclaveSession(p, meas)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, q := session(t, p, meas)
 	cEncl, cParty := net.Pipe()
 	defer cEncl.Close()
 	defer cParty.Close()
@@ -93,14 +103,14 @@ func TestProtocolRejectsTamperedConfirmation(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		// A MITM relays the hello but flips a byte of the confirmation.
-		payload, err := ReadFrame(cParty)
+		payload, err := ra.ReadFrame(cParty)
 		if err != nil {
 			errCh <- err
 			return
 		}
 		var buf bytes.Buffer
 		rw := &readWriter{r: bytes.NewReader(prefixFrame(payload)), w: &buf}
-		if _, _, err := PartyHandshake(rw, s, meas, RoleDataOwner); err != nil {
+		if _, _, err := PartyHandshake(rw, s, meas, ra.RoleDataOwner); err != nil {
 			errCh <- err
 			return
 		}
@@ -113,7 +123,7 @@ func TestProtocolRejectsTamperedConfirmation(t *testing.T) {
 		errCh <- nil
 	}()
 
-	if err := sess.SendHello(cEncl); err != nil {
+	if err := sess.SendHello(cEncl, q); err != nil {
 		t.Fatal(err)
 	}
 	_, _, acceptErr := sess.Accept(cEncl)
@@ -145,26 +155,28 @@ func prefixFrame(payload []byte) []byte {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello frames")); err != nil {
+	if err := ra.WriteFrame(&buf, []byte("hello frames")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := ra.ReadFrame(&buf)
 	if err != nil || string(got) != "hello frames" {
 		t.Fatalf("got %q, %v", got, err)
 	}
 }
 
 func TestFrameLimits(t *testing.T) {
+	// One byte over the 1 MiB frame limit is refused before anything is
+	// written.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, maxFrame+1)); err == nil {
-		t.Error("oversized frame written")
+	if err := ra.WriteFrame(&buf, make([]byte, 1<<20+1)); err == nil || buf.Len() != 0 {
+		t.Errorf("oversized frame: err = %v, %d bytes written", err, buf.Len())
 	}
 	// A forged oversized header must be rejected before allocation.
 	bad := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(bad)); err == nil {
+	if _, err := ra.ReadFrame(bytes.NewReader(bad)); err == nil {
 		t.Error("oversized header accepted")
 	}
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 9, 'x'})); err == nil {
+	if _, err := ra.ReadFrame(bytes.NewReader([]byte{0, 0, 0, 9, 'x'})); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
@@ -172,12 +184,9 @@ func TestFrameLimits(t *testing.T) {
 func TestAcceptRejectsUnknownRole(t *testing.T) {
 	p, _ := setup(t)
 	var meas [32]byte
-	sess, err := NewEnclaveSession(p, meas)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, _ := session(t, p, meas)
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte(`{"role":"eavesdropper","party_pub":"","confirm":""}`)); err != nil {
+	if err := ra.WriteFrame(&buf, []byte(`{"role":"eavesdropper","party_pub":"","confirm":""}`)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sess.Accept(&buf); err == nil {

@@ -47,6 +47,7 @@ import (
 	"deflection/internal/fleet"
 	"deflection/internal/gateway"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 	"deflection/internal/tenant"
 	"deflection/internal/vplane"
 )
@@ -468,7 +469,7 @@ func run() int {
 	for i := 0; i < 2; i++ {
 		tid = obs.NewTraceID()
 		fmt.Printf("[party] session %d trace id %s\n", i+1, tid)
-		err := ccaas.Retry(dial, as, meas, attest.RoleCodeProvider,
+		err := ccaas.Retry(dial, as, meas, ra.RoleCodeProvider,
 			ccaas.RetryConfig{Metrics: reg}, func(c *ccaas.Client) error {
 				if err := c.SendTrace(tid); err != nil {
 					return err

@@ -41,6 +41,7 @@ import (
 	"deflection/internal/fleet"
 	"deflection/internal/gateway"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 	"deflection/internal/runtime"
 	"deflection/internal/vplane"
 )
@@ -384,7 +385,7 @@ func run() int {
 	dial := func() (io.ReadWriteCloser, error) {
 		return net.Dial("tcp", l.Addr().String())
 	}
-	client, err := ccaas.DialRetry(dial, as, meas, attest.RoleCodeProvider, ccaas.RetryConfig{Metrics: reg})
+	client, err := ccaas.DialRetry(dial, as, meas, ra.RoleCodeProvider, ccaas.RetryConfig{Metrics: reg})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "attestation failed: %v\n", err)
 		return 1

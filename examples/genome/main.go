@@ -21,6 +21,7 @@ import (
 	"deflection"
 	"deflection/attest"
 	"deflection/internal/apps"
+	"deflection/internal/ra"
 )
 
 func main() {
@@ -38,8 +39,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// ---- Key agreement over a real connection (paper Section III-A).
-	sess, err := attest.NewEnclaveSession(platform, encl.Measurement())
+	// ---- Key agreement over a real connection (paper Section III-A). The
+	// enclave generates its key; the host gets the platform's quote over it.
+	sess, err := ra.NewEnclaveSession()
+	if err != nil {
+		log.Fatal(err)
+	}
+	quote, err := platform.Quote(encl.Measurement(), sess.ReportData())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,10 +62,10 @@ func main() {
 		// The data owner verifies the quote against the published
 		// bootstrap-enclave build and derives the session key.
 		expected := encl.Measurement()
-		key, _, err := attest.PartyHandshake(ownerConn, ias, expected, attest.RoleDataOwner)
+		key, _, err := attest.PartyHandshake(ownerConn, ias, expected, ra.RoleDataOwner)
 		ownerDone <- ownerSide{key: key, err: err}
 	}()
-	if err := sess.SendHello(hostConn); err != nil {
+	if err := sess.SendHello(hostConn, quote); err != nil {
 		log.Fatal(err)
 	}
 	role, _, err := sess.Accept(hostConn)
@@ -74,7 +80,7 @@ func main() {
 
 	// The enclave installs the negotiated key; outputs are sealed from
 	// here on.
-	enclKey, err := sess.Key(attest.RoleDataOwner)
+	enclKey, err := sess.Key(ra.RoleDataOwner)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func (a *Assembler) Assemble(policyMask uint16) (*obj.Object, error) {
 			offsets[it.Label] = pc
 			continue
 		}
-		pc += int64(isa.EncodedLen(&it.Inst))
+		pc += int64(EncodedLen(&it.Inst))
 	}
 
 	// Pass 2: encode.
@@ -246,7 +246,7 @@ func (a *Assembler) Assemble(policyMask uint16) (*obj.Object, error) {
 			if !ok {
 				return nil, fmt.Errorf("asm: undefined branch target %q", it.Target)
 			}
-			next := itemOff[i] + int64(isa.EncodedLen(&in))
+			next := itemOff[i] + int64(EncodedLen(&in))
 			in.Imm = toff - next
 		}
 		if it.SymRef != "" {
@@ -263,7 +263,7 @@ func (a *Assembler) Assemble(policyMask uint16) (*obj.Object, error) {
 			})
 			in.Imm = 0
 		}
-		text = isa.AppendEncode(text, &in)
+		text = AppendEncode(text, &in)
 	}
 
 	// Function and label symbols.

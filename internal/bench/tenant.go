@@ -7,9 +7,9 @@ import (
 	"strings"
 	"time"
 
-	"deflection/attest"
 	"deflection/internal/gateway"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 	"deflection/internal/tenant"
 )
 
@@ -57,15 +57,15 @@ func echoBackend() (net.Listener, error) {
 			}
 			go func() {
 				defer conn.Close()
-				if err := attest.WriteFrame(conn, []byte(`{"backend":"bench"}`)); err != nil {
+				if err := ra.WriteFrame(conn, []byte(`{"backend":"bench"}`)); err != nil {
 					return
 				}
 				for {
-					frame, err := attest.ReadFrame(conn)
+					frame, err := ra.ReadFrame(conn)
 					if err != nil {
 						return
 					}
-					if err := attest.WriteFrame(conn, frame); err != nil {
+					if err := ra.WriteFrame(conn, frame); err != nil {
 						return
 					}
 				}
@@ -108,13 +108,13 @@ func oneSession(addr, token string) (time.Duration, error) {
 	if err := gateway.WritePreambleTagged(conn, nil, 0, token); err != nil {
 		return 0, err
 	}
-	if _, err := attest.ReadFrame(conn); err != nil { // hello
+	if _, err := ra.ReadFrame(conn); err != nil { // hello
 		return 0, err
 	}
-	if err := attest.WriteFrame(conn, []byte("ping")); err != nil {
+	if err := ra.WriteFrame(conn, []byte("ping")); err != nil {
 		return 0, err
 	}
-	if _, err := attest.ReadFrame(conn); err != nil { // echo
+	if _, err := ra.ReadFrame(conn); err != nil { // echo
 		return 0, err
 	}
 	return time.Since(start), nil

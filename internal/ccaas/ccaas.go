@@ -21,9 +21,9 @@ import (
 	"io"
 	"time"
 
-	"deflection/attest"
 	"deflection/internal/cpu"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 	"deflection/internal/runtime"
 	"deflection/internal/vplane"
 )
@@ -138,11 +138,15 @@ func (s *Server) Handle(transport io.ReadWriter) (err error) {
 		return err
 	}
 	attestStart := time.Now()
-	sess, err := attest.NewEnclaveSession(s.cfg.Platform, meas)
+	sess, err := ra.NewEnclaveSession()
 	if err != nil {
 		return err
 	}
-	if err := sess.SendHello(conn); err != nil {
+	quote, err := s.cfg.Platform.Quote(meas, sess.ReportData())
+	if err != nil {
+		return err
+	}
+	if err := sess.SendHello(conn, quote); err != nil {
 		return err
 	}
 	_, ch, err := sess.Accept(conn)
@@ -159,7 +163,7 @@ func (s *Server) Handle(transport io.ReadWriter) (err error) {
 		}
 		sealed := ch.Seal(payload)
 		m.Counter("ccaas_bytes_sealed_total").Add(int64(len(sealed)))
-		return attest.WriteFrame(conn, sealed)
+		return ra.WriteFrame(conn, sealed)
 	}
 
 	if !admit {
@@ -191,7 +195,7 @@ func (s *Server) Handle(transport io.ReadWriter) (err error) {
 	}
 
 	for {
-		frame, err := attest.ReadFrame(conn)
+		frame, err := ra.ReadFrame(conn)
 		if err != nil {
 			return err
 		}

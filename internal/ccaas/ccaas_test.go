@@ -10,6 +10,7 @@ import (
 	"deflection/attest"
 	"deflection/internal/ccaas"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 	"deflection/internal/runtime"
 )
 
@@ -42,7 +43,7 @@ func newServer(t *testing.T, pols policy.Set) (*ccaas.Server, *attest.Service, [
 	return srv, as, meas
 }
 
-func session(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]byte, role attest.Role) *ccaas.Client {
+func session(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]byte, role ra.Role) *ccaas.Client {
 	t.Helper()
 	serverConn, clientConn := net.Pipe()
 	done := make(chan error, 1)
@@ -63,7 +64,7 @@ func session(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]byte,
 
 func TestCCaaSSession(t *testing.T) {
 	srv, as, meas := newServer(t, policy.SetP1P6)
-	client := session(t, srv, as, meas, attest.RoleCodeProvider)
+	client := session(t, srv, as, meas, ra.RoleCodeProvider)
 
 	bin, err := deflection.Generate(serviceSrc, deflection.GeneratorOptions{Policies: deflection.PolicyP1P6})
 	if err != nil {
@@ -103,7 +104,7 @@ func TestCCaaSSession(t *testing.T) {
 
 func TestCCaaSRejectsUnderInstrumented(t *testing.T) {
 	srv, as, meas := newServer(t, policy.SetP1P5)
-	client := session(t, srv, as, meas, attest.RoleCodeProvider)
+	client := session(t, srv, as, meas, ra.RoleCodeProvider)
 	bin, err := deflection.Generate(serviceSrc, deflection.GeneratorOptions{Policies: deflection.PolicyP1})
 	if err != nil {
 		t.Fatal(err)
@@ -136,14 +137,14 @@ func TestCCaaSRejectsWrongMeasurement(t *testing.T) {
 		_ = srv.Handle(serverConn)
 	}()
 	defer clientConn.Close()
-	if _, err := ccaas.Dial(clientConn, as, wrong, attest.RoleDataOwner); err == nil {
+	if _, err := ccaas.Dial(clientConn, as, wrong, ra.RoleDataOwner); err == nil {
 		t.Fatal("wrong measurement accepted")
 	}
 }
 
 func TestCCaaSMultipleRunsPerSession(t *testing.T) {
 	srv, as, meas := newServer(t, policy.SetP1)
-	client := session(t, srv, as, meas, attest.RoleDataOwner)
+	client := session(t, srv, as, meas, ra.RoleDataOwner)
 	bin, err := deflection.Generate(serviceSrc, deflection.GeneratorOptions{Policies: deflection.PolicyP1})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestCCaaSOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	client, err := ccaas.Dial(conn, as, meas, attest.RoleDataOwner)
+	client, err := ccaas.Dial(conn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}

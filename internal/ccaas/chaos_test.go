@@ -13,6 +13,7 @@ import (
 	"deflection/internal/ccaas"
 	"deflection/internal/faultnet"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 )
 
 // newServerCfg is newServer with a config mutator for the robustness knobs.
@@ -109,7 +110,7 @@ func healthySession(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [3
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	client, err := ccaas.Dial(clientConn, as, meas, attest.RoleDataOwner)
+	client, err := ccaas.Dial(clientConn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		return err
 	}
@@ -198,7 +199,7 @@ func TestChaosFaults(t *testing.T) {
 			}()
 			clientErr := make(chan error, 1)
 			go func() {
-				client, err := ccaas.Dial(fc, as, meas, attest.RoleCodeProvider)
+				client, err := ccaas.Dial(fc, as, meas, ra.RoleCodeProvider)
 				if err != nil {
 					clientErr <- err
 					return
@@ -252,7 +253,7 @@ func TestChaosPartialWritesReassemble(t *testing.T) {
 		defer serverConn.Close()
 		serverErr <- srv.Handle(serverConn)
 	}()
-	client, err := ccaas.Dial(fc, as, meas, attest.RoleDataOwner)
+	client, err := ccaas.Dial(fc, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestChaosNothingUnsealedOnWire(t *testing.T) {
 		defer sc.Close()
 		serverErr <- srv.Handle(sc)
 	}()
-	client, err := ccaas.Dial(cc, as, meas, attest.RoleDataOwner)
+	client, err := ccaas.Dial(cc, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}

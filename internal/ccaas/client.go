@@ -9,12 +9,13 @@ import (
 
 	"deflection/attest"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 )
 
 // Client is a remote party's session handle.
 type Client struct {
 	conn io.ReadWriter
-	ch   *attest.Channel
+	ch   *ra.Channel
 }
 
 // GatewayStatus is the unsealed control frame a deflection-gateway sends in
@@ -67,8 +68,8 @@ func (e *BusyError) Is(target error) bool { return target == ErrGatewayBusy }
 // the expected bootstrap measurement) and returns a session client. When
 // the connection runs through a deflection-gateway, a gateway busy reply is
 // detected before the handshake and surfaced as ErrGatewayBusy.
-func Dial(conn io.ReadWriter, as *attest.Service, expected [32]byte, role attest.Role) (*Client, error) {
-	frame, err := attest.ReadFrame(conn)
+func Dial(conn io.ReadWriter, as *attest.Service, expected [32]byte, role ra.Role) (*Client, error) {
+	frame, err := ra.ReadFrame(conn)
 	if err != nil {
 		return nil, err
 	}
@@ -97,11 +98,11 @@ func (c *Client) send(tag byte, payload []byte) error {
 	msg := make([]byte, 1+len(payload))
 	msg[0] = tag
 	copy(msg[1:], payload)
-	return attest.WriteFrame(c.conn, c.ch.Seal(msg))
+	return ra.WriteFrame(c.conn, c.ch.Seal(msg))
 }
 
 func (c *Client) recv(v any) error {
-	frame, err := attest.ReadFrame(c.conn)
+	frame, err := ra.ReadFrame(c.conn)
 	if err != nil {
 		return err
 	}

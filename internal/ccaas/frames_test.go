@@ -9,11 +9,12 @@ import (
 	"deflection/attest"
 	"deflection/internal/ccaas"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 )
 
 // rawSession completes the party handshake and hands back the raw transport
 // plus the sealed channel, so tests can craft hostile post-handshake bytes.
-func rawSession(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]byte) (net.Conn, *attest.Channel, chan error) {
+func rawSession(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]byte) (net.Conn, *ra.Channel, chan error) {
 	t.Helper()
 	serverConn, clientConn := net.Pipe()
 	errc := make(chan error, 1)
@@ -27,7 +28,7 @@ func rawSession(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]by
 		clientConn.Close()
 		<-done // session goroutine must exit; errc stays readable (buffered)
 	})
-	_, ch, err := attest.PartyHandshake(clientConn, as, meas, attest.RoleDataOwner)
+	_, ch, err := attest.PartyHandshake(clientConn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +40,13 @@ func rawSession(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]by
 func TestMalformedTraffic(t *testing.T) {
 	cases := []struct {
 		name string
-		send func(t *testing.T, conn net.Conn, ch *attest.Channel)
+		send func(t *testing.T, conn net.Conn, ch *ra.Channel)
 		want string
 	}{
 		{
 			name: "unknown-tag",
-			send: func(t *testing.T, conn net.Conn, ch *attest.Channel) {
-				if err := attest.WriteFrame(conn, ch.Seal([]byte{'Z'})); err != nil {
+			send: func(t *testing.T, conn net.Conn, ch *ra.Channel) {
+				if err := ra.WriteFrame(conn, ch.Seal([]byte{'Z'})); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -53,8 +54,8 @@ func TestMalformedTraffic(t *testing.T) {
 		},
 		{
 			name: "empty-message",
-			send: func(t *testing.T, conn net.Conn, ch *attest.Channel) {
-				if err := attest.WriteFrame(conn, ch.Seal(nil)); err != nil {
+			send: func(t *testing.T, conn net.Conn, ch *ra.Channel) {
+				if err := ra.WriteFrame(conn, ch.Seal(nil)); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -62,12 +63,12 @@ func TestMalformedTraffic(t *testing.T) {
 		},
 		{
 			name: "garbage-ciphertext",
-			send: func(t *testing.T, conn net.Conn, ch *attest.Channel) {
+			send: func(t *testing.T, conn net.Conn, ch *ra.Channel) {
 				junk := make([]byte, 40)
 				for i := range junk {
 					junk[i] = 0xFF
 				}
-				if err := attest.WriteFrame(conn, junk); err != nil {
+				if err := ra.WriteFrame(conn, junk); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -75,7 +76,7 @@ func TestMalformedTraffic(t *testing.T) {
 		},
 		{
 			name: "truncated-frame",
-			send: func(t *testing.T, conn net.Conn, _ *attest.Channel) {
+			send: func(t *testing.T, conn net.Conn, _ *ra.Channel) {
 				var hdr [4]byte
 				binary.BigEndian.PutUint32(hdr[:], 1000)
 				if _, err := conn.Write(hdr[:]); err != nil {
@@ -90,7 +91,7 @@ func TestMalformedTraffic(t *testing.T) {
 		},
 		{
 			name: "oversized-frame-header",
-			send: func(t *testing.T, conn net.Conn, _ *attest.Channel) {
+			send: func(t *testing.T, conn net.Conn, _ *ra.Channel) {
 				var hdr [4]byte
 				binary.BigEndian.PutUint32(hdr[:], 1<<30)
 				if _, err := conn.Write(hdr[:]); err != nil {
@@ -118,7 +119,7 @@ func TestOversizedDataRejectedWithAck(t *testing.T) {
 	srv, as, meas := newServerCfg(t, policy.SetP1, func(c *ccaas.ServerConfig) {
 		c.MaxInputSize = 16
 	})
-	client := session(t, srv, as, meas, attest.RoleDataOwner)
+	client := session(t, srv, as, meas, ra.RoleDataOwner)
 	err := client.SendData(make([]byte, 64))
 	if err == nil || !strings.Contains(err.Error(), "exceeds the 16-byte cap") {
 		t.Fatalf("oversized SendData = %v, want structured cap rejection", err)

@@ -16,6 +16,7 @@ import (
 	"deflection/internal/ccaas"
 	"deflection/internal/faultnet"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 )
 
 // holdSession opens a session and keeps it alive until the returned stop
@@ -28,7 +29,7 @@ func holdSession(t *testing.T, srv *ccaas.Server, as *attest.Service, meas [32]b
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	client, err := ccaas.Dial(clientConn, as, meas, attest.RoleDataOwner)
+	client, err := ccaas.Dial(clientConn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestShutdownDrainsInFlightSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	client, err := ccaas.Dial(conn, as, meas, attest.RoleCodeProvider)
+	client, err := ccaas.Dial(conn, as, meas, ra.RoleCodeProvider)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestShutdownForceClosesOnDeadline(t *testing.T) {
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	if _, err := ccaas.Dial(clientConn, as, meas, attest.RoleDataOwner); err != nil {
+	if _, err := ccaas.Dial(clientConn, as, meas, ra.RoleDataOwner); err != nil {
 		t.Fatal(err)
 	}
 	// The client goes silent: only the force-close deadline reclaims it.
@@ -145,7 +146,7 @@ func TestMaxSessionsRejectsOverAttestedChannel(t *testing.T) {
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	client, err := ccaas.Dial(clientConn, as, meas, attest.RoleCodeProvider)
+	client, err := ccaas.Dial(clientConn, as, meas, ra.RoleCodeProvider)
 	if err != nil {
 		t.Fatalf("handshake refused instead of authenticated rejection: %v", err)
 	}
@@ -188,7 +189,7 @@ func TestDrainingRejectsNewSessions(t *testing.T) {
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	client, err := ccaas.Dial(clientConn, as, meas, attest.RoleDataOwner)
+	client, err := ccaas.Dial(clientConn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	serverConn, clientConn := net.Pipe()
 	defer clientConn.Close()
 	l.conns <- serverConn
-	client, err := ccaas.Dial(clientConn, as, meas, attest.RoleDataOwner)
+	client, err := ccaas.Dial(clientConn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatalf("session after temporary accept failures: %v", err)
 	}
@@ -308,7 +309,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			defer serverConn.Close()
 			done <- srv.Handle(serverConn)
 		}()
-		client, err := ccaas.Dial(fc, as, meas, attest.RoleCodeProvider)
+		client, err := ccaas.Dial(fc, as, meas, ra.RoleCodeProvider)
 		if err == nil {
 			_, _, err = client.SendBinary(chaosBinary(t))
 		}
@@ -327,7 +328,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			done <- srv.Handle(serverConn)
 		}()
 		go func() {
-			client, err := ccaas.Dial(fc, as, meas, attest.RoleCodeProvider)
+			client, err := ccaas.Dial(fc, as, meas, ra.RoleCodeProvider)
 			if err == nil {
 				_, _, _ = client.SendBinary(chaosBinary(t))
 			}
@@ -348,7 +349,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			defer serverConn.Close()
 			done <- srv.Handle(serverConn)
 		}()
-		client, err := ccaas.Dial(clientConn, as, meas, attest.RoleDataOwner)
+		client, err := ccaas.Dial(clientConn, as, meas, ra.RoleDataOwner)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"deflection/internal/ccaas"
 	"deflection/internal/obs"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 )
 
 // newMeteredServer builds a server wired to a fresh registry and a
@@ -80,7 +81,7 @@ func TestSessionMetrics(t *testing.T) {
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	client, err := ccaas.Dial(clientConn, as, meas, attest.RoleCodeProvider)
+	client, err := ccaas.Dial(clientConn, as, meas, ra.RoleCodeProvider)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestBusyAndPanicMetrics(t *testing.T) {
 
 	// First session occupies the only slot; the data round trip guarantees
 	// the server has passed admission before the registry is inspected.
-	first := session(t, srv, as, meas, attest.RoleCodeProvider)
+	first := session(t, srv, as, meas, ra.RoleCodeProvider)
 	if err := first.SendData([]byte{42}); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestBusyAndPanicMetrics(t *testing.T) {
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	c2, err := ccaas.Dial(clientConn, as, meas, attest.RoleDataOwner)
+	c2, err := ccaas.Dial(clientConn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestClientRetryMetrics(t *testing.T) {
 		}()
 		return clientConn, nil
 	}
-	c, err := ccaas.DialRetry(dial, as, meas, attest.RoleCodeProvider, ccaas.RetryConfig{
+	c, err := ccaas.DialRetry(dial, as, meas, ra.RoleCodeProvider, ccaas.RetryConfig{
 		Metrics: clientReg,
 		Sleep:   func(context.Context, time.Duration) {},
 	})

@@ -7,6 +7,7 @@ import (
 
 	"deflection/attest"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 )
 
 // TestHandleRecoversSessionPanic injects a panic into the session loop (in
@@ -38,7 +39,7 @@ func TestHandleRecoversSessionPanic(t *testing.T) {
 		defer serverConn.Close()
 		done <- srv.Handle(serverConn)
 	}()
-	client, err := Dial(clientConn, as, meas, attest.RoleDataOwner)
+	client, err := Dial(clientConn, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestHandleRecoversSessionPanic(t *testing.T) {
 		defer serverConn2.Close()
 		done2 <- srv.Handle(serverConn2)
 	}()
-	client2, err := Dial(clientConn2, as, meas, attest.RoleDataOwner)
+	client2, err := Dial(clientConn2, as, meas, ra.RoleDataOwner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"deflection/attest"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 )
 
 // Dialer opens a fresh transport to a CCaaS host. Each retry attempt gets
@@ -145,11 +146,11 @@ func IsTransient(err error) bool {
 	case errors.Is(err, attest.ErrUnknownPlatform),
 		errors.Is(err, attest.ErrBadQuote),
 		errors.Is(err, attest.ErrMeasurementMismatch),
-		errors.Is(err, attest.ErrBadConfirmation):
+		errors.Is(err, ra.ErrBadConfirmation):
 		return false
 	case errors.Is(err, ErrServerBusy),
 		errors.Is(err, ErrGatewayBusy),
-		errors.Is(err, attest.ErrReplay),
+		errors.Is(err, ra.ErrReplay),
 		errors.Is(err, io.EOF),
 		errors.Is(err, io.ErrUnexpectedEOF),
 		errors.Is(err, io.ErrClosedPipe),
@@ -171,13 +172,13 @@ func ctxAbort(what string, ctxErr, lastErr error) error {
 
 // DialRetry dials and attests with exponential backoff + jitter. Transient
 // failures re-dial a fresh transport; permanent failures abort immediately.
-func DialRetry(dial Dialer, as *attest.Service, expected [32]byte, role attest.Role, rc RetryConfig) (*Client, error) {
+func DialRetry(dial Dialer, as *attest.Service, expected [32]byte, role ra.Role, rc RetryConfig) (*Client, error) {
 	return DialRetryContext(context.Background(), dial, as, expected, role, rc)
 }
 
 // DialRetryContext is DialRetry under a context: cancellation aborts the
 // loop immediately, including mid-backoff — not only at attempt boundaries.
-func DialRetryContext(ctx context.Context, dial Dialer, as *attest.Service, expected [32]byte, role attest.Role, rc RetryConfig) (*Client, error) {
+func DialRetryContext(ctx context.Context, dial Dialer, as *attest.Service, expected [32]byte, role ra.Role, rc RetryConfig) (*Client, error) {
 	r := rc.norm()
 	var lastErr error
 	for attempt := 1; attempt <= r.Attempts; attempt++ {
@@ -211,7 +212,7 @@ func DialRetryContext(ctx context.Context, dial Dialer, as *attest.Service, expe
 // SendBinary→SendData→Run sequence) — and re-runs it from scratch on a
 // transient failure. This is safe to repeat because a session mutates
 // nothing outside its own enclave, and every attempt gets a fresh enclave.
-func Retry(dial Dialer, as *attest.Service, expected [32]byte, role attest.Role, rc RetryConfig, fn func(*Client) error) error {
+func Retry(dial Dialer, as *attest.Service, expected [32]byte, role ra.Role, rc RetryConfig, fn func(*Client) error) error {
 	return RetryContext(context.Background(), dial, as, expected, role, rc, fn)
 }
 
@@ -219,7 +220,7 @@ func Retry(dial Dialer, as *attest.Service, expected [32]byte, role attest.Role,
 // immediately, including mid-backoff. A session attempt already in flight
 // is not interrupted (the transport owns its own timeouts); the context
 // governs the retry schedule.
-func RetryContext(ctx context.Context, dial Dialer, as *attest.Service, expected [32]byte, role attest.Role, rc RetryConfig, fn func(*Client) error) error {
+func RetryContext(ctx context.Context, dial Dialer, as *attest.Service, expected [32]byte, role ra.Role, rc RetryConfig, fn func(*Client) error) error {
 	r := rc.norm()
 	var lastErr error
 	for attempt := 1; attempt <= r.Attempts; attempt++ {

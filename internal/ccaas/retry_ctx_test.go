@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"deflection/attest"
+	"deflection/internal/ra"
 )
 
 // failDialer always fails transiently and counts its invocations.
@@ -30,7 +31,7 @@ func TestDialRetryContextCancelMidBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := DialRetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, attest.RoleDataOwner, RetryConfig{
+	_, err := DialRetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, ra.RoleDataOwner, RetryConfig{
 		Attempts:  3,
 		BaseDelay: time.Hour, // without cancellation this test would hang
 		MaxDelay:  time.Hour,
@@ -54,7 +55,7 @@ func TestDialRetryContextPreCancelled(t *testing.T) {
 	var calls atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := DialRetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, attest.RoleDataOwner, RetryConfig{Attempts: 3})
+	_, err := DialRetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, ra.RoleDataOwner, RetryConfig{Attempts: 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -68,7 +69,7 @@ func TestRetryContextCancelMidBackoff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := RetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, attest.RoleDataOwner, RetryConfig{
+	err := RetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, ra.RoleDataOwner, RetryConfig{
 		Attempts:  4,
 		BaseDelay: time.Hour,
 		MaxDelay:  time.Hour,
@@ -87,7 +88,7 @@ func TestRetryContextCancelMidBackoff(t *testing.T) {
 func TestRetryContextBackgroundUnchanged(t *testing.T) {
 	// The non-context entry points still exhaust all attempts.
 	var calls atomic.Int64
-	err := Retry(failDialer(&calls), attest.NewService(), [32]byte{}, attest.RoleDataOwner, RetryConfig{
+	err := Retry(failDialer(&calls), attest.NewService(), [32]byte{}, ra.RoleDataOwner, RetryConfig{
 		Attempts:  3,
 		BaseDelay: time.Microsecond,
 		MaxDelay:  time.Microsecond,
@@ -127,7 +128,7 @@ func TestDialRetryContextCustomSleepStillCancellable(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := DialRetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, attest.RoleDataOwner, cfg)
+		_, err := DialRetryContext(ctx, failDialer(&calls), attest.NewService(), [32]byte{}, ra.RoleDataOwner, cfg)
 		done <- err
 	}()
 	select {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"deflection/attest"
+	"deflection/internal/ra"
 )
 
 // busyConn replays a canned gateway busy frame as the first (and only)
@@ -30,7 +31,7 @@ func newBusyConn(t *testing.T, gs GatewayStatus) *busyConn {
 		framed = append(framed, p...)
 		return len(p), nil
 	})
-	if err := attest.WriteFrame(w, payload); err != nil {
+	if err := ra.WriteFrame(w, payload); err != nil {
 		t.Fatal(err)
 	}
 	return &busyConn{frame: framed}
@@ -55,7 +56,7 @@ func (c *busyConn) Close() error                { return nil }
 // becomes a BusyError with the parsed hint, still matching ErrGatewayBusy.
 func TestDialSurfacesRetryAfterHint(t *testing.T) {
 	conn := newBusyConn(t, GatewayStatus{GatewayBusy: true, Error: "shed", RetryAfterMS: 250})
-	_, err := Dial(conn, attest.NewService(), [32]byte{}, attest.RoleCodeProvider)
+	_, err := Dial(conn, attest.NewService(), [32]byte{}, ra.RoleCodeProvider)
 	var be *BusyError
 	if !errors.As(err, &be) {
 		t.Fatalf("Dial err = %v, want BusyError", err)
@@ -76,7 +77,7 @@ func TestDialSurfacesRetryAfterHint(t *testing.T) {
 func TestDialClampsHostileRetryAfter(t *testing.T) {
 	for _, ms := range []int64{int64(24 * time.Hour / time.Millisecond), -5} {
 		conn := newBusyConn(t, GatewayStatus{GatewayBusy: true, RetryAfterMS: ms})
-		_, err := Dial(conn, attest.NewService(), [32]byte{}, attest.RoleCodeProvider)
+		_, err := Dial(conn, attest.NewService(), [32]byte{}, ra.RoleCodeProvider)
 		var be *BusyError
 		if !errors.As(err, &be) {
 			t.Fatalf("Dial err = %v", err)
@@ -109,7 +110,7 @@ func TestRetryHonorsRetryAfterFloor(t *testing.T) {
 		Sleep:     func(_ context.Context, d time.Duration) { slept = append(slept, d) },
 	}
 	err := RetryContext(context.Background(), dial, attest.NewService(), [32]byte{},
-		attest.RoleCodeProvider, rc, func(*Client) error { return nil })
+		ra.RoleCodeProvider, rc, func(*Client) error { return nil })
 	if !errors.Is(err, ErrGatewayBusy) {
 		t.Fatalf("err = %v, want gateway busy after exhausted attempts", err)
 	}
@@ -140,7 +141,7 @@ func TestDialRetryHonorsRetryAfterFloor(t *testing.T) {
 		Sleep:     func(_ context.Context, d time.Duration) { slept = append(slept, d) },
 	}
 	_, err := DialRetryContext(context.Background(), dial, attest.NewService(), [32]byte{},
-		attest.RoleCodeProvider, rc)
+		ra.RoleCodeProvider, rc)
 	if !errors.Is(err, ErrGatewayBusy) {
 		t.Fatalf("err = %v", err)
 	}
@@ -164,7 +165,7 @@ func TestRetryFloorAbsentKeepsScheduledBackoff(t *testing.T) {
 		Sleep:     func(_ context.Context, d time.Duration) { slept = append(slept, d) },
 	}
 	_, err := DialRetryContext(context.Background(), dial, attest.NewService(), [32]byte{},
-		attest.RoleCodeProvider, rc)
+		ra.RoleCodeProvider, rc)
 	if err == nil {
 		t.Fatal("dial somehow succeeded")
 	}

@@ -13,6 +13,7 @@ import (
 	"deflection/internal/ccaas"
 	"deflection/internal/faultnet"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 )
 
 // pipeDialer returns a Dialer that spawns a fresh srv.Handle per dial,
@@ -61,7 +62,7 @@ func TestDialRetryRecoversFromTransientFailures(t *testing.T) {
 		}
 		return dialerOK()
 	}
-	client, err := ccaas.DialRetry(dial, as, meas, attest.RoleDataOwner,
+	client, err := ccaas.DialRetry(dial, as, meas, ra.RoleDataOwner,
 		ccaas.RetryConfig{Seed: 42, Sleep: noSleep(&delays)})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestDialRetryGivesUpAfterAttempts(t *testing.T) {
 	dial := func() (io.ReadWriteCloser, error) {
 		return nil, &net.OpError{Op: "dial", Err: errors.New("connection refused")}
 	}
-	_, err := ccaas.DialRetry(dial, as, [32]byte{}, attest.RoleDataOwner,
+	_, err := ccaas.DialRetry(dial, as, [32]byte{}, ra.RoleDataOwner,
 		ccaas.RetryConfig{Attempts: 3, Seed: 7, Sleep: noSleep(&delays)})
 	if err == nil || len(delays) != 2 {
 		t.Fatalf("err = %v, sleeps = %d", err, len(delays))
@@ -99,7 +100,7 @@ func TestDialRetryStopsOnPermanentError(t *testing.T) {
 	dial, attempts := pipeDialer(t, srv, nil)
 	var wrong [32]byte
 	copy(wrong[:], "some-other-bootstrap-build")
-	_, err := ccaas.DialRetry(dial, as, wrong, attest.RoleDataOwner,
+	_, err := ccaas.DialRetry(dial, as, wrong, ra.RoleDataOwner,
 		ccaas.RetryConfig{Sleep: func(context.Context, time.Duration) { t.Fatal("slept on a permanent error") }})
 	if !errors.Is(err, attest.ErrMeasurementMismatch) {
 		t.Fatalf("err = %v, want measurement mismatch", err)
@@ -119,7 +120,7 @@ func TestRetryRerunsFullSession(t *testing.T) {
 		return c
 	})
 	var delays []time.Duration
-	err := ccaas.Retry(dial, as, meas, attest.RoleCodeProvider,
+	err := ccaas.Retry(dial, as, meas, ra.RoleCodeProvider,
 		ccaas.RetryConfig{Seed: 1, Sleep: noSleep(&delays)},
 		func(c *ccaas.Client) error { return runSessionBody(t, c) })
 	if err != nil {
@@ -136,7 +137,7 @@ func TestBackoffScheduleDeterministicAndBounded(t *testing.T) {
 		dial := func() (io.ReadWriteCloser, error) {
 			return nil, &net.OpError{Op: "dial", Err: errors.New("down")}
 		}
-		_, err := ccaas.DialRetry(dial, attest.NewService(), [32]byte{}, attest.RoleDataOwner,
+		_, err := ccaas.DialRetry(dial, attest.NewService(), [32]byte{}, ra.RoleDataOwner,
 			ccaas.RetryConfig{
 				Attempts:  6,
 				BaseDelay: 10 * time.Millisecond,
@@ -181,11 +182,11 @@ func TestIsTransient(t *testing.T) {
 		{"net-closed", net.ErrClosed, true},
 		{"net-op", &net.OpError{Op: "read", Err: errors.New("reset")}, true},
 		{"server-busy", ccaas.ErrServerBusy, true},
-		{"replay", attest.ErrReplay, true},
+		{"replay", ra.ErrReplay, true},
 		{"faultnet-stall", faultnet.ErrStalled, true},
 		{"measurement", attest.ErrMeasurementMismatch, false},
 		{"bad-quote", attest.ErrBadQuote, false},
-		{"bad-confirmation", attest.ErrBadConfirmation, false},
+		{"bad-confirmation", ra.ErrBadConfirmation, false},
 		{"unknown-platform", attest.ErrUnknownPlatform, false},
 		{"app-error", errors.New("binary rejected"), false},
 	}

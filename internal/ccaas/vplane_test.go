@@ -11,6 +11,7 @@ import (
 	"deflection/internal/ccaas"
 	"deflection/internal/obs"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 	"deflection/internal/runtime"
 	"deflection/internal/vplane"
 )
@@ -60,7 +61,7 @@ func TestCCaaSPlaneCachedSession(t *testing.T) {
 
 	runSession := func(input []byte, wantExit int64) {
 		t.Helper()
-		client := session(t, srv, as, meas, attest.RoleCodeProvider)
+		client := session(t, srv, as, meas, ra.RoleCodeProvider)
 		if _, _, err := client.SendBinary(bin.Bytes()); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestCCaaSPlaneNegativeCache(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		client := session(t, srv, as, meas, attest.RoleCodeProvider)
+		client := session(t, srv, as, meas, ra.RoleCodeProvider)
 		if _, _, err := client.SendBinary(bad.Bytes()); err == nil {
 			t.Fatalf("session %d: under-instrumented binary accepted", i)
 		} else if !strings.Contains(err.Error(), "rejected") {
@@ -154,7 +155,7 @@ func TestCCaaSPlaneShedsAsBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := session(t, srv, as, meas, attest.RoleCodeProvider)
+	client := session(t, srv, as, meas, ra.RoleCodeProvider)
 	if _, _, err := client.SendBinary(bin.Bytes()); !errors.Is(err, ccaas.ErrServerBusy) {
 		t.Fatalf("SendBinary on shed plane: err = %v, want ErrServerBusy", err)
 	}

@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/enclave"
 	"deflection/internal/isa"
 	"deflection/internal/policy"
@@ -16,9 +17,9 @@ func stepLoop(unroll int, body ...isa.Inst) []isa.Inst {
 		prog = append(prog, body...)
 	}
 	jmp := isa.Inst{Op: isa.OpJmp}
-	n := isa.EncodedLen(&jmp)
+	n := asm.EncodedLen(&jmp)
 	for i := range prog {
-		n += isa.EncodedLen(&prog[i])
+		n += asm.EncodedLen(&prog[i])
 	}
 	jmp.Imm = -int64(n)
 	return append(prog, jmp)
@@ -35,8 +36,8 @@ func BenchmarkStep(b *testing.B) {
 	heap := isa.Mem(isa.RBX, 64)
 	// L: call f; jmp L; f: ret
 	call, jmp := isa.Inst{Op: isa.OpCall}, isa.Inst{Op: isa.OpJmp}
-	call.Imm = int64(isa.EncodedLen(&jmp))
-	jmp.Imm = -int64(isa.EncodedLen(&call) + isa.EncodedLen(&jmp))
+	call.Imm = int64(asm.EncodedLen(&jmp))
+	jmp.Imm = -int64(asm.EncodedLen(&call) + asm.EncodedLen(&jmp))
 	store := isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: heap}
 	layout := benchEnclave(b).Layout
 	cases := []struct {
@@ -59,7 +60,7 @@ func BenchmarkStep(b *testing.B) {
 			e := benchEnclave(b)
 			var text []byte
 			for i := range tc.prog {
-				text = isa.AppendEncode(text, &tc.prog[i])
+				text = asm.AppendEncode(text, &tc.prog[i])
 			}
 			if f := e.Mem.Write(e.Layout.CodeBase, text); f != nil {
 				b.Fatal(f)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/enclave"
 	"deflection/internal/isa"
 )
@@ -18,7 +19,7 @@ func load(t *testing.T, cfg Config, insts ...isa.Inst) (*CPU, *enclave.Enclave) 
 	}
 	var text []byte
 	for i := range insts {
-		text = isa.AppendEncode(text, &insts[i])
+		text = asm.AppendEncode(text, &insts[i])
 	}
 	if f := e.Mem.Write(e.Layout.CodeBase, text); f != nil {
 		t.Fatal(f)
@@ -144,7 +145,7 @@ func TestLoadsAndStores(t *testing.T) {
 	)
 	// Patch RBX = heap base: re-encode first instruction.
 	first := isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: int64(e.Layout.HeapBase)}
-	if f := e.Mem.Write(e.Layout.CodeBase, isa.AppendEncode(nil, &first)); f != nil {
+	if f := e.Mem.Write(e.Layout.CodeBase, asm.AppendEncode(nil, &first)); f != nil {
 		t.Fatal(f)
 	}
 	r := c.Run()
@@ -184,7 +185,7 @@ func TestPushPopAndCallRet(t *testing.T) {
 	// call f; hlt; f: mov rax, 42; ret
 	hlt := isa.Inst{Op: isa.OpHlt}
 	r := run(t,
-		isa.Inst{Op: isa.OpCall, Imm: int64(isa.EncodedLen(&hlt))},
+		isa.Inst{Op: isa.OpCall, Imm: int64(asm.EncodedLen(&hlt))},
 		hlt,
 		isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 42},
 		isa.Inst{Op: isa.OpRet},
@@ -237,7 +238,7 @@ func TestConditionalBranches(t *testing.T) {
 			{Op: isa.OpMovRI, Dst: isa.RBX, Imm: c.a},
 			{Op: isa.OpMovRI, Dst: isa.RCX, Imm: c.b},
 			{Op: isa.OpCmpRR, Dst: isa.RBX, Src: isa.RCX},
-			{Op: isa.OpJcc, Cond: c.cond, Imm: int64(isa.EncodedLen(&setOne))},
+			{Op: isa.OpJcc, Cond: c.cond, Imm: int64(asm.EncodedLen(&setOne))},
 			setOne, // skipped when branch taken
 			{Op: isa.OpHlt},
 		}
@@ -255,7 +256,7 @@ func TestTestInstruction(t *testing.T) {
 	r := run(t,
 		isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 0},
 		isa.Inst{Op: isa.OpTestRR, Dst: isa.RAX, Src: isa.RAX},
-		isa.Inst{Op: isa.OpJcc, Cond: isa.CondE, Imm: int64(isa.EncodedLen(&skip))},
+		isa.Inst{Op: isa.OpJcc, Cond: isa.CondE, Imm: int64(asm.EncodedLen(&skip))},
 		skip,
 		isa.Inst{Op: isa.OpHlt},
 	)
@@ -281,12 +282,12 @@ func TestIndirectJumpAndCall(t *testing.T) {
 	offs := make([]int64, len(prog))
 	for i := range prog {
 		offs[i] = off
-		off += int64(isa.EncodedLen(&prog[i]))
+		off += int64(asm.EncodedLen(&prog[i]))
 	}
 	prog[0].Imm = int64(e.Layout.CodeBase) + offs[3]
 	var text []byte
 	for i := range prog {
-		text = isa.AppendEncode(text, &prog[i])
+		text = asm.AppendEncode(text, &prog[i])
 	}
 	if f := e.Mem.Write(e.Layout.CodeBase, text); f != nil {
 		t.Fatal(f)
@@ -348,7 +349,7 @@ func TestFCmp(t *testing.T) {
 		isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: fb(1.5)},
 		isa.Inst{Op: isa.OpMovRI, Dst: isa.RCX, Imm: fb(2.5)},
 		isa.Inst{Op: isa.OpFCmp, Dst: isa.RBX, Src: isa.RCX},
-		isa.Inst{Op: isa.OpJcc, Cond: isa.CondL, Imm: int64(isa.EncodedLen(&skip))},
+		isa.Inst{Op: isa.OpJcc, Cond: isa.CondL, Imm: int64(asm.EncodedLen(&skip))},
 		skip,
 		isa.Inst{Op: isa.OpHlt},
 	)
@@ -367,7 +368,7 @@ func TestTrapInstruction(t *testing.T) {
 func TestGasExhaustion(t *testing.T) {
 	// Infinite loop: jmp -size(jmp).
 	jmp := isa.Inst{Op: isa.OpJmp}
-	jmp.Imm = -int64(isa.EncodedLen(&jmp))
+	jmp.Imm = -int64(asm.EncodedLen(&jmp))
 	c, _ := load(t, Config{Gas: 1000}, jmp)
 	r := c.Run()
 	if r.Status != StatusTrap || r.Trap != isa.TrapOutOfGas {
@@ -381,7 +382,7 @@ func TestGasExhaustion(t *testing.T) {
 func TestStackOverflowHitsGuard(t *testing.T) {
 	// Recurse forever: f: call f
 	call := isa.Inst{Op: isa.OpCall}
-	call.Imm = -int64(isa.EncodedLen(&call))
+	call.Imm = -int64(asm.EncodedLen(&call))
 	c, _ := load(t, Config{}, call)
 	r := c.Run()
 	if r.Status != StatusTrap || r.Trap != isa.TrapStackOverflow {
@@ -477,7 +478,7 @@ func TestAEXInjectionWritesSSA(t *testing.T) {
 	jg := isa.Inst{Op: isa.OpJcc, Cond: isa.CondG}
 	sub := loop[1]
 	cmp := loop[2]
-	jg.Imm = -int64(isa.EncodedLen(&sub) + isa.EncodedLen(&cmp) + isa.EncodedLen(&jg))
+	jg.Imm = -int64(asm.EncodedLen(&sub) + asm.EncodedLen(&cmp) + asm.EncodedLen(&jg))
 	prog := append(loop, jg, isa.Inst{Op: isa.OpHlt})
 	c, e := load(t, Config{AEXInterval: 1000, AEXSeed: 7}, prog...)
 	r := c.Run()
@@ -512,7 +513,7 @@ func TestAEXClobbersSSAMarker(t *testing.T) {
 			jg := isa.Inst{Op: isa.OpJcc, Cond: isa.CondG}
 			sub := isa.Inst{Op: isa.OpSubRI, Dst: isa.RCX, Imm: 1}
 			cmp := isa.Inst{Op: isa.OpCmpRI, Dst: isa.RCX, Imm: 0}
-			jg.Imm = -int64(isa.EncodedLen(&sub) + isa.EncodedLen(&cmp) + isa.EncodedLen(&jg))
+			jg.Imm = -int64(asm.EncodedLen(&sub) + asm.EncodedLen(&cmp) + asm.EncodedLen(&jg))
 			return jg
 		}(),
 		isa.Inst{Op: isa.OpHlt},
@@ -548,7 +549,7 @@ func TestAnnotationTimingDiscount(t *testing.T) {
 	}
 	var text []byte
 	for i := range prog {
-		text = isa.AppendEncode(text, &prog[i])
+		text = asm.AppendEncode(text, &prog[i])
 	}
 	if f := e.Mem.Write(e.Layout.CodeBase, text); f != nil {
 		t.Fatal(f)
@@ -577,11 +578,11 @@ func TestSelfModifyingCodeInvalidatesICache(t *testing.T) {
 	movRAX := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 0}
 	store := isa.Inst{Op: isa.OpMovMR, Src: isa.RAX, Mem: isa.Mem(isa.RBX, 0)}
 	hlt := isa.Inst{Op: isa.OpHlt}
-	targetOff := int64(isa.EncodedLen(&movRBX) + isa.EncodedLen(&movRAX) + isa.EncodedLen(&store))
+	targetOff := int64(asm.EncodedLen(&movRBX) + asm.EncodedLen(&movRAX) + asm.EncodedLen(&store))
 	movRBX.Imm = int64(e.Layout.CodeBase) + targetOff
 	// New bytes at target: trap instruction (opcode + imm64 little endian).
 	trapInst := isa.Inst{Op: isa.OpTrap, Imm: int64(isa.TrapExplicit)}
-	trapBytes := isa.AppendEncode(nil, &trapInst)
+	trapBytes := asm.AppendEncode(nil, &trapInst)
 	var imm uint64
 	for i := 7; i >= 0; i-- {
 		imm = imm<<8 | uint64(trapBytes[i])
@@ -590,7 +591,7 @@ func TestSelfModifyingCodeInvalidatesICache(t *testing.T) {
 	var text []byte
 	for _, in := range []isa.Inst{movRBX, movRAX, store, hlt} {
 		in := in
-		text = isa.AppendEncode(text, &in)
+		text = asm.AppendEncode(text, &in)
 	}
 	// Pad so the 9-byte trap encoding fits beyond the hlt.
 	text = append(text, make([]byte, 8)...)
@@ -774,9 +775,9 @@ func TestStraddlingCodeWriteInvalidatesBothPages(t *testing.T) {
 	b := isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: 0x0000_0000_0000_1111}
 	a2 := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 0x7766_5544_3322_1100}
 	b2 := isa.Inst{Op: isa.OpMovRI, Dst: isa.RBX, Imm: 0x0000_0000_0000_2222}
-	oldText := isa.AppendEncode(isa.AppendEncode(nil, &a), &b)
-	newText := isa.AppendEncode(isa.AppendEncode(nil, &a2), &b2)
-	na := isa.EncodedLen(&a)
+	oldText := asm.AppendEncode(asm.AppendEncode(nil, &a), &b)
+	newText := asm.AppendEncode(asm.AppendEncode(nil, &a2), &b2)
+	na := asm.EncodedLen(&a)
 	for i := range oldText {
 		if oldText[i] != newText[i] && (i < na-4 || i >= na+4) {
 			t.Fatalf("encodings differ at byte %d, outside the 8-byte window", i)

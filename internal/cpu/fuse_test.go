@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
 	"deflection/internal/disasm"
@@ -42,7 +43,7 @@ func instance(t policy.Template, anchor isa.Inst, l enclave.Layout) []isa.Inst {
 	for k := range steps {
 		if steps[k].Local {
 			for j := k + 1; j < last; j++ {
-				insts[k].Imm += int64(isa.EncodedLen(&insts[j]))
+				insts[k].Imm += int64(asm.EncodedLen(&insts[j]))
 			}
 		}
 	}
@@ -72,7 +73,7 @@ func loadFused(t *testing.T, cfg Config, prog []isa.Inst) *CPU {
 	}
 	var text []byte
 	for k := range prog {
-		text = isa.AppendEncode(text, &prog[k])
+		text = asm.AppendEncode(text, &prog[k])
 	}
 	if f := e.Mem.Write(e.Layout.CodeBase, text); f != nil {
 		t.Fatal(f)
@@ -197,7 +198,7 @@ func TestFusedTemplatesMatchStepLoop(t *testing.T) {
 			prog := instance(policy.StoreGuard, heapStore, l)
 			in := prog[3]
 			in.Imm = int64(l.StackHi)
-			c.Mem.Write(l.CodeBase+offsets(prog)[3], isa.AppendEncode(nil, &in))
+			c.Mem.Write(l.CodeBase+offsets(prog)[3], asm.AppendEncode(nil, &in))
 		}, 0, Result{Status: StatusTrap, Trap: isa.TrapStoreBounds, ExitValue: int64(l.HeapBase + 8)}},
 		{"store-guard gas inside", policy.StoreGuard, &heapStore, func(c *CPU) {
 			c.cfg.Gas = c.insts + 9

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/enclave"
 	"deflection/internal/isa"
 	"deflection/internal/policy"
@@ -222,7 +223,7 @@ func mutateStep(in *isa.Inst, local bool, sel byte) bool {
 func (p *fuzzProg) encode(base uint64) ([]byte, []uint64) {
 	off := make([]uint64, len(p.insts)+1)
 	for i := range p.insts {
-		off[i+1] = off[i] + uint64(isa.EncodedLen(&p.insts[i]))
+		off[i+1] = off[i] + uint64(asm.EncodedLen(&p.insts[i]))
 	}
 	var text []byte
 	for i := range p.insts {
@@ -238,7 +239,7 @@ func (p *fuzzProg) encode(base uint64) ([]byte, []uint64) {
 				in.Mem.Disp += int32(to)
 			}
 		}
-		text = isa.AppendEncode(text, &in)
+		text = asm.AppendEncode(text, &in)
 	}
 	slots := make([]uint64, len(p.slot))
 	for s, i := range p.slot {

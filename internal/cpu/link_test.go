@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/enclave"
 	"deflection/internal/isa"
 )
@@ -14,7 +15,7 @@ import (
 func offsets(prog []isa.Inst) []uint64 {
 	offs := make([]uint64, len(prog)+1)
 	for i := range prog {
-		offs[i+1] = offs[i] + uint64(isa.EncodedLen(&prog[i]))
+		offs[i+1] = offs[i] + uint64(asm.EncodedLen(&prog[i]))
 	}
 	return offs
 }
@@ -87,12 +88,12 @@ func TestStoreRewritesLinkedBranchTarget(t *testing.T) {
 	prog[4].Imm = rel(offs, 4, 6)
 	prog[6].Imm = rel(offs, 6, 7)
 	prog[9].Imm = rel(offs, 9, 2)
-	patched := isa.AppendEncode(nil, &isa.Inst{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 100})
+	patched := asm.AppendEncode(nil, &isa.Inst{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 100})
 	prog[1].Imm = int64(binary.LittleEndian.Uint64(patched))
 	c, e := load(t, Config{}, prog...)
 	base := e.Layout.CodeBase
 	prog[0].Imm = int64(base + offs[7])
-	if f := e.Mem.Write(base, isa.AppendEncode(nil, &prog[0])); f != nil {
+	if f := e.Mem.Write(base, asm.AppendEncode(nil, &prog[0])); f != nil {
 		t.Fatal(f)
 	}
 	for c.RIP != base+offs[5] {
@@ -133,12 +134,12 @@ func TestSetPermRemovesXFromLinkedTarget(t *testing.T) {
 	c, e := load(t, cfg, loop...)
 	target := e.Layout.CodeBase + enclave.PageSize
 	loop[1].Imm = int64(target - (e.Layout.CodeBase + offs[2]))
-	if f := e.Mem.Write(e.Layout.CodeBase+offs[1], isa.AppendEncode(nil, &loop[1])); f != nil {
+	if f := e.Mem.Write(e.Layout.CodeBase+offs[1], asm.AppendEncode(nil, &loop[1])); f != nil {
 		t.Fatal(f)
 	}
 	var body []byte
-	body = isa.AppendEncode(body, &isa.Inst{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 1})
-	body = isa.AppendEncode(body, &isa.Inst{Op: isa.OpRet})
+	body = asm.AppendEncode(body, &isa.Inst{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 1})
+	body = asm.AppendEncode(body, &isa.Inst{Op: isa.OpRet})
 	if f := e.Mem.Write(target, body); f != nil {
 		t.Fatal(f)
 	}
@@ -209,7 +210,7 @@ func TestIndexBoundedNearWindowEdge(t *testing.T) {
 		{icacheCap + 16, 1 << 20},
 	} {
 		addr := e.Layout.CodeBase + tc.off
-		if f := e.Mem.Write(addr, isa.AppendEncode(nil, &isa.Inst{Op: isa.OpHlt})); f != nil {
+		if f := e.Mem.Write(addr, asm.AppendEncode(nil, &isa.Inst{Op: isa.OpHlt})); f != nil {
 			t.Fatal(f)
 		}
 		c := New(e, Config{})

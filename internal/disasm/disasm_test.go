@@ -4,13 +4,14 @@ import (
 	"errors"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
 )
 
 func encode(insts ...isa.Inst) []byte {
 	var b []byte
 	for i := range insts {
-		b = isa.AppendEncode(b, &insts[i])
+		b = asm.AppendEncode(b, &insts[i])
 	}
 	return b
 }
@@ -39,11 +40,11 @@ func TestDisassembleFollowsControlFlow(t *testing.T) {
 	// L: hlt
 	dead := []byte{0xFF, 0xFF, 0xFF}
 	jmp := isa.Inst{Op: isa.OpJmp, Imm: int64(len(dead))}
-	text := isa.AppendEncode(nil, &jmp)
+	text := asm.AppendEncode(nil, &jmp)
 	text = append(text, dead...)
 	hltOff := int64(len(text))
 	hlt := isa.Inst{Op: isa.OpHlt}
-	text = isa.AppendEncode(text, &hlt)
+	text = asm.AppendEncode(text, &hlt)
 
 	r, err := Disassemble(text, []int64{0})
 	if err != nil {
@@ -67,7 +68,7 @@ func TestDisassembleJccBothEdges(t *testing.T) {
 	// 3: hlt
 	cmp := isa.Inst{Op: isa.OpCmpRI, Dst: isa.RAX, Imm: 0}
 	nop := isa.Inst{Op: isa.OpNop}
-	je := isa.Inst{Op: isa.OpJcc, Cond: isa.CondE, Imm: int64(isa.EncodedLen(&nop))}
+	je := isa.Inst{Op: isa.OpJcc, Cond: isa.CondE, Imm: int64(asm.EncodedLen(&nop))}
 	hlt := isa.Inst{Op: isa.OpHlt}
 	text := encode(cmp, je, nop, hlt)
 	r, err := Disassemble(text, []int64{0})
@@ -90,7 +91,7 @@ func TestDisassembleIndirectNeedsList(t *testing.T) {
 	bm := isa.Inst{Op: isa.OpBrMark, Imm: isa.BrMarkMagic56}
 	hlt := isa.Inst{Op: isa.OpHlt}
 	text := encode(jr, bm, hlt)
-	markOff := int64(isa.EncodedLen(&jr))
+	markOff := int64(asm.EncodedLen(&jr))
 
 	r, err := Disassemble(text, []int64{0})
 	if err != nil {
@@ -158,7 +159,7 @@ func TestDisassembleCallFallthrough(t *testing.T) {
 	// call f; hlt; f: ret
 	hlt := isa.Inst{Op: isa.OpHlt}
 	ret := isa.Inst{Op: isa.OpRet}
-	call := isa.Inst{Op: isa.OpCall, Imm: int64(isa.EncodedLen(&hlt))}
+	call := isa.Inst{Op: isa.OpCall, Imm: int64(asm.EncodedLen(&hlt))}
 	text := encode(call, hlt, ret)
 	r, err := Disassemble(text, []int64{0})
 	if err != nil {
@@ -167,7 +168,7 @@ func TestDisassembleCallFallthrough(t *testing.T) {
 	if len(r.Insts) != 3 {
 		t.Fatalf("decoded %d instructions, want 3", len(r.Insts))
 	}
-	callLen := int64(isa.EncodedLen(&call))
+	callLen := int64(asm.EncodedLen(&call))
 	if i, ok := r.Index(callLen); !ok || !r.Leader[i] {
 		t.Error("call fall-through should start a block")
 	}

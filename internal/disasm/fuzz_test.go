@@ -3,6 +3,7 @@ package disasm
 import (
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/isa"
 )
 
@@ -21,10 +22,10 @@ func FuzzDisassemble(f *testing.F) {
 	// Control flow over dead bytes, both jcc edges, a call.
 	dead := []byte{0xFF, 0xFF, 0xFF}
 	jmp := isa.Inst{Op: isa.OpJmp, Imm: int64(len(dead))}
-	text := isa.AppendEncode(nil, &jmp)
+	text := asm.AppendEncode(nil, &jmp)
 	text = append(text, dead...)
 	hlt := isa.Inst{Op: isa.OpHlt}
-	text = isa.AppendEncode(text, &hlt)
+	text = asm.AppendEncode(text, &hlt)
 	f.Add(text, int64(0))
 
 	f.Add(encode(

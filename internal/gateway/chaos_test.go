@@ -19,6 +19,7 @@ import (
 	"deflection/internal/gateway"
 	"deflection/internal/obs"
 	"deflection/internal/policy"
+	"deflection/internal/ra"
 	"deflection/internal/vplane"
 )
 
@@ -302,7 +303,7 @@ func TestGatewayChaosKillPrimaryMidBurst(t *testing.T) {
 
 	// Seed session: pays the one and only cold verification and publishes
 	// the certificate.
-	if err := ccaas.Retry(gwDialer(addr, route), f.as, f.meas, attest.RoleCodeProvider,
+	if err := ccaas.Retry(gwDialer(addr, route), f.as, f.meas, ra.RoleCodeProvider,
 		rc(1), fleetSession(t, obj, []byte{5, 10, 15}, 30)); err != nil {
 		t.Fatalf("seed session: %v", err)
 	}
@@ -333,7 +334,7 @@ func TestGatewayChaosKillPrimaryMidBurst(t *testing.T) {
 			defer wg.Done()
 			input := []byte{byte(i + 1), byte(i + 2)}
 			want := int64(input[0]) + int64(input[1])
-			errs <- ccaas.Retry(gwDialer(addr, route), f.as, f.meas, attest.RoleCodeProvider,
+			errs <- ccaas.Retry(gwDialer(addr, route), f.as, f.meas, ra.RoleCodeProvider,
 				rc(int64(i+2)), fleetSession(t, obj, input, want))
 		}(i)
 	}
@@ -351,7 +352,7 @@ func TestGatewayChaosKillPrimaryMidBurst(t *testing.T) {
 	// the primary is gone, so they must complete on a survivor, installing
 	// from the certificate.
 	for i := 0; i < 2; i++ {
-		if err := ccaas.Retry(gwDialer(addr, route), f.as, f.meas, attest.RoleCodeProvider,
+		if err := ccaas.Retry(gwDialer(addr, route), f.as, f.meas, ra.RoleCodeProvider,
 			rc(int64(100+i)), fleetSession(t, obj, []byte{7, 7}, 14)); err != nil {
 			t.Fatalf("post-kill session %d: %v", i, err)
 		}
@@ -420,7 +421,7 @@ func TestGatewayChaosStalledBackendFailover(t *testing.T) {
 
 	obj := fleetBinary(t)
 	start := time.Now()
-	err = ccaas.Retry(gwDialer(ln.Addr().String(), nil), f.as, f.meas, attest.RoleCodeProvider,
+	err = ccaas.Retry(gwDialer(ln.Addr().String(), nil), f.as, f.meas, ra.RoleCodeProvider,
 		ccaas.RetryConfig{Attempts: 3, BaseDelay: 10 * time.Millisecond},
 		fleetSession(t, obj, []byte{1, 2, 3}, 6))
 	if err != nil {
@@ -447,7 +448,7 @@ func TestGatewayChaosBreakerRecoversAfterRestart(t *testing.T) {
 	digest := sha256.Sum256(obj)
 	route := digest[:]
 	run := func(seed int64) error {
-		return ccaas.Retry(gwDialer(addr, route), f.as, f.meas, attest.RoleCodeProvider,
+		return ccaas.Retry(gwDialer(addr, route), f.as, f.meas, ra.RoleCodeProvider,
 			ccaas.RetryConfig{Attempts: 8, BaseDelay: 25 * time.Millisecond, Seed: seed},
 			fleetSession(t, obj, []byte{2, 3}, 5))
 	}
@@ -517,7 +518,7 @@ func TestGatewayChaosDrainNoGoroutineLeaks(t *testing.T) {
 		obj := fleetBinary(t)
 		digest := sha256.Sum256(obj)
 		for i := 0; i < 3; i++ {
-			if err := ccaas.Retry(gwDialer(addr, digest[:]), f.as, f.meas, attest.RoleCodeProvider,
+			if err := ccaas.Retry(gwDialer(addr, digest[:]), f.as, f.meas, ra.RoleCodeProvider,
 				ccaas.RetryConfig{Attempts: 4, BaseDelay: 20 * time.Millisecond, Seed: int64(i + 1)},
 				fleetSession(t, obj, []byte{1, 1}, 2)); err != nil {
 				t.Fatalf("session %d: %v", i, err)

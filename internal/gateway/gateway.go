@@ -42,9 +42,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deflection/attest"
 	"deflection/internal/ccaas"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 	"deflection/internal/tenant"
 )
 
@@ -103,7 +103,7 @@ func WritePreambleTagged(w io.Writer, route []byte, id obs.TraceID, tenantToken 
 	if err != nil {
 		return fmt.Errorf("gateway: %w", err)
 	}
-	return attest.WriteFrame(w, payload)
+	return ra.WriteFrame(w, payload)
 }
 
 // ErrNotPreamble is returned when a connection's first frame is not a
@@ -116,7 +116,7 @@ var ErrNotPreamble = errors.New("gateway: connection did not start with a routin
 // label is returned raw; admission normalises it (empty → anonymous,
 // overlong → truncated) so a hostile label cannot grow state.
 func readPreamble(r io.Reader) ([]byte, obs.TraceID, string, error) {
-	frame, err := attest.ReadFrame(r)
+	frame, err := ra.ReadFrame(r)
 	if err != nil {
 		return nil, 0, "", err
 	}
@@ -349,7 +349,7 @@ func (g *Gateway) connect(b *backend, helloTimeout time.Duration) (net.Conn, []b
 		return nil, nil, err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	hello, err := attest.ReadFrame(conn)
+	hello, err := ra.ReadFrame(conn)
 	if err != nil {
 		conn.Close()
 		return nil, nil, fmt.Errorf("gateway: backend hello: %w", err)
@@ -443,7 +443,7 @@ func (g *Gateway) replyBusy(conn net.Conn, reason string, retryAfter time.Durati
 		return
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	_ = attest.WriteFrame(conn, payload)
+	_ = ra.WriteFrame(conn, payload)
 	_ = conn.SetWriteDeadline(time.Time{})
 }
 
@@ -582,7 +582,7 @@ func (g *Gateway) splice(sid int64, tid obs.TraceID, b *backend, client, upstrea
 		upstream.Close()
 	}()
 
-	if err := attest.WriteFrame(client, hello); err != nil {
+	if err := ra.WriteFrame(client, hello); err != nil {
 		return fmt.Errorf("gateway: session %d forwarding hello: %w", sid, err)
 	}
 

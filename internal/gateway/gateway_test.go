@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"deflection/attest"
 	"deflection/internal/ccaas"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 )
 
 // fakeBackend is a minimal stand-in for a deflection-serve process: on
@@ -65,15 +65,15 @@ func (b *fakeBackend) serve() {
 			defer b.wg.Done()
 			defer conn.Close()
 			hello, _ := json.Marshal(fakeHello{Backend: b.id})
-			if err := attest.WriteFrame(conn, hello); err != nil {
+			if err := ra.WriteFrame(conn, hello); err != nil {
 				return
 			}
 			for {
-				frame, err := attest.ReadFrame(conn)
+				frame, err := ra.ReadFrame(conn)
 				if err != nil {
 					return
 				}
-				if err := attest.WriteFrame(conn, frame); err != nil {
+				if err := ra.WriteFrame(conn, frame); err != nil {
 					return
 				}
 			}
@@ -142,7 +142,7 @@ func runSession(t *testing.T, addr string, route []byte) (string, error) {
 	if err := WritePreamble(conn, route); err != nil {
 		return "", err
 	}
-	frame, err := attest.ReadFrame(conn)
+	frame, err := ra.ReadFrame(conn)
 	if err != nil {
 		return "", err
 	}
@@ -154,10 +154,10 @@ func runSession(t *testing.T, addr string, route []byte) (string, error) {
 	if err := json.Unmarshal(frame, &hello); err != nil || hello.Backend == "" {
 		return "", fmt.Errorf("unexpected first frame %q", frame)
 	}
-	if err := attest.WriteFrame(conn, []byte("ping")); err != nil {
+	if err := ra.WriteFrame(conn, []byte("ping")); err != nil {
 		return "", err
 	}
-	echo, err := attest.ReadFrame(conn)
+	echo, err := ra.ReadFrame(conn)
 	if err != nil {
 		return "", err
 	}
@@ -221,7 +221,7 @@ func TestGatewayUnroutedPrefersLeastLoaded(t *testing.T) {
 	if err := WritePreamble(hold, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attest.ReadFrame(hold); err != nil {
+	if _, err := ra.ReadFrame(hold); err != nil {
 		t.Fatal(err)
 	}
 	// The held session went to b0 (identity order at equal load). Wait for
@@ -399,10 +399,10 @@ func TestGatewayRejectsWithoutPreamble(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := attest.WriteFrame(conn, []byte(`{"not":"a preamble"}`)); err != nil {
+	if err := ra.WriteFrame(conn, []byte(`{"not":"a preamble"}`)); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := attest.ReadFrame(conn)
+	frame, err := ra.ReadFrame(conn)
 	if err != nil {
 		t.Fatalf("no reply to bad preamble: %v", err)
 	}
@@ -429,7 +429,7 @@ func TestGatewayMaxSessions(t *testing.T) {
 	if err := WritePreamble(hold, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attest.ReadFrame(hold); err != nil {
+	if _, err := ra.ReadFrame(hold); err != nil {
 		t.Fatal(err)
 	}
 	_, err = runSession(t, addr, nil)
@@ -460,7 +460,7 @@ func TestGatewayDrainWaitsForSessions(t *testing.T) {
 	if err := WritePreamble(hold, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attest.ReadFrame(hold); err != nil {
+	if _, err := ra.ReadFrame(hold); err != nil {
 		t.Fatal(err)
 	}
 
@@ -508,7 +508,7 @@ func TestGatewayShutdownForceClosesOnDeadline(t *testing.T) {
 	if err := WritePreamble(hold, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := attest.ReadFrame(hold); err != nil {
+	if _, err := ra.ReadFrame(hold); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -15,10 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"deflection/attest"
 	"deflection/internal/ccaas"
 	"deflection/internal/gateway"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 	"deflection/internal/tenant"
 )
 
@@ -89,7 +89,7 @@ default free
 		// Seed: pay the fleet's one cold verification before the overload so
 		// flood sessions are uniformly fast.
 		if err := ccaas.Retry(gwTenantDialer(addr, route, "vip"), f.as, f.meas,
-			attest.RoleCodeProvider, oneShot, fleetSession(t, obj, []byte{1, 2}, 3)); err != nil {
+			ra.RoleCodeProvider, oneShot, fleetSession(t, obj, []byte{1, 2}, 3)); err != nil {
 			t.Fatalf("seed session: %v", err)
 		}
 
@@ -115,7 +115,7 @@ default free
 				token := fmt.Sprintf("free-%d", ft)
 				for i := 0; i < freePerTenant; i++ {
 					err := ccaas.Retry(gwTenantDialer(addr, route, token), f.as, f.meas,
-						attest.RoleCodeProvider, oneShot, fleetSession(t, obj, []byte{1, 1}, 2))
+						ra.RoleCodeProvider, oneShot, fleetSession(t, obj, []byte{1, 1}, 2))
 					switch {
 					case err == nil:
 						freeOK.Add(1)
@@ -135,7 +135,7 @@ default free
 			defer wg.Done()
 			for i := 0; i < premiumSessions; i++ {
 				err := ccaas.Retry(gwTenantDialer(addr, route, "vip"), f.as, f.meas,
-					attest.RoleCodeProvider, oneShot, fleetSession(t, obj, []byte{3, 4}, 7))
+					ra.RoleCodeProvider, oneShot, fleetSession(t, obj, []byte{3, 4}, 7))
 				if err != nil {
 					premiumFails <- fmt.Errorf("premium session %d: %w", i, err)
 					return

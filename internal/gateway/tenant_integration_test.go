@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"deflection/attest"
 	"deflection/internal/ccaas"
+	"deflection/internal/ra"
 	"deflection/internal/tenant"
 )
 
@@ -38,7 +38,7 @@ func holdTenantSession(t *testing.T, addr, token string) net.Conn {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := attest.ReadFrame(conn)
+	frame, err := ra.ReadFrame(conn)
 	if err != nil {
 		conn.Close()
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func runTenantSession(t *testing.T, addr, token string) (*ccaas.GatewayStatus, e
 	if err := WritePreambleTagged(conn, nil, 0, token); err != nil {
 		return nil, err
 	}
-	frame, err := attest.ReadFrame(conn)
+	frame, err := ra.ReadFrame(conn)
 	if err != nil {
 		return nil, err
 	}
@@ -74,10 +74,10 @@ func runTenantSession(t *testing.T, addr, token string) (*ccaas.GatewayStatus, e
 	if err := json.Unmarshal(frame, &gs); err == nil && gs.GatewayBusy {
 		return &gs, fmt.Errorf("%w: %s", ccaas.ErrGatewayBusy, gs.Error)
 	}
-	if err := attest.WriteFrame(conn, []byte("ping")); err != nil {
+	if err := ra.WriteFrame(conn, []byte("ping")); err != nil {
 		return nil, err
 	}
-	if echo, err := attest.ReadFrame(conn); err != nil {
+	if echo, err := ra.ReadFrame(conn); err != nil {
 		return nil, err
 	} else if string(echo) != "ping" {
 		return nil, fmt.Errorf("echo %q", echo)

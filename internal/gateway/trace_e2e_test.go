@@ -11,10 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"deflection/attest"
 	"deflection/internal/ccaas"
 	"deflection/internal/gateway"
 	"deflection/internal/obs"
+	"deflection/internal/ra"
 )
 
 // TestTraceCorrelationEndToEnd is the tracing acceptance case: a client
@@ -66,7 +66,7 @@ func TestTraceCorrelationEndToEnd(t *testing.T) {
 		}
 		return conn, nil
 	}
-	err = ccaas.Retry(dial, f.as, f.meas, attest.RoleCodeProvider, ccaas.RetryConfig{},
+	err = ccaas.Retry(dial, f.as, f.meas, ra.RoleCodeProvider, ccaas.RetryConfig{},
 		func(c *ccaas.Client) error {
 			if err := c.SendTrace(tid); err != nil {
 				return err

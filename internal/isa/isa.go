@@ -15,7 +15,8 @@
 // by format-specific operand bytes) so that the recursive-descent
 // disassembler, the verifier's byte-precise annotation matching, and the
 // loader's immediate-operand rewriting all face the same problems they face
-// on real machine code.
+// on real machine code. This package decodes; the encoder is in
+// internal/asm, which only the generators link.
 package isa
 
 import "fmt"

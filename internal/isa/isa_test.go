@@ -1,9 +1,9 @@
 package isa
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestRegString(t *testing.T) {
@@ -135,177 +135,6 @@ func TestModifiesRSP(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	insts := []Inst{
-		{Op: OpNop},
-		{Op: OpRet},
-		{Op: OpHlt},
-		{Op: OpMovRI, Dst: RAX, Imm: -1},
-		{Op: OpMovRI, Dst: R15, Imm: 0x3FFFFFFFFFFFFFFF},
-		{Op: OpMovRR, Dst: RBX, Src: RCX},
-		{Op: OpMovRM, Dst: RAX, Mem: MemSIB(RBX, RCX, 8, -128)},
-		{Op: OpMovMR, Src: RDX, Mem: Mem(RBP, -16)},
-		{Op: OpMovBRM, Dst: RAX, Mem: Mem(RSI, 3)},
-		{Op: OpMovBMR, Src: RAX, Mem: MemSIB(RDI, RAX, 1, 0)},
-		{Op: OpMovMI, Mem: Abs(0x7FFF0010), Imm: 0x5A5AD00D},
-		{Op: OpLea, Dst: RAX, Mem: MemSIB(RSP, R9, 4, 32)},
-		{Op: OpPush, Dst: RBX},
-		{Op: OpPop, Dst: R13},
-		{Op: OpAddRR, Dst: RAX, Src: RBX},
-		{Op: OpIdivRR, Dst: RAX, Src: RCX},
-		{Op: OpShlRI, Dst: RDX, Imm: 3},
-		{Op: OpNeg, Dst: RAX},
-		{Op: OpCmpRI, Dst: RSP, Imm: 0x5FFFFFFFFFFFFFFF},
-		{Op: OpTestRR, Dst: RAX, Src: RAX},
-		{Op: OpFAdd, Dst: RAX, Src: RBX},
-		{Op: OpFSqrt, Dst: RCX},
-		{Op: OpCvtIF, Dst: RAX},
-		{Op: OpJmp, Imm: -5},
-		{Op: OpJcc, Cond: CondLE, Imm: 1024},
-		{Op: OpJmpR, Dst: RAX},
-		{Op: OpCall, Imm: 0},
-		{Op: OpCallR, Dst: R11},
-		{Op: OpBrMark, Imm: BrMarkMagic56},
-		{Op: OpOcall, Imm: 2},
-		{Op: OpTrap, Imm: int64(TrapStoreBounds)},
-	}
-	for _, in := range insts {
-		in := in
-		b := AppendEncode(nil, &in)
-		if len(b) != EncodedLen(&in) {
-			t.Errorf("%s: encoded %d bytes, EncodedLen says %d", in.String(), len(b), EncodedLen(&in))
-		}
-		got, n, err := Decode(b)
-		if err != nil {
-			t.Fatalf("%s: decode error: %v", in.String(), err)
-		}
-		if n != len(b) {
-			t.Errorf("%s: decode consumed %d of %d bytes", in.String(), n, len(b))
-		}
-		// Normalise scale: encoder maps 0 to 1.
-		want := in
-		if want.Op.Format() == FmtRM || want.Op.Format() == FmtMR || want.Op.Format() == FmtMI {
-			if want.Mem.Scale == 0 {
-				want.Mem.Scale = 1
-			}
-		}
-		if got != want {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
-		t.Error("decoding empty buffer should fail")
-	}
-	if _, _, err := Decode([]byte{0}); err == nil {
-		t.Error("decoding opcode 0 should fail")
-	}
-	if _, _, err := Decode([]byte{255}); err == nil {
-		t.Error("decoding opcode 255 should fail")
-	}
-	// Truncated MOV ri.
-	full := AppendEncode(nil, &Inst{Op: OpMovRI, Dst: RAX, Imm: 42})
-	for cut := 1; cut < len(full); cut++ {
-		if _, _, err := Decode(full[:cut]); err == nil {
-			t.Errorf("decoding %d-byte prefix of mov ri should fail", cut)
-		}
-	}
-	// Invalid register byte.
-	if _, _, err := Decode([]byte{byte(OpPush), 200}); err == nil {
-		t.Error("push with register 200 should fail to decode")
-	}
-	// Invalid condition byte.
-	bad := AppendEncode(nil, &Inst{Op: OpJcc, Cond: CondE, Imm: 4})
-	bad[1] = 0
-	if _, _, err := Decode(bad); err == nil {
-		t.Error("jcc with condition 0 should fail to decode")
-	}
-}
-
-// randInst builds a random but valid instruction for property testing.
-func randInst(r *rand.Rand) Inst {
-	ops := []Op{
-		OpMovRI, OpMovRR, OpMovRM, OpMovMR, OpMovBRM, OpMovBMR, OpMovMI,
-		OpLea, OpPush, OpPop, OpAddRR, OpSubRR, OpImulRR, OpIdivRR,
-		OpAndRI, OpXorRR, OpShlRI, OpNeg, OpCmpRR, OpCmpRI, OpTestRR,
-		OpFAdd, OpFMul, OpFSqrt, OpCvtFI, OpJmp, OpJcc, OpJmpR, OpCall,
-		OpCallR, OpRet, OpBrMark, OpOcall, OpHlt, OpTrap, OpNop,
-	}
-	in := Inst{Op: ops[r.Intn(len(ops))]}
-	in.Dst = Reg(r.Intn(NumRegs))
-	in.Src = Reg(r.Intn(NumRegs))
-	switch in.Op.Format() {
-	case FmtRI, FmtMI, FmtI:
-		in.Imm = int64(r.Uint64())
-	case FmtRel:
-		in.Imm = int64(int32(r.Uint32()))
-	case FmtCondRel:
-		in.Cond = Cond(1 + r.Intn(int(numConds)-1))
-		in.Imm = int64(int32(r.Uint32()))
-	}
-	switch in.Op.Format() {
-	case FmtRM, FmtMR, FmtMI:
-		in.Mem = MemRef{
-			Base:     Reg(r.Intn(NumRegs)),
-			Index:    Reg(r.Intn(NumRegs)),
-			Scale:    uint8(1 << r.Intn(4)),
-			Disp:     int32(r.Uint32()),
-			HasBase:  r.Intn(2) == 0,
-			HasIndex: r.Intn(2) == 0,
-		}
-		if !in.Mem.HasBase {
-			in.Mem.Base = 0
-		}
-		if !in.Mem.HasIndex {
-			in.Mem.Index = 0
-			in.Mem.Scale = 1
-		}
-	}
-	// Zero fields the format does not carry so equality holds after decode.
-	switch in.Op.Format() {
-	case FmtNone:
-		in = Inst{Op: in.Op}
-	case FmtR:
-		in = Inst{Op: in.Op, Dst: in.Dst}
-	case FmtRR:
-		in = Inst{Op: in.Op, Dst: in.Dst, Src: in.Src}
-	case FmtRI:
-		in = Inst{Op: in.Op, Dst: in.Dst, Imm: in.Imm}
-	case FmtRM:
-		in = Inst{Op: in.Op, Dst: in.Dst, Mem: in.Mem}
-	case FmtMR:
-		in = Inst{Op: in.Op, Src: in.Src, Mem: in.Mem}
-	case FmtMI:
-		in = Inst{Op: in.Op, Mem: in.Mem, Imm: in.Imm}
-	case FmtI:
-		in = Inst{Op: in.Op, Imm: in.Imm}
-	case FmtRel:
-		in = Inst{Op: in.Op, Imm: in.Imm}
-	case FmtCondRel:
-		in = Inst{Op: in.Op, Cond: in.Cond, Imm: in.Imm}
-	}
-	return in
-}
-
-func TestEncodeDecodeQuick(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	f := func() bool {
-		in := randInst(r)
-		b := AppendEncode(nil, &in)
-		got, n, err := Decode(b)
-		if err != nil || n != len(b) {
-			t.Logf("inst %+v: err=%v n=%d len=%d", in, err, n, len(b))
-			return false
-		}
-		return got == in
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDecodeNeverPanicsOnGarbage(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	buf := make([]byte, MaxInstLen)
@@ -320,55 +149,41 @@ func TestDecodeNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
-func TestImmAndDispOffsets(t *testing.T) {
-	in := Inst{Op: OpMovRI, Dst: RBX, Imm: 0x1122334455667788}
-	b := AppendEncode(nil, &in)
-	off := ImmOffset(&in)
-	if off != 2 {
-		t.Fatalf("ImmOffset(mov ri) = %d, want 2", off)
-	}
-	if b[off] != 0x88 || b[off+7] != 0x11 {
-		t.Error("imm64 not at reported offset")
-	}
-
-	mi := Inst{Op: OpMovMI, Mem: Mem(RBX, 0x10), Imm: 0x55}
-	bmi := AppendEncode(nil, &mi)
-	moff := ImmOffset(&mi)
-	if bmi[moff] != 0x55 {
-		t.Errorf("MI imm not at reported offset %d", moff)
-	}
-
-	st := Inst{Op: OpMovMR, Src: RAX, Mem: MemSIB(RBX, RCX, 8, 0x11223344)}
-	bst := AppendEncode(nil, &st)
-	doff := DispOffset(&st)
-	if bst[doff] != 0x44 || bst[doff+3] != 0x11 {
-		t.Errorf("disp32 not at reported offset %d", doff)
-	}
-	if DispOffset(&in) != -1 {
-		t.Error("DispOffset on non-memory instruction should be -1")
-	}
-	if ImmOffset(&st) != -1 {
-		t.Error("ImmOffset on store-register instruction should be -1")
-	}
-}
-
-func TestBrMarkPattern(t *testing.T) {
-	in := Inst{Op: OpBrMark, Imm: BrMarkMagic56}
-	b := AppendEncode(nil, &in)
-	if len(b) < 8 {
-		t.Fatal("brmark encoding shorter than 8 bytes")
-	}
-	var got uint64
-	for i := 7; i >= 0; i-- {
-		got = got<<8 | uint64(b[i])
-	}
-	if got != BrMarkPattern() {
-		t.Errorf("first 8 bytes of brmark = %#x, want %#x", got, BrMarkPattern())
-	}
-}
-
 func TestTrapCodeString(t *testing.T) {
 	if TrapStoreBounds.String() == "" || TrapCode(999).String() == "" {
 		t.Error("trap codes should always render")
+	}
+}
+
+// TestDecodeTruncatedMemOperand: a memory operand cut off after its flags,
+// its base register or inside its disp32, and an MI store cut off inside
+// its imm64, are each rejected as truncated.
+func TestDecodeTruncatedMemOperand(t *testing.T) {
+	rm, mi := byte(OpMovRM), byte(OpMovMI)
+	cases := map[string][]byte{
+		"no base register":  {rm, byte(RAX), 0x01},
+		"no index register": {rm, byte(RAX), 0x03, byte(RBX)},
+		"short disp32":      {rm, byte(RAX), 0x00, 1, 2, 3},
+		"short imm64":       {mi, 0x00, 0, 0, 0, 0, 1, 2, 3},
+	}
+	for name, b := range cases {
+		if _, _, err := Decode(b); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
+		}
+	}
+	if got := ImmOffset(&Inst{Op: OpMovMI, Mem: MemSIB(RBX, RCX, 8, 0)}); got != 1+1+1+1+4 {
+		t.Errorf("ImmOffset(mov [rbx+rcx*8], imm) = %d, want 8", got)
+	}
+}
+
+func TestInvalidNamesRender(t *testing.T) {
+	if got := Cond(99).String(); got != "cond(99)" {
+		t.Errorf("Cond(99) = %q", got)
+	}
+	if got := Op(255).String(); got != "op(255)" {
+		t.Errorf("Op(255) = %q", got)
+	}
+	if got := OpInvalid.Format(); got != FmtNone {
+		t.Errorf("OpInvalid.Format() = %v, want FmtNone", got)
 	}
 }

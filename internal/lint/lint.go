@@ -3,7 +3,9 @@
 //
 // The whole DEFLECTION argument rests on the in-enclave code staying small
 // enough to audit: the bootstrap runtime, the loader, the verifier with its
-// disassembler, template matchers and CFG passes, and remote attestation.
+// disassembler, template matchers and CFG passes, and the enclave's side of
+// remote attestation (internal/ra; quoting, quote verification and the
+// parties' side live in the untrusted attest package).
 // DefaultConfig's roots are the one declaration of that set: the lint
 // walks their first-party import closure, Table I counts exactly the
 // packages the walk visits (less the HardwareModels), and make tcb-cover
@@ -15,8 +17,9 @@
 // The lint walks the import graph of the TCB root packages with go/parser
 // (ImportsOnly, no type checking, no build system) and rejects any chain
 // that reaches a forbidden package: the observability and service planes
-// (internal/obs, internal/ccaas, internal/vplane) and anything under the
-// net or os standard-library trees. Only first-party packages are
+// (internal/obs, internal/ccaas, internal/vplane), the assembler
+// (internal/asm, which only the untrusted generator runs) and anything under
+// the net or os standard-library trees. Only first-party packages are
 // traversed; the standard library below permitted imports (fmt, errors,
 // crypto/sha256, ...) is out of scope, exactly like the paper's TCB
 // accounting.
@@ -48,9 +51,9 @@ type Config struct {
 
 // DefaultConfig returns the repository's TCB rules: the in-enclave
 // packages — the bootstrap runtime, the verification packages, the
-// enclave model and remote attestation — may not reach the observability
-// plane, the service plane (including the session gateway), or the net/os
-// standard-library trees.
+// enclave model and the enclave's side of remote attestation — may not
+// reach the observability plane, the service plane (including the session
+// gateway), the assembler, or the net/os standard-library trees.
 func DefaultConfig(root string) Config {
 	return Config{
 		Root: root,
@@ -65,7 +68,7 @@ func DefaultConfig(root string) Config {
 			"internal/isa",
 			"internal/policy",
 			"internal/enclave",
-			"attest",
+			"internal/ra",
 		},
 		Forbidden: []string{
 			"internal/obs",
@@ -74,6 +77,7 @@ func DefaultConfig(root string) Config {
 			"internal/gateway",
 			"internal/fleet",
 			"internal/tenant",
+			"internal/asm",
 			"net",
 			"os",
 		},

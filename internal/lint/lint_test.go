@@ -28,6 +28,11 @@ func TestRepoTCBHygiene(t *testing.T) {
 			t.Errorf("hardware model %s is not in the walked trusted closure %v", pkg, rep.Packages)
 		}
 	}
+	// Quoting, quote verification and the parties' handshake run outside
+	// the enclave; the trusted set holds only internal/ra.
+	if slices.Contains(rep.Packages, rep.Module+"/attest") {
+		t.Errorf("the untrusted attest package is in the walked trusted closure %v", rep.Packages)
+	}
 }
 
 // write lays out a synthetic module for violation tests.
@@ -130,7 +135,8 @@ func TestForbiddenListPinned(t *testing.T) {
 	cfg := DefaultConfig(".")
 	want := []string{
 		"internal/obs", "internal/ccaas", "internal/vplane",
-		"internal/gateway", "internal/fleet", "internal/tenant", "net", "os",
+		"internal/gateway", "internal/fleet", "internal/tenant",
+		"internal/asm", "net", "os",
 	}
 	have := make(map[string]bool, len(cfg.Forbidden))
 	for _, f := range cfg.Forbidden {
@@ -218,7 +224,7 @@ func TestTCBRootsPinned(t *testing.T) {
 		"internal/runtime", "internal/verifier", "internal/cfa",
 		"internal/taint", "internal/order", "internal/disasm",
 		"internal/loader", "internal/isa", "internal/policy",
-		"internal/enclave", "attest",
+		"internal/enclave", "internal/ra",
 	}
 	if !slices.Equal(cfg.TCB, want) {
 		t.Errorf("DefaultConfig.TCB = %q, want %q", cfg.TCB, want)
@@ -246,6 +252,28 @@ import _ "example.test/internal/obs"
 	}
 	if len(rep.Findings) != 1 || rep.Findings[0].Import != "example.test/internal/obs" {
 		t.Fatalf("findings = %v, want one internal/obs", rep.Findings)
+	}
+}
+
+// TestDetectsAssemblerImport: the assembler runs only in the untrusted
+// generator; a verifier package that imports it to encode instructions must
+// be flagged, since the decoder in internal/isa is all the enclave needs.
+func TestDetectsAssemblerImport(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "go.mod", "module example.test\n\ngo 1.22\n")
+	write(t, root, "internal/verifier/v.go", `package verifier
+
+import _ "example.test/internal/asm"
+`)
+	write(t, root, "internal/asm/a.go", "package asm\n")
+	cfg := DefaultConfig(root)
+	cfg.TCB = []string{"internal/verifier"}
+	rep, err := Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || rep.Findings[0].Import != "example.test/internal/asm" {
+		t.Fatalf("findings = %v, want one internal/asm", rep.Findings)
 	}
 }
 

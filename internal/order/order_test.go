@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/cfa"
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
@@ -54,7 +55,7 @@ func link(t *testing.T, items []item) ([]byte, []int64) {
 	t.Helper()
 	offs := make([]int64, len(items)+1)
 	for i := range items {
-		offs[i+1] = offs[i] + int64(isa.EncodedLen(&items[i].in))
+		offs[i+1] = offs[i] + int64(asm.EncodedLen(&items[i].in))
 	}
 	var b []byte
 	for i := range items {
@@ -62,7 +63,7 @@ func link(t *testing.T, items []item) ([]byte, []int64) {
 		if items[i].target >= 0 {
 			in.Imm = offs[items[i].target] - offs[i+1]
 		}
-		b = isa.AppendEncode(b, &in)
+		b = asm.AppendEncode(b, &in)
 	}
 	return b, offs[:len(items)]
 }

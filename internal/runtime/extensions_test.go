@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/asmtext"
 	"deflection/internal/compiler"
 	"deflection/internal/cpu"
@@ -136,7 +137,7 @@ func TestCodeWriteReachesSiblingThreadICache(t *testing.T) {
 	// not the stale 11.
 	one := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 1}
 	two := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 2}
-	enc1, enc2 := isa.AppendEncode(nil, &one), isa.AppendEncode(nil, &two)
+	enc1, enc2 := asm.AppendEncode(nil, &one), asm.AppendEncode(nil, &two)
 	immOff := 0
 	for enc1[immOff] == enc2[immOff] {
 		immOff++

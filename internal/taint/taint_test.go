@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/cfa"
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
@@ -24,7 +25,7 @@ func testConfig() Config {
 func encode(insts ...isa.Inst) []byte {
 	var b []byte
 	for i := range insts {
-		b = isa.AppendEncode(b, &insts[i])
+		b = asm.AppendEncode(b, &insts[i])
 	}
 	return b
 }
@@ -172,7 +173,7 @@ func TestFindingsInAddressOrder(t *testing.T) {
 	}
 	offs := make([]int64, len(insts)+1)
 	for i := range insts {
-		offs[i+1] = offs[i] + int64(isa.EncodedLen(&insts[i]))
+		offs[i+1] = offs[i] + int64(asm.EncodedLen(&insts[i]))
 	}
 	insts[0].Imm = offs[5] - offs[1]
 	insts[5].Imm = offs[1] - offs[6]

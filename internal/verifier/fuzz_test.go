@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deflection/internal/apps"
+	"deflection/internal/asm"
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
 	"deflection/internal/disasm"
@@ -139,7 +140,7 @@ func mutateSpan(text []byte, r verifier.Range, kind, pos, val byte) {
 	case 7:
 		in.Mem.Scale = 1 << ((val >> 3) % 4)
 	}
-	if enc := isa.AppendEncode(nil, &in); len(enc) == size {
+	if enc := asm.AppendEncode(nil, &in); len(enc) == size {
 		copy(text[off:], enc)
 	}
 }

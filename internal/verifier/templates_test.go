@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"deflection/internal/asm"
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
 	"deflection/internal/policy"
@@ -57,7 +58,7 @@ func TestTemplateMutationsRejected(t *testing.T) {
 			for _, m := range stepMutations(res.Dis, s, in, res.Dis.Insts[first].Off) {
 				name := fmt.Sprintf("%s/step%d/%s", tc.name, k, m.field)
 				mutated := bytes.Clone(text)
-				enc := isa.AppendEncode(nil, &m.inst)
+				enc := asm.AppendEncode(nil, &m.inst)
 				if len(enc) != m.at.Len {
 					t.Fatalf("%s: re-encoding changes the length %d -> %d", name, m.at.Len, len(enc))
 				}

@@ -352,6 +352,10 @@ func TestOverloadSheds(t *testing.T) {
 
 	entered := make(chan struct{}, 3)
 	hold := make(chan struct{})
+	// Registered after p.Close, so it runs first: a failing check cannot
+	// leave Close waiting on the worker held in the hook.
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
 	p.SetVerifyHook(func() { entered <- struct{}{}; <-hold })
 
 	obj := compileObj(t, "int main() { return 5; }", policy.SetP1)
@@ -364,16 +368,18 @@ func TestOverloadSheds(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for _, gap := range []int{10, 20} {
+	submit := func(gap int) {
 		wg.Add(1)
-		go func(gap int) {
+		go func() {
 			defer wg.Done()
 			if _, _, err := p.Verify(context.Background(), obj, mfor(gap), l); err != nil {
 				t.Errorf("Verify(gap=%d): %v", gap, err)
 			}
-		}(gap)
+		}()
 	}
-	<-entered // first job occupies the only worker
+	submit(10)
+	<-entered // the first job occupies the only worker
+	submit(20)
 	deadline := time.Now().Add(10 * time.Second)
 	for reg.Gauge("vplane_queue_depth").Value() != 1 {
 		if time.Now().After(deadline) {
@@ -390,7 +396,7 @@ func TestOverloadSheds(t *testing.T) {
 		t.Errorf("overload_rejections = %d, want 1", got)
 	}
 
-	close(hold)
+	release()
 	wg.Wait()
 	if got := reg.Counter("vplane_verify_runs_total").Value(); got != 2 {
 		t.Errorf("runs = %d, want 2", got)
