@@ -35,18 +35,18 @@ lint:
 # in TCB_COVER_PKG_FLOORS (a walked package without an entry has no floor
 # of its own). The floors are the figures last recorded, rounded down to
 # 0.1%: a ratchet, raised as coverage grows, never lowered to pass.
-TCB_COVER_FLOOR = 94.8
+TCB_COVER_FLOOR = 95.5
 TCB_COVER_PKG_FLOORS = \
 	deflection/internal/cfa=97.1 \
-	deflection/internal/cpu=95.1 \
+	deflection/internal/cpu=98.6 \
 	deflection/internal/disasm=96.4 \
-	deflection/internal/enclave=95.9 \
+	deflection/internal/enclave=96.3 \
 	deflection/internal/isa=98.5 \
 	deflection/internal/loader=89.8 \
 	deflection/internal/obj=98.6 \
 	deflection/internal/order=100.0 \
 	deflection/internal/policy=100.0 \
-	deflection/internal/ra=94.5 \
+	deflection/internal/ra=100.0 \
 	deflection/internal/runtime=89.5 \
 	deflection/internal/stage=100.0 \
 	deflection/internal/taint=89.7 \

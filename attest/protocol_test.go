@@ -12,10 +12,7 @@ import (
 // session starts an enclave session and gets its quote over meas.
 func session(t *testing.T, p *Platform, meas [32]byte) (*ra.EnclaveSession, *ra.Quote) {
 	t.Helper()
-	sess, err := ra.NewEnclaveSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := ra.NewEnclaveSession()
 	q, err := p.Quote(meas, sess.ReportData())
 	if err != nil {
 		t.Fatal(err)

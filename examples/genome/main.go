@@ -41,10 +41,7 @@ func main() {
 
 	// ---- Key agreement over a real connection (paper Section III-A). The
 	// enclave generates its key; the host gets the platform's quote over it.
-	sess, err := ra.NewEnclaveSession()
-	if err != nil {
-		log.Fatal(err)
-	}
+	sess := ra.NewEnclaveSession()
 	quote, err := platform.Quote(encl.Measurement(), sess.ReportData())
 	if err != nil {
 		log.Fatal(err)

@@ -138,10 +138,7 @@ func (s *Server) Handle(transport io.ReadWriter) (err error) {
 		return err
 	}
 	attestStart := time.Now()
-	sess, err := ra.NewEnclaveSession()
-	if err != nil {
-		return err
-	}
+	sess := ra.NewEnclaveSession()
 	quote, err := s.cfg.Platform.Quote(meas, sess.ReportData())
 	if err != nil {
 		return err

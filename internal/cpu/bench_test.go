@@ -25,13 +25,14 @@ func stepLoop(unroll int, body ...isa.Inst) []isa.Inst {
 	return append(prog, jmp)
 }
 
-// BenchmarkStep times Run's loop per instruction class on hand-assembled
-// loops that never end. Each b.N iteration is one pass of the loop: one
-// Step, or one fused handler on the annotation-template classes, whose
-// templates are laid out as a loaded P1-P6 binary holds them. ns/inst is
-// the time per retired instruction. RBX points at the heap, RSI holds the
-// address of the loop's first instruction, the flags hold "equal", and
-// the SSA marker is armed.
+// BenchmarkStep times Run per instruction class on hand-assembled loops
+// that never end: each case runs Run once with b.N instructions of gas, so
+// that ns/op, like the ns/inst it reports, is the time per retired
+// instruction, linked stretches, fused handlers and the out-of-gas stop
+// included. The annotation-template classes lay their templates out as a
+// loaded P1-P6 binary holds them. RBX points at the heap, RSI holds the
+// address of the loop's first instruction, the flags hold "equal", and the
+// SSA marker is armed.
 func BenchmarkStep(b *testing.B) {
 	heap := isa.Mem(isa.RBX, 64)
 	// L: call f; jmp L; f: ret
@@ -68,7 +69,7 @@ func BenchmarkStep(b *testing.B) {
 			if f := e.Mem.Write64(e.Layout.SSAMarkerAddr(), policy.SSAMarkerMagic); f != nil {
 				b.Fatal(f)
 			}
-			c := New(e, Config{Gas: ^uint64(0)})
+			c := New(e, Config{Gas: uint64(b.N)})
 			c.RIP = e.Layout.CodeBase
 			c.Regs[isa.RSP] = e.Layout.StackHi
 			c.Regs[isa.RBX] = e.Layout.HeapBase
@@ -76,16 +77,12 @@ func BenchmarkStep(b *testing.B) {
 			c.Regs[isa.RCX] = 3
 			c.setCmpFlags(1, 1)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !c.fused() {
-					c.Step()
-				}
-			}
+			r := c.Run()
 			b.StopTimer()
-			if r, done := c.Result(); done {
-				b.Fatalf("loop ended: %v", r)
+			if r.Status != StatusTrap || r.Trap != isa.TrapOutOfGas || r.Insts != uint64(b.N) {
+				b.Fatalf("loop ended before its gas: %v", r)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Insts()), "ns/inst")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(r.Insts), "ns/inst")
 		})
 	}
 }

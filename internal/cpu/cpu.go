@@ -512,301 +512,364 @@ func (c *CPU) Result() (Result, bool) {
 // Run executes until halt, trap, fault or gas exhaustion. An annotation
 // template recognised in the instruction table runs as one handler when its
 // common path applies (see fuse.go); everything else, and every template
-// whose handler declines, is single-stepped. The outcome, the counters, the
-// modelled cycles, the memory and the retired-instruction stream are those
-// of a Step loop.
+// whose handler declines, retires instruction by instruction. The outcome,
+// the counters, the modelled cycles, the memory and the retired-instruction
+// stream are those of a Step loop.
 func (c *CPU) Run() Result {
-	for !c.done {
-		// Written out here rather than in a method, so that an
-		// instruction that anchors no template pays no extra call.
-		if i := c.cur; i != 0 {
-			if e := &c.table[i-1]; e.fused != 0 && c.runFused(e) {
-				continue
+	r, _ := c.RunUntil(math.MaxUint64)
+	return r
+}
+
+// RunUntil executes as Run does until end instructions have retired in all
+// or execution ends, and returns what Result then returns. A template whose
+// handler would retire past end is executed instruction by instruction
+// instead, as at a gas boundary, so a scheduler that slices threads by
+// instruction count sees the interleaving of a Step loop.
+//
+// Each pass checks gas, AEX, the code generation and the link into RIP
+// once: it halts out of gas, injects a due AEX, or retires a whole stretch
+// of linked instructions up to the nearest of end, the gas limit and the
+// next AEX.
+func (c *CPU) RunUntil(end uint64) (Result, bool) {
+	for !c.done && c.insts < end {
+		switch {
+		case c.insts >= c.cfg.Gas:
+			c.halt(StatusTrap, isa.TrapOutOfGas, nil)
+		case c.cfg.AEXInterval > 0 && c.insts >= c.nextAEX:
+			c.doAEX()
+		default:
+			if i := c.enter(); i != 0 {
+				c.execute(i, c.bound(end))
 			}
 		}
-		c.Step()
 	}
-	c.result.Insts = c.insts
-	c.result.Cycles = c.cycles
-	c.result.AEXCount = c.aexCount
-	c.result.OcallCount = c.ocallCount
-	return c.result
+	return c.Result()
+}
+
+// bound returns the instruction count a stretch that must end by end stops
+// at: end, the gas limit or the next AEX, whichever comes first.
+func (c *CPU) bound(end uint64) uint64 {
+	end = min(end, c.cfg.Gas)
+	if c.cfg.AEXInterval > 0 {
+		end = min(end, c.nextAEX)
+	}
+	return end
+}
+
+// linked returns the table entry (1 + its index) that the last link
+// followed leads to, if the table still holds it and it is at RIP: the
+// caller may have moved RIP, and code may have changed, since. Otherwise it
+// returns 0.
+func (c *CPU) linked() int32 {
+	i := c.cur
+	if i == 0 || c.Mem.CodeGen() != c.codeGen || c.table[i-1].addr != c.RIP {
+		return 0
+	}
+	return i
+}
+
+// enter returns the table entry of the instruction at RIP: the one the last
+// link followed leads to, if linked vouches for it, or else the one looked
+// up after dropping the table if code may have changed. It returns 0, with
+// the CPU halted, when the fetch faults or does not decode.
+func (c *CPU) enter() int32 {
+	if i := c.linked(); i != 0 {
+		return i
+	}
+	c.sync()
+	return c.resolve()
 }
 
 // Step retires exactly one instruction, also at the start of an annotation
-// template that Run would execute as one handler.
-func (c *CPU) Step() {
-	if c.done {
-		return
-	}
-	if c.insts >= c.cfg.Gas {
-		c.halt(StatusTrap, isa.TrapOutOfGas, nil)
-		return
-	}
-	if c.cfg.AEXInterval > 0 && c.insts >= c.nextAEX {
-		c.doAEX()
-		if c.done {
-			return
-		}
-	}
+// template that Run would execute as one handler: it is the same loop with
+// a budget of one instruction, under which no handler applies.
+func (c *CPU) Step() { c.RunUntil(c.insts + 1) }
 
-	c.sync()
-	// The link followed into RIP is trusted only if it names RIP: the
-	// caller may have moved RIP between Steps.
-	i := c.cur
-	if i == 0 || c.table[i-1].addr != c.RIP {
-		if i = c.resolve(); i == 0 {
-			return
+// execute retires the instruction of table entry i, at RIP, and then the
+// instructions its memoised links, or for an indirect transfer the index,
+// lead to, one by one. At an entry that anchors an annotation template it
+// runs the template's handler instead, if the handler applies. It stops
+// once the count reaches limit, when the link to follow is not resolved
+// yet, when an indirect transfer leads to an instruction not decoded yet,
+// when the memory's code generation moves, and when the CPU halts, traps
+// or faults.
+func (c *CPU) execute(i int32, limit uint64) {
+	// The count, the modelled cycles and RIP live in locals while the
+	// stretch runs, and are stored back before anything else can see them.
+	insts, cycles, rip := c.insts, c.cycles, c.RIP
+stretch:
+	for {
+		e := &c.table[i-1]
+		if e.fused != 0 {
+			c.insts, c.cycles, c.RIP = insts, cycles, rip
+			if c.runFused(e, limit) {
+				if i = c.cur; i == 0 || c.insts >= limit {
+					return
+				}
+				insts, cycles, rip = c.insts, c.cycles, c.RIP
+				continue
+			}
 		}
-	}
-	e := &c.table[i-1]
-	in := &e.inst
-	next := c.RIP + uint64(e.len)
-	// link is the memoised successor slot to follow after execution; nil
-	// for indirect transfers, which look their target up on the next Step.
-	link, taken := &e.next, false
-	c.insts++
-	c.cycles += e.cost
-	if c.cfg.Trace != nil {
-		c.cfg.Trace(c.RIP, e.inst)
-	}
-
-	switch in.Op {
-	case isa.OpNop, isa.OpBrMark:
-		// no effect
-
-	case isa.OpMovRI:
-		c.Regs[in.Dst] = uint64(in.Imm)
-	case isa.OpMovRR:
-		c.Regs[in.Dst] = c.Regs[in.Src]
-	case isa.OpMovRM:
-		v, f := c.Mem.Read64(c.effAddr(&in.Mem))
-		if f != nil {
-			c.fault(f)
-			return
-		}
-		c.Regs[in.Dst] = v
-	case isa.OpMovMR:
-		if f := c.Mem.Write64(c.effAddr(&in.Mem), c.Regs[in.Src]); f != nil {
-			c.fault(f)
-			return
-		}
-	case isa.OpMovBRM:
-		v, f := c.Mem.Read8(c.effAddr(&in.Mem))
-		if f != nil {
-			c.fault(f)
-			return
-		}
-		c.Regs[in.Dst] = uint64(v)
-	case isa.OpMovBMR:
-		if f := c.Mem.Write8(c.effAddr(&in.Mem), uint8(c.Regs[in.Src])); f != nil {
-			c.fault(f)
-			return
-		}
-	case isa.OpMovMI:
-		if f := c.Mem.Write64(c.effAddr(&in.Mem), uint64(in.Imm)); f != nil {
-			c.fault(f)
-			return
-		}
-	case isa.OpLea:
-		c.Regs[in.Dst] = c.effAddr(&in.Mem)
-
-	case isa.OpPush:
-		if f := c.push(c.Regs[in.Dst]); f != nil {
-			c.halt(StatusTrap, isa.TrapStackOverflow, f)
-			return
-		}
-	case isa.OpPop:
-		v, f := c.pop()
-		if f != nil {
-			c.halt(StatusTrap, isa.TrapStackOverflow, f)
-			return
-		}
-		c.Regs[in.Dst] = v
-
-	case isa.OpAddRR:
-		c.Regs[in.Dst] += c.Regs[in.Src]
-	case isa.OpSubRR:
-		c.Regs[in.Dst] -= c.Regs[in.Src]
-	case isa.OpImulRR:
-		c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) * int64(c.Regs[in.Src]))
-	case isa.OpIdivRR:
-		d := int64(c.Regs[in.Src])
-		if d == 0 {
-			c.halt(StatusTrap, isa.TrapDivideByZero, nil)
-			return
-		}
-		n := int64(c.Regs[in.Dst])
-		if n == math.MinInt64 && d == -1 {
-			c.Regs[in.Dst] = 1 << 63
-		} else {
-			c.Regs[in.Dst] = uint64(n / d)
-		}
-	case isa.OpIremRR:
-		d := int64(c.Regs[in.Src])
-		if d == 0 {
-			c.halt(StatusTrap, isa.TrapDivideByZero, nil)
-			return
-		}
-		n := int64(c.Regs[in.Dst])
-		if n == math.MinInt64 && d == -1 {
-			c.Regs[in.Dst] = 0
-		} else {
-			c.Regs[in.Dst] = uint64(n % d)
-		}
-	case isa.OpAndRR:
-		c.Regs[in.Dst] &= c.Regs[in.Src]
-	case isa.OpOrRR:
-		c.Regs[in.Dst] |= c.Regs[in.Src]
-	case isa.OpXorRR:
-		c.Regs[in.Dst] ^= c.Regs[in.Src]
-	case isa.OpShlRR:
-		c.Regs[in.Dst] <<= c.Regs[in.Src] & 63
-	case isa.OpShrRR:
-		c.Regs[in.Dst] >>= c.Regs[in.Src] & 63
-	case isa.OpSarRR:
-		c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) >> (c.Regs[in.Src] & 63))
-
-	case isa.OpAddRI:
-		c.Regs[in.Dst] += uint64(in.Imm)
-	case isa.OpSubRI:
-		c.Regs[in.Dst] -= uint64(in.Imm)
-	case isa.OpImulRI:
-		c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) * in.Imm)
-	case isa.OpAndRI:
-		c.Regs[in.Dst] &= uint64(in.Imm)
-	case isa.OpOrRI:
-		c.Regs[in.Dst] |= uint64(in.Imm)
-	case isa.OpXorRI:
-		c.Regs[in.Dst] ^= uint64(in.Imm)
-	case isa.OpShlRI:
-		c.Regs[in.Dst] <<= uint64(in.Imm) & 63
-	case isa.OpShrRI:
-		c.Regs[in.Dst] >>= uint64(in.Imm) & 63
-	case isa.OpSarRI:
-		c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) >> (uint64(in.Imm) & 63))
-
-	case isa.OpNeg:
-		c.Regs[in.Dst] = uint64(-int64(c.Regs[in.Dst]))
-	case isa.OpNot:
-		c.Regs[in.Dst] = ^c.Regs[in.Dst]
-
-	case isa.OpCmpRR:
-		c.setCmpFlags(c.Regs[in.Dst], c.Regs[in.Src])
-	case isa.OpCmpRI:
-		c.setCmpFlags(c.Regs[in.Dst], uint64(in.Imm))
-	case isa.OpTestRR:
-		v := c.Regs[in.Dst] & c.Regs[in.Src]
-		c.flagZ = v == 0
-		c.flagL = int64(v) < 0
-		c.flagB = false
-
-	case isa.OpFAdd:
-		c.fbin(in, func(a, b float64) float64 { return a + b })
-	case isa.OpFSub:
-		c.fbin(in, func(a, b float64) float64 { return a - b })
-	case isa.OpFMul:
-		c.fbin(in, func(a, b float64) float64 { return a * b })
-	case isa.OpFDiv:
-		c.fbin(in, func(a, b float64) float64 { return a / b })
-	case isa.OpFSqrt:
-		c.Regs[in.Dst] = math.Float64bits(math.Sqrt(math.Float64frombits(c.Regs[in.Dst])))
-	case isa.OpFNeg:
-		c.Regs[in.Dst] = math.Float64bits(-math.Float64frombits(c.Regs[in.Dst]))
-	case isa.OpFCmp:
-		a := math.Float64frombits(c.Regs[in.Dst])
-		b := math.Float64frombits(c.Regs[in.Src])
-		c.flagZ = a == b
-		c.flagL = a < b
-		c.flagB = a < b
-	case isa.OpCvtIF:
-		c.Regs[in.Dst] = math.Float64bits(float64(int64(c.Regs[in.Dst])))
-	case isa.OpCvtFI:
-		f := math.Float64frombits(c.Regs[in.Dst])
-		switch {
-		case math.IsNaN(f):
-			c.Regs[in.Dst] = 0
-		case f >= math.MaxInt64:
-			c.Regs[in.Dst] = uint64(int64(math.MaxInt64))
-		case f <= math.MinInt64:
-			c.Regs[in.Dst] = 1 << 63
-		default:
-			c.Regs[in.Dst] = uint64(int64(f))
+		in := &e.inst
+		next := rip + uint64(e.len)
+		// link is the memoised successor slot to follow after execution;
+		// nil for indirect transfers, which look their target up in the
+		// index.
+		link, taken := &e.next, false
+		insts++
+		cycles += e.cost
+		if c.cfg.Trace != nil {
+			c.insts, c.cycles, c.RIP = insts, cycles, rip
+			c.cfg.Trace(rip, e.inst)
 		}
 
-	case isa.OpJmp:
-		next = next + uint64(in.Imm)
-		link, taken = &e.taken, true
-	case isa.OpJcc:
-		if c.condTrue(in.Cond) {
+		switch in.Op {
+		case isa.OpNop, isa.OpBrMark:
+			// no effect
+
+		case isa.OpMovRI:
+			c.Regs[in.Dst] = uint64(in.Imm)
+		case isa.OpMovRR:
+			c.Regs[in.Dst] = c.Regs[in.Src]
+		case isa.OpMovRM:
+			v, f := c.Mem.Read64(c.effAddr(&in.Mem))
+			if f != nil {
+				c.fault(f)
+				break stretch
+			}
+			c.Regs[in.Dst] = v
+		case isa.OpMovMR:
+			if f := c.Mem.Write64(c.effAddr(&in.Mem), c.Regs[in.Src]); f != nil {
+				c.fault(f)
+				break stretch
+			}
+		case isa.OpMovBRM:
+			v, f := c.Mem.Read8(c.effAddr(&in.Mem))
+			if f != nil {
+				c.fault(f)
+				break stretch
+			}
+			c.Regs[in.Dst] = uint64(v)
+		case isa.OpMovBMR:
+			if f := c.Mem.Write8(c.effAddr(&in.Mem), uint8(c.Regs[in.Src])); f != nil {
+				c.fault(f)
+				break stretch
+			}
+		case isa.OpMovMI:
+			if f := c.Mem.Write64(c.effAddr(&in.Mem), uint64(in.Imm)); f != nil {
+				c.fault(f)
+				break stretch
+			}
+		case isa.OpLea:
+			c.Regs[in.Dst] = c.effAddr(&in.Mem)
+
+		case isa.OpPush:
+			if f := c.push(c.Regs[in.Dst]); f != nil {
+				c.halt(StatusTrap, isa.TrapStackOverflow, f)
+				break stretch
+			}
+		case isa.OpPop:
+			v, f := c.pop()
+			if f != nil {
+				c.halt(StatusTrap, isa.TrapStackOverflow, f)
+				break stretch
+			}
+			c.Regs[in.Dst] = v
+
+		case isa.OpAddRR:
+			c.Regs[in.Dst] += c.Regs[in.Src]
+		case isa.OpSubRR:
+			c.Regs[in.Dst] -= c.Regs[in.Src]
+		case isa.OpImulRR:
+			c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) * int64(c.Regs[in.Src]))
+		case isa.OpIdivRR:
+			d := int64(c.Regs[in.Src])
+			if d == 0 {
+				c.halt(StatusTrap, isa.TrapDivideByZero, nil)
+				break stretch
+			}
+			n := int64(c.Regs[in.Dst])
+			if n == math.MinInt64 && d == -1 {
+				c.Regs[in.Dst] = 1 << 63
+			} else {
+				c.Regs[in.Dst] = uint64(n / d)
+			}
+		case isa.OpIremRR:
+			d := int64(c.Regs[in.Src])
+			if d == 0 {
+				c.halt(StatusTrap, isa.TrapDivideByZero, nil)
+				break stretch
+			}
+			n := int64(c.Regs[in.Dst])
+			if n == math.MinInt64 && d == -1 {
+				c.Regs[in.Dst] = 0
+			} else {
+				c.Regs[in.Dst] = uint64(n % d)
+			}
+		case isa.OpAndRR:
+			c.Regs[in.Dst] &= c.Regs[in.Src]
+		case isa.OpOrRR:
+			c.Regs[in.Dst] |= c.Regs[in.Src]
+		case isa.OpXorRR:
+			c.Regs[in.Dst] ^= c.Regs[in.Src]
+		case isa.OpShlRR:
+			c.Regs[in.Dst] <<= c.Regs[in.Src] & 63
+		case isa.OpShrRR:
+			c.Regs[in.Dst] >>= c.Regs[in.Src] & 63
+		case isa.OpSarRR:
+			c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) >> (c.Regs[in.Src] & 63))
+
+		case isa.OpAddRI:
+			c.Regs[in.Dst] += uint64(in.Imm)
+		case isa.OpSubRI:
+			c.Regs[in.Dst] -= uint64(in.Imm)
+		case isa.OpImulRI:
+			c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) * in.Imm)
+		case isa.OpAndRI:
+			c.Regs[in.Dst] &= uint64(in.Imm)
+		case isa.OpOrRI:
+			c.Regs[in.Dst] |= uint64(in.Imm)
+		case isa.OpXorRI:
+			c.Regs[in.Dst] ^= uint64(in.Imm)
+		case isa.OpShlRI:
+			c.Regs[in.Dst] <<= uint64(in.Imm) & 63
+		case isa.OpShrRI:
+			c.Regs[in.Dst] >>= uint64(in.Imm) & 63
+		case isa.OpSarRI:
+			c.Regs[in.Dst] = uint64(int64(c.Regs[in.Dst]) >> (uint64(in.Imm) & 63))
+
+		case isa.OpNeg:
+			c.Regs[in.Dst] = uint64(-int64(c.Regs[in.Dst]))
+		case isa.OpNot:
+			c.Regs[in.Dst] = ^c.Regs[in.Dst]
+
+		case isa.OpCmpRR:
+			c.setCmpFlags(c.Regs[in.Dst], c.Regs[in.Src])
+		case isa.OpCmpRI:
+			c.setCmpFlags(c.Regs[in.Dst], uint64(in.Imm))
+		case isa.OpTestRR:
+			v := c.Regs[in.Dst] & c.Regs[in.Src]
+			c.flagZ = v == 0
+			c.flagL = int64(v) < 0
+			c.flagB = false
+
+		case isa.OpFAdd:
+			c.fbin(in, func(a, b float64) float64 { return a + b })
+		case isa.OpFSub:
+			c.fbin(in, func(a, b float64) float64 { return a - b })
+		case isa.OpFMul:
+			c.fbin(in, func(a, b float64) float64 { return a * b })
+		case isa.OpFDiv:
+			c.fbin(in, func(a, b float64) float64 { return a / b })
+		case isa.OpFSqrt:
+			c.Regs[in.Dst] = math.Float64bits(math.Sqrt(math.Float64frombits(c.Regs[in.Dst])))
+		case isa.OpFNeg:
+			c.Regs[in.Dst] = math.Float64bits(-math.Float64frombits(c.Regs[in.Dst]))
+		case isa.OpFCmp:
+			a := math.Float64frombits(c.Regs[in.Dst])
+			b := math.Float64frombits(c.Regs[in.Src])
+			c.flagZ = a == b
+			c.flagL = a < b
+			c.flagB = a < b
+		case isa.OpCvtIF:
+			c.Regs[in.Dst] = math.Float64bits(float64(int64(c.Regs[in.Dst])))
+		case isa.OpCvtFI:
+			f := math.Float64frombits(c.Regs[in.Dst])
+			switch {
+			case math.IsNaN(f):
+				c.Regs[in.Dst] = 0
+			case f >= math.MaxInt64:
+				c.Regs[in.Dst] = uint64(int64(math.MaxInt64))
+			case f <= math.MinInt64:
+				c.Regs[in.Dst] = 1 << 63
+			default:
+				c.Regs[in.Dst] = uint64(int64(f))
+			}
+
+		case isa.OpJmp:
 			next = next + uint64(in.Imm)
 			link, taken = &e.taken, true
-		}
-	case isa.OpJmpR:
-		next = c.Regs[in.Dst]
-		link = nil
-	case isa.OpCall:
-		if f := c.push(next); f != nil {
-			c.halt(StatusTrap, isa.TrapStackOverflow, f)
-			return
-		}
-		next = next + uint64(in.Imm)
-		link, taken = &e.taken, true
-	case isa.OpCallR:
-		target := c.Regs[in.Dst]
-		if f := c.push(next); f != nil {
-			c.halt(StatusTrap, isa.TrapStackOverflow, f)
-			return
-		}
-		next = target
-		link = nil
-	case isa.OpRet:
-		v, f := c.pop()
-		if f != nil {
-			c.halt(StatusTrap, isa.TrapStackOverflow, f)
-			return
-		}
-		next = v
-		link = nil
+		case isa.OpJcc:
+			if c.condTrue(in.Cond) {
+				next = next + uint64(in.Imm)
+				link, taken = &e.taken, true
+			}
+		case isa.OpJmpR:
+			next = c.Regs[in.Dst]
+			link = nil
+		case isa.OpCall:
+			if f := c.push(next); f != nil {
+				c.halt(StatusTrap, isa.TrapStackOverflow, f)
+				break stretch
+			}
+			next = next + uint64(in.Imm)
+			link, taken = &e.taken, true
+		case isa.OpCallR:
+			target := c.Regs[in.Dst]
+			if f := c.push(next); f != nil {
+				c.halt(StatusTrap, isa.TrapStackOverflow, f)
+				break stretch
+			}
+			next = target
+			link = nil
+		case isa.OpRet:
+			v, f := c.pop()
+			if f != nil {
+				c.halt(StatusTrap, isa.TrapStackOverflow, f)
+				break stretch
+			}
+			next = v
+			link = nil
 
-	case isa.OpOcall:
-		c.ocallCount++
-		c.cycles += c.cfg.Timing.OcallCost
-		if c.cfg.Ocall == nil {
-			c.halt(StatusTrap, isa.TrapOcallDenied, nil)
-			return
-		}
-		trap, err := c.cfg.Ocall(c, in.Imm)
-		if err != nil {
-			c.halt(StatusFault, isa.TrapOcallDenied, nil)
-			return
-		}
-		if trap != isa.TrapNone {
-			c.halt(StatusTrap, trap, nil)
-			return
+		case isa.OpOcall:
+			c.ocallCount++
+			cycles += c.cfg.Timing.OcallCost
+			if c.cfg.Ocall == nil {
+				c.halt(StatusTrap, isa.TrapOcallDenied, nil)
+				break stretch
+			}
+			c.insts, c.cycles, c.RIP = insts, cycles, rip
+			trap, err := c.cfg.Ocall(c, in.Imm)
+			cycles = c.cycles
+			if err != nil {
+				c.halt(StatusFault, isa.TrapOcallDenied, nil)
+				break stretch
+			}
+			if trap != isa.TrapNone {
+				c.halt(StatusTrap, trap, nil)
+				break stretch
+			}
+
+		case isa.OpHlt:
+			c.halt(StatusHalt, isa.TrapNone, nil)
+			break stretch
+		case isa.OpTrap:
+			c.halt(StatusTrap, isa.TrapCode(in.Imm), nil)
+			break stretch
+
+		default:
+			c.halt(StatusTrap, isa.TrapInvalidOpcode, nil)
+			break stretch
 		}
 
-	case isa.OpHlt:
-		c.halt(StatusHalt, isa.TrapNone, nil)
-		return
-	case isa.OpTrap:
-		c.halt(StatusTrap, isa.TrapCode(in.Imm), nil)
-		return
-
-	default:
-		c.halt(StatusTrap, isa.TrapInvalidOpcode, nil)
-		return
+		rip = next
+		switch {
+		case link == nil:
+			// An indirect transfer: the index holds its target if it has
+			// been decoded (0 if not).
+			i = c.find(rip)
+		case *link == 0:
+			c.cur, c.from, c.fromTaken = 0, i, taken
+			break stretch
+		default:
+			i = *link
+		}
+		if i == 0 || insts >= limit || c.Mem.CodeGen() != c.codeGen {
+			c.cur = i
+			break stretch
+		}
 	}
-
-	c.RIP = next
-	switch {
-	case link == nil:
-		c.cur = 0
-	case *link != 0:
-		c.cur = *link
-	default:
-		c.cur, c.from, c.fromTaken = 0, i, taken
-	}
+	c.insts, c.cycles, c.RIP = insts, cycles, rip
 }
 
 func (c *CPU) fbin(in *isa.Inst, f func(a, b float64) float64) {

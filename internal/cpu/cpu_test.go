@@ -79,6 +79,11 @@ func TestArithmetic(t *testing.T) {
 			{Op: isa.OpMovRI, Dst: isa.RBX, Imm: 3},
 			{Op: isa.OpIremRR, Dst: isa.RAX, Src: isa.RBX},
 		}, -1},
+		{"shr-rr", []isa.Inst{
+			{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 168},
+			{Op: isa.OpMovRI, Dst: isa.RBX, Imm: 66}, // shift counts are taken mod 64
+			{Op: isa.OpShrRR, Dst: isa.RAX, Src: isa.RBX},
+		}, 42},
 		{"shifts", []isa.Inst{
 			{Op: isa.OpMovRI, Dst: isa.RAX, Imm: -1},
 			{Op: isa.OpShrRI, Dst: isa.RAX, Imm: 32},

@@ -13,17 +13,19 @@ import (
 // and the store guard. When an instruction is first decoded, the CPU
 // compares it and the instructions that follow with the annotation
 // templates of package policy, the table the compiler emits from and the
-// verifier matches. A recognised template gets a fusion record, and Run
-// executes the template's common path (every trap branch not taken, a
-// local branch taken) as one handler instead of one dispatch per
-// instruction. A handler declines, committing nothing, whenever the common
-// path would not be followed exactly as single steps follow it; Run then
-// single-steps the template. Step itself never fuses, so schedulers that
+// verifier matches. A recognised template gets a fusion record, and the
+// execution loop, reaching its anchor, executes the template's common path
+// (every trap branch not taken, a local branch taken) as one handler
+// instead of one dispatch per instruction. A handler declines, committing
+// nothing, whenever the common path would not be followed exactly as
+// single steps follow it, and when it would retire past the loop's limit;
+// the loop then executes the template instruction by instruction. Step's
+// limit is one instruction, so Step never fuses, and schedulers that
 // interleave threads by instruction count see no difference.
 
 // fusable are the templates Run executes as one handler. The other
 // annotations (shadow stack, CFI guard, arming) retire a few percent of
-// the instructions and are always single-stepped.
+// the instructions and run as ordinary code.
 var fusable = [...]policy.Template{policy.AEXCheck, policy.StoreGuard, policy.RSPGuard}
 
 // maxFused bounds the length of a fusable template.
@@ -133,23 +135,19 @@ func (c *CPU) scratch(addr uint64) bool {
 	return addr%enclave.PageSize <= enclave.PageSize-8 && c.Mem.PermAt(addr)&enclave.PermRWX == enclave.PermRW
 }
 
-// runFused executes the common path of the template anchored at anchor as
-// Step would, instruction by instruction, and reports true; or it
-// declines, changing nothing, and reports false. It declines when RIP is
-// not at the anchor (the caller moved it), when a gas or AEX boundary
-// falls inside the path, when code may have changed since the table was
-// filled, and whenever single steps would leave the path: a trap branch
-// taken, a clobbered SSA marker, a fault, or a push that would overwrite
-// the marker or land on an executable page. The pushes write their stack
-// words; the pops are not performed, since they read back the values just
-// pushed.
-func (c *CPU) runFused(anchor *entry) bool {
-	if anchor.addr != c.RIP {
-		return false
-	}
+// runFused executes the common path of the template anchored at anchor, the
+// entry at RIP, as Step would, instruction by instruction, and reports true;
+// or it declines, changing nothing, and reports false. The caller has
+// checked that the table was filled under the memory's current code
+// generation. It declines when the path would retire past limit (a gas or
+// AEX boundary, or the end of a time slice), and whenever single steps
+// would leave the path: a trap branch taken, a clobbered SSA marker, a
+// fault, or a push that would overwrite the marker or land on an executable
+// page. The pushes write their stack words; the pops are not performed,
+// since they read back the values just pushed.
+func (c *CPU) runFused(anchor *entry, limit uint64) bool {
 	f := &c.fusions[anchor.fused-1]
-	n := uint64(f.n)
-	if c.insts+n > c.cfg.Gas || c.cfg.AEXInterval > 0 && c.insts+n > c.nextAEX || c.Mem.CodeGen() != c.codeGen {
+	if c.insts+uint64(f.n) > limit {
 		return false
 	}
 	rsp := c.Regs[isa.RSP]
@@ -197,7 +195,7 @@ const costUnit = 1.0 / 1024
 // retire accounts for f's common path as Step does, instruction by
 // instruction and in order: count, modelled cost, trace. It then moves RIP
 // past the path's last instruction and follows that instruction's
-// fall-through link, or leaves it to be resolved by the next Step.
+// fall-through link, or leaves it to be resolved by the next pass.
 func (c *CPU) retire(f *fusion) {
 	path := f.path[:f.n]
 	if c.cfg.Trace == nil {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -89,13 +90,13 @@ func loadFused(t *testing.T, cfg Config, prog []isa.Inst) *CPU {
 	return c
 }
 
-// fused is the check that opens each pass of Run's loop: it runs the
-// annotation template at RIP as one handler and reports true, if one was
-// recognised there and its handler applies.
+// fused runs the annotation template at RIP as one handler, as Run's loop
+// does at an anchor, and reports true, if one was recognised there and its
+// handler applies.
 func (c *CPU) fused() bool {
-	if i := c.cur; i != 0 {
+	if i := c.linked(); i != 0 {
 		if e := &c.table[i-1]; e.fused != 0 {
-			return c.runFused(e)
+			return c.runFused(e, c.bound(math.MaxUint64))
 		}
 	}
 	return false

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,10 +158,10 @@ func genProg(data []byte) *fuzzProg {
 				p.insts[start].Imm = int64(fuzzLayout.StackHi)
 			}
 		case 16:
-			// Move RSP to an executable page, a read-only page, over the
-			// SSA marker or back to the stack.
+			// Move RSP over the program's own first instructions, to a
+			// read-only page, over the SSA marker or back to the stack.
 			sp := [...]uint64{
-				fuzzLayout.CodeBase + 0x7000 + uint64(b%8)*8,
+				fuzzLayout.CodeBase + 8 + uint64(b%8)*8,
 				fuzzLayout.BrTableBase + 0x100,
 				fuzzLayout.SSAMarkerAddr() + 8 + uint64(b%2)*8,
 				fuzzLayout.StackHi - fuzzStack*8 - uint64(b%4)*8,
@@ -300,9 +301,16 @@ type fuzzEnv struct {
 	bump, jump uint64
 }
 
-// acts reports whether env acts after the n-th retired instruction.
-func (env fuzzEnv) acts(n uint64) bool {
-	return env.bump != 0 && n%env.bump == 0 || env.jump != 0 && n%env.jump == 0
+// next returns the first instruction count above n after which env acts,
+// or the largest count if it never does.
+func (env fuzzEnv) next(n uint64) uint64 {
+	end := uint64(math.MaxUint64)
+	for _, every := range [...]uint64{env.bump, env.jump} {
+		if every != 0 {
+			end = min(end, (n/every+1)*every)
+		}
+	}
+	return end
 }
 
 // fuzzRun lays p out in a fresh enclave and executes it in env, stepping
@@ -363,26 +371,11 @@ func refStep(c *CPU) {
 	c.Step()
 }
 
-// fusedStep returns one iteration of Run's loop as a stepper: a recognised
-// annotation template runs as one handler when it applies. Since a handler
-// retires several instructions at once, a template whose window holds an
-// instruction count after which env acts is single-stepped instead, so
-// that env acts at the same points as under refStep.
-func fusedStep(env fuzzEnv) func(*CPU) {
-	return func(c *CPU) {
-		if i := c.cur; i != 0 && c.table[i-1].fused != 0 {
-			n := uint64(c.fusions[c.table[i-1].fused-1].n)
-			for k := c.insts + 1; k < c.insts+n; k++ {
-				if env.acts(k) {
-					c.Step()
-					return
-				}
-			}
-		}
-		if !c.fused() {
-			c.Step()
-		}
-	}
+// runStep returns Run's loop as a stepper, bounded at the next instruction
+// count after which env acts: linked stretches and fused handlers stop
+// there, so that env acts at the same points as under refStep.
+func runStep(env fuzzEnv) func(*CPU) {
+	return func(c *CPU) { c.RunUntil(env.next(c.insts)) }
 }
 
 // sameMemory reports whether a and b, of one layout, have the same page
@@ -412,7 +405,8 @@ func sameMemory(a, b *enclave.Memory) bool {
 // annotation templates, intact or not, with the stack anywhere: the
 // retired (RIP, instruction) stream, the final registers and flags, the
 // whole Result and the whole enclave memory must agree, for Step alone and
-// for Run's loop.
+// for Run's loop, whose linked stretches and fused handlers run up to each
+// count after which the environment acts.
 func FuzzStep(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 24; i++ {
@@ -426,6 +420,15 @@ func FuzzStep(f *testing.F) {
 	// moved over the SSA marker and onto a code page.
 	f.Add([]byte{40, 3, 8, 1, 1, 0, 100, 13, 0, 2, 14, 2, 3, 15, 0, 2, 14, 0, 4, 13, 5, 3, 1, 2, 0xff, 7, 1, 1,
 		16, 2, 0, 13, 1, 2, 16, 0, 1, 14, 1, 2, 15, 2, 3})
+	// Six passes of a counted loop (RSI) around an OCall whose action
+	// moves with RCX, which grows by 3 a pass: the third pass's OCall
+	// writes over the program's set-up text and the fifth's re-sets the
+	// code page's permission, each in the middle of a linked stretch.
+	f.Add([]byte{40, 0, 1, 1, 1, 8, 6, 1, 24, 0, 1, 1, 3, 1, 18, 1, 12, 1, 0, 1, 3, 0, 7, 4, 2})
+	// A counted loop of push and pop, then the stack moved onto the
+	// program's own text and the loop re-entered: the next push, in the
+	// middle of a linked stretch, stores into the text.
+	f.Add([]byte{40, 0, 1, 1, 1, 8, 3, 1, 25, 1, 4, 0, 0, 5, 1, 0, 1, 18, 1, 1, 3, 0, 7, 4, 1, 16, 0, 2, 6, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4+3 {
 			return
@@ -452,7 +455,7 @@ func FuzzStep(f *testing.F) {
 		for _, stepper := range []struct {
 			name string
 			step func(*CPU)
-		}{{"Step", (*CPU).Step}, {"Run", fusedStep(env)}} {
+		}{{"Step", (*CPU).Step}, {"Run", runStep(env)}} {
 			gotTr, got, gc, _ := fuzzRun(t, p, cfg, env, stepper.step)
 			for i := range min(len(gotTr), len(wantTr)) {
 				if gotTr[i] != wantTr[i] {

@@ -192,6 +192,161 @@ func TestGasAndAEXOnLinkedInstructions(t *testing.T) {
 	if rip-e.Layout.CodeBase != 0x1e || rcx != 14 {
 		t.Errorf("last AEX saved rip=+%#x rcx=%d, want +0x1e and 14", rip-e.Layout.CodeBase, rcx)
 	}
+
+	// Gas and an AEX exactly at a stretch's end, and inside one. On
+	// callLoop's first pass every instruction ends a stretch: its links are
+	// unresolved, and F's ret, the 4th instruction, leads to sub, not
+	// decoded yet. Later passes run as one stretch through call and ret,
+	// whose target the index then holds: 298 and 304 are counts just after
+	// a ret, 301 is not. Each run must stop or exit where a Step loop does.
+	prog := callLoop(100)
+	sub := offsets(prog)[2]
+	for _, at := range []uint64{4, 298, 301, 304} {
+		for _, aex := range []bool{false, true} {
+			var cpus [2]*CPU
+			for k := range cpus {
+				cfg := Config{Gas: at}
+				if aex {
+					cfg = Config{AEXInterval: 1000}
+				}
+				c, _ := load(t, cfg, prog...)
+				if aex {
+					c.nextAEX = at
+				}
+				if k == 0 {
+					c.Run()
+				} else {
+					for !c.done {
+						c.Step()
+					}
+				}
+				cpus[k] = c
+			}
+			checkSameRun(t, cpus[0], cpus[1], nil, nil)
+			r, _ := cpus[0].Result()
+			base := cpus[0].Layout.CodeBase
+			if at%6 != 4 {
+				continue
+			}
+			if aex {
+				rip, _ := cpus[0].Mem.Read64(cpus[0].Layout.SSARIPAddr())
+				if r.Status != StatusHalt || r.AEXCount != 1 || rip != base+sub {
+					t.Errorf("AEX at %d: %v, %d AEXes, saved rip=+%#x; want halt after one AEX at +%#x", at, r, r.AEXCount, rip-base, sub)
+				}
+			} else if r.Trap != isa.TrapOutOfGas || r.Insts != at || r.ExitValue != int64(at+2)/6 || cpus[0].RIP != base+sub {
+				t.Errorf("gas %d: %v, rax=%d, rip=+%#x; want out of gas after %d calls at +%#x", at, r, r.ExitValue, cpus[0].RIP-base, (at+2)/6, sub)
+			}
+		}
+	}
+}
+
+func TestFaultsMidStretch(t *testing.T) {
+	// A loop whose first pass links op and whose second pass, after
+	// mov reg, bad, reaches it in the middle of a stretch (jg, add, op) and
+	// faults there. Run must stop where a Step loop stops: same result,
+	// counters, cycles, registers, RIP and memory.
+	l := fuzzLayout
+	readOnly := l.BrTableBase + 0x100
+	for _, tc := range []struct {
+		name      string
+		op        isa.Inst
+		reg       isa.Reg
+		good, bad uint64
+		status    Status
+		trap      isa.TrapCode
+	}{
+		{"load", isa.Inst{Op: isa.OpMovRM, Dst: isa.RBX, Mem: isa.Mem(isa.RDX, 0)}, isa.RDX, l.HeapBase, 8, StatusFault, isa.TrapPageFault},
+		{"byte load", isa.Inst{Op: isa.OpMovBRM, Dst: isa.RBX, Mem: isa.Mem(isa.RDX, 0)}, isa.RDX, l.HeapBase, 8, StatusFault, isa.TrapPageFault},
+		{"store immediate", isa.Inst{Op: isa.OpMovMI, Mem: isa.Mem(isa.RDX, 0), Imm: 7}, isa.RDX, l.HeapBase, readOnly, StatusFault, isa.TrapPageFault},
+		{"pop", isa.Inst{Op: isa.OpPop, Dst: isa.RBX}, isa.RSP, l.StackHi - 64, 8, StatusTrap, isa.TrapStackOverflow},
+		{"indirect call", isa.Inst{Op: isa.OpCallR, Dst: isa.R13}, isa.RSP, l.StackHi - 64, readOnly, StatusTrap, isa.TrapStackOverflow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := []isa.Inst{
+				{Op: isa.OpMovRI, Dst: tc.reg, Imm: int64(tc.good)},
+				{Op: isa.OpMovRI, Dst: isa.RCX, Imm: 2},
+				{Op: isa.OpMovRI, Dst: isa.R13},         // the address of F
+				{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 1}, // L
+				tc.op,
+				{Op: isa.OpMovRI, Dst: tc.reg, Imm: int64(tc.bad)},
+				{Op: isa.OpSubRI, Dst: isa.RCX, Imm: 1},
+				{Op: isa.OpCmpRI, Dst: isa.RCX, Imm: 0},
+				{Op: isa.OpJcc, Cond: isa.CondG},
+				{Op: isa.OpHlt},
+				{Op: isa.OpRet}, // F
+			}
+			offs := offsets(prog)
+			prog[2].Imm = int64(l.CodeBase + offs[10])
+			prog[8].Imm = rel(offs, 8, 3)
+			var cpus [2]*CPU
+			for k := range cpus {
+				c := loadFused(t, Config{}, prog)
+				if k == 0 {
+					c.Run()
+				} else {
+					for !c.done {
+						c.Step()
+					}
+				}
+				cpus[k] = c
+			}
+			checkSameRun(t, cpus[0], cpus[1], nil, nil)
+			// Three set-up instructions, a pass of six, then add and op;
+			// the indirect call's pass runs F's ret too.
+			want := uint64(3 + 6 + 2)
+			if tc.op.Op == isa.OpCallR {
+				want++
+			}
+			r, _ := cpus[0].Result()
+			if r.Status != tc.status || r.Trap != tc.trap || r.Insts != want || cpus[0].RIP != l.CodeBase+offs[4] {
+				t.Errorf("%v at rip=+%#x, want %v/%v after %d instructions at +%#x", r, cpus[0].RIP-l.CodeBase, tc.status, tc.trap, want, offs[4])
+			}
+		})
+	}
+}
+
+func TestAEXFault(t *testing.T) {
+	// An AEX whose save area is not writable faults the CPU before the
+	// instruction it interrupts, under Run as in a Step loop.
+	var cpus [2]*CPU
+	for k := range cpus {
+		c, e := load(t, Config{AEXInterval: 40, AEXSeed: 3}, countdown(1000)...)
+		ssa := e.Layout.SSABase
+		if err := e.Mem.SetPerm(ssa, ssa+enclave.PageSize, enclave.PermR); err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			c.Run()
+		} else {
+			for !c.done {
+				c.Step()
+			}
+		}
+		cpus[k] = c
+	}
+	checkSameRun(t, cpus[0], cpus[1], nil, nil)
+	if r, _ := cpus[0].Result(); r.Status != StatusFault || r.AEXCount != 0 || r.Insts < 30 || r.Insts > 50 {
+		t.Errorf("result %v after %d AEXes, want a fault at the first AEX", r, r.AEXCount)
+	}
+}
+
+// callLoop is mov rcx, n; L: call F; sub rcx, 1; cmp rcx, 0; jg L; hlt;
+// F: add rax, 1; ret.
+func callLoop(n int64) []isa.Inst {
+	prog := []isa.Inst{
+		{Op: isa.OpMovRI, Dst: isa.RCX, Imm: n},
+		{Op: isa.OpCall},
+		{Op: isa.OpSubRI, Dst: isa.RCX, Imm: 1},
+		{Op: isa.OpCmpRI, Dst: isa.RCX, Imm: 0},
+		{Op: isa.OpJcc, Cond: isa.CondG},
+		{Op: isa.OpHlt},
+		{Op: isa.OpAddRI, Dst: isa.RAX, Imm: 1},
+		{Op: isa.OpRet},
+	}
+	offs := offsets(prog)
+	prog[1].Imm = rel(offs, 1, 6)
+	prog[4].Imm = rel(offs, 4, 1)
+	return prog
 }
 
 func TestIndexBoundedNearWindowEdge(t *testing.T) {

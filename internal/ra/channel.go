@@ -24,10 +24,7 @@ func NewChannel(key []byte) (*Channel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ra: %w", err)
 	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("ra: %w", err)
-	}
+	aead, _ := cipher.NewGCM(block) // cannot fail: AES has 16-byte blocks
 	return &Channel{aead: aead}, nil
 }
 

@@ -143,12 +143,9 @@ type EnclaveSession struct {
 }
 
 // NewEnclaveSession generates the enclave's ephemeral key-exchange key.
-func NewEnclaveSession() (*EnclaveSession, error) {
-	priv, err := ecdh.P256().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("ra: %w", err)
-	}
-	return &EnclaveSession{priv: priv, keys: make(map[Role][]byte)}, nil
+func NewEnclaveSession() *EnclaveSession {
+	priv, _ := ecdh.P256().GenerateKey(rand.Reader) // cannot fail: crypto/rand.Reader never returns an error
+	return &EnclaveSession{priv: priv, keys: make(map[Role][]byte)}
 }
 
 // ReportData returns the value the platform must bind into the session's
@@ -176,16 +173,14 @@ func (s *EnclaveSession) Key(role Role) ([]byte, error) {
 // platform's Quote over ReportData, obtained by the host as SGX's quoting
 // enclave would.
 func (s *EnclaveSession) SendHello(w io.Writer, q *Quote) error {
-	payload, err := json.Marshal(Hello{
+	// Marshal cannot fail: Hello holds only strings and byte slices.
+	payload, _ := json.Marshal(Hello{
 		PlatformID:  q.PlatformID,
 		Measurement: q.Measurement[:],
 		ReportData:  q.ReportData[:],
 		Sig:         q.Sig,
 		KexPub:      s.priv.PublicKey().Bytes(),
 	})
-	if err != nil {
-		return fmt.Errorf("ra: %w", err)
-	}
 	return WriteFrame(w, payload)
 }
 
@@ -211,19 +206,14 @@ func (s *EnclaveSession) Accept(r io.Reader) (Role, *Channel, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("ra: peer public key: %w", err)
 	}
-	shared, err := s.priv.ECDH(pub)
-	if err != nil {
-		return "", nil, fmt.Errorf("ra: %w", err)
-	}
+	// ECDH cannot fail: pub is a valid P-256 point and P-256 has cofactor 1.
+	shared, _ := s.priv.ECDH(pub)
 	enclavePub := s.priv.PublicKey().Bytes()
 	key := SessionKey(shared, enclavePub, msg.PartyPub, role)
 	if !hmac.Equal(ConfirmMAC(key, role, enclavePub, msg.PartyPub), msg.Confirm) {
 		return "", nil, ErrBadConfirmation
 	}
-	ch, err := NewChannel(key)
-	if err != nil {
-		return "", nil, err
-	}
+	ch, _ := NewChannel(key) // cannot fail: key is a 32-byte SHA-256 sum
 	s.keys[role] = key
 	return role, ch, nil
 }

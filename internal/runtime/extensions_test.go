@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"deflection/internal/asm"
@@ -75,6 +76,68 @@ func TestMultiThreadedRun(t *testing.T) {
 	// really did share the heap).
 	ld := b.Enclave().Layout
 	_ = ld
+}
+
+// sharedSrc has every thread update a shared counter and array in a
+// guarded loop and send a thread-specific sum, so that any change in the
+// interleaving changes the results, the outputs or the memory.
+const sharedSrc = `
+int counter;
+int data[64];
+
+int main() {
+	int tid = __tid();
+	int acc = 0;
+	for (int i = 0; i < 300; i++) {
+		data[(i + tid) % 64] += i * (tid + 1);
+		counter++;
+		acc += data[(i * 7) % 64] ^ counter;
+	}
+	send_int(acc);
+	return tid * 1000 + (acc & 255);
+}
+`
+
+// TestRunThreadsMatchesStepSlices: RunThreads runs each time slice through
+// cpu.RunUntil, which retires linked stretches and runs annotation
+// templates as one handler, stepping through a template that straddles the
+// slice's end. At slice lengths that cut templates, and at a dense AEX
+// cadence, the results, the sealed outputs and the final enclave memory
+// must equal those of slices run one Step at a time.
+func TestRunThreadsMatchesStepSlices(t *testing.T) {
+	for _, pols := range []policy.Set{policy.SetP1P5, policy.SetP1P6} {
+		for _, slice := range []uint64{1, 7, 97, 1000} {
+			var rs [2][]runtime.ThreadResult
+			var boots [2]*runtime.Bootstrap
+			for i := range boots {
+				b := multiThreadBootstrap(t, 3, pols, sharedSrc)
+				run := b.RunThreads
+				if i == 1 {
+					run = b.RunThreadsStepped
+				}
+				var err error
+				if rs[i], err = run(3, runtime.RunConfig{AEXInterval: 997, AEXSeed: 1}, slice); err != nil {
+					t.Fatal(err)
+				}
+				boots[i] = b
+			}
+			where := fmt.Sprintf("%v slice %d", pols, slice)
+			if !reflect.DeepEqual(rs[0], rs[1]) {
+				t.Fatalf("%s: RunThreads %+v, Step slices %+v", where, rs[0], rs[1])
+			}
+			if pols == policy.SetP1P5 {
+				for _, r := range rs[0] {
+					if r.CPU.Status != cpu.StatusHalt || r.CPU.ExitValue/1000 != int64(r.Thread) {
+						t.Fatalf("%s: thread %d: %v", where, r.Thread, r.CPU)
+					}
+				}
+			}
+			if out := boots[0].Outputs(); len(out) != 3 && pols == policy.SetP1P5 || !reflect.DeepEqual(out, boots[1].Outputs()) {
+				t.Fatalf("%s: %d outputs, differing from the Step slices' %d", where, len(out), len(boots[1].Outputs()))
+			}
+			sameMemory(t, boots[0].Enclave().Mem, boots[1].Enclave().Mem)
+		}
+	}
 }
 
 func TestMultiThreadedDeterministic(t *testing.T) {

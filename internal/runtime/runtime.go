@@ -455,6 +455,13 @@ type ThreadResult struct {
 // P1-P5; this mirrors the paper, which leaves multi-threaded side-channel
 // monitoring as future work.
 func (b *Bootstrap) RunThreads(n int, rc RunConfig, sliceInsts uint64) ([]ThreadResult, error) {
+	return b.runThreads(n, rc, sliceInsts, (*cpu.CPU).RunUntil)
+}
+
+// runThreads is RunThreads with each time slice executed by slice, which
+// runs a CPU until it has retired end instructions in all or stops, and
+// returns what cpu.CPU.Result then returns.
+func (b *Bootstrap) runThreads(n int, rc RunConfig, sliceInsts uint64, slice func(c *cpu.CPU, end uint64) (cpu.Result, bool)) ([]ThreadResult, error) {
 	if b.loaded == nil {
 		return nil, ErrNotLoaded
 	}
@@ -483,18 +490,7 @@ func (b *Bootstrap) RunThreads(n int, rc RunConfig, sliceInsts uint64) ([]Thread
 			if done[i] {
 				continue
 			}
-			var res cpu.Result
-			finished := false
-			target := c.Insts() + sliceInsts
-			for c.Insts() < target {
-				c.Step()
-				if r, over := c.Result(); over {
-					res = r
-					finished = true
-					break
-				}
-			}
-			if finished {
+			if res, over := slice(c, c.Insts()+sliceInsts); over {
 				b.padTime(&res)
 				results[i] = ThreadResult{Thread: i, CPU: res}
 				done[i] = true
