@@ -25,7 +25,6 @@ import (
 	"deflection/internal/obj"
 	"deflection/internal/order"
 	"deflection/internal/policy"
-	"deflection/internal/taint"
 	"deflection/internal/verifier"
 )
 
@@ -188,9 +187,7 @@ func dumpCFG(o *obj.Object, format string) int {
 		return 1
 	}
 	g := cfa.Build(dis, entry.Offset, targets)
-	printCFG(g, format, annotation{
-		text: func(b *cfa.Block) string { return fmt.Sprintf(" preds=%v idom=%d", b.Preds, g.Idom(b.ID)) },
-	})
+	printCFG(g, format, nil)
 	if format == "text" {
 		for _, r := range g.DeadRanges(len(o.Text)) {
 			fmt.Printf("dead [%#06x, %#06x): %d bytes unreachable\n", r.Lo, r.Hi, r.Hi-r.Lo)
@@ -201,10 +198,10 @@ func dumpCFG(o *obj.Object, format string) int {
 
 // dumpAnnotatedCFG loads and relocates the object exactly as the runtime
 // would, runs a full verification up to the requested dataflow pass (p1-p7
-// for taint, p1-p8 for order) capturing its report, and renders the CFG
-// over the relocated text annotated with the pass's per-block results and
-// inline findings. The verdict goes to stderr so dot output on stdout stays
-// valid graphviz.
+// for taint, p1-p8 for order), and renders the CFG over the relocated text
+// annotated with the per-block masks and inline findings of the pass's
+// report in the Result, whether the binary is accepted or rejected. The
+// verdict goes to stderr so dot output on stdout stays valid graphviz.
 func dumpAnnotatedCFG(o *obj.Object, format, pass string) int {
 	pols, policyID, holds := policy.SetP1P7, "P7", "no secret buffers tagged; P7 holds trivially"
 	if pass == "order" {
@@ -215,24 +212,34 @@ func dumpAnnotatedCFG(o *obj.Object, format, pass string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	ann := annotation{tag: "TAINT"}
-	if pass == "taint" {
-		opts.TaintObserver = func(r *taint.Report) { ann = taintAnnotation(r) }
-	} else {
+	res, verr := verifier.Verify(text, opts)
+	ann := &annotation{tag: "TAINT", label: "taint", names: regMask,
+		red: func(m cfa.Masks, _ bool) bool { return m.In|m.Out != 0 }}
+	if pass == "order" {
 		p := opts.Order
-		ann = orderAnnotation(p, nil)
-		opts.OrderObserver = func(r *order.Report) { ann = orderAnnotation(p, r) }
+		ann = &annotation{tag: "ORDER", label: "states",
+			names: func(m uint64) string { return "{" + order.StateNames(p, m) + "}" },
+			red:   func(_ cfa.Masks, finding bool) bool { return finding }}
+		if p != nil {
+			ann.header = fmt.Sprintf("protocol: %d states, start %q\n", len(p.States), p.States[p.Start].Name)
+		}
 	}
-	_, verr := verifier.Verify(text, opts)
+	switch {
+	case res == nil:
+	case pass == "order":
+		ann.rep = res.Order
+	case res.Taint != nil:
+		ann.rep = &res.Taint.Report
+	}
 	switch {
 	case verr != nil:
 		fmt.Fprintf(os.Stderr, "verifier: REJECTED: %v\n", verr)
-	case ann.ran && ann.trivial:
+	case ann.rep != nil && ann.rep.Trivial:
 		fmt.Fprintf(os.Stderr, "verifier: ACCEPTED (%s)\n", holds)
 	default:
 		fmt.Fprintln(os.Stderr, "verifier: ACCEPTED")
 	}
-	if !ann.ran {
+	if ann.rep == nil {
 		fmt.Fprintf(os.Stderr, "deflection-disasm: %s annotations unavailable (an earlier pass rejected the binary before %s ran)\n", pass, policyID)
 	}
 
@@ -249,36 +256,60 @@ func dumpAnnotatedCFG(o *obj.Object, format, pass string) int {
 	return 0
 }
 
-// annotation decorates a CFG rendering with one analysis' per-block
-// results. The zero value renders the bare graph.
+// annotation decorates a CFG rendering with one dataflow pass's report. A
+// nil annotation renders the bare graph with each block's predecessors and
+// immediate dominator.
 type annotation struct {
-	ran, trivial bool                  // the pass reported; it held without analysis
-	tag          string                // marks findings: TAINT or ORDER
-	findings     map[int64]cfa.Finding // by instruction offset
-	header       string                // extra text header lines
-	// text returns the suffix of a block's text header line; dot returns
-	// an extra dot label line and whether to draw the block red.
-	text func(b *cfa.Block) string
-	dot  func(b *cfa.Block) (string, bool)
-	// redFindings also draws every block holding a finding red.
-	redFindings bool
+	rep    *cfa.Report // nil: the pass did not run
+	tag    string      // marks findings: TAINT or ORDER
+	label  string      // names the block masks: taint or states
+	header string      // extra text header lines
+	// names renders a block mask; red reports whether dot draws a block
+	// red, given its masks and whether it holds a finding.
+	names func(mask uint64) string
+	red   func(m cfa.Masks, finding bool) bool
+}
+
+// block renders b's masks as a text header suffix and a dot label line;
+// both are empty when the pass did not run or held without analysis.
+func (a *annotation) block(b *cfa.Block) (text, dot string) {
+	if a.rep == nil || a.rep.Trivial {
+		return "", ""
+	}
+	m, ok := a.rep.Blocks[b.ID]
+	if !ok {
+		return fmt.Sprintf(" %s: unreached", a.label), ""
+	}
+	in, out := a.names(m.In), a.names(m.Out)
+	return fmt.Sprintf(" %s-in=%s %s-out=%s", a.label, in, a.label, out), fmt.Sprintf("%s in=%s out=%s\\l", a.label, in, out)
 }
 
 // printCFG renders g as a plain-text block listing or in Graphviz dot
-// syntax.
-func printCFG(g *cfa.Graph, format string, ann annotation) {
+// syntax, decorated by ann.
+func printCFG(g *cfa.Graph, format string, ann *annotation) {
+	var findings map[int64]cfa.Finding
+	header := ""
+	if ann != nil {
+		header = ann.header
+		if ann.rep != nil {
+			findings = byOffset(ann.rep.Findings)
+		}
+	}
 	if format == "text" {
 		fmt.Printf("cfg: %d blocks, %d edges, entry %#x, %d listed targets\n%s",
-			len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets), ann.header)
+			len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets), header)
 		for _, b := range g.Blocks[1:] {
 			fmt.Printf("block %d [%#06x, %#06x) succs=%v", b.ID, b.Start, b.End, b.Succs)
-			if ann.text != nil {
-				fmt.Print(ann.text(b))
+			if ann == nil {
+				fmt.Printf(" preds=%v idom=%d", b.Preds, g.Idom(b.ID))
+			} else {
+				text, _ := ann.block(b)
+				fmt.Print(text)
 			}
 			fmt.Println()
 			for _, in := range b.Insts {
 				fmt.Printf("  %#06x  %s", in.Off, in.Inst.String())
-				if f, ok := ann.findings[in.Off]; ok {
+				if f, ok := findings[in.Off]; ok {
 					fmt.Printf("   ; %s %s: %s", ann.tag, f.Kind, f.Msg)
 				}
 				fmt.Println()
@@ -291,21 +322,20 @@ func printCFG(g *cfa.Graph, format string, ann annotation) {
 	for _, b := range g.Blocks[1:] {
 		var lbl strings.Builder
 		fmt.Fprintf(&lbl, "[%#06x, %#06x)\\l", b.Start, b.End)
-		red := false
-		if ann.dot != nil {
-			var line string
-			line, red = ann.dot(b)
-			lbl.WriteString(line)
+		if ann != nil {
+			_, dot := ann.block(b)
+			lbl.WriteString(dot)
 		}
+		finding := false
 		for _, in := range b.Insts {
 			fmt.Fprintf(&lbl, "%#06x  %s\\l", in.Off, in.Inst.String())
-			if f, ok := ann.findings[in.Off]; ok {
+			if f, ok := findings[in.Off]; ok {
 				fmt.Fprintf(&lbl, "  !! %s %s\\l", ann.tag, f.Kind)
-				red = red || ann.redFindings
+				finding = true
 			}
 		}
 		attr := ""
-		if red {
+		if ann != nil && ann.rep != nil && ann.red(ann.rep.Blocks[b.ID], finding) {
 			attr = " color=red"
 		}
 		fmt.Printf("  b%d [label=\"%s\"%s];\n", b.ID, lbl.String(), attr)
@@ -324,58 +354,6 @@ func printCFG(g *cfa.Graph, format string, ann annotation) {
 	fmt.Println("}")
 }
 
-// taintAnnotation renders a P7 report's per-block register taint-in/out
-// masks; a block is drawn red when any register is tainted at its entry or
-// exit.
-func taintAnnotation(r *taint.Report) annotation {
-	return annotation{
-		ran: true, trivial: r.Trivial, tag: "TAINT", findings: byOffset(r.Findings),
-		text: func(b *cfa.Block) string {
-			if bt, ok := r.Blocks[b.ID]; ok {
-				return fmt.Sprintf(" taint-in=%s taint-out=%s", regMask(bt.In), regMask(bt.Out))
-			}
-			return " taint: unreached"
-		},
-		dot: func(b *cfa.Block) (string, bool) {
-			bt, ok := r.Blocks[b.ID]
-			if !ok {
-				return "", false
-			}
-			return fmt.Sprintf("taint in=%s out=%s\\l", regMask(bt.In), regMask(bt.Out)), bt.In != 0 || bt.Out != 0
-		},
-	}
-}
-
-// orderAnnotation renders a P8 report's per-block reachable protocol-state
-// sets (r is nil when an earlier pass rejected); a block is drawn red when
-// it holds a finding.
-func orderAnnotation(p *policy.Protocol, r *order.Report) annotation {
-	ann := annotation{tag: "ORDER", redFindings: true}
-	if p != nil {
-		ann.header = fmt.Sprintf("protocol: %d states, start %q\n", len(p.States), p.States[p.Start].Name)
-	}
-	if r == nil {
-		return ann
-	}
-	ann.ran, ann.trivial, ann.findings = true, r.Trivial, byOffset(r.Findings)
-	if r.Trivial {
-		return ann
-	}
-	ann.text = func(b *cfa.Block) string {
-		if bs, ok := r.Blocks[b.ID]; ok {
-			return fmt.Sprintf(" states-in={%s} states-out={%s}", order.StateNames(p, bs.In), order.StateNames(p, bs.Out))
-		}
-		return " states: unreached"
-	}
-	ann.dot = func(b *cfa.Block) (string, bool) {
-		if bs, ok := r.Blocks[b.ID]; ok {
-			return fmt.Sprintf("states in={%s} out={%s}\\l", order.StateNames(p, bs.In), order.StateNames(p, bs.Out)), false
-		}
-		return "", false
-	}
-	return ann
-}
-
 func byOffset(fs []cfa.Finding) map[int64]cfa.Finding {
 	m := make(map[int64]cfa.Finding, len(fs))
 	for _, f := range fs {
@@ -385,7 +363,7 @@ func byOffset(fs []cfa.Finding) map[int64]cfa.Finding {
 }
 
 // regMask renders a register-taint bitmask as a comma list ("-" = clean).
-func regMask(m uint16) string {
+func regMask(m uint64) string {
 	if m == 0 {
 		return "-"
 	}

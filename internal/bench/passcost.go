@@ -24,7 +24,9 @@ type passCost struct {
 	span   func(*obs.Trace) time.Duration
 	budget float64 // relative overhead bar (0 = none)
 	header []string
-	stats  func(verifier.CFAStats) []string
+	// stats renders the header's columns from the verifier's inputs and
+	// its Result.
+	stats func(verifier.Options, *verifier.Result) []string
 }
 
 type passWorkload struct{ name, src string }
@@ -55,8 +57,8 @@ var passCosts = []passCost{
 		pols:   policy.SetP1P6,
 		span:   func(tr *obs.Trace) time.Duration { return obs.DurPrefix(tr, "cfa/") },
 		header: []string{"blocks", "edges", "anchors"},
-		stats: func(s verifier.CFAStats) []string {
-			return []string{fmt.Sprint(s.Blocks), fmt.Sprint(s.Edges), fmt.Sprint(s.Anchors)}
+		stats: func(_ verifier.Options, r *verifier.Result) []string {
+			return []string{fmt.Sprint(r.CFA.Blocks), fmt.Sprint(r.CFA.Edges), fmt.Sprint(r.CFA.Anchors)}
 		},
 	},
 	{
@@ -70,12 +72,12 @@ var passCosts = []passCost{
 		span:   func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "cfa/taint") },
 		budget: 0.15,
 		header: []string{"secrets", "funcs"},
-		stats: func(s verifier.CFAStats) []string {
-			funcs := fmt.Sprint(s.TaintFuncs)
-			if s.TaintTrivial {
+		stats: func(o verifier.Options, r *verifier.Result) []string {
+			funcs := fmt.Sprint(r.Taint.Funcs)
+			if r.Taint.Trivial {
 				funcs = "trivial"
 			}
-			return []string{fmt.Sprint(s.Secrets), funcs}
+			return []string{fmt.Sprint(len(o.Taint.Secrets)), funcs}
 		},
 	},
 	{
@@ -91,12 +93,11 @@ var passCosts = []passCost{
 		span:   func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "cfa/order") },
 		budget: 0.10,
 		header: []string{"states", "ctxs"},
-		stats: func(s verifier.CFAStats) []string {
-			ctxs := fmt.Sprintf("%d/%d", s.OrderCtxs, s.OrderFuncs)
-			if s.OrderTrivial {
-				ctxs = "trivial"
+		stats: func(o verifier.Options, r *verifier.Result) []string {
+			if r.Order.Trivial {
+				return []string{"0", "trivial"}
 			}
-			return []string{fmt.Sprint(s.OrderStates), ctxs}
+			return []string{fmt.Sprint(len(o.Order.States)), fmt.Sprintf("%d/%d", r.Order.Ctxs, r.Order.Funcs)}
 		},
 	},
 }
@@ -106,7 +107,7 @@ var passCosts = []passCost{
 type PassCostRow struct {
 	Name      string
 	TextBytes int
-	Stats     verifier.CFAStats
+	Stats     []string      // the experiment's stat columns
 	Verify    time.Duration // whole verifier.Verify call
 	Pass      time.Duration // the priced pass's span inside it
 }
@@ -162,7 +163,7 @@ func PassCost(name string, quick bool) (*PassCostResult, error) {
 				return nil, fmt.Errorf("bench: %s %s: %w", name, w.name, err)
 			}
 			pass[i] = e.span(opts.Trace)
-			row.Stats = r.CFA
+			row.Stats = e.stats(opts, r)
 		}
 		row.Verify, row.Pass = median(verify), median(pass)
 		res.Rows = append(res.Rows, row)
@@ -211,7 +212,7 @@ func (r *PassCostResult) String() string {
 	header := append([]string{"binary", "text"}, r.exp.header...)
 	t := &table{header: append(header, "verify", r.exp.name+" pass", "overhead")}
 	for _, row := range r.Rows {
-		cells := append([]string{row.Name, fmt.Sprintf("%d KiB", row.TextBytes/1024)}, r.exp.stats(row.Stats)...)
+		cells := append([]string{row.Name, fmt.Sprintf("%d KiB", row.TextBytes/1024)}, row.Stats...)
 		t.add(append(cells,
 			row.Verify.Round(time.Microsecond).String(),
 			row.Pass.Round(time.Microsecond).String(),

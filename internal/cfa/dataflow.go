@@ -324,23 +324,54 @@ func (e *Engine[S]) Solve(c *Context[S], step func(b *Block, in S) S) {
 	}
 }
 
+// Report is what a dataflow pass reports: its findings and, per block, the
+// masks its states reduce to. A binary complies with the pass iff Findings
+// is empty.
+type Report struct {
+	// Trivial is set when the pass held without analysis (nothing to
+	// track: no secrets tagged, no protocol declared).
+	Trivial bool
+	// Findings lists rule violations in address order.
+	Findings []Finding
+	// Blocks maps the ID of every reached block to its in- and out-state
+	// masks, joined over every context the block was analysed in.
+	Blocks map[int]Masks
+	// Funcs is the number of functions partitioned, Ctxs the number of
+	// analysis contexts swept and Steps the block-transfer applications
+	// the fixpoint made (analysis effort).
+	Funcs, Ctxs, Steps int
+}
+
+// Masks is a block's state at entry and exit reduced to a bitmask, whose
+// bits the pass defines.
+type Masks struct{ In, Out uint64 }
+
 // Sweep replays every reached block once per analysis context over the
 // final in-states — functions in entry order, each function's contexts in
-// the order contexts lists them, blocks in address order — and returns
-// what the replays recorded, sorted by offset.
-func (e *Engine[S]) Sweep(contexts func(f *Func) []*Context[S], replay func(f *Func, b *Block, in S, rec *Recorder)) []Finding {
+// the order contexts lists them, blocks in address order — and reports
+// what the replays recorded, findings sorted by offset. replay returns the
+// block's out-state; mask reduces an in- or out-state to the block masks.
+func (e *Engine[S]) Sweep(contexts func(f *Func) []*Context[S], replay func(f *Func, b *Block, in S, rec *Recorder) S, mask func(S) uint64) *Report {
+	rep := &Report{Blocks: make(map[int]Masks), Funcs: len(e.Funcs), Steps: e.Steps}
 	rec := &Recorder{seen: make(map[findingKey]bool)}
 	for _, f := range e.Funcs {
-		for _, c := range contexts(f) {
+		cs := contexts(f)
+		rep.Ctxs += len(cs)
+		for _, c := range cs {
 			for i, id := range f.Blocks {
 				if c.blk[i].stamp > 0 {
-					replay(f, e.G.Blocks[id], c.in[i], rec)
+					in := c.in[i]
+					m := rep.Blocks[id]
+					m.In |= mask(in)
+					m.Out |= mask(replay(f, e.G.Blocks[id], in, rec))
+					rep.Blocks[id] = m
 				}
 			}
 		}
 	}
 	sort.SliceStable(rec.findings, func(i, j int) bool { return rec.findings[i].Off < rec.findings[j].Off })
-	return rec.findings
+	rep.Findings = rec.findings
+	return rep
 }
 
 // Finding is one violation a dataflow pass reports at an instruction.

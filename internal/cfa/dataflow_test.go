@@ -109,8 +109,8 @@ func TestEngineFixpointAndSweep(t *testing.T) {
 	// visit every block reached, deduplicate by (offset, kind) and return
 	// address order.
 	replayed := 0
-	findings := e.Sweep(func(f *cfa.Func) []*cfa.Context[bool] { return []*cfa.Context[bool]{cs[f.Index]} },
-		func(f *cfa.Func, b *cfa.Block, in bool, rec *cfa.Recorder) {
+	rep := e.Sweep(func(f *cfa.Func) []*cfa.Context[bool] { return []*cfa.Context[bool]{cs[f.Index]} },
+		func(f *cfa.Func, b *cfa.Block, in bool, rec *cfa.Recorder) bool {
 			if !in {
 				t.Errorf("block %d of %#x replayed unreached", b.ID, f.Entry)
 			}
@@ -119,7 +119,28 @@ func TestEngineFixpointAndSweep(t *testing.T) {
 				rec.Add(b.Insts[i].Off, "inst", "first")
 				rec.Add(b.Insts[i].Off, "inst", "second")
 			}
+			return false
+		},
+		func(in bool) uint64 {
+			if in {
+				return 1
+			}
+			return 2
 		})
+	findings := rep.Findings
+	if rep.Funcs != len(e.Funcs) || rep.Ctxs != len(e.Funcs) || rep.Steps != e.Steps || rep.Trivial {
+		t.Errorf("report funcs=%d ctxs=%d steps=%d trivial=%t, want %d/%d/%d/false", rep.Funcs, rep.Ctxs, rep.Steps, rep.Trivial, len(e.Funcs), len(e.Funcs), e.Steps)
+	}
+	// Every block is reached in one context: its in-mask is the reached
+	// state's, its out-mask the replay's.
+	if len(rep.Blocks) != len(g.Blocks)-1 {
+		t.Errorf("report masks %d blocks, want %d", len(rep.Blocks), len(g.Blocks)-1)
+	}
+	for id, m := range rep.Blocks {
+		if m != (cfa.Masks{In: 1, Out: 2}) {
+			t.Errorf("block %d masks %+v, want in 1 out 2", id, m)
+		}
+	}
 	if len(findings) != len(g.Dis.Insts) {
 		t.Fatalf("got %d findings, want one per instruction (%d)", len(findings), len(g.Dis.Insts))
 	}

@@ -174,6 +174,7 @@ type outcome struct {
 	ok       bool
 	in       map[[2]int]uint16
 	findings map[int64]string
+	blocks   map[int]cfa.Masks // joined over functions
 }
 
 // solveEngine runs the toy domain through the engine.
@@ -193,15 +194,17 @@ func solveEngine(g *cfa.Graph, b cfa.Budget) (outcome, int) {
 		return out, d.e.Steps
 	}
 	out.in = make(map[[2]int]uint16)
-	fs := d.e.Sweep(func(f *cfa.Func) []*cfa.Context[uint16] { return []*cfa.Context[uint16]{cs[f.Index]} },
-		func(f *cfa.Func, b *cfa.Block, s uint16, rec *cfa.Recorder) {
+	rep := d.e.Sweep(func(f *cfa.Func) []*cfa.Context[uint16] { return []*cfa.Context[uint16]{cs[f.Index]} },
+		func(f *cfa.Func, b *cfa.Block, s uint16, rec *cfa.Recorder) uint16 {
 			out.in[[2]int{f.Index, b.ID}] = s
-			d.transfer(f, b, s, func(off int64, bit int) { rec.Add(off, "bit", "bit %d", bit) })
-		})
+			return d.transfer(f, b, s, func(off int64, bit int) { rec.Add(off, "bit", "bit %d", bit) })
+		},
+		func(s uint16) uint64 { return uint64(s) })
 	out.findings = make(map[int64]string)
-	for _, f := range fs {
+	for _, f := range rep.Findings {
 		out.findings[f.Off] = f.Msg
 	}
+	out.blocks = rep.Blocks
 	return out, d.e.Steps
 }
 
@@ -275,15 +278,19 @@ func solveReference(g *cfa.Graph, b cfa.Budget) outcome {
 	}
 	out.in = make(map[[2]int]uint16)
 	out.findings = make(map[int64]string)
+	out.blocks = make(map[int]cfa.Masks)
 	for _, f := range d.e.Funcs {
 		for _, id := range f.Blocks {
 			if s := in[f.Index][id]; s != 0 {
 				out.in[[2]int{f.Index, id}] = s
-				d.transfer(f, g.Blocks[id], s, func(off int64, bit int) {
+				m := out.blocks[id]
+				m.In |= uint64(s)
+				m.Out |= uint64(d.transfer(f, g.Blocks[id], s, func(off int64, bit int) {
 					if _, ok := out.findings[off]; !ok {
 						out.findings[off] = fmt.Sprintf("bit %d", bit)
 					}
-				})
+				}))
+				out.blocks[id] = m
 			}
 		}
 	}
@@ -292,8 +299,8 @@ func solveReference(g *cfa.Graph, b cfa.Budget) outcome {
 
 // FuzzEngine checks the engine's sparse re-solving against the reference
 // on random programs: the same convergence verdict, the same final
-// in-states and the same findings. A converged engine run must also fail
-// when given one step fewer than it used.
+// in-states, the same findings and the same block masks. A converged
+// engine run must also fail when given one step fewer than it used.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{})
 	// Three functions: a loop storing into a global that a callee loads.
@@ -332,6 +339,9 @@ func FuzzEngine(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got.findings, want.findings) {
 			t.Fatalf("findings differ:\nengine    %v\nreference %v\n%s", got.findings, want.findings, src)
+		}
+		if !reflect.DeepEqual(got.blocks, want.blocks) {
+			t.Fatalf("block masks differ:\nengine    %v\nreference %v\n%s", got.blocks, want.blocks, src)
 		}
 		if short, _ := solveEngine(g, cfa.Budget{Rounds: budget.Rounds, Steps: steps - 1}); short.ok {
 			t.Fatalf("engine converged within %d steps after using %d\n%s", steps-1, steps, src)

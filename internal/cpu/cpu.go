@@ -362,17 +362,6 @@ func (c *CPU) insert(addr uint64, in *isa.Inst, n int) int32 {
 	return i
 }
 
-// decode returns the table entry for the instruction at addr, first
-// dropping the table if code may have changed since it was filled.
-func (c *CPU) decode(addr uint64) (*entry, *enclave.Fault, error) {
-	c.sync()
-	i, f, err := c.lookup(addr)
-	if i == 0 {
-		return nil, f, err
-	}
-	return &c.table[i-1], nil, nil
-}
-
 // resolve looks RIP up in the table and records it as the pending link of
 // the instruction that transferred control here, if that link leads to RIP.
 // It halts the CPU and returns 0 when the fetch faults or does not decode.

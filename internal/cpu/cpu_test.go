@@ -653,6 +653,9 @@ func TestResultString(t *testing.T) {
 			t.Error("empty result string")
 		}
 	}
+	if got := (Result{Status: StatusFault + 1}).String(); got != "unknown result" {
+		t.Errorf("unknown status renders %q", got)
+	}
 }
 
 func TestAccessorsAndStepAPI(t *testing.T) {
@@ -809,4 +812,15 @@ func TestStraddlingCodeWriteInvalidatesBothPages(t *testing.T) {
 			t.Errorf("decode(%#x) after the straddling write = %+v (%v, %v); want imm %#x", addr, ci.inst, f, err, want.Imm)
 		}
 	}
+}
+
+// decode returns the table entry for the instruction at addr, first
+// dropping the table if code may have changed since it was filled.
+func (c *CPU) decode(addr uint64) (*entry, *enclave.Fault, error) {
+	c.sync()
+	i, f, err := c.lookup(addr)
+	if i == 0 {
+		return nil, f, err
+	}
+	return &c.table[i-1], nil, nil
 }

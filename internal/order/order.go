@@ -75,32 +75,6 @@ const (
 	KindHaltOrder = "halt-order"
 )
 
-// BlockStates is the reachable-protocol-state summary of one basic block
-// (joined over every analysis context), for debugging renderings
-// (deflection-disasm -order).
-type BlockStates struct {
-	In, Out uint64 // state bitmasks, bit i = state index i
-}
-
-// Report is the analysis outcome. A binary complies with P8 iff Findings
-// is empty.
-type Report struct {
-	// Trivial is set when the pass held without analysis (no protocol
-	// declared, or no code).
-	Trivial bool
-	// Findings lists ordering violations in address order.
-	Findings []cfa.Finding
-	// Blocks maps block IDs to their reachable-state in/out masks.
-	Blocks map[int]BlockStates
-	// Funcs is the number of functions partitioned and analyzed; Ctxs the
-	// number of (function, entry state) contexts requested.
-	Funcs, Ctxs int
-	// States is the protocol's state count (0 when Trivial).
-	States int
-	// Steps counts block-transfer applications (analysis effort).
-	Steps int
-}
-
 // Analysis failure modes. All reject the binary: the verifier treats any
 // error from Analyze as a conservative violation.
 var (
@@ -180,21 +154,20 @@ func StateNames(p *policy.Protocol, mask uint64) string {
 
 // Analyze runs the orderliness pass over a recovered CFG. A nil protocol
 // holds trivially (nothing was declared, so there is no order to violate —
-// exactly like P7 with no tagged secrets). It returns a non-nil Report
+// exactly like P7 with no tagged secrets). The report's block masks are
+// reachable-state sets (bit i = state index i), and Ctxs counts the
+// (function, entry state) contexts requested. It returns a non-nil Report
 // unless the protocol fails meta-validation or the analysis budget is
 // exhausted; either error must be treated as rejection by callers.
-func Analyze(g *cfa.Graph, p *policy.Protocol) (*Report, error) {
-	rep := &Report{Blocks: make(map[int]BlockStates)}
+func Analyze(g *cfa.Graph, p *policy.Protocol) (*cfa.Report, error) {
 	if p == nil {
-		rep.Trivial = true
-		return rep, nil
+		return &cfa.Report{Trivial: true}, nil
 	}
 	if err := Validate(p); err != nil {
 		return nil, err
 	}
 	if g == nil || len(g.Blocks) <= 1 {
-		rep.Trivial = true
-		return rep, nil
+		return &cfa.Report{Trivial: true}, nil
 	}
 	a := &analysis{
 		Engine: cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 20}, joinMask),
@@ -216,20 +189,9 @@ func Analyze(g *cfa.Graph, p *policy.Protocol) (*Report, error) {
 	if !a.Fixpoint(a.analyzeFn) {
 		return nil, ErrBudget
 	}
-	rep.Findings = a.Sweep(a.contexts,
-		func(_ *cfa.Func, b *cfa.Block, in uint64, rec *cfa.Recorder) {
-			bs := rep.Blocks[b.ID]
-			bs.In |= in
-			bs.Out |= a.transfer(b, in, rec)
-			rep.Blocks[b.ID] = bs
-		})
-	rep.Funcs = len(a.Funcs)
-	for _, f := range a.Funcs {
-		rep.Ctxs += len(a.contexts(f))
-	}
-	rep.States = len(p.States)
-	rep.Steps = a.Steps
-	return rep, nil
+	return a.Sweep(a.contexts,
+		func(_ *cfa.Func, b *cfa.Block, in uint64, rec *cfa.Recorder) uint64 { return a.transfer(b, in, rec) },
+		func(m uint64) uint64 { return m }), nil
 }
 
 // fn is one function's requested entry states and their contexts.

@@ -78,7 +78,7 @@ func buildGraph(t *testing.T, text []byte, targets []int64) *cfa.Graph {
 	return cfa.Build(dis, 0, targets)
 }
 
-func analyze(t *testing.T, p *policy.Protocol, items []item) (*Report, []int64) {
+func analyze(t *testing.T, p *policy.Protocol, items []item) (*cfa.Report, []int64) {
 	t.Helper()
 	text, offs := link(t, items)
 	rep, err := Analyze(buildGraph(t, text, nil), p)
@@ -168,8 +168,8 @@ func TestConformingLinear(t *testing.T) {
 	if rep.Trivial || len(rep.Findings) != 0 {
 		t.Fatalf("rep=%+v, want non-trivial clean", rep)
 	}
-	if rep.Funcs != 1 || rep.Ctxs != 1 || rep.States != 3 {
-		t.Errorf("Funcs=%d Ctxs=%d States=%d, want 1/1/3", rep.Funcs, rep.Ctxs, rep.States)
+	if rep.Funcs != 1 || rep.Ctxs != 1 {
+		t.Errorf("Funcs=%d Ctxs=%d, want 1/1", rep.Funcs, rep.Ctxs)
 	}
 	for id, bs := range rep.Blocks {
 		if bs.In != 1<<0 || bs.Out != 1<<1 {

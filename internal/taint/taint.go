@@ -98,29 +98,15 @@ const (
 	KindUntrackedStore = "untracked-store"
 )
 
-// BlockTaint is the register-taint summary of one basic block, for
-// debugging renderings (deflection-disasm -taint).
-type BlockTaint struct {
-	In, Out uint16 // register bitmasks, bit i = isa.Reg(i)
-}
-
-// Report is the analysis outcome. A binary complies with P7 iff Findings
-// is empty.
+// Report is the analysis outcome: the engine's report, whose block masks
+// are register bitmasks (bit i = isa.Reg(i) tainted), and the tainted data
+// intervals at the fixpoint. A binary complies with P7 iff Findings is
+// empty.
 type Report struct {
-	// Trivial is set when the pass held without analysis (no secrets).
-	Trivial bool
-	// Findings lists rule violations in address order.
-	Findings []cfa.Finding
-	// Blocks maps block IDs to their register-taint in/out masks (joined
-	// over every function context the block was analyzed in).
-	Blocks map[int]BlockTaint
-	// Funcs is the number of functions partitioned and analyzed.
-	Funcs int
+	cfa.Report
 	// MemRanges is the number of tracked tainted data intervals at the
 	// fixpoint.
 	MemRanges int
-	// Steps counts block-transfer applications (analysis effort).
-	Steps int
 }
 
 // Analysis failure modes. Both reject the binary: the verifier treats any
@@ -165,16 +151,10 @@ func Analyze(g *cfa.Graph, cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rep := &Report{Blocks: make(map[int]BlockTaint)}
-	if len(cfg.Secrets) == 0 {
-		// No sources: no instruction can introduce taint, so every sink
-		// is trivially clean.
-		rep.Trivial = true
-		return rep, nil
-	}
-	if g == nil || len(g.Blocks) <= 1 {
-		rep.Trivial = true
-		return rep, nil
+	if len(cfg.Secrets) == 0 || g == nil || len(g.Blocks) <= 1 {
+		// No sources (or no code): no instruction can introduce taint, so
+		// every sink is trivially clean.
+		return &Report{Report: cfa.Report{Trivial: true}}, nil
 	}
 	a := &analysis{
 		Engine:  cfa.NewEngine(g, cfa.Budget{Rounds: 256, Steps: 1 << 21}, joinState),
@@ -199,20 +179,15 @@ func Analyze(g *cfa.Graph, cfg Config) (*Report, error) {
 	if !a.Fixpoint(a.analyzeFn) {
 		return nil, ErrBudget
 	}
-	rep.Findings = a.Sweep(
+	rep := a.Sweep(
 		func(f *cfa.Func) []*cfa.Context[*state] { return []*cfa.Context[*state]{a.fns[f.Index].ctx} },
-		func(f *cfa.Func, b *cfa.Block, in *state, rec *cfa.Recorder) {
+		func(f *cfa.Func, b *cfa.Block, in *state, rec *cfa.Recorder) *state {
 			st := in.cloneInto(&a.scratch)
 			a.transfer(&a.fns[f.Index], b, st, rec)
-			bt := rep.Blocks[b.ID]
-			bt.In |= in.taint
-			bt.Out |= st.taint
-			rep.Blocks[b.ID] = bt
-		})
-	rep.Funcs = len(a.Funcs)
-	rep.MemRanges = len(a.mem.r)
-	rep.Steps = a.Steps
-	return rep, nil
+			return st
+		},
+		func(st *state) uint64 { return uint64(st.taint) })
+	return &Report{Report: *rep, MemRanges: len(a.mem.r)}, nil
 }
 
 // fn is one function's calling context, effect summary and block

@@ -3,12 +3,14 @@ package taint
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deflection/internal/asm"
 	"deflection/internal/cfa"
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
+	"deflection/internal/policy"
 )
 
 // testConfig is a small synthetic memory geometry: a 64 KiB data window
@@ -49,6 +51,13 @@ func TestConfigValidate(t *testing.T) {
 		if _, err := Analyze(nil, cfg); !errors.Is(err, ErrConfig) {
 			t.Errorf("%s: err = %v, want ErrConfig", name, err)
 		}
+	}
+	many := make([]Range, maxSecrets+1)
+	for i := range many {
+		many[i] = Range{Lo: uint64(2 * i), Hi: uint64(2*i + 1)}
+	}
+	if _, err := Analyze(nil, Config{Secrets: many, DataHi: 100}); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "secret ranges") {
+		t.Errorf("%d secret ranges: err = %v, want ErrConfig for their count", len(many), err)
 	}
 }
 
@@ -210,6 +219,52 @@ func TestIntervals(t *testing.T) {
 	}
 	if iv.add(0, 0) {
 		t.Error("empty range must be a no-op")
+	}
+	// One disjoint range past the bound collapses the set to its hull.
+	iv = intervals{}
+	for i := uint64(0); i <= maxIntervals; i++ {
+		iv.add(10*i, 10*i+5)
+	}
+	if len(iv.r) != 1 || iv.r[0] != (Range{0, 10*maxIntervals + 5}) {
+		t.Errorf("%d ranges past the bound, want the hull [0, %d)", len(iv.r), 10*maxIntervals+5)
+	}
+}
+
+// indirectCallee is a program whose entry reaches the listed target at its
+// end only through a guarded indirect call; tail is the target's body.
+func indirectCallee(t *testing.T, tail ...isa.Inst) (*cfa.Graph, int64) {
+	t.Helper()
+	head := []isa.Inst{
+		{Op: isa.OpMovRI, Dst: isa.RAX},
+		{Op: isa.OpCallR, Dst: isa.RAX},
+		{Op: isa.OpHlt},
+	}
+	target := int64(len(encode(head...)))
+	head[0].Imm = target
+	text := encode(append(head, tail...)...)
+	dis, err := disasm.Disassemble(text, []int64{0, target})
+	if err != nil {
+		t.Fatalf("disassemble: %v", err)
+	}
+	return cfa.Build(dis, 0, []int64{target}), target
+}
+
+// TestIndirectTargetEntryTainted: a listed target may be invoked through an
+// indirect call with any arguments, so the pass analyses it with every
+// argument register tainted: printing one is a leak, sending it sealed is
+// not.
+func TestIndirectTargetEntryTainted(t *testing.T) {
+	g, target := indirectCallee(t, isa.Inst{Op: isa.OpOcall, Imm: policy.OcallPrint}, isa.Inst{Op: isa.OpRet})
+	rep, err := Analyze(g, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 1 || rep.Findings[0].Kind != KindUnsealedOutput || rep.Findings[0].Off != target {
+		t.Fatalf("findings = %+v, want one %s at the target's print %#x", rep.Findings, KindUnsealedOutput, target)
+	}
+	g, _ = indirectCallee(t, isa.Inst{Op: isa.OpOcall, Imm: policy.OcallSend}, isa.Inst{Op: isa.OpRet})
+	if rep, err = Analyze(g, testConfig()); err != nil || len(rep.Findings) != 0 || rep.Funcs != 2 {
+		t.Fatalf("sealed send from the target: rep=%+v err=%v, want a clean two-function analysis", rep, err)
 	}
 }
 

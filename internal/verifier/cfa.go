@@ -31,7 +31,8 @@ import (
 	"deflection/internal/taint"
 )
 
-// CFAStats summarises the control-flow-analysis passes of an acceptance.
+// CFAStats summarises the structural control-flow-analysis passes of an
+// acceptance; the P7 and P8 reports are Result.Taint and Result.Order.
 type CFAStats struct {
 	// Blocks and Edges size the recovered CFG (virtual root excluded).
 	Blocks, Edges int
@@ -40,22 +41,6 @@ type CFAStats struct {
 	Anchors int
 	// Targets counts the proof-listed indirect targets cross-checked.
 	Targets int
-	// Secrets counts the declared P7 taint sources the taint pass analysed
-	// (0 when P7 is not required or nothing was tagged).
-	Secrets int
-	// TaintFuncs and TaintedRanges summarise the taint fixpoint: functions
-	// analysed and distinct tainted data intervals at convergence.
-	TaintFuncs, TaintedRanges int
-	// TaintTrivial is set when P7 held without analysis (no secret buffers
-	// tagged, so no instruction can introduce taint).
-	TaintTrivial bool
-	// OrderStates is the declared protocol's state count; OrderCtxs the
-	// number of (function, entry state) contexts the order fixpoint
-	// analysed; OrderFuncs the functions it partitioned.
-	OrderStates, OrderCtxs, OrderFuncs int
-	// OrderTrivial is set when P8 held without analysis (no interface
-	// protocol declared, so there is no order to violate).
-	OrderTrivial bool
 }
 
 // cfaViolation builds a structured rejection attributed to a CFA pass.
@@ -65,10 +50,10 @@ func (v *verifier) cfaViolation(pass string, id policy.ID, off int64, format str
 	return e
 }
 
-// runCFA recovers the CFG and runs the target-list, dead-byte, dominance,
-// taint and order passes, filling res.CFA. Each runs in its own cfa/* span;
-// the taint and order passes are the whole of P7's and P8's checks.
-func (v *verifier) runCFA(req policy.Set, res *Result) error {
+// runCFA recovers the CFG and runs the target-list, dead-byte and
+// dominance passes, filling res.CFA, each in its own cfa/* span. It returns
+// the graph the dataflow passes run over.
+func (v *verifier) runCFA(req policy.Set, res *Result) (*cfa.Graph, error) {
 	tr, c := v.opts.Trace, &res.CFA
 	tm := tr.Start("cfa/build")
 	g := cfa.Build(v.dis, v.opts.EntryOffset, v.opts.BranchTargetOffsets)
@@ -80,106 +65,81 @@ func (v *verifier) runCFA(req policy.Set, res *Result) error {
 		tm = tr.Start("cfa/targets")
 		err := v.targetListPass(res)
 		if endSpan(tm, err, "targets", c.Targets) != nil {
-			return err
+			return nil, err
 		}
 	}
 	if req.Has(policy.P4) || req.Has(policy.P5) {
 		tm = tr.Start("cfa/deadbyte")
 		if err := endSpan(tm, v.deadBytePass(g, req), "dead_bytes", 0); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	tm = tr.Start("cfa/dominance")
 	err := v.dominancePass(g, res)
-	if endSpan(tm, err, "anchors", c.Anchors) != nil {
-		return err
+	return g, endSpan(tm, err, "anchors", c.Anchors)
+}
+
+// dataflowPass runs P7's taint or P8's order analysis over g in its cfa/*
+// span, keeps the report in res, and turns the outcome into the verdict:
+// an analysis error (ill-formed input, budget blow-up) is a conservative
+// rejection, never an acceptance; otherwise the first finding in address
+// order rejects.
+func (v *verifier) dataflowPass(g *cfa.Graph, id policy.ID, res *Result) error {
+	pass := "taint"
+	if id == policy.P8 {
+		pass = "order"
 	}
-	if req.Has(policy.P7) {
-		tm = tr.Start("cfa/taint")
-		err := v.taintPass(g, res)
-		if endSpan(tm, err, "secrets", c.Secrets, "funcs", c.TaintFuncs, "tainted_ranges", c.TaintedRanges) != nil {
-			return err
+	tm := v.opts.Trace.Start("cfa/" + pass)
+	var rep *cfa.Report
+	var kv []any
+	var err error
+	if id == policy.P7 {
+		cfg := v.opts.Taint
+		for _, a := range v.storeAnchors {
+			cfg.Guarded = append(cfg.Guarded, a.store)
 		}
-	}
-	if req.Has(policy.P8) {
-		tm = tr.Start("cfa/order")
-		err := v.orderPass(g, res)
-		return endSpan(tm, err, "states", c.OrderStates, "funcs", c.OrderFuncs, "contexts", c.OrderCtxs)
-	}
-	return nil
-}
-
-// orderPass runs the P8 interface-orderliness analysis over the recovered
-// CFG and turns its outcome into the verdict.
-func (v *verifier) orderPass(g *cfa.Graph, res *Result) error {
-	rep, err := order.Analyze(g, v.opts.Order)
-	var findings []cfa.Finding
-	if err == nil {
-		if v.opts.OrderObserver != nil {
-			v.opts.OrderObserver(rep)
+		if res.Taint, err = taint.Analyze(g, cfg); err == nil {
+			rep = &res.Taint.Report
+			kv = []any{"secrets", len(cfg.Secrets), "funcs", rep.Funcs, "tainted_ranges", res.Taint.MemRanges}
 		}
-		res.CFA.OrderStates = rep.States
-		res.CFA.OrderCtxs = rep.Ctxs
-		res.CFA.OrderFuncs = rep.Funcs
-		res.CFA.OrderTrivial = rep.Trivial
-		findings = rep.Findings
+	} else if res.Order, err = order.Analyze(g, v.opts.Order); err == nil {
+		rep = res.Order
+		kv = []any{"states", v.protocolStates(), "funcs", rep.Funcs, "contexts", rep.Ctxs}
 	}
-	return v.dataflowVerdict("order", policy.P8, findings, err)
+	switch {
+	case err != nil:
+		err = v.cfaViolation(pass, id, 0, "%s analysis failed: %v", pass, err)
+	case len(rep.Findings) > 0:
+		f := rep.Findings[0]
+		err = v.cfaViolation(pass, id, f.Off, "%s: %s", f.Kind, f.Msg)
+	}
+	return endSpan(tm, err, kv...)
 }
 
-// orderDetail renders the P8 audit line.
-func orderDetail(s *CFAStats) string {
-	if s.OrderTrivial || s.OrderStates == 0 {
-		return "no interface protocol declared; P8 holds trivially"
+// protocolStates is the declared protocol's state count (0: none declared).
+func (v *verifier) protocolStates() int {
+	if v.opts.Order == nil {
+		return 0
 	}
-	return fmt.Sprintf("every interface event admitted by the %d-state protocol on all paths (%d functions, %d analysis contexts at fixpoint)",
-		s.OrderStates, s.OrderFuncs, s.OrderCtxs)
+	return len(v.opts.Order.States)
 }
 
-// taintPass runs the P7 secret-taint analysis over the recovered CFG and
-// turns its outcome into the verdict.
-func (v *verifier) taintPass(g *cfa.Graph, res *Result) error {
-	cfg := v.opts.Taint
-	for _, a := range v.storeAnchors {
-		cfg.Guarded = append(cfg.Guarded, a.store)
-	}
-	rep, err := taint.Analyze(g, cfg)
-	var findings []cfa.Finding
-	if err == nil {
-		if v.opts.TaintObserver != nil {
-			v.opts.TaintObserver(rep)
-		}
-		res.CFA.Secrets = len(v.opts.Taint.Secrets)
-		res.CFA.TaintFuncs = rep.Funcs
-		res.CFA.TaintedRanges = rep.MemRanges
-		res.CFA.TaintTrivial = rep.Trivial
-		findings = rep.Findings
-	}
-	return v.dataflowVerdict("taint", policy.P7, findings, err)
-}
-
-// dataflowVerdict converts a dataflow pass's outcome into a structured
-// rejection: any analysis error (ill-formed input, budget blow-up) is a
-// conservative rejection, never an acceptance; otherwise the first finding
-// in address order rejects.
-func (v *verifier) dataflowVerdict(pass string, id policy.ID, findings []cfa.Finding, err error) error {
-	if err != nil {
-		return v.cfaViolation(pass, id, 0, "%s analysis failed: %v", pass, err)
-	}
-	if len(findings) > 0 {
-		f := findings[0]
-		return v.cfaViolation(pass, id, f.Off, "%s: %s", f.Kind, f.Msg)
-	}
-	return nil
-}
-
-// taintDetail renders the P7 audit line.
-func taintDetail(s *CFAStats) string {
-	if s.TaintTrivial || s.Secrets == 0 {
+// taintDetail renders the P7 audit line of rep over secrets tagged buffers.
+func taintDetail(rep *taint.Report, secrets int) string {
+	if rep.Trivial {
 		return "no secret buffers tagged; P7 holds trivially"
 	}
 	return fmt.Sprintf("%d secret buffers confined to the sealed output across %d functions (%d tainted data intervals at fixpoint)",
-		s.Secrets, s.TaintFuncs, s.TaintedRanges)
+		secrets, rep.Funcs, rep.MemRanges)
+}
+
+// orderDetail renders the P8 audit line of rep over a states-state protocol.
+func orderDetail(rep *cfa.Report, states int) string {
+	if rep.Trivial {
+		return "no interface protocol declared; P8 holds trivially"
+	}
+	return fmt.Sprintf("every interface event admitted by the %d-state protocol on all paths (%d functions, %d analysis contexts at fixpoint)",
+		states, rep.Funcs, rep.Ctxs)
 }
 
 // targetListPass cross-checks the proof's indirect-branch target list: each
@@ -241,30 +201,21 @@ func (v *verifier) dominancePass(g *cfa.Graph, res *Result) error {
 		}
 		res.CFA.Anchors++
 	}
+	insts := v.dis.Insts
 	for _, a := range v.rspAnchors {
-		in, ok := v.dis.At(a.write)
-		if !ok || in.Op.IsBranch() || in.End() != a.lo {
-			return v.cfaViolation("dominance", policy.P2, a.write,
-				"RSP write does not fall through into its stack-bounds check at %#x", a.lo)
-		}
-		// No edge may enter the check sequence anywhere but its start (a
-		// jump to the start merely re-runs the full check, which is safe;
-		// an interior entry would run only half the bounds comparison).
-		cur := a.lo
-		for cur < a.hi {
-			ci, ok := v.dis.At(cur)
-			if !ok {
-				break
-			}
-			if cur != a.lo {
-				for _, p := range g.InstPreds(cur) {
-					if p < a.write || p >= a.hi {
-						return v.cfaViolation("dominance", policy.P2, cur,
-							"stack-bounds check at %#x enterable mid-sequence from %#x", a.lo, p)
-					}
+		// matchRSPGuards anchors each check at the end of an RSP write that
+		// is no branch, so the write falls through into it. No edge may
+		// enter the check sequence anywhere but its start (a jump to the
+		// start merely re-runs the full check, which is safe; an interior
+		// entry would run only half the bounds comparison).
+		i, _ := v.dis.Index(a.lo)
+		for i++; i < len(insts) && insts[i].Off < a.hi; i++ {
+			for _, p := range g.InstPreds(insts[i].Off) {
+				if p < a.write || p >= a.hi {
+					return v.cfaViolation("dominance", policy.P2, insts[i].Off,
+						"stack-bounds check at %#x enterable mid-sequence from %#x", a.lo, p)
 				}
 			}
-			cur = ci.End()
 		}
 		res.CFA.Anchors++
 	}
@@ -278,9 +229,6 @@ func (v *verifier) dominancePass(g *cfa.Graph, res *Result) error {
 // the annotation restores every register it touches), so only genuinely
 // intervening code — loop latches, side entries — is inspected.
 func (v *verifier) checkClobberFree(g *cfa.Graph, a storeAnchor) error {
-	if a.regs == 0 {
-		return nil
-	}
 	visited := map[int64]bool{a.store: true}
 	queue := []int64{a.store}
 	for len(queue) > 0 {
@@ -294,10 +242,7 @@ func (v *verifier) checkClobberFree(g *cfa.Graph, a storeAnchor) error {
 				continue
 			}
 			visited[p] = true
-			in, ok := v.dis.At(p)
-			if !ok {
-				continue
-			}
+			in, _ := v.dis.At(p) // InstPreds names decoded instructions only
 			if r, hit := writesAny(in, a.regs); hit {
 				return v.cfaViolation("reaching-defs", a.policy, a.store,
 					"register %v checked at %#x is redefined at %#x before the store", r, a.lo, p)

@@ -242,3 +242,86 @@ func TestBogusTargetListRejected(t *testing.T) {
 		requireViolation(t, err, policy.P5, "target-list")
 	})
 }
+
+// TestDeadBytesBilledToP5WithoutP4: with P5 required and P4 not, the
+// dead-byte pass still runs and bills the side-loading risk to P5.
+func TestDeadBytesBilledToP5WithoutP4(t *testing.T) {
+	_, err := verifyAsm(t, deadBytesSrc, policy.Bit(policy.P5))
+	requireViolation(t, err, policy.P5, "dead-byte")
+}
+
+// cleanLoopSrc is clobberedCheckSrc without the latch's redefinition of
+// the checked register: the backward walk from the store meets the store
+// again around the loop and stops there.
+const cleanLoopSrc = `
+.entry _start
+.bss slot 8
+.func _start
+  mov rcx, =slot
+  mov rdx, 7
+  push rbx
+  push rax
+  lea rax, [rcx]
+  mov rbx, 0x3FFFFFFFFFFFFFFF
+  cmp rax, rbx
+  jb trapstore
+  mov rbx, 0x4FFFFFFFFFFFFFFF
+  cmp rax, rbx
+  jae trapstore
+  pop rax
+  pop rbx
+again:
+  mov [rcx], rdx
+  sub rdx, 1
+  cmp rdx, 0
+  jne again
+  hlt
+trapstore:
+  trap 1
+`
+
+func TestCleanLoopToGuardedStoreAccepted(t *testing.T) {
+	res, err := verifyAsm(t, cleanLoopSrc, policy.SetP1)
+	if err != nil {
+		t.Fatalf("loop that keeps the checked register rejected: %v", err)
+	}
+	if res.CFA.Anchors != 1 {
+		t.Errorf("anchors = %d, want the one store guard", res.CFA.Anchors)
+	}
+}
+
+// TestClobberedIndexRejected: the checked address is computed from a base
+// and an index register; a loop latch that advances only the index
+// re-enters the store with an unchecked address.
+func TestClobberedIndexRejected(t *testing.T) {
+	_, err := verifyAsm(t, `
+.entry _start
+.bss slot 64
+.func _start
+  mov rcx, =slot
+  mov rdi, 0
+  push rbx
+  push rax
+  lea rax, [rcx+rdi*8]
+  mov rbx, 0x3FFFFFFFFFFFFFFF
+  cmp rax, rbx
+  jb trapstore
+  mov rbx, 0x4FFFFFFFFFFFFFFF
+  cmp rax, rbx
+  jae trapstore
+  pop rax
+  pop rbx
+again:
+  mov [rcx+rdi*8], rdx
+  add rdi, 1
+  cmp rdi, 8
+  jne again
+  hlt
+trapstore:
+  trap 1
+`, policy.SetP1)
+	vio := requireViolation(t, err, policy.P1, "reaching-defs")
+	if !strings.Contains(vio.Msg, "register rdi") {
+		t.Errorf("rejected for %q, want the index register named", vio.Msg)
+	}
+}

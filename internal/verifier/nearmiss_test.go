@@ -2,10 +2,12 @@ package verifier_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"deflection/internal/asmtext"
+	"deflection/internal/isa"
 	"deflection/internal/policy"
 	"deflection/internal/verifier"
 )
@@ -341,6 +343,108 @@ func TestIndirectBranchThroughReservedRegister(t *testing.T) {
 		vio := requireViolation(t, err, policy.P5, "")
 		if !strings.Contains(vio.Msg, "indirect branch through reserved register") {
 			t.Fatalf("jmp %s rejected for another reason: %v", reg, err)
+		}
+	}
+}
+
+// TestStoreGuardBilledToP3: without P1, an unguarded store violates the
+// first of P3/P4 that demands store guards.
+func TestStoreGuardBilledToP3(t *testing.T) {
+	_, err := verifyAsm(t, `
+.entry _start
+.bss slot 8
+.func _start
+  mov rcx, =slot
+  mov [rcx], rdx
+  hlt
+`, policy.Bit(policy.P3).With(policy.P4))
+	requireViolation(t, err, policy.P3, "")
+}
+
+// TestShadowPushPerCallTarget: a function called twice carries one shadow
+// push and counts once, as does a listed function called directly, whose
+// push follows its beacon; the entry, which has no caller of its own,
+// needs none even when the program calls it.
+func TestShadowPushPerCallTarget(t *testing.T) {
+	res, err := verifyAsm(t, `
+.entry _start
+.target listed
+.func _start
+  call fn
+  call fn
+  call listed
+  call _start
+  hlt
+.func fn
+  push rax
+  mov rax, [rsp+8]
+  mov [r14], rax
+  add r14, 8
+  pop rax
+  hlt
+.func listed
+  brmark
+  push rax
+  mov rax, [rsp+8]
+  mov [r14], rax
+  add r14, 8
+  pop rax
+  hlt
+`, policy.Bit(policy.P5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ShadowPushes != 2 {
+		t.Errorf("shadow pushes = %d, want one each for fn and listed", res.Stats.ShadowPushes)
+	}
+}
+
+// nearTargetSrc jumps to a run of n beacons in front of the program's one
+// AEX check, under hand-written P6 arming.
+func nearTargetSrc(n int) string {
+	return fmt.Sprintf(`
+.entry _start
+.func _start
+  mov [%#x], %#x
+  mov [%#x], 0
+  jmp far
+far:
+%[4]s  push rax
+  mov rax, [%#[1]x]
+  cmp rax, %#[2]x
+  je aexdone
+  mov rax, [%#[3]x]
+  add rax, 1
+  mov [%#[3]x], rax
+  mov [%#[1]x], %#[2]x
+  cmp rax, 5
+  ja trapaex
+aexdone:
+  pop rax
+  hlt
+trapaex:
+  trap %[5]d
+`, policy.MagicSSAMarkerDisp, uint64(policy.SSAMarkerMagic), policy.MagicAEXCountDisp,
+		strings.Repeat("  brmark\n", n), isa.TrapAEXBudget)
+}
+
+// TestNearTargetWalkBounded: the walk from a branch target to its AEX
+// check crosses at most 256 beacons or annotation instructions, so a
+// target 256 beacons away is refused though one 255 away is not.
+func TestNearTargetWalkBounded(t *testing.T) {
+	for n, accept := range map[int]bool{255: true, 256: false} {
+		text, opts := assemble(t, nearTargetSrc(n), policy.Bit(policy.P6))
+		opts.AEXCheckMaxGap = 1000 // the beacons count as user instructions
+		_, err := verifier.Verify(text, opts)
+		if accept {
+			if err != nil {
+				t.Errorf("%d beacons: %v", n, err)
+			}
+			continue
+		}
+		vio := requireViolation(t, err, policy.P6, "")
+		if !strings.Contains(vio.Msg, "branch target lacks a nearby AEX check") {
+			t.Errorf("%d beacons: rejected for %q", n, vio.Msg)
 		}
 	}
 }

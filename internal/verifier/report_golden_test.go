@@ -12,11 +12,11 @@ import (
 
 	"deflection/internal/apps"
 	"deflection/internal/asmtext"
+	"deflection/internal/cfa"
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
 	"deflection/internal/nbench"
 	"deflection/internal/obj"
-	"deflection/internal/order"
 	"deflection/internal/policy"
 	"deflection/internal/stage"
 	"deflection/internal/taint"
@@ -175,19 +175,14 @@ func goldenCompiled(t *testing.T, sb *strings.Builder, name, src string) {
 }
 
 // goldenReports loads o exactly as the runtime does, verifies it under pols
-// with both report observers attached, and serialises the verdict and
-// whichever reports the passes produced. It then verifies o again with a
-// stage trace (tracedAgrees).
+// and serialises the verdict and whichever reports the Result carries. It
+// then verifies o again with a stage trace (tracedAgrees).
 func goldenReports(t *testing.T, sb *strings.Builder, name string, o *obj.Object, pols policy.Set, mangle func([]int64) []int64) {
 	t.Helper()
 	text, opts := loadObject(t, o, pols)
 	if mangle != nil {
 		opts.BranchTargetOffsets = mangle(opts.BranchTargetOffsets)
 	}
-	var trep *taint.Report
-	var orep *order.Report
-	opts.TaintObserver = func(r *taint.Report) { trep = r }
-	opts.OrderObserver = func(r *order.Report) { orep = r }
 	res, verr := verifier.Verify(text, opts)
 	tracedAgrees(t, name, text, opts, res, verr)
 	fmt.Fprintf(sb, "== %s\n", name)
@@ -195,45 +190,56 @@ func goldenReports(t *testing.T, sb *strings.Builder, name string, o *obj.Object
 		fmt.Fprintf(sb, "verdict: rejected: %v\n", verr)
 	} else {
 		sb.WriteString("verdict: accepted\n")
-		goldenResult(sb, res)
+		goldenResult(sb, res, opts)
 	}
-	if trep != nil {
-		fmt.Fprintf(sb, "taint: trivial=%t funcs=%d memranges=%d steps=%d findings=%d blocks=%d\n",
-			trep.Trivial, trep.Funcs, trep.MemRanges, trep.Steps, len(trep.Findings), len(trep.Blocks))
-		for _, f := range trep.Findings {
-			fmt.Fprintf(sb, "  finding %#x %s: %s\n", f.Off, f.Kind, f.Msg)
-		}
-		for _, id := range sortedIDs(trep.Blocks) {
-			fmt.Fprintf(sb, "  block %d in=%#x out=%#x\n", id, trep.Blocks[id].In, trep.Blocks[id].Out)
-		}
+	if res == nil {
+		return
 	}
-	if orep != nil {
-		fmt.Fprintf(sb, "order: trivial=%t funcs=%d ctxs=%d states=%d steps=%d findings=%d blocks=%d\n",
-			orep.Trivial, orep.Funcs, orep.Ctxs, orep.States, orep.Steps, len(orep.Findings), len(orep.Blocks))
-		for _, f := range orep.Findings {
-			fmt.Fprintf(sb, "  finding %#x %s: %s\n", f.Off, f.Kind, f.Msg)
-		}
-		for _, id := range sortedIDs(orep.Blocks) {
-			fmt.Fprintf(sb, "  block %d in=%#x out=%#x\n", id, orep.Blocks[id].In, orep.Blocks[id].Out)
-		}
+	if r := res.Taint; r != nil {
+		goldenReport(sb, "taint", &r.Report, fmt.Sprintf("memranges=%d", r.MemRanges))
+	}
+	if r := res.Order; r != nil {
+		goldenReport(sb, "order", r, fmt.Sprintf("ctxs=%d states=%d", r.Ctxs, protocolStates(r, opts)))
 	}
 }
 
+// goldenReport serialises one dataflow report; counts are its pass's own
+// counters.
+func goldenReport(sb *strings.Builder, pass string, r *cfa.Report, counts string) {
+	fmt.Fprintf(sb, "%s: trivial=%t funcs=%d %s steps=%d findings=%d blocks=%d\n",
+		pass, r.Trivial, r.Funcs, counts, r.Steps, len(r.Findings), len(r.Blocks))
+	for _, f := range r.Findings {
+		fmt.Fprintf(sb, "  finding %#x %s: %s\n", f.Off, f.Kind, f.Msg)
+	}
+	for _, id := range sortedIDs(r.Blocks) {
+		fmt.Fprintf(sb, "  block %d in=%#x out=%#x\n", id, r.Blocks[id].In, r.Blocks[id].Out)
+	}
+}
+
+// protocolStates is the state count of the protocol the order pass analysed
+// (0 when it held trivially).
+func protocolStates(r *cfa.Report, opts verifier.Options) int {
+	if r.Trivial {
+		return 0
+	}
+	return len(opts.Order.States)
+}
+
 // tracedAgrees verifies text again with Options.Trace set and fails unless
-// the verdict and the Result (Stats, AnnotRanges, CFA, Audit) equal the
-// untraced run's res and verr, and the trace is well formed: a disasm span
-// first, and an error attribute on the last span exactly when the binary
-// was rejected.
+// the verdict and the Result (Stats, AnnotRanges, CFA, Audit and both
+// reports) equal the untraced run's res and verr, and the trace is well
+// formed: a disasm span first, and an error attribute on the last span
+// exactly when the binary was rejected.
 func tracedAgrees(t *testing.T, name string, text []byte, opts verifier.Options, res *verifier.Result, verr error) {
 	t.Helper()
-	opts.TaintObserver, opts.OrderObserver = nil, nil
 	opts.Trace = stage.NewTraceWithClock(name, nil)
 	tres, terr := verifier.Verify(text, opts)
 	if fmt.Sprint(terr) != fmt.Sprint(verr) {
 		t.Fatalf("%s: traced verdict %v, untraced %v", name, terr, verr)
 	}
-	if verr == nil && (!reflect.DeepEqual(tres.Stats, res.Stats) || !reflect.DeepEqual(tres.AnnotRanges, res.AnnotRanges) ||
-		!reflect.DeepEqual(tres.CFA, res.CFA) || !reflect.DeepEqual(tres.Audit, res.Audit)) {
+	if (tres == nil) != (res == nil) || res != nil && (!reflect.DeepEqual(tres.Stats, res.Stats) || !reflect.DeepEqual(tres.AnnotRanges, res.AnnotRanges) ||
+		!reflect.DeepEqual(tres.CFA, res.CFA) || !reflect.DeepEqual(tres.Audit, res.Audit) ||
+		!reflect.DeepEqual(tres.Taint, res.Taint) || !reflect.DeepEqual(tres.Order, res.Order)) {
 		t.Fatalf("%s: traced Result differs from the untraced one", name)
 	}
 	spans := opts.Trace.Spans()
@@ -246,13 +252,25 @@ func tracedAgrees(t *testing.T, name string, text []byte, opts verifier.Options,
 	}
 }
 
-// goldenResult serialises an accepted Result.
-func goldenResult(sb *strings.Builder, res *verifier.Result) {
+// goldenResult serialises an accepted Result. Its cfa line keeps the
+// columns of the removed CFAStats fields: DeadBytes, which every accepted
+// Result held at 0 (dead bytes reject the binary), and the P7/P8 counts
+// now read from the reports.
+func goldenResult(sb *strings.Builder, res *verifier.Result, opts verifier.Options) {
 	fmt.Fprintf(sb, "stats: %+v\n", res.Stats)
 	fmt.Fprintf(sb, "dis: insts=%d blocks=%d\n", len(res.Dis.Insts), res.Dis.Blocks())
-	// The golden keeps the column of the removed CFAStats.DeadBytes, which
-	// every accepted Result held at 0 (dead bytes reject the binary).
-	fmt.Fprintf(sb, "cfa: %s\n", strings.Replace(fmt.Sprintf("%+v", res.CFA), " Targets:", " DeadBytes:0 Targets:", 1))
+	var tr taint.Report
+	var or cfa.Report
+	secrets, states := 0, 0
+	if res.Taint != nil {
+		tr, secrets = *res.Taint, len(opts.Taint.Secrets)
+	}
+	if res.Order != nil {
+		or, states = *res.Order, protocolStates(res.Order, opts)
+	}
+	c := res.CFA
+	fmt.Fprintf(sb, "cfa: {Blocks:%d Edges:%d Anchors:%d DeadBytes:0 Targets:%d Secrets:%d TaintFuncs:%d TaintedRanges:%d TaintTrivial:%t OrderStates:%d OrderCtxs:%d OrderFuncs:%d OrderTrivial:%t}\n",
+		c.Blocks, c.Edges, c.Anchors, c.Targets, secrets, tr.Funcs, tr.MemRanges, tr.Trivial, states, or.Ctxs, or.Funcs, or.Trivial)
 	for _, a := range res.Audit {
 		fmt.Fprintf(sb, "audit %v required=%t passed=%t checks=%d: %s\n", a.Policy, a.Required, a.Passed, a.Checks, a.Detail)
 	}

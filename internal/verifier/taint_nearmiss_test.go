@@ -223,11 +223,11 @@ func TestTaintReportsDeterministic(t *testing.T) {
 		var first *taint.Report
 		for i := 0; i < 50; i++ {
 			text, opts := loadObject(t, o, policy.SetP1P7)
-			var rep *taint.Report
-			opts.TaintObserver = func(r *taint.Report) { rep = r }
-			if _, err := verifier.Verify(text, opts); err != nil {
+			res, err := verifier.Verify(text, opts)
+			if err != nil {
 				t.Fatalf("%s: run %d rejected: %v", a.name, i, err)
 			}
+			rep := res.Taint
 			if rep == nil || rep.Trivial {
 				t.Fatalf("%s: run %d: no full taint report", a.name, i)
 			}

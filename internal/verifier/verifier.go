@@ -23,9 +23,9 @@ import (
 	"errors"
 	"fmt"
 
+	"deflection/internal/cfa"
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
-	"deflection/internal/order"
 	"deflection/internal/policy"
 	"deflection/internal/stage"
 	"deflection/internal/taint"
@@ -89,20 +89,10 @@ type Options struct {
 	// absolute secret-buffer ranges plus the store-window and stack
 	// bounds. Ignored unless Required includes P7.
 	Taint taint.Config
-	// TaintObserver, when non-nil, receives the P7 taint report whenever
-	// the pass runs — including when its findings reject the binary, which
-	// Verify otherwise discards with the Result. Debugging hook for
-	// deflection-disasm -taint; never influences the verdict.
-	TaintObserver func(*taint.Report)
 	// Order is the declared interface protocol of the P8 orderliness pass
 	// (nil when the object declares none; the pass then holds trivially).
 	// Ignored unless Required includes P8.
 	Order *policy.Protocol
-	// OrderObserver, when non-nil, receives the P8 order report whenever
-	// the pass runs — including when its findings reject the binary.
-	// Debugging hook for deflection-disasm -order; never influences the
-	// verdict.
-	OrderObserver func(*order.Report)
 	// Trace, when non-nil, receives one span per verification phase in the
 	// order the phases run: disasm, policy/<id> around each template phase
 	// (P5 and P6 run in two phases each), discipline and the cfa/* passes.
@@ -134,7 +124,10 @@ type PolicyAudit struct {
 	Detail   string
 }
 
-// Result is the verifier's accepted-binary report.
+// Result is the verifier's report. Verify returns it for an accepted
+// binary and, without an Audit, for a binary the P7 or P8 pass rejected,
+// whose report then holds every finding (it is nil only when the analysis
+// itself failed); every other rejection returns no Result.
 type Result struct {
 	Dis   *disasm.Result
 	Stats Stats
@@ -144,8 +137,12 @@ type Result struct {
 	AnnotRanges []Range
 	// Audit holds one verdict per policy P1-P8 in ascending order.
 	Audit []PolicyAudit
-	// CFA summarises the control-flow-analysis passes.
+	// CFA summarises the structural control-flow-analysis passes.
 	CFA CFAStats
+	// Taint and Order are the P7 and P8 reports: findings, per-block
+	// masks and analysis effort (nil when the pass did not run).
+	Taint *taint.Report
+	Order *cfa.Report
 }
 
 type verifier struct {
@@ -348,10 +345,18 @@ func (v *verifier) finish() (*Result, error) {
 		Stats:       v.stats,
 		AnnotRanges: v.ranges,
 	}
-	if err := v.runCFA(req, res); err != nil {
+	g, err := v.runCFA(req, res)
+	if err != nil {
 		return nil, err
 	}
-	res.Audit = v.buildAudit(req, &res.CFA)
+	for _, id := range []policy.ID{policy.P7, policy.P8} {
+		if req.Has(id) {
+			if err := v.dataflowPass(g, id, res); err != nil {
+				return res, err
+			}
+		}
+	}
+	res.Audit = v.buildAudit(req, res)
 	return res, nil
 }
 
@@ -368,47 +373,52 @@ func storeGuardOwner(req policy.Set) policy.ID {
 	}
 }
 
-// buildAudit assembles the per-policy verdict trail for an accepted binary.
-// cfaStats is the CFA pass summary.
-func (v *verifier) buildAudit(req policy.Set, cfaStats *CFAStats) []PolicyAudit {
-	details := map[policy.ID]struct {
-		checks int
-		detail string
-	}{
-		policy.P1: {v.checks(policy.P1), fmt.Sprintf("%d stores confined to the enclave data range by verified bounds guards; dominance pass proved all %d guards un-bypassable and clobber-free",
-			v.stats.StoreGuards, len(v.storeAnchors))},
-		policy.P2: {v.checks(policy.P2), fmt.Sprintf("%d explicit RSP writes followed by verified stack-bounds checks; dominance pass proved all %d checks adjacent and un-bypassable",
-			v.stats.RSPGuards, len(v.rspAnchors))},
-		policy.P3: {v.checks(policy.P3), fmt.Sprintf("store bounds exclude SSA, shadow stack and branch table; %d stores audited", v.stats.StoreGuards)},
-		policy.P4: {v.checks(policy.P4), fmt.Sprintf("store bounds exclude code pages (software DEP); %d stores audited; dead-byte pass found no unreachable text bytes", v.stats.StoreGuards)},
-		policy.P5: {v.checks(policy.P5), fmt.Sprintf("%d indirect branches CFI-guarded, %d returns shadow-checked, %d shadow pushes, %d listed-target beacons; %d listed targets cross-checked against the %d-block CFG",
-			v.stats.CFIGuards, v.stats.ShadowChecks, v.stats.ShadowPushes, v.stats.Beacons, cfaStats.Targets, cfaStats.Blocks)},
-		policy.P6: {v.checks(policy.P6), fmt.Sprintf("entry arming verified, %d SSA-marker checks, max straight-line gap %d", v.stats.AEXChecks, v.opts.AEXCheckMaxGap)},
-		policy.P7: {cfaStats.Secrets, taintDetail(cfaStats)},
-		policy.P8: {cfaStats.OrderStates, orderDetail(cfaStats)},
-	}
+// buildAudit assembles the per-policy verdict trail for an accepted binary
+// from its report res.
+func (v *verifier) buildAudit(req policy.Set, res *Result) []PolicyAudit {
 	var audit []PolicyAudit
 	for id := policy.P1; id <= policy.P8; id++ {
-		a := PolicyAudit{Policy: id, Required: req.Has(id), Passed: true}
-		if !a.Required {
-			a.Detail = "not required by manifest; skipped"
-		} else {
-			d := details[id]
-			a.Checks = d.checks
-			a.Detail = d.detail
+		a := PolicyAudit{Policy: id, Required: req.Has(id), Passed: true, Detail: "not required by manifest; skipped"}
+		if a.Required {
+			a.Checks, a.Detail = v.audit(id, res)
 		}
 		audit = append(audit, a)
 	}
 	return audit
 }
 
+// audit returns the check count and the detail line of required policy id.
+func (v *verifier) audit(id policy.ID, res *Result) (int, string) {
+	s := &v.stats
+	switch id {
+	case policy.P1:
+		return v.checks(id), fmt.Sprintf("%d stores confined to the enclave data range by verified bounds guards; dominance pass proved all %d guards un-bypassable and clobber-free",
+			s.StoreGuards, len(v.storeAnchors))
+	case policy.P2:
+		return v.checks(id), fmt.Sprintf("%d explicit RSP writes followed by verified stack-bounds checks; dominance pass proved all %d checks adjacent and un-bypassable",
+			s.RSPGuards, len(v.rspAnchors))
+	case policy.P3:
+		return v.checks(id), fmt.Sprintf("store bounds exclude SSA, shadow stack and branch table; %d stores audited", s.StoreGuards)
+	case policy.P4:
+		return v.checks(id), fmt.Sprintf("store bounds exclude code pages (software DEP); %d stores audited; dead-byte pass found no unreachable text bytes", s.StoreGuards)
+	case policy.P5:
+		return v.checks(id), fmt.Sprintf("%d indirect branches CFI-guarded, %d returns shadow-checked, %d shadow pushes, %d listed-target beacons; %d listed targets cross-checked against the %d-block CFG",
+			s.CFIGuards, s.ShadowChecks, s.ShadowPushes, s.Beacons, res.CFA.Targets, res.CFA.Blocks)
+	case policy.P6:
+		return v.checks(id), fmt.Sprintf("entry arming verified, %d SSA-marker checks, max straight-line gap %d", s.AEXChecks, v.opts.AEXCheckMaxGap)
+	case policy.P7:
+		n := len(v.opts.Taint.Secrets)
+		return n, taintDetail(res.Taint, n)
+	default: // P8
+		n := v.protocolStates()
+		return n, orderDetail(res.Order, n)
+	}
+}
+
 // strictlyInRange reports whether off decodes to an instruction inside an
 // annotation but not at its start, and the policy owning that annotation.
 func (v *verifier) strictlyInRange(off int64) (policy.ID, bool) {
-	i, ok := v.dis.Index(off)
-	if !ok {
-		return 0, false
-	}
+	i, _ := v.dis.Index(off) // direct-branch and listed targets are all decoded
 	m := v.marks[i]
 	return m.owner, m.annotated && !m.rangeStart
 }
@@ -418,16 +428,12 @@ func (v *verifier) strictlyInRange(off int64) (policy.ID, bool) {
 // stays linear in total annotation size).
 func (v *verifier) addRange(lo, hi int64, id policy.ID) {
 	v.ranges = append(v.ranges, Range{Lo: lo, Hi: hi})
-	if i, ok := v.dis.Index(lo); ok {
-		v.marks[i].rangeStart = true
-	}
-	for cur := lo; cur < hi; {
-		i, ok := v.dis.Index(cur)
-		if !ok {
-			break
-		}
+	// Every range is a matched template or a trap stub its Jcc was checked
+	// against: decoded instructions, contiguous in index order.
+	i, _ := v.dis.Index(lo)
+	v.marks[i].rangeStart = true
+	for ; i < len(v.dis.Insts) && v.dis.Insts[i].Off < hi; i++ {
 		v.marks[i].annotated, v.marks[i].owner = true, id
-		cur = v.dis.Insts[i].End()
 	}
 }
 
@@ -437,10 +443,9 @@ func (v *verifier) addRange(lo, hi int64, id policy.ID) {
 // owned by id. It returns the end of the longest matching prefix (off when
 // none matched).
 func (v *verifier) match(t policy.Template, off int64, anchor isa.Inst, id policy.ID) (int64, bool) {
-	first, ok := v.dis.Index(off)
-	if !ok {
-		return off, false
-	}
+	// Every caller's off is decoded: an entry, a call target, an
+	// instruction's own offset, or the end of a non-terminating one.
+	first, _ := v.dis.Index(off)
 	insts, steps := v.dis.Insts, t.Steps()
 	end, local := off, int64(-1)
 	for k := range steps {
@@ -507,7 +512,7 @@ func (v *verifier) fits(s *policy.Step, in *disasm.Inst, anchor *isa.Inst) bool 
 		return in.Src == want.Src && mem
 	case isa.FmtMI:
 		return mem && imm
-	case isa.FmtCondRel:
+	default: // FmtCondRel: no template step has another format
 		if in.Cond != want.Cond {
 			return false
 		}
@@ -517,7 +522,6 @@ func (v *verifier) fits(s *policy.Step, in *disasm.Inst, anchor *isa.Inst) bool 
 		trap, ok := v.dis.At(disasm.DirectTarget(*in))
 		return ok && trap.Op == isa.OpTrap && trap.Imm == int64(s.Trap)
 	}
-	return false // no template step has another format
 }
 
 // ---- P5: beacons ----
@@ -599,10 +603,7 @@ func (v *verifier) matchShadowPushes() error {
 			continue
 		}
 		t := disasm.DirectTarget(in)
-		ti, ok := v.dis.Index(t)
-		if !ok {
-			return v.violation(policy.P5, t, "call target lacks shadow-stack entry push (P5)")
-		}
+		ti, _ := v.dis.Index(t) // Disassemble decodes every direct-call target
 		if seen[ti] {
 			continue
 		}

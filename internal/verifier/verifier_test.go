@@ -3,6 +3,7 @@ package verifier_test
 import (
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"deflection/internal/asm"
@@ -359,5 +360,68 @@ func TestAnnotationRangesCoverGuards(t *testing.T) {
 	}
 	if annotBytes == 0 || annotBytes >= int64(len(text)) {
 		t.Errorf("annotation bytes = %d of %d, implausible", annotBytes, len(text))
+	}
+}
+
+// TestOptionsArePlainData: the verifier's inputs are data. A func-typed
+// option would let untrusted code run inside verification; the reports
+// come back in the Result instead.
+func TestOptionsArePlainData(t *testing.T) {
+	typ := reflect.TypeOf(verifier.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Func {
+			t.Errorf("verifier.Options.%s is a func (%v)", f.Name, f.Type)
+		}
+	}
+}
+
+// TestRejectionResult pins what Verify returns with a rejection: no Result
+// for a template or a decode rejection, and for a P7 or P8 rejection the
+// Result built so far, whose report holds every finding (the Violation
+// names the first) and which has no Audit.
+func TestRejectionResult(t *testing.T) {
+	for name, tc := range map[string]struct {
+		src    string
+		pols   policy.Set
+		mangle func([]int64) []int64
+	}{
+		"template": {src: rspGuardOneSided, pols: policy.SetP1P2},
+		"decode":   {src: targetListSrc, pols: policy.SetP1P5, mangle: targetMidInstruction},
+	} {
+		text, opts := assemble(t, tc.src, tc.pols)
+		if tc.mangle != nil {
+			opts.BranchTargetOffsets = tc.mangle(opts.BranchTargetOffsets)
+		}
+		if res, err := verifier.Verify(text, opts); err == nil || res != nil {
+			t.Errorf("%s rejection: res=%v err=%v, want only an error", name, res, err)
+		}
+	}
+
+	res, err := verifyAsm(t, `
+.entry _start
+.bss key 8
+.secret key
+.func _start
+  mov rcx, =key
+  mov rdi, [rcx]
+  ocall 3
+  ocall 3
+  hlt
+`, p7Only)
+	vio := requireViolation(t, err, policy.P7, "taint")
+	if res == nil || res.Taint == nil || res.Order != nil || res.Audit != nil {
+		t.Fatalf("taint rejection: res=%+v, want the taint report alone and no audit", res)
+	}
+	if f := res.Taint.Findings; len(f) != 2 || f[0].Off != vio.Offset {
+		t.Errorf("taint findings %+v, want both prints, the first at %#x", f, vio.Offset)
+	}
+
+	res, err = verifyAsm(t, orderNearMisses["indirect branch skips the provisioning recv"].src, p8Only)
+	vio = requireViolation(t, err, policy.P8, "order")
+	if res == nil || res.Order == nil || res.Taint != nil || res.Audit != nil {
+		t.Fatalf("order rejection: res=%+v, want the order report alone and no audit", res)
+	}
+	if f := res.Order.Findings; len(f) != 2 || f[0].Off != vio.Offset {
+		t.Errorf("order findings %+v, want two, the first at %#x", f, vio.Offset)
 	}
 }
