@@ -35,19 +35,19 @@ lint:
 # in TCB_COVER_PKG_FLOORS (a walked package without an entry has no floor
 # of its own). The floors are the figures last recorded, rounded down to
 # 0.1%: a ratchet, raised as coverage grows, never lowered to pass.
-TCB_COVER_FLOOR = 96.4
+TCB_COVER_FLOOR = 97.5
 TCB_COVER_PKG_FLOORS = \
 	deflection/internal/cfa=97.2 \
 	deflection/internal/cpu=98.8 \
 	deflection/internal/disasm=96.4 \
 	deflection/internal/enclave=96.3 \
 	deflection/internal/isa=98.5 \
-	deflection/internal/loader=89.8 \
+	deflection/internal/loader=100.0 \
 	deflection/internal/obj=98.6 \
 	deflection/internal/order=100.0 \
 	deflection/internal/policy=100.0 \
 	deflection/internal/ra=100.0 \
-	deflection/internal/runtime=89.5 \
+	deflection/internal/runtime=98.0 \
 	deflection/internal/stage=100.0 \
 	deflection/internal/taint=91.9 \
 	deflection/internal/verifier=100.0

@@ -37,6 +37,8 @@
 package deflection
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
 	"fmt"
 
@@ -303,11 +305,26 @@ func (e *Enclave) RunThreads(n int, opts RunOptions) ([]ThreadResult, error) {
 // ResetIO clears queued inputs and collected outputs between runs.
 func (e *Enclave) ResetIO() { e.b.ResetIO() }
 
-// OpenOutput unpads (and with a key, decrypts) an output message on the
-// data-owner side.
+// OpenOutput unpads (and with a key, AES-GCM decrypts) an output message
+// on the data-owner side: the inverse of the bootstrap's output sealing.
 func OpenOutput(key, sealed []byte) ([]byte, error) {
 	if key == nil {
 		return runtime.Unpad(sealed)
 	}
-	return runtime.OpenOutput(key, sealed)
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("deflection: %w", err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("deflection: %w", err)
+	}
+	if len(sealed) < gcm.NonceSize() {
+		return nil, errors.New("deflection: sealed message too short")
+	}
+	padded, err := gcm.Open(nil, sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():], nil)
+	if err != nil {
+		return nil, fmt.Errorf("deflection: %w", err)
+	}
+	return runtime.Unpad(padded)
 }

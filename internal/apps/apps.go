@@ -172,25 +172,17 @@ func VerifyInput(name, src string, pols policy.Set) ([]byte, verifier.Options, e
 	return VerifyObject(o, pols)
 }
 
-// VerifyObject loads o into a fresh enclave exactly as the runtime does and
-// returns the relocated text with the verifier options that load implies
-// under pols: entry, branch-target list, the P7 secret geometry and the P8
-// protocol. Tools and benchmarks that call verifier.Verify directly share
-// it.
+// VerifyObject relocates o for the default enclave layout exactly as the
+// runtime does and returns the relocated text with the verifier options
+// that load implies under pols: entry, branch-target list, the P7 secret
+// geometry and the P8 protocol. Tools and benchmarks that call
+// verifier.Verify directly share it.
 func VerifyObject(o *obj.Object, pols policy.Set) ([]byte, verifier.Options, error) {
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("verify-input"))
-	if err != nil {
-		return nil, verifier.Options{}, err
-	}
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Load(enclave.DefaultConfig().Layout(), o)
 	if err != nil {
 		return nil, verifier.Options{}, fmt.Errorf("load: %w", err)
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		return nil, verifier.Options{}, err
-	}
-	return text, runtime.VerifyOptions(ld, pols), nil
+	return ld.Text, runtime.VerifyOptions(ld, pols), nil
 }
 
 // Param encodes an integer parameter message for read_param.

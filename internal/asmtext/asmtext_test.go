@@ -4,11 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"deflection/internal/apps"
 	"deflection/internal/asmtext"
 	"deflection/internal/cpu"
 	"deflection/internal/enclave"
 	"deflection/internal/isa"
-	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
@@ -165,19 +165,11 @@ func TestHandWrittenAttackRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("t"))
+	text, opts, err := apps.VerifyObject(o, policy.SetP1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = verifier.Verify(text, runtime.VerifyOptions(ld, policy.SetP1))
+	_, err = verifier.Verify(text, opts)
 	if err == nil {
 		t.Fatal("hand-written unguarded store accepted")
 	}

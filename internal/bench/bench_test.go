@@ -350,7 +350,7 @@ func TestPassCostQuick(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("aggregate %s overhead %s (budget %.0f%%)", e.name, pct(res.Overhead()), e.budget*100)
+			t.Logf("aggregate %s overhead %s, apps %s (budget %.0f%%)", e.name, pct(res.Overhead()), pct(res.AppsOverhead()), e.budget*100)
 			out := res.String()
 			if !strings.Contains(out, e.title) {
 				t.Error("render missing title")
@@ -363,6 +363,16 @@ func TestPassCostQuick(t *testing.T) {
 			}
 			if !strings.Contains(out, "aggregate overhead "+pct(res.Overhead())) {
 				t.Error("render missing the all-binary aggregate")
+			}
+			// The budget is judged on the analysed apps alone.
+			if e.budget > 0 {
+				verdict := "within"
+				if res.AppsOverhead() > e.budget {
+					verdict = "OVER"
+				}
+				if want := fmt.Sprintf("analysed apps %s the +%.0f%% budget", verdict, e.budget*100); !strings.Contains(out, want) {
+					t.Errorf("render lacks %q:\n%s", want, out)
+				}
 			}
 		})
 	}

@@ -74,6 +74,7 @@ var microStages = []struct {
 	{"policies", func(tr *obs.Trace) time.Duration { return obs.DurPrefix(tr, "policy/") + obs.Dur(tr, "discipline") }},
 	{"cfa", func(tr *obs.Trace) time.Duration { return obs.DurPrefix(tr, "cfa/") }},
 	{"rewrite", func(tr *obs.Trace) time.Duration { return obs.Dur(tr, "rewrite") }},
+	{"install", func(tr *obs.Trace) time.Duration { return obs.DurPrefix(tr, "install_") }},
 }
 
 // MicroRow is one binary's load+verify cost and its stage split.
@@ -96,7 +97,7 @@ type MicroResult struct {
 }
 
 // Micro measures the full ECall-to-accept path (parse, load, relocate,
-// verify, rewrite) for every nBench kernel binary under the full policy
+// verify, rewrite, install) for every nBench kernel binary under the full policy
 // set, splitting it by stage with the trace that ReceiveBinary records.
 func Micro() (*MicroResult, error) {
 	res := &MicroResult{}

@@ -22,7 +22,7 @@ type passCost struct {
 	pols   policy.Set
 	apps   []passWorkload // benchmarked before the nBench kernels
 	span   func(*obs.Trace) time.Duration
-	budget float64 // relative overhead bar (0 = none)
+	budget float64 // bar for the analysed apps' aggregate overhead (0 = none)
 	header []string
 	// stats renders the header's columns from the verifier's inputs and
 	// its Result.
@@ -225,10 +225,10 @@ func (r *PassCostResult) String() string {
 	s += "aggregate overhead " + pct(r.Overhead())
 	if b := r.exp.budget; b > 0 {
 		verdict := "within"
-		if r.Overhead() > b {
+		if r.AppsOverhead() > b {
 			verdict = "OVER"
 		}
-		s += fmt.Sprintf(" — %s the +%.0f%% budget", verdict, b*100)
+		s += fmt.Sprintf(" — analysed apps %s the +%.0f%% budget", verdict, b*100)
 	}
 	return s
 }

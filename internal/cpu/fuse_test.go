@@ -376,11 +376,7 @@ int main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ld, err := loader.Load(e, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text, err := ld.TextBytes()
+		ld, err := loader.Load(e.Layout, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,12 +384,25 @@ int main() {
 		for _, b := range ld.BranchTargets {
 			entries = append(entries, int64(b-ld.TextBase))
 		}
-		dis, err := disasm.Disassemble(text, entries)
+		dis, err := disasm.Disassemble(ld.Text, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := loader.RewriteImmediates(ld, dis); err != nil {
 			t.Fatal(err)
+		}
+		// Install the rewritten text and the data; the program takes no
+		// function's address, so its branch table is empty.
+		if len(ld.Table) != 0 {
+			t.Fatalf("program has a %d-byte branch table", len(ld.Table))
+		}
+		if f := e.Mem.Write(ld.TextBase, ld.Text); f != nil {
+			t.Fatal(f)
+		}
+		if len(ld.Data) > 0 {
+			if f := e.Mem.Write(ld.DataBase, ld.Data); f != nil {
+				t.Fatal(f)
+			}
 		}
 		c := New(e, Config{AEXInterval: 400_000, AEXSeed: 1,
 			Trace: func(rip uint64, in isa.Inst) { trs[i] = append(trs[i], traced{rip, in}) }})

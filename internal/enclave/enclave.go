@@ -24,9 +24,9 @@ type Config struct {
 	// the paper's Section VII.
 	Threads int
 
-	// SGXv2 enables EDMM-style dynamic page permissions: the loader keeps
-	// code pages RW during loading and flips them to RX after verification
-	// and rewriting, so DEP is enforced in hardware and P4's software
+	// SGXv2 enables EDMM-style dynamic page permissions: code pages stay
+	// RW until the verified, rewritten binary is installed and are then
+	// sealed RX, so DEP is enforced in hardware and P4's software
 	// check becomes belt-and-braces (paper Section VII, citing [64]).
 	SGXv2 bool
 }
@@ -177,17 +177,13 @@ type Enclave struct {
 // ELRBaseDefault is where ELRANGE begins in the simulated address space.
 const ELRBaseDefault = 0x0100_0000
 
-// New builds an enclave: maps all regions, applies SGXv1 page permissions
-// (code pages RWX because permissions cannot change after launch and the
-// target binary is loaded dynamically — the reason software DEP/P4 exists),
-// and computes the launch measurement over the consumer identity and the
-// layout.
-func New(cfg Config, consumerIdentity []byte) (*Enclave, error) {
+// Layout resolves the address map an enclave of this configuration gets:
+// the region arithmetic of New without allocating any memory, so a binary
+// can be relocated and verified for an enclave before (or without) one
+// being launched.
+func (cfg Config) Layout() Layout {
 	var l Layout
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	l.Threads = cfg.Threads
+	l.Threads = max(cfg.Threads, 1)
 	l.SGXv2 = cfg.SGXv2
 	cur := uint64(ELRBaseDefault)
 	l.ELRBase = cur
@@ -204,7 +200,7 @@ func New(cfg Config, consumerIdentity []byte) (*Enclave, error) {
 	guard()
 	l.ShadowBase, l.ShadowEnd = take(cfg.ShadowCap)
 	guard()
-	l.SSABase, l.SSAEnd = take(uint64(cfg.Threads) * PageSize)
+	l.SSABase, l.SSAEnd = take(uint64(l.Threads) * PageSize)
 	guard()
 	l.HeapBase, l.HeapEnd = take(cfg.HeapCap)
 	guard()
@@ -212,8 +208,17 @@ func New(cfg Config, consumerIdentity []byte) (*Enclave, error) {
 	guard()
 	l.ELREnd = cur
 	l.UntrustedBase, l.UntrustedEnd = take(cfg.UntrustedCap)
+	return l
+}
 
-	mem, err := NewMemory(l.ELRBase, cur-l.ELRBase)
+// New builds an enclave: maps all regions of cfg.Layout(), applies SGXv1
+// page permissions (code pages RWX because permissions cannot change after
+// launch and the target binary is loaded dynamically — the reason software
+// DEP/P4 exists), and computes the launch measurement over the consumer
+// identity and the layout.
+func New(cfg Config, consumerIdentity []byte) (*Enclave, error) {
+	l := cfg.Layout()
+	mem, err := NewMemory(l.ELRBase, l.UntrustedEnd-l.ELRBase)
 	if err != nil {
 		return nil, fmt.Errorf("enclave: %w", err)
 	}
@@ -224,7 +229,7 @@ func New(cfg Config, consumerIdentity []byte) (*Enclave, error) {
 	}
 	codePerm := PermRWX // SGXv1: loaded code needs RWX
 	if cfg.SGXv2 {
-		codePerm = PermRW // flipped to RX by the loader after verification
+		codePerm = PermRW // sealed RX when the verified binary is installed
 	}
 	set(l.CodeBase, l.CodeEnd, codePerm)
 	set(l.BrTableBase, l.BrTableEnd, PermR)
@@ -235,10 +240,10 @@ func New(cfg Config, consumerIdentity []byte) (*Enclave, error) {
 	set(l.UntrustedBase, l.UntrustedEnd, PermRW)
 	// Per-thread guard pages: below each thread's stack slot and above
 	// each thread's shadow slot.
-	if cfg.Threads > 1 {
-		for i := 0; i < cfg.Threads; i++ {
+	if l.Threads > 1 {
+		for i := 0; i < l.Threads; i++ {
 			set(l.StackLoFor(i)-PageSize, l.StackLoFor(i), 0)
-			shadowSlot := (l.ShadowEnd - l.ShadowBase) / uint64(cfg.Threads) / PageSize * PageSize
+			shadowSlot := (l.ShadowEnd - l.ShadowBase) / uint64(l.Threads) / PageSize * PageSize
 			guardLo := l.ShadowBaseFor(i) + shadowSlot - PageSize
 			set(guardLo, guardLo+PageSize, 0)
 		}

@@ -1,6 +1,7 @@
 package loader_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -16,14 +17,7 @@ import (
 	"deflection/internal/verifier"
 )
 
-func testEnclave(t *testing.T) *enclave.Enclave {
-	t.Helper()
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("loader-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
+var testLayout = enclave.DefaultConfig().Layout()
 
 func buildObject(t *testing.T) *obj.Object {
 	t.Helper()
@@ -59,24 +53,25 @@ func buildObject(t *testing.T) *obj.Object {
 }
 
 func TestLoadPlacesSections(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Load(testLayout, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ld.TextBase != e.Layout.CodeBase {
+	if ld.TextBase != testLayout.CodeBase || ld.Layout != testLayout {
 		t.Errorf("text base %#x", ld.TextBase)
 	}
-	if ld.DataBase != e.Layout.HeapBase {
+	if ld.DataBase != testLayout.HeapBase {
 		t.Errorf("data base %#x", ld.DataBase)
 	}
 	if ld.HeapFree <= ld.DataBase {
 		t.Error("heap free pointer not advanced")
 	}
-	b, f := e.Mem.Read8(ld.Symbols["greet"])
-	if f != nil || b != 'h' {
-		t.Errorf("data not copied: %c %v", b, f)
+	if len(ld.Text) != len(o.Text) {
+		t.Errorf("text %d bytes, object has %d", len(ld.Text), len(o.Text))
+	}
+	if off := ld.Symbols["greet"] - ld.DataBase; off >= uint64(len(ld.Data)) || ld.Data[off] != 'h' {
+		t.Errorf("data not copied to greet's offset %d: %q", off, ld.Data)
 	}
 	if ld.Entry != ld.Symbols["_start"] {
 		t.Error("entry mismatch")
@@ -84,73 +79,60 @@ func TestLoadPlacesSections(t *testing.T) {
 }
 
 func TestLoadAppliesRelocations(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Load(testLayout, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, _, err := isa.Decode(text)
+	in, _, err := isa.Decode(ld.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in.Op != isa.OpMovRI || uint64(in.Imm) != ld.Symbols["greet"] {
 		t.Errorf("relocated imm = %#x, want %#x", in.Imm, ld.Symbols["greet"])
 	}
+	if in, _, _ := isa.Decode(o.Text); in.Imm == int64(ld.Symbols["greet"]) {
+		t.Error("relocation applied to the object's own text, not a private copy")
+	}
 }
 
 func TestLoadTranslatesBranchTargets(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Load(testLayout, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ld.BranchTargets) != 1 || ld.BranchTargets[0] != ld.Symbols["fn"] {
 		t.Fatalf("branch targets = %v", ld.BranchTargets)
 	}
-	// The table is published in the read-only branch-table region.
-	v, f := e.Mem.Read64(e.Layout.BrTableBase)
-	if f != nil || v != ld.Symbols["fn"] {
-		t.Errorf("table entry = %#x %v", v, f)
-	}
-	if p := e.Mem.PermAt(e.Layout.BrTableBase); p != enclave.PermR {
-		t.Errorf("branch table perm = %v, want r--", p)
+	// The table holds the translated targets as little-endian words.
+	if len(ld.Table) != 8 || binary.LittleEndian.Uint64(ld.Table) != ld.Symbols["fn"] {
+		t.Errorf("table = %x, want the word %#x", ld.Table, ld.Symbols["fn"])
 	}
 }
 
 func TestLoadRejectsOversizedText(t *testing.T) {
 	cfg := enclave.DefaultConfig()
 	cfg.CodeCap = enclave.PageSize
-	e, err := enclave.New(cfg, []byte("small"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := buildObject(t)
 	o.Text = make([]byte, enclave.PageSize+1)
-	if _, err := loader.Load(e, o); err == nil {
+	if _, err := loader.Load(cfg.Layout(), o); err == nil {
 		t.Fatal("oversized text must fail")
 	}
 }
 
 func TestLoadRejectsOversizedBSS(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
 	o.BSSSize = 1 << 40
-	if _, err := loader.Load(e, o); err == nil {
+	if _, err := loader.Load(testLayout, o); err == nil {
 		t.Fatal("oversized bss must fail")
 	}
 }
 
 func TestLoadRejectsBranchTargetOutsideText(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
 	o.BranchTargets = append(o.BranchTargets, obj.BranchTarget{Symbol: "greet"})
-	if _, err := loader.Load(e, o); err == nil {
+	if _, err := loader.Load(testLayout, o); err == nil {
 		t.Fatal("data-section branch target must fail")
 	}
 }
@@ -158,15 +140,11 @@ func TestLoadRejectsBranchTargetOutsideText(t *testing.T) {
 func TestLoadRejectsOversizedBranchTable(t *testing.T) {
 	cfg := enclave.DefaultConfig()
 	cfg.BrTableCap = enclave.PageSize
-	e, err := enclave.New(cfg, []byte("small"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := buildObject(t)
 	for len(o.BranchTargets)*8 <= int(enclave.PageSize) {
 		o.BranchTargets = append(o.BranchTargets, obj.BranchTarget{Symbol: "fn"})
 	}
-	if _, err := loader.Load(e, o); !errors.Is(err, loader.ErrTooLarge) {
+	if _, err := loader.Load(cfg.Layout(), o); !errors.Is(err, loader.ErrTooLarge) {
 		t.Fatalf("Load = %v, want ErrTooLarge", err)
 	}
 }
@@ -179,7 +157,7 @@ func TestLoadRejectsMissingEntry(t *testing.T) {
 	if err := o.Validate(); err != nil {
 		t.Fatalf("Validate = %v, want nil", err)
 	}
-	if _, err := loader.Load(testEnclave(t), o); err == nil {
+	if _, err := loader.Load(testLayout, o); err == nil {
 		t.Fatal("object without an entry symbol loaded")
 	}
 }
@@ -195,16 +173,11 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := testEnclave(t)
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Load(testLayout, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr, err := verifier.Verify(text, runtime.VerifyOptions(ld, policy.SetP1P6))
+	vr, err := verifier.Verify(ld.Text, runtime.VerifyOptions(ld, policy.SetP1P6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +190,7 @@ int main() {
 	}
 
 	// No magic placeholder may survive in the rewritten text.
-	after, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts, err := disasm.Linear(after)
+	insts, err := disasm.Linear(ld.Text)
 	if err != nil {
 		// Linear decode can fail on data-like padding; fall back to the
 		// verified instruction set.
@@ -241,7 +210,7 @@ int main() {
 	// The rewritten bounds must equal the layout's store window.
 	found := false
 	for _, in := range insts {
-		if in.Op == isa.OpMovRI && uint64(in.Imm) == e.Layout.StoreLo() {
+		if in.Op == isa.OpMovRI && uint64(in.Imm) == testLayout.StoreLo() {
 			found = true
 		}
 	}

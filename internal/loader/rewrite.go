@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"deflection/internal/disasm"
@@ -19,14 +20,14 @@ type RewriteStats struct {
 // verifier has approved the binary, every annotation placeholder — the
 // store and stack bound immediates of Fig. 5 and the P6 SSA slot
 // displacements — is resolved to the real enclave addresses, in place, in
-// the relocated code.
+// the relocated text ld.Text.
 //
 // The rewriter works from the verifier's disassembly so it patches exactly
 // the decoded instruction stream; placeholder values are globally unique
 // 63-bit constants that cannot collide with legitimate loaded addresses.
 func RewriteImmediates(ld *Loaded, dis *disasm.Result) (RewriteStats, error) {
 	var stats RewriteStats
-	l := ld.Enclave.Layout
+	l := ld.Layout
 
 	imm64Map := map[int64]uint64{
 		policy.MagicStoreLo: l.StoreLo(),
@@ -40,14 +41,9 @@ func RewriteImmediates(ld *Loaded, dis *disasm.Result) (RewriteStats, error) {
 	}
 
 	for _, in := range dis.Insts {
-		off := in.Off
 		if immOff := isa.ImmOffset(&in.Inst); immOff >= 0 {
 			if v, hit := imm64Map[in.Imm]; hit {
-				var buf [8]byte
-				putU64(buf[:], v)
-				if f := ld.Enclave.Mem.Write(ld.TextBase+uint64(off)+uint64(immOff), buf[:]); f != nil {
-					return stats, fmt.Errorf("loader: rewriting imm at %#x: %w", off, f)
-				}
+				binary.LittleEndian.PutUint64(ld.Text[in.Off+int64(immOff):], v)
 				switch in.Imm {
 				case policy.MagicStoreLo, policy.MagicStoreHi:
 					stats.StoreBounds++
@@ -61,14 +57,7 @@ func RewriteImmediates(ld *Loaded, dis *disasm.Result) (RewriteStats, error) {
 				if v > 0x7FFFFFFF {
 					return stats, fmt.Errorf("loader: SSA slot %#x does not fit disp32", v)
 				}
-				var buf [4]byte
-				buf[0] = byte(v)
-				buf[1] = byte(v >> 8)
-				buf[2] = byte(v >> 16)
-				buf[3] = byte(v >> 24)
-				if f := ld.Enclave.Mem.Write(ld.TextBase+uint64(off)+uint64(dispOff), buf[:]); f != nil {
-					return stats, fmt.Errorf("loader: rewriting disp at %#x: %w", off, f)
-				}
+				binary.LittleEndian.PutUint32(ld.Text[in.Off+int64(dispOff):], uint32(v))
 				stats.SSASites++
 			}
 		}

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -339,18 +340,16 @@ func TestRunThreadsValidation(t *testing.T) {
 }
 
 func TestSGXv2HardwareDEP(t *testing.T) {
-	// Under SGXv2 the code pages are RX after verification: an
-	// un-instrumented self-modifying binary (no P4 annotations to stop it)
-	// faults on the store itself.
+	// Under SGXv2 the code pages are RX once the verified binary is
+	// installed, by a cold load or from an image: an un-instrumented
+	// self-modifying binary (no P4 annotations to stop it) faults on the
+	// store itself. The sealed enclave then refuses a second install,
+	// leaving nothing runnable.
 	cfg := enclave.DefaultConfig()
 	cfg.SGXv2 = true
 	m := runtime.DefaultManifest()
 	m.Policies = policy.SetNone
-	b, err := runtime.New(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := b.Enclave().Layout
+	l := cfg.Layout()
 	src := `
 int main() {
 	char *code = (char*)` + uitoa(l.CodeBase) + `;
@@ -361,18 +360,49 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ReceiveBinary(o.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	if p := b.Enclave().Mem.PermAt(l.CodeBase); p != enclave.PermRX {
-		t.Fatalf("code perm after SGXv2 load = %v, want r-x", p)
-	}
-	res, err := b.Run(runtime.RunConfig{})
+	img, _, err := runtime.BuildImage(o.Marshal(), m, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CPU.Status != cpu.StatusFault {
-		t.Fatalf("self-modification under SGXv2 should fault, got %v", res.CPU)
+	for name, load := range map[string]func(*runtime.Bootstrap) (*runtime.LoadReport, error){
+		"ReceiveBinary": func(b *runtime.Bootstrap) (*runtime.LoadReport, error) { return b.ReceiveBinary(o.Marshal()) },
+		"InstallImage":  func(b *runtime.Bootstrap) (*runtime.LoadReport, error) { return b.InstallImage(img) },
+	} {
+		b, err := runtime.New(cfg, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := b.Enclave().Mem.PermAt(l.CodeBase); p != enclave.PermRW {
+			t.Fatalf("%s: code perm before load = %v, want rw-", name, p)
+		}
+		rep, err := load(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := b.Enclave().Mem.PermAt(l.CodeBase); p != enclave.PermRX {
+			t.Fatalf("%s: code perm after SGXv2 load = %v, want r-x", name, p)
+		}
+		if spans := rep.Trace.Spans(); spans[len(spans)-1].Name != "edmm_seal" {
+			t.Errorf("%s: trace ends with %s, want edmm_seal", name, spans[len(spans)-1].Name)
+		}
+		res, err := b.Run(runtime.RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CPU.Status != cpu.StatusFault {
+			t.Fatalf("%s: self-modification under SGXv2 should fault, got %v", name, res.CPU)
+		}
+
+		if _, err := load(b); err == nil {
+			t.Fatalf("%s: second load into sealed code pages accepted", name)
+		}
+		spans := b.LastTrace().Spans()
+		if last := spans[len(spans)-1]; last.Name != "install_text" || len(last.Attrs) != 1 || last.Attrs[0].Key != "error" {
+			t.Errorf("%s: trace ends with %+v, want install_text with its error", name, last)
+		}
+		if _, err := b.Run(runtime.RunConfig{}); !errors.Is(err, runtime.ErrNotLoaded) {
+			t.Errorf("%s: Run after a failed install = %v, want ErrNotLoaded", name, err)
+		}
 	}
 }
 

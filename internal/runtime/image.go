@@ -34,8 +34,12 @@ type Image struct {
 	// Text is the verified, rewritten code — placeholder immediates already
 	// resolved to the layout's enclave addresses.
 	Text []byte
-	// Data is the initialised [DataBase, HeapFree) segment: relocated .data
-	// followed by zeroed .bss.
+	// Data is the initialised segment from DataBase: relocated .data, then
+	// the zeroed .bss up to HeapFree. An Image from SnapshotImage or
+	// BuildImage always runs to HeapFree; the bootstrap's own record of a
+	// ReceiveBinary load stops at the end of .data (the rest of a fresh
+	// enclave's heap is already zero), so a cold load never allocates the
+	// .bss. InstallImage accepts either form.
 	Data []byte
 	// BranchTable is the raw read-only branch-table region content.
 	BranchTable []byte
@@ -76,50 +80,28 @@ var ErrNoLoadedImage = errors.New("runtime: no verified binary to snapshot")
 // for a different enclave layout.
 var ErrLayoutMismatch = errors.New("runtime: image layout does not match enclave")
 
-// SnapshotImage captures the loaded, verified, rewritten binary as an
-// immutable Image. rep must be the LoadReport of this Bootstrap's most
-// recent successful ReceiveBinary; the snapshot must be taken before the
-// service runs (so .bss and the heap are still in their initial state).
+// withBSS returns a copy of img whose Data runs to HeapFree: the .data it
+// holds followed by the zeroed .bss.
+func (img *Image) withBSS() *Image {
+	out := *img
+	if n := img.HeapFree - img.DataBase; n > 0 {
+		out.Data = make([]byte, n)
+		copy(out.Data, img.Data)
+	}
+	return &out
+}
+
+// SnapshotImage returns the loaded, verified, rewritten binary as an
+// immutable Image whose Data runs to HeapFree, built from the bootstrap's
+// record of the load rather than read back from enclave memory, so it is
+// the same whether or not the service has run since. rep is ignored: the
+// record already holds the load's verdict evidence, and the parameter is
+// kept only so existing callers compile.
 func (b *Bootstrap) SnapshotImage(rep *LoadReport) (*Image, error) {
-	if b.loaded == nil || b.verify == nil || rep == nil {
+	if b.loaded == nil {
 		return nil, ErrNoLoadedImage
 	}
-	ld := b.loaded
-	text, f := b.encl.Mem.Read(ld.TextBase, int(ld.TextEnd-ld.TextBase))
-	if f != nil {
-		return nil, fmt.Errorf("runtime: snapshot text: %w", f)
-	}
-	var data []byte
-	if ld.HeapFree > ld.DataBase {
-		data, f = b.encl.Mem.Read(ld.DataBase, int(ld.HeapFree-ld.DataBase))
-		if f != nil {
-			return nil, fmt.Errorf("runtime: snapshot data: %w", f)
-		}
-	}
-	var table []byte
-	if n := len(ld.BranchTargets); n > 0 {
-		table, f = b.encl.Mem.Read(b.encl.Layout.BrTableBase, n*8)
-		if f != nil {
-			return nil, fmt.Errorf("runtime: snapshot branch table: %w", f)
-		}
-	}
-	return &Image{
-		BinaryHash:    rep.BinaryHash,
-		Entry:         ld.Entry,
-		TextBase:      ld.TextBase,
-		TextEnd:       ld.TextEnd,
-		DataBase:      ld.DataBase,
-		HeapFree:      ld.HeapFree,
-		Text:          text,
-		Data:          data,
-		BranchTable:   table,
-		BranchTargets: append([]uint64(nil), ld.BranchTargets...),
-		AnnotRanges:   append([]verifier.Range(nil), b.verify.AnnotRanges...),
-		Stats:         rep.Stats,
-		Rewrites:      rep.Rewrites,
-		Audit:         append([]verifier.PolicyAudit(nil), rep.Audit...),
-		Layout:        b.encl.Layout,
-	}, nil
+	return b.loaded.withBSS(), nil
 }
 
 // InstallImage loads a previously verified Image into this bootstrap's
@@ -140,65 +122,57 @@ func (b *Bootstrap) InstallImage(img *Image) (*LoadReport, error) {
 		tr.Add("install_text", 0, "error", ErrLayoutMismatch.Error())
 		return nil, fmt.Errorf("%w: image built for a different address map", ErrLayoutMismatch)
 	}
+	return b.install(img, tr)
+}
+
+// install is the one writer of a binary into enclave memory, and runs only
+// on a verified image: it copies the text and data, publishes the branch
+// table through a temporary RW window on its read-only region, seals the
+// code pages RX under SGXv2 (hardware DEP instead of relying on P4's
+// software check alone), records img as the loaded binary and returns the
+// load's report. ReceiveBinary and InstallImage both end here.
+func (b *Bootstrap) install(img *Image, tr *stage.Trace) (*LoadReport, error) {
+	b.loaded = nil // a half-written install is not runnable
+	mem, l := b.encl.Mem, b.encl.Layout
+	fail := func(tm *stage.Timer, what string, err error) (*LoadReport, error) {
+		tm.End("error", err.Error())
+		return nil, fmt.Errorf("runtime: installing %s: %w", what, err)
+	}
 
 	tm := tr.Start("install_text")
-	if f := b.encl.Mem.Write(img.TextBase, img.Text); f != nil {
-		tm.End("error", f.Error())
-		return nil, fmt.Errorf("runtime: installing text: %w", f)
+	if f := mem.Write(img.TextBase, img.Text); f != nil {
+		return fail(tm, "text", f)
 	}
 	tm.End("text_bytes", len(img.Text))
 
 	tm = tr.Start("install_data")
 	if len(img.Data) > 0 {
-		if f := b.encl.Mem.Write(img.DataBase, img.Data); f != nil {
-			tm.End("error", f.Error())
-			return nil, fmt.Errorf("runtime: installing data: %w", f)
+		if f := mem.Write(img.DataBase, img.Data); f != nil {
+			return fail(tm, "data", f)
 		}
 	}
 	tm.End("data_bytes", len(img.Data))
 
 	tm = tr.Start("install_table")
 	if len(img.BranchTable) > 0 {
-		l := b.encl.Layout
-		if err := b.encl.Mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermRW); err != nil {
-			tm.End("error", err.Error())
-			return nil, err
-		}
-		if f := b.encl.Mem.Write(l.BrTableBase, img.BranchTable); f != nil {
-			tm.End("error", f.Error())
-			return nil, fmt.Errorf("runtime: installing branch table: %w", f)
-		}
-		if err := b.encl.Mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermR); err != nil {
-			tm.End("error", err.Error())
-			return nil, err
+		// SetPerm fails only for a range outside memory; the enclave's own
+		// branch-table region is inside it.
+		_ = mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermRW)
+		f := mem.Write(l.BrTableBase, img.BranchTable)
+		_ = mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermR)
+		if f != nil {
+			return fail(tm, "branch table", f)
 		}
 	}
 	tm.End("branch_targets", len(img.BranchTargets))
 
-	if b.encl.Layout.SGXv2 {
-		// The image was verified before it was snapshotted; seal the code
-		// pages RX exactly as the cold path does after rewriting.
+	if l.SGXv2 {
 		tm = tr.Start("edmm_seal")
-		if err := b.encl.Mem.SetPerm(b.encl.Layout.CodeBase, b.encl.Layout.CodeEnd, enclave.PermRX); err != nil {
-			tm.End("error", err.Error())
-			return nil, err
-		}
+		_ = mem.SetPerm(l.CodeBase, l.CodeEnd, enclave.PermRX) // the enclave's own code region: cannot fail
 		tm.End()
 	}
 
-	b.loaded = &loader.Loaded{
-		Enclave:       b.encl,
-		Entry:         img.Entry,
-		TextBase:      img.TextBase,
-		TextEnd:       img.TextEnd,
-		DataBase:      img.DataBase,
-		HeapFree:      img.HeapFree,
-		BranchTargets: append([]uint64(nil), img.BranchTargets...),
-	}
-	b.verify = &verifier.Result{
-		Stats:       img.Stats,
-		AnnotRanges: append([]verifier.Range(nil), img.AnnotRanges...),
-	}
+	b.loaded = img
 	return &LoadReport{
 		BinaryHash: img.BinaryHash,
 		Stats:      img.Stats,

@@ -94,7 +94,9 @@ type LoadReport struct {
 	TextSize   int
 	// Trace is the stage trace of this load: parse, P0 interface audit,
 	// load, the verifier's phases (disasm, per-policy template checks,
-	// discipline closure, CFA passes), rewrite.
+	// discipline closure, CFA passes), rewrite, and the install into
+	// enclave memory (install_text, install_data, install_table, and
+	// edmm_seal under SGXv2).
 	Trace *stage.Trace
 	// Audit is the per-policy verdict trail, P0 first then the verifier's
 	// P1-P8 entries.
@@ -119,8 +121,10 @@ type Bootstrap struct {
 	manifest Manifest
 	encl     *enclave.Enclave
 
-	loaded *loader.Loaded
-	verify *verifier.Result
+	// loaded is the record of the binary installed in the enclave, nil
+	// before the first successful load. Its Data may stop at the end of
+	// .data: the .bss beyond it is zero in enclave memory.
+	loaded *Image
 
 	sessionKey []byte // 16/24/32-byte AES key; nil = plaintext outputs
 
@@ -176,14 +180,24 @@ var ErrPolicyMismatch = errors.New("runtime: binary policy mask does not cover m
 // leaves OutputPadBlock zero.
 const defaultOutputPadBlock = 256
 
-// New launches a bootstrap enclave with the given memory configuration and
-// manifest.
-func New(cfg enclave.Config, m Manifest) (*Bootstrap, error) {
+// launched checks m and applies its zero-value defaults, as New does
+// before measuring it.
+func (m Manifest) launched() (Manifest, error) {
 	if m.OutputPadBlock < 0 {
-		return nil, fmt.Errorf("runtime: negative output pad block %d", m.OutputPadBlock)
+		return m, fmt.Errorf("runtime: negative output pad block %d", m.OutputPadBlock)
 	}
 	if m.OutputPadBlock == 0 {
 		m.OutputPadBlock = defaultOutputPadBlock
+	}
+	return m, nil
+}
+
+// New launches a bootstrap enclave with the given memory configuration and
+// manifest.
+func New(cfg enclave.Config, m Manifest) (*Bootstrap, error) {
+	m, err := m.launched()
+	if err != nil {
+		return nil, err
 	}
 	e, err := enclave.New(cfg, m.identity())
 	if err != nil {
@@ -222,12 +236,42 @@ func (b *Bootstrap) SetSessionKey(key []byte) error {
 }
 
 // ReceiveBinary is the ecall_receive_binary analogue: parse, load, verify
-// and rewrite the target binary. The code provider never exposes source;
-// only this object and its proof cross the boundary.
+// and rewrite the target binary, then install it. The code provider never
+// exposes source; only this object and its proof cross the boundary. A
+// rejected binary never reaches enclave memory.
 func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 	tr := stage.NewTraceWithClock("receive_binary", b.traceClock)
 	b.setLastTrace(tr) // kept even on rejection, so failures can be examined
+	img, err := build(objBytes, b.manifest, b.encl.Layout, tr)
+	if err != nil {
+		return nil, err
+	}
+	return b.install(img, tr)
+}
 
+// BuildImage is ReceiveBinary without an enclave: it verifies objBytes
+// under m for an enclave of layout l and returns the installable Image,
+// .bss included, with the receive_binary stage trace of the attempt (also
+// on rejection). m is normalised as New normalises it, so the image's
+// evidence is what a bootstrap launched with m and l would report.
+func BuildImage(objBytes []byte, m Manifest, l enclave.Layout) (*Image, *stage.Trace, error) {
+	tr := stage.NewTraceWithClock("receive_binary", nil)
+	m, err := m.launched()
+	if err != nil {
+		return nil, tr, err
+	}
+	img, err := build(objBytes, m, l, tr)
+	if err != nil {
+		return nil, tr, err
+	}
+	return img.withBSS(), tr, nil
+}
+
+// build runs the bootstrap's chain up to the verdict — parse, the P0
+// audit, relocation for l, verification and immediate rewriting — timing
+// each stage into tr. It never touches enclave memory. The image it
+// returns holds .data without the zeroed .bss.
+func build(objBytes []byte, m Manifest, l enclave.Layout, tr *stage.Trace) (*Image, error) {
 	tm := tr.Start("parse")
 	o, err := obj.Unmarshal(objBytes)
 	if err != nil {
@@ -240,39 +284,34 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 	// restriction, output sealing and entropy budget — so its audit entry
 	// is produced here, not by the verifier.
 	tm = tr.Start("policy/P0")
-	instrumented := b.manifest.Policies &^ policy.Bit(policy.P0) // P0 is enclave config, not code
+	instrumented := m.Policies &^ policy.Bit(policy.P0) // P0 is enclave config, not code
 	maskOK := policy.Set(o.PolicyMask)&instrumented == instrumented
 	p0 := verifier.PolicyAudit{
 		Policy:   policy.P0,
-		Required: b.manifest.Policies.Has(policy.P0),
+		Required: m.Policies.Has(policy.P0),
 		Passed:   maskOK,
-		Checks:   1 + len(b.manifest.AllowedOcalls),
+		Checks:   1 + len(m.AllowedOcalls),
 		Detail: fmt.Sprintf("interface restricted to %d whitelisted ocalls, outputs padded to %d-byte blocks, entropy budget %d bits",
-			len(b.manifest.AllowedOcalls), b.manifest.OutputPadBlock, b.manifest.OutputBudgetBits),
+			len(m.AllowedOcalls), m.OutputPadBlock, m.OutputBudgetBits),
 	}
-	tm.End("ocalls", len(b.manifest.AllowedOcalls), "passed", maskOK)
+	tm.End("ocalls", len(m.AllowedOcalls), "passed", maskOK)
 	if !maskOK {
 		return nil, fmt.Errorf("%w: binary claims %s, manifest requires %s",
 			ErrPolicyMismatch, policy.Set(o.PolicyMask), instrumented)
 	}
 
 	tm = tr.Start("load")
-	ld, err := loader.Load(b.encl, o)
+	ld, err := loader.Load(l, o)
 	if err != nil {
 		tm.End("error", err.Error())
 		return nil, err
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		tm.End("error", err.Error())
-		return nil, err
-	}
-	tm.End("text_bytes", len(text), "branch_targets", len(ld.BranchTargets))
+	tm.End("text_bytes", len(ld.Text), "branch_targets", len(ld.BranchTargets))
 
 	opts := VerifyOptions(ld, instrumented)
-	opts.AEXCheckMaxGap = b.manifest.AEXCheckMaxGap
+	opts.AEXCheckMaxGap = m.AEXCheckMaxGap
 	opts.Trace = tr
-	vr, err := verifier.Verify(text, opts)
+	vr, err := verifier.Verify(ld.Text, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -284,26 +323,22 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 		return nil, err
 	}
 	tm.End("store_bounds", rw.StoreBounds, "stack_bounds", rw.StackBounds, "ssa_sites", rw.SSASites)
-	if b.encl.Layout.SGXv2 {
-		// EDMM: with verification and rewriting complete, drop write
-		// permission from the code pages — hardware DEP instead of relying
-		// on P4's software check alone.
-		tm = tr.Start("edmm_seal")
-		if err := b.encl.Mem.SetPerm(b.encl.Layout.CodeBase, b.encl.Layout.CodeEnd, enclave.PermRX); err != nil {
-			tm.End("error", err.Error())
-			return nil, err
-		}
-		tm.End()
-	}
-	b.loaded = ld
-	b.verify = vr
-	return &LoadReport{
-		BinaryHash: sha256.Sum256(objBytes),
-		Stats:      vr.Stats,
-		Rewrites:   rw,
-		TextSize:   len(text),
-		Trace:      tr,
-		Audit:      append([]verifier.PolicyAudit{p0}, vr.Audit...),
+	return &Image{
+		BinaryHash:    sha256.Sum256(objBytes),
+		Entry:         ld.Entry,
+		TextBase:      ld.TextBase,
+		TextEnd:       ld.TextBase + uint64(len(ld.Text)),
+		DataBase:      ld.DataBase,
+		HeapFree:      ld.HeapFree,
+		Text:          ld.Text,
+		Data:          ld.Data,
+		BranchTable:   ld.Table,
+		BranchTargets: ld.BranchTargets,
+		AnnotRanges:   vr.AnnotRanges,
+		Stats:         vr.Stats,
+		Rewrites:      rw,
+		Audit:         append([]verifier.PolicyAudit{p0}, vr.Audit...),
+		Layout:        l,
 	}, nil
 }
 
@@ -343,10 +378,10 @@ type RunConfig struct {
 // offsets, the P7 taint geometry (the secret table resolved to absolute
 // ranges, the store window and its stack subrange) and the declared P8
 // protocol. ReceiveBinary adds only the manifest's AEX gap and its trace;
-// tools and benchmarks that call the verifier directly on a loaded image
+// tools and benchmarks that call the verifier directly on a loaded binary
 // use it unchanged.
 func VerifyOptions(ld *loader.Loaded, req policy.Set) verifier.Options {
-	l := ld.Enclave.Layout
+	l := ld.Layout
 	opts := verifier.Options{
 		Required:            req,
 		EntryOffset:         int64(ld.Entry - ld.TextBase),
@@ -375,11 +410,11 @@ func VerifyOptions(ld *loader.Loaded, req policy.Set) verifier.Options {
 // AnnotRangeSet converts the verifier's annotation spans to absolute
 // addresses for the CPU timing model.
 func (b *Bootstrap) AnnotRangeSet() cpu.RangeSet {
-	if b.verify == nil || b.loaded == nil {
+	if b.loaded == nil {
 		return cpu.NewRangeSet(nil)
 	}
-	rs := make([]cpu.Range, 0, len(b.verify.AnnotRanges))
-	for _, r := range b.verify.AnnotRanges {
+	rs := make([]cpu.Range, 0, len(b.loaded.AnnotRanges))
+	for _, r := range b.loaded.AnnotRanges {
 		rs = append(rs, cpu.Range{
 			Lo: b.loaded.TextBase + uint64(r.Lo),
 			Hi: b.loaded.TextBase + uint64(r.Hi),
@@ -574,7 +609,11 @@ func (b *Bootstrap) seal(msg []byte) ([]byte, error) {
 	if b.sessionKey == nil {
 		return padded, nil
 	}
-	gcm, err := newGCM(b.sessionKey)
+	block, err := aes.NewCipher(b.sessionKey)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	gcm, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, err
 	}
@@ -583,32 +622,6 @@ func (b *Bootstrap) seal(msg []byte) ([]byte, error) {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	return gcm.Seal(nonce, nonce, padded, nil), nil
-}
-
-// OpenOutput decrypts and unpads a sealed output given the session key
-// (data-owner side helper).
-func OpenOutput(key, sealed []byte) ([]byte, error) {
-	gcm, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	if len(sealed) < gcm.NonceSize() {
-		return nil, errors.New("runtime: sealed message too short")
-	}
-	padded, err := gcm.Open(nil, sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():], nil)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	return Unpad(padded)
-}
-
-// newGCM returns the AES-GCM cipher under key.
-func newGCM(key []byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	return cipher.NewGCM(block)
 }
 
 // padToBlock frames msg with a length prefix and pads the frame to a block

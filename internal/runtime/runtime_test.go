@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"deflection"
 	"deflection/internal/asmtext"
 	"deflection/internal/compiler"
 	"deflection/internal/cpu"
@@ -321,14 +322,14 @@ int main() { __ocall_send(buf, 7); return 0; }`, policy.SetP1)
 	if strings.Contains(string(res.Outputs[0]), "secret!") {
 		t.Fatal("output left enclave in plaintext")
 	}
-	msg, err := runtime.OpenOutput(key, res.Outputs[0])
+	msg, err := deflection.OpenOutput(key, res.Outputs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(msg) != "secret!" {
 		t.Errorf("decrypted = %q", msg)
 	}
-	if _, err := runtime.OpenOutput([]byte("FFFFFFFFFFFFFFFF"), res.Outputs[0]); err == nil {
+	if _, err := deflection.OpenOutput([]byte("FFFFFFFFFFFFFFFF"), res.Outputs[0]); err == nil {
 		t.Error("wrong key must fail authentication")
 	}
 }
@@ -503,9 +504,9 @@ func TestOcallStubRefusals(t *testing.T) {
 	}
 }
 
-// TestOpenOutputErrors: the data owner's unsealing refuses a bad key
-// length, a message shorter than the nonce, and a forged tag; the enclave
-// refuses a session key of a length AES does not take.
+// TestOpenOutputErrors: the data owner's unsealing (deflection.OpenOutput)
+// refuses a bad key length, a message shorter than the nonce, and a forged
+// tag; the enclave refuses a session key of a length AES does not take.
 func TestOpenOutputErrors(t *testing.T) {
 	if err := newBootstrap(t, policy.SetNone).SetSessionKey(make([]byte, 5)); err == nil {
 		t.Error("SetSessionKey accepted a 5-byte key")
@@ -516,7 +517,7 @@ func TestOpenOutputErrors(t *testing.T) {
 		"too short":      {key, make([]byte, 4)},
 		"forged tag":     {key, make([]byte, 64)},
 	} {
-		if _, err := runtime.OpenOutput(tc.key, tc.sealed); err == nil {
+		if _, err := deflection.OpenOutput(tc.key, tc.sealed); err == nil {
 			t.Errorf("%s: OpenOutput accepted it", name)
 		}
 	}

@@ -6,15 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"deflection/internal/apps"
 	"deflection/internal/asm"
 	"deflection/internal/compiler"
 	"deflection/internal/disasm"
-	"deflection/internal/enclave"
 	"deflection/internal/isa"
-	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 	"deflection/internal/verifier"
 )
 
@@ -33,19 +31,11 @@ func compileText(t *testing.T, src string, pols policy.Set) ([]byte, verifier.Op
 // text plus the verifier options the load implies.
 func loadObject(t testing.TB, o *obj.Object, pols policy.Set) ([]byte, verifier.Options) {
 	t.Helper()
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("vt"))
+	text, opts, err := apps.VerifyObject(o, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return text, runtime.VerifyOptions(ld, pols)
+	return text, opts
 }
 
 const guardedSrc = `

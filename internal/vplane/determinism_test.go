@@ -9,12 +9,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"deflection/internal/apps"
 	"deflection/internal/dclib"
-	"deflection/internal/enclave"
-	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/policy"
-	"deflection/internal/runtime"
 	"deflection/internal/verifier"
 	"deflection/internal/vplane"
 )
@@ -56,19 +54,11 @@ func verdictFingerprint(t *testing.T, objBytes []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("vplane-test"))
+	text, opts, err := apps.VerifyObject(o, policy.SetP1P8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := verifier.Verify(text, runtime.VerifyOptions(ld, policy.SetP1P8))
+	res, err := verifier.Verify(text, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,29 +251,25 @@ func (p *Plane) runFlight(f *flight, tid obs.TraceID, key Key, objBytes []byte, 
 	finish(v, verr, SourceCold)
 }
 
-// runVerify executes the full parse→load→disasm→verify→rewrite pipeline in
-// a scratch bootstrap enclave and converts the outcome into a cacheable
-// verdict. Deterministic rejections (structured verifier violations and
-// policy-mask mismatches) become negative verdicts; anything else (corrupt
-// objects, undersized enclaves mid-reconfiguration) is reported as an error
-// and left uncached.
+// runVerify executes the full parse→load→disasm→verify→rewrite pipeline
+// for layout l, without an enclave, and converts the outcome into a
+// cacheable verdict. Deterministic rejections (structured verifier
+// violations and policy-mask mismatches) become negative verdicts; anything
+// else (corrupt objects, undersized enclaves mid-reconfiguration) is
+// reported as an error and left uncached.
 func (p *Plane) runVerify(tid obs.TraceID, key Key, objBytes []byte, m runtime.Manifest, l enclave.Layout) (*Verdict, error) {
 	if hook := p.verifyHook; hook != nil {
 		hook()
 	}
 	start := time.Now()
-	boot, err := runtime.New(configFromLayout(l), m)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := boot.ReceiveBinary(objBytes)
+	img, tr, err := runtime.BuildImage(objBytes, m, l)
 	p.m.Histogram("vplane_verify_cold_seconds").ObserveDuration(time.Since(start))
 	p.m.Counter("vplane_verify_runs_total").Inc()
-	// Export the scratch enclave's stage trace (parse → disasm → policy →
-	// cfa → rewrite) under the single-flight leader's trace ID, so the
-	// verifier's internal timeline shows up in /traces correlated with the
-	// session that triggered the cold run.
-	p.cfg.Spans.AddTrace(tid, boot.LastTrace())
+	// Export the pipeline's stage trace (parse → disasm → policy → cfa →
+	// rewrite) under the single-flight leader's trace ID, so the verifier's
+	// internal timeline shows up in /traces correlated with the session
+	// that triggered the cold run.
+	p.cfg.Spans.AddTrace(tid, tr)
 	if err != nil {
 		if errors.Is(err, verifier.ErrViolation) || errors.Is(err, runtime.ErrPolicyMismatch) {
 			p.m.Counter("vplane_negative_verdicts_total").Inc()
@@ -282,13 +278,9 @@ func (p *Plane) runVerify(tid obs.TraceID, key Key, objBytes []byte, m runtime.M
 		}
 		return nil, err
 	}
-	img, err := boot.SnapshotImage(rep)
-	if err != nil {
-		return nil, err
-	}
 	p.log("vplane_cold_verify", "key", keyPrefix(key),
 		"text_bytes", len(img.Text), "dur", time.Since(start))
-	return &Verdict{Key: key, Image: img, Report: rep}, nil
+	return &Verdict{Key: key, Image: img}, nil
 }
 
 // Load is the session-facing fast path: verify objBytes through the plane
@@ -305,23 +297,6 @@ func (p *Plane) Load(ctx context.Context, boot *runtime.Bootstrap, objBytes []by
 	}
 	rep, err := boot.InstallImage(v.Image)
 	return rep, src, err
-}
-
-// configFromLayout reconstructs the enclave sizing that produces exactly
-// this layout (enclave.New is deterministic and all caps in a resolved
-// layout are already page-rounded), so a scratch verification enclave is
-// guaranteed address-compatible with every session enclave of the key.
-func configFromLayout(l enclave.Layout) enclave.Config {
-	return enclave.Config{
-		CodeCap:      l.CodeEnd - l.CodeBase,
-		BrTableCap:   l.BrTableEnd - l.BrTableBase,
-		ShadowCap:    l.ShadowEnd - l.ShadowBase,
-		StackCap:     l.StackHi - l.StackLo,
-		HeapCap:      l.HeapEnd - l.HeapBase,
-		UntrustedCap: l.UntrustedEnd - l.UntrustedBase,
-		Threads:      l.Threads,
-		SGXv2:        l.SGXv2,
-	}
 }
 
 // keyPrefix renders the first bytes of a key for log lines.

@@ -34,11 +34,7 @@ func manifestFor(pols policy.Set) runtime.Manifest {
 
 func defaultLayout(t *testing.T) enclave.Layout {
 	t.Helper()
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("vplane-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e.Layout
+	return enclave.DefaultConfig().Layout()
 }
 
 func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
@@ -230,11 +226,7 @@ func TestKeySensitivity(t *testing.T) {
 	// Same bytes and manifest, different enclave geometry.
 	cfg := enclave.DefaultConfig()
 	cfg.HeapCap *= 2
-	e, err := enclave.New(cfg, []byte("vplane-test-big"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := mustVerify(m, e.Layout); src != vplane.SourceCold {
+	if src := mustVerify(m, cfg.Layout()); src != vplane.SourceCold {
 		t.Fatalf("layout change served from cache (source %v)", src)
 	}
 	if runs() != 3 {
@@ -244,7 +236,7 @@ func TestKeySensitivity(t *testing.T) {
 	// The keys themselves must all differ.
 	k1 := vplane.ComputeKey(obj, m, l)
 	k2 := vplane.ComputeKey(obj, manifestFor(policy.SetP1), l)
-	k3 := vplane.ComputeKey(obj, m, e.Layout)
+	k3 := vplane.ComputeKey(obj, m, cfg.Layout())
 	if k1 == k2 || k1 == k3 || k2 == k3 {
 		t.Fatalf("cache keys collide: %x %x %x", k1[:8], k2[:8], k3[:8])
 	}

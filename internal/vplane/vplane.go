@@ -88,18 +88,15 @@ func hashLayout(h hash.Hash, l enclave.Layout) {
 }
 
 // Verdict is one cached verification outcome. Exactly one of Image and
-// Reject is set: a positive verdict carries the installable image and the
-// original load report; a negative verdict carries the structured rejection
-// the pipeline produced. Verdicts are immutable and shared across sessions.
+// Reject is set: a positive verdict carries the installable image with its
+// verdict evidence; a negative verdict carries the structured rejection the
+// pipeline produced. Verdicts are immutable and shared across sessions.
 type Verdict struct {
 	// Key is the verdict's content address.
 	Key Key
 	// Image is the verified, rewritten, installable artifact (nil when the
 	// binary was rejected).
 	Image *runtime.Image
-	// Report is the LoadReport of the cold verification that produced the
-	// image, including its full stage trace (nil for negative verdicts).
-	Report *runtime.LoadReport
 	// Reject is the deterministic rejection (a verifier.Violation or policy
 	// mismatch) when the binary failed verification.
 	Reject error
