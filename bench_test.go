@@ -60,7 +60,7 @@ func BenchmarkLoaderRelocate(b *testing.B) {
 
 // verifyInputs returns the benchmark kernel's relocated text with the
 // P1-P6 verifier options its load implies.
-func verifyInputs(b *testing.B) ([]byte, verifier.Options) {
+func verifyInputs(b testing.TB) ([]byte, verifier.Options) {
 	b.Helper()
 	k, _ := nbench.KernelByName("NUMERIC SORT")
 	text, opts, err := apps.VerifyInput(k.Name, k.Source, policy.SetP1P6)
@@ -70,17 +70,38 @@ func verifyInputs(b *testing.B) ([]byte, verifier.Options) {
 	return text, opts
 }
 
+// BenchmarkVerifier times one P1-P6 verification. The heap-churn case
+// allocates and drops 1 MiB, untimed, before each Verify, so a
+// verification whose cost depends on the heap state it runs in, not only
+// on its input, reads slower there than in the plain case.
 func BenchmarkVerifier(b *testing.B) {
 	text, opts := verifyInputs(b)
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := verifier.Verify(text, opts); err != nil {
-			b.Fatal(err)
+	for _, churn := range []bool{false, true} {
+		name := "plain"
+		if churn {
+			name = "heap-churn"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if churn {
+					b.StopTimer()
+					churnSink = make([]byte, 1<<20)
+					churnSink = nil
+					b.StartTimer()
+				}
+				if _, err := verifier.Verify(text, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+// churnSink keeps BenchmarkVerifier's churn allocation on the heap.
+var churnSink []byte
 
 // BenchmarkTaintPass verifies the two secret-declaring apps under P1-P7 and
 // reports the P7 taint pass on its own: its time (the cfa/taint span of a

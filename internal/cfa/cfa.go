@@ -34,7 +34,7 @@
 package cfa
 
 import (
-	"sort"
+	"slices"
 
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
@@ -101,7 +101,10 @@ type Graph struct {
 	rpoNum  []int // block ID → position in rpo
 	idom    []int // block ID → immediate dominator ID (-1 unreachable)
 
-	instPreds [][]int64 // instruction index → predecessor offsets; built by InstPreds
+	// Instruction i's predecessor offsets are instPreds[predAt[i]:predAt[i+1]];
+	// both are built by InstPreds on first use.
+	instPreds []int64
+	predAt    []int32
 }
 
 // Build recovers the CFG for a successful disassembly and computes its
@@ -120,19 +123,34 @@ func Build(dis *disasm.Result, entry int64, targets []int64) *Graph {
 }
 
 // splitBlocks partitions the decoded instructions into basic blocks: a block
-// ends after a branch, before a leader, and at a gap in the decoding.
+// ends after a branch, before a leader, and at a gap in the decoding. The
+// blocks live in one slab, counted in a first pass.
 func (g *Graph) splitBlocks() {
 	insts := g.Dis.Insts
-	g.Blocks = []*Block{{ID: Root, Start: -1, End: -1}}
+	ends := func(i int) bool {
+		in := insts[i]
+		return i+1 == len(insts) || in.Op.IsBranch() || g.Dis.Leader[i+1] || insts[i+1].Off != in.End()
+	}
+	n := 1
+	for i := range insts {
+		if ends(i) {
+			n++
+		}
+	}
+	slab := make([]Block, n)
+	g.Blocks = make([]*Block, n)
 	g.blockOf = make([]int, len(insts))
-	lo := 0
+	slab[Root] = Block{ID: Root, Start: -1, End: -1}
+	g.Blocks[Root] = &slab[Root]
+	id, lo := Root+1, 0
 	for i, in := range insts {
-		g.blockOf[i] = len(g.Blocks)
-		if i+1 < len(insts) && !in.Op.IsBranch() && !g.Dis.Leader[i+1] && insts[i+1].Off == in.End() {
+		g.blockOf[i] = id
+		if !ends(i) {
 			continue
 		}
-		g.Blocks = append(g.Blocks, &Block{ID: len(g.Blocks), Start: insts[lo].Off, End: in.End(), Insts: insts[lo : i+1 : i+1]})
-		lo = i + 1
+		slab[id] = Block{ID: id, Start: insts[lo].Off, End: in.End(), Insts: insts[lo : i+1 : i+1]}
+		g.Blocks[id] = &slab[id]
+		id, lo = id+1, i+1
 	}
 }
 
@@ -145,84 +163,90 @@ func (g *Graph) blockID(off int64) (int, bool) {
 	return g.blockOf[i], true
 }
 
-// connect adds the CFG edges.
+// connect adds the CFG edges. Each block's successors are written into one
+// flat array, bounded per block by its terminator, then sorted and
+// deduplicated in place; the predecessor lists are filled from the
+// in-degrees into a second one, in ascending order because the sources are
+// visited in ascending order.
 func (g *Graph) connect() {
-	succSet := make([]map[int]bool, len(g.Blocks))
-	addEdge := func(from, to int) {
-		if succSet[from] == nil {
-			succSet[from] = make(map[int]bool, 2)
-		}
-		succSet[from][to] = true
-	}
-
 	// Indirect-branch successor set: every listed target's block.
-	var targetBlocks []int
-	seenT := make(map[int]bool)
+	targetBlocks := make([]int, 0, len(g.Targets))
 	for _, t := range g.Targets {
-		if id, ok := g.blockID(t); ok && !seenT[id] {
-			seenT[id] = true
+		if id, ok := g.blockID(t); ok {
 			targetBlocks = append(targetBlocks, id)
 		}
 	}
+	slices.Sort(targetBlocks)
+	targetBlocks = slices.Compact(targetBlocks)
 
+	bound := 1 + len(targetBlocks) // the root's
 	for _, b := range g.Blocks[1:] {
-		last := b.Last()
-		fallthru := func() {
-			if id, ok := g.blockID(last.End()); ok {
-				addEdge(b.ID, id)
-			}
-		}
-		switch last.Op {
-		case isa.OpJmp:
-			if id, ok := g.blockID(disasm.DirectTarget(last)); ok {
-				addEdge(b.ID, id)
-			}
-		case isa.OpJcc, isa.OpCall:
-			if id, ok := g.blockID(disasm.DirectTarget(last)); ok {
-				addEdge(b.ID, id)
-			}
-			fallthru()
-		case isa.OpJmpR, isa.OpCallR:
-			for _, id := range targetBlocks {
-				addEdge(b.ID, id)
-			}
-			if last.Op == isa.OpCallR {
-				fallthru()
-			}
-		case isa.OpRet, isa.OpHlt, isa.OpTrap:
-			// No successors.
-		default:
-			fallthru()
+		bound += 2
+		if op := b.Last().Op; op == isa.OpJmpR || op == isa.OpCallR {
+			bound += len(targetBlocks) - 1
 		}
 	}
-
-	// Virtual root → entry and every listed target.
-	if id, ok := g.blockID(g.Entry); ok {
-		addEdge(Root, id)
-	}
-	for _, id := range targetBlocks {
-		addEdge(Root, id)
-	}
-
-	for from, set := range succSet {
-		if set == nil {
-			continue
-		}
-		succs := make([]int, 0, len(set))
-		for to := range set {
-			succs = append(succs, to)
-		}
-		sort.Ints(succs)
-		g.Blocks[from].Succs = succs
-		for _, to := range succs {
-			g.Blocks[to].Preds = append(g.Blocks[to].Preds, from)
-		}
-		if from != Root {
-			g.Edges += len(succs)
+	succ := make([]int, 0, bound)
+	indeg := make([]int32, len(g.Blocks)+1)
+	add := func(id int, ok bool) {
+		if ok {
+			succ = append(succ, id)
 		}
 	}
 	for _, b := range g.Blocks {
-		sort.Ints(b.Preds)
+		lo := len(succ)
+		if b.ID == Root {
+			add(g.blockID(g.Entry))
+			succ = append(succ, targetBlocks...)
+		} else {
+			switch last := b.Last(); last.Op {
+			case isa.OpJmp:
+				add(g.blockID(disasm.DirectTarget(last)))
+			case isa.OpJcc, isa.OpCall:
+				add(g.blockID(disasm.DirectTarget(last)))
+				add(g.blockID(last.End()))
+			case isa.OpJmpR:
+				succ = append(succ, targetBlocks...)
+			case isa.OpCallR:
+				succ = append(succ, targetBlocks...)
+				add(g.blockID(last.End()))
+			case isa.OpRet, isa.OpHlt, isa.OpTrap:
+				// No successors.
+			default:
+				add(g.blockID(last.End()))
+			}
+		}
+		slices.Sort(succ[lo:])
+		succ = append(succ[:lo], slices.Compact(succ[lo:])...)
+		if len(succ) == lo {
+			continue
+		}
+		b.Succs = succ[lo:len(succ):len(succ)]
+		for _, to := range b.Succs {
+			indeg[to+1]++
+		}
+		if b.ID != Root {
+			g.Edges += len(b.Succs)
+		}
+	}
+
+	// indeg becomes the prefix sums: block id's predecessors fill
+	// pred[indeg[id]:indeg[id+1]].
+	for id := range g.Blocks {
+		indeg[id+1] += indeg[id]
+	}
+	pred := make([]int, len(succ))
+	next := slices.Clone(indeg[:len(g.Blocks)])
+	for _, b := range g.Blocks {
+		for _, to := range b.Succs {
+			pred[next[to]] = b.ID
+			next[to]++
+		}
+	}
+	for id, b := range g.Blocks {
+		if lo, hi := indeg[id], indeg[id+1]; hi > lo {
+			b.Preds = pred[lo:hi:hi]
+		}
 	}
 }
 
@@ -239,40 +263,77 @@ func (g *Graph) BlockAt(off int64) *Block {
 // precede the instruction at off in some execution: its linear predecessor
 // when that one falls through, every direct branch targeting off, and —
 // when off is on the branch-target list — every indirect branch. The table
-// is built once, on first use.
+// is built once, on first use, in one flat array: a first pass counts each
+// instruction's predecessors and a second fills them in.
 func (g *Graph) InstPreds(off int64) []int64 {
-	if g.instPreds == nil {
-		insts := g.Dis.Insts
-		g.instPreds = make([][]int64, len(insts))
-		add := func(to, from int64) {
-			if i, ok := g.Dis.Index(to); ok {
-				g.instPreds[i] = append(g.instPreds[i], from)
-			}
-		}
-		var indirect []int64
+	if g.predAt == nil {
+		g.buildInstPreds()
+	}
+	if i, ok := g.Dis.Index(off); ok {
+		return g.instPreds[g.predAt[i]:g.predAt[i+1]]
+	}
+	return nil
+}
+
+// buildInstPreds fills instPreds and predAt. An instruction's list holds
+// its linear and direct predecessors in address order, then, when it is
+// listed, every indirect branch in address order.
+func (g *Graph) buildInstPreds() {
+	insts := g.Dis.Insts
+	// edges calls f with the index of each instruction a linear or direct
+	// edge reaches and the edge's source, in address order of the sources.
+	edges := func(f func(to int, from int64)) {
 		for _, in := range insts {
 			if !in.Op.Terminates() {
-				add(in.End(), in.Off)
+				if i, ok := g.Dis.Index(in.End()); ok {
+					f(i, in.Off)
+				}
 			}
 			switch in.Op {
 			case isa.OpJmp, isa.OpJcc, isa.OpCall:
-				add(disasm.DirectTarget(in), in.Off)
-			case isa.OpJmpR, isa.OpCallR:
-				indirect = append(indirect, in.Off)
-			}
-		}
-		listed := make([]bool, len(insts))
-		for _, t := range g.Targets {
-			if i, ok := g.Dis.Index(t); ok && !listed[i] {
-				listed[i] = true
-				g.instPreds[i] = append(g.instPreds[i], indirect...)
+				if i, ok := g.Dis.Index(disasm.DirectTarget(in)); ok {
+					f(i, in.Off)
+				}
 			}
 		}
 	}
-	if i, ok := g.Dis.Index(off); ok {
-		return g.instPreds[i]
+	var nIndirect int32
+	for _, in := range insts {
+		if in.Op == isa.OpJmpR || in.Op == isa.OpCallR {
+			nIndirect++
+		}
 	}
-	return nil
+	indirect := make([]int64, 0, nIndirect)
+	for _, in := range insts {
+		if in.Op == isa.OpJmpR || in.Op == isa.OpCallR {
+			indirect = append(indirect, in.Off)
+		}
+	}
+	listed := make([]bool, len(insts))
+	at := make([]int32, len(insts)+1)
+	for _, t := range g.Targets {
+		if i, ok := g.Dis.Index(t); ok && !listed[i] {
+			listed[i] = true
+			at[i+1] += int32(len(indirect))
+		}
+	}
+	edges(func(to int, _ int64) { at[to+1]++ })
+	for i := range insts {
+		at[i+1] += at[i]
+	}
+
+	preds := make([]int64, at[len(insts)])
+	next := slices.Clone(at[:len(insts)])
+	edges(func(to int, from int64) {
+		preds[next[to]] = from
+		next[to]++
+	})
+	for i, l := range listed {
+		if l {
+			copy(preds[next[i]:at[i+1]], indirect)
+		}
+	}
+	g.instPreds, g.predAt = preds, at
 }
 
 // Reachable reports whether the block is reachable from the virtual root.

@@ -277,3 +277,34 @@ func TestDefMask(t *testing.T) {
 		t.Errorf("def mask %#x claims rdx, which is only read", mask)
 	}
 }
+
+// TestLookupsOffInstructionStarts: offsets that are not instruction starts
+// have no block and no predecessors and dominate nothing, instructions of
+// one block dominate in address order, and a gap between decoded code is a
+// dead range of its own.
+func TestLookupsOffInstructionStarts(t *testing.T) {
+	g, o := build(t, `
+.entry _start
+.func _start
+  mov rax, 1
+  jmp done
+.func orphan
+  mov rbx, 2
+  ret
+done:
+  mov rcx, 3
+  hlt
+`)
+	start, mid := off(t, o, "_start"), off(t, o, "_start")+1
+	if g.BlockAt(mid) != nil || g.InstPreds(mid) != nil || g.DominatesInst(mid, start) || g.DominatesInst(start, mid) {
+		t.Errorf("mid-instruction offset %#x has a block, predecessors or dominance", mid)
+	}
+	jmp := g.BlockAt(start).Last().Off
+	if !g.DominatesInst(start, jmp) || g.DominatesInst(jmp, start) {
+		t.Error("within a block, dominance must follow address order")
+	}
+	dead := g.DeadRanges(len(o.Text))
+	if lo, hi := off(t, o, "orphan"), off(t, o, "done"); len(dead) != 1 || dead[0] != (cfa.Range{Lo: lo, Hi: hi}) {
+		t.Errorf("dead ranges = %v, want [%#x,%#x)", dead, lo, hi)
+	}
+}

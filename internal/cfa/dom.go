@@ -1,50 +1,49 @@
 package cfa
 
+import "slices"
+
 // Dominator-tree computation using the Cooper–Harvey–Kennedy iterative
 // algorithm ("A Simple, Fast Dominance Algorithm"): immediate dominators
 // converge by repeated intersection over the reverse postorder, which on
 // the shallow, reducible-ish graphs a code generator emits runs in a small
 // constant number of passes and needs no auxiliary forest.
 
-// computeDominators fills g.rpo, g.rpoNum and g.idom.
+// computeDominators fills g.rpo, g.rpoNum and g.idom, which share one
+// allocation; the depth-first stack is the only other.
 func (g *Graph) computeDominators() {
 	n := len(g.Blocks)
-	g.rpoNum = make([]int, n)
-	g.idom = make([]int, n)
+	buf := make([]int, 3*n)
+	g.idom, g.rpoNum, g.rpo = buf[:n:n], buf[n:2*n:2*n], buf[2*n:2*n]
 	for i := range g.idom {
 		g.idom[i] = -1
 		g.rpoNum[i] = -1
 	}
 
-	// Iterative DFS postorder from the virtual root, then reverse.
-	post := make([]int, 0, n)
-	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
+	// Iterative DFS postorder from the virtual root, then reverse. A
+	// visited block's rpoNum is 0 until it is numbered.
 	type frame struct {
 		id   int
 		next int // next successor index to visit
 	}
-	stack := []frame{{id: Root}}
-	state[Root] = 1
+	stack := make([]frame, 1, n)
+	stack[0] = frame{id: Root}
+	g.rpoNum[Root] = 0
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		succs := g.Blocks[f.id].Succs
 		if f.next < len(succs) {
 			s := succs[f.next]
 			f.next++
-			if state[s] == 0 {
-				state[s] = 1
+			if g.rpoNum[s] < 0 {
+				g.rpoNum[s] = 0
 				stack = append(stack, frame{id: s})
 			}
 			continue
 		}
-		state[f.id] = 2
-		post = append(post, f.id)
+		g.rpo = append(g.rpo, f.id)
 		stack = stack[:len(stack)-1]
 	}
-	g.rpo = make([]int, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		g.rpo = append(g.rpo, post[i])
-	}
+	slices.Reverse(g.rpo)
 	for i, id := range g.rpo {
 		g.rpoNum[id] = i
 	}

@@ -8,6 +8,7 @@ import (
 
 	"deflection/internal/asmtext"
 	"deflection/internal/cfa"
+	"deflection/internal/cfaref"
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
 )
@@ -300,7 +301,8 @@ func solveReference(g *cfa.Graph, b cfa.Budget) outcome {
 // FuzzEngine checks the engine's sparse re-solving against the reference
 // on random programs: the same convergence verdict, the same final
 // in-states, the same findings and the same block masks. A converged
-// engine run must also fail when given one step fewer than it used.
+// engine run must also fail when given one step fewer than it used. The
+// CFG the engine runs over must match the reference builders'.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{})
 	// Three functions: a loop storing into a global that a callee loads.
@@ -320,6 +322,9 @@ func FuzzEngine(f *testing.F) {
 		for _, bt := range o.BranchTargets {
 			s, _ := o.Symbol(bt.Symbol)
 			targets = append(targets, s.Offset)
+		}
+		if d := cfaref.Diff(o.Text, entry.Offset, targets); d != "" {
+			t.Fatalf("%s\n%s", d, src)
 		}
 		dis, err := disasm.Disassemble(o.Text, append([]int64{entry.Offset}, targets...))
 		if err != nil {

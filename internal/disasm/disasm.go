@@ -81,12 +81,13 @@ func DirectTarget(in Inst) int64 { return in.End() + in.Imm }
 
 // Disassemble decodes text starting from every offset in entries.
 func Disassemble(text []byte, entries []int64) (*Result, error) {
-	// While decoding, at numbers instructions in discovery order (found,
-	// with leader flags in lead); the final pass renumbers it in address
-	// order.
+	// While decoding, at[b] holds 1 + the start offset of the instruction
+	// covering byte b (0 where none does), lead flags the offsets that begin
+	// a basic block, and n counts the instructions. The closing pass builds
+	// the table from these in address order, with its exact size.
 	at := make([]int32, len(text)+1)
-	var found []Inst
-	var lead []bool
+	lead := make([]bool, len(text)+1)
+	n := 0
 
 	// Every enqueued offset begins a basic block.
 	work := make([]int64, 0, len(entries))
@@ -94,14 +95,13 @@ func Disassemble(text []byte, entries []int64) (*Result, error) {
 		if off < 0 || off > int64(len(text)) {
 			return fmt.Errorf("disasm: branch target %#x outside text (len %d)", off, len(text))
 		}
-		if k := at[off] - 1; k >= 0 {
-			if found[k].Off != off {
-				return fmt.Errorf("%w: target %#x splits instruction at %#x", ErrOverlap, off, found[k].Off)
-			}
-			lead[k] = true
-			return nil
+		switch s := int64(at[off]) - 1; {
+		case s < 0:
+			work = append(work, off)
+		case s != off:
+			return fmt.Errorf("%w: target %#x splits instruction at %#x", ErrOverlap, off, s)
 		}
-		work = append(work, off)
+		lead[off] = true
 		return nil
 	}
 	for _, e := range entries {
@@ -113,54 +113,48 @@ func Disassemble(text []byte, entries []int64) (*Result, error) {
 	for len(work) > 0 {
 		off := work[len(work)-1]
 		work = work[:len(work)-1]
-		for leader := true; ; leader = false {
-			if k := at[off] - 1; k >= 0 {
-				if found[k].Off != off {
-					return nil, fmt.Errorf("%w: fall-through into middle of instruction at %#x (from %#x)", ErrOverlap, found[k].Off, off)
+		for {
+			if s := int64(at[off]) - 1; s >= 0 {
+				if s != off {
+					return nil, fmt.Errorf("%w: fall-through into middle of instruction at %#x (from %#x)", ErrOverlap, s, off)
 				}
-				lead[k] = lead[k] || leader
 				break
 			}
 			if off >= int64(len(text)) {
 				return nil, fmt.Errorf("disasm: control flow runs past end of text at %#x", off)
 			}
-			raw, n, err := isa.Decode(text[off:])
+			raw, size, err := isa.Decode(text[off:])
 			if err != nil {
 				return nil, fmt.Errorf("disasm: at %#x: %w", off, err)
 			}
-			in := Inst{Inst: raw, Off: off, Len: n}
-			found = append(found, in)
-			lead = append(lead, leader)
-			at[off] = int32(len(found))
-			for b := off + 1; b < in.End(); b++ {
+			in := Inst{Inst: raw, Off: off, Len: size}
+			n++
+			span := at[off:in.End()]
+			for i := range span {
 				// The first covered byte past off is always another
 				// instruction's start: off itself was uncovered.
-				if at[b] != 0 {
-					return nil, fmt.Errorf("%w: instruction at %#x overlaps instruction at %#x", ErrOverlap, off, b)
+				if span[i] != 0 {
+					return nil, fmt.Errorf("%w: instruction at %#x overlaps instruction at %#x", ErrOverlap, off, off+int64(i))
 				}
-				at[b] = int32(len(found))
+				span[i] = int32(off + 1)
 			}
 
+			// An indirect branch's successors come from the branch-target
+			// list, which is already in entries; a CallR also falls through
+			// on return.
+			var buf [2]int64
+			next := buf[:0]
 			switch raw.Op {
 			case isa.OpJmp:
-				if err := enqueue(DirectTarget(in)); err != nil {
-					return nil, err
-				}
+				next = append(next, DirectTarget(in))
 			case isa.OpJcc, isa.OpCall:
-				if err := enqueue(DirectTarget(in)); err != nil {
+				next = append(next, DirectTarget(in), in.End())
+			case isa.OpCallR:
+				next = append(next, in.End())
+			}
+			for _, t := range next {
+				if err := enqueue(t); err != nil {
 					return nil, err
-				}
-				if err := enqueue(in.End()); err != nil {
-					return nil, err
-				}
-			case isa.OpJmpR, isa.OpCallR:
-				// Indirect: successors come from the branch-target list,
-				// which is already in entries. A CallR also falls through
-				// on return.
-				if raw.Op == isa.OpCallR {
-					if err := enqueue(in.End()); err != nil {
-						return nil, err
-					}
 				}
 			}
 			if raw.Op.Terminates() {
@@ -170,35 +164,23 @@ func Disassemble(text []byte, entries []int64) (*Result, error) {
 		}
 	}
 
-	// One pass in address order emits the table: a byte whose covering
-	// instruction starts there appends it, and every byte is renumbered to
-	// the last instruction appended, which is the one covering it.
-	r := &Result{Insts: make([]Inst, 0, len(found)), Leader: make([]bool, 0, len(found)), at: at}
-	for b, k := range at {
-		if k == 0 {
+	// One pass in address order emits the table: the first covered byte
+	// after a gap or an instruction is the next instruction's start, which
+	// decoded once already, and every byte it covers is renumbered to it.
+	r := &Result{Insts: make([]Inst, 0, n), Leader: make([]bool, 0, n), at: at}
+	for b := 0; b < len(text); {
+		if at[b] == 0 {
+			b++
 			continue
 		}
-		if in := found[k-1]; in.Off == int64(b) {
-			r.Insts = append(r.Insts, in)
-			r.Leader = append(r.Leader, lead[k-1])
+		raw, size, _ := isa.Decode(text[b:])
+		r.Insts = append(r.Insts, Inst{Inst: raw, Off: int64(b), Len: size})
+		r.Leader = append(r.Leader, lead[b])
+		span := at[b : b+size]
+		for i := range span {
+			span[i] = int32(len(r.Insts))
 		}
-		at[b] = int32(len(r.Insts))
+		b += size
 	}
 	return r, nil
-}
-
-// Linear decodes text sequentially from offset 0, ignoring control flow.
-// It is used by tooling (the disassembler CLI) rather than the verifier.
-func Linear(text []byte) ([]Inst, error) {
-	var out []Inst
-	var off int64
-	for off < int64(len(text)) {
-		raw, n, err := isa.Decode(text[off:])
-		if err != nil {
-			return out, fmt.Errorf("disasm: at %#x: %w", off, err)
-		}
-		out = append(out, Inst{Inst: raw, Off: off, Len: n})
-		off += int64(n)
-	}
-	return out, nil
 }

@@ -1,10 +1,13 @@
-package disasm
+package disasm_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"deflection/internal/asm"
+	"deflection/internal/cfaref"
+	"deflection/internal/disasm"
 	"deflection/internal/isa"
 )
 
@@ -22,7 +25,7 @@ func TestLinear(t *testing.T) {
 		isa.Inst{Op: isa.OpAddRR, Dst: isa.RAX, Src: isa.RBX},
 		isa.Inst{Op: isa.OpHlt},
 	)
-	out, err := Linear(text)
+	out, err := asm.Linear(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestDisassembleFollowsControlFlow(t *testing.T) {
 	hlt := isa.Inst{Op: isa.OpHlt}
 	text = asm.AppendEncode(text, &hlt)
 
-	r, err := Disassemble(text, []int64{0})
+	r, err := disasm.Disassemble(text, []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestDisassembleJccBothEdges(t *testing.T) {
 	je := isa.Inst{Op: isa.OpJcc, Cond: isa.CondE, Imm: int64(asm.EncodedLen(&nop))}
 	hlt := isa.Inst{Op: isa.OpHlt}
 	text := encode(cmp, je, nop, hlt)
-	r, err := Disassemble(text, []int64{0})
+	r, err := disasm.Disassemble(text, []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestDisassembleIndirectNeedsList(t *testing.T) {
 	text := encode(jr, bm, hlt)
 	markOff := int64(asm.EncodedLen(&jr))
 
-	r, err := Disassemble(text, []int64{0})
+	r, err := disasm.Disassemble(text, []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +104,7 @@ func TestDisassembleIndirectNeedsList(t *testing.T) {
 		t.Fatalf("without list decoded %d, want 1", len(r.Insts))
 	}
 
-	r, err = Disassemble(text, []int64{0, markOff})
+	r, err = disasm.Disassemble(text, []int64{0, markOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestDisassembleRejectsOverlap(t *testing.T) {
 	text := encode(mov, hlt)
 	// Depending on traversal order this surfaces as either ErrOverlap or a
 	// decode failure of the misaligned bytes; both are rejections.
-	if _, err := Disassemble(text, []int64{0, 3}); err == nil {
+	if _, err := disasm.Disassemble(text, []int64{0, 3}); err == nil {
 		t.Error("overlapping entry should be rejected")
 	}
 }
@@ -131,7 +134,7 @@ func TestDisassembleRejectsJumpIntoInstruction(t *testing.T) {
 	mov := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: int64(uint64(0x0b0b0b0b0b0b0b0b))}
 	hlt := isa.Inst{Op: isa.OpHlt}
 	text := encode(mov, hlt)
-	if _, err := Disassemble(text, []int64{1, 0}); !errors.Is(err, ErrOverlap) {
+	if _, err := disasm.Disassemble(text, []int64{1, 0}); !errors.Is(err, disasm.ErrOverlap) {
 		t.Errorf("err = %v, want ErrOverlap", err)
 	}
 }
@@ -139,7 +142,7 @@ func TestDisassembleRejectsJumpIntoInstruction(t *testing.T) {
 func TestDisassembleRejectsRunoff(t *testing.T) {
 	mov := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 1}
 	text := encode(mov) // no terminator: control runs off the end
-	if _, err := Disassemble(text, []int64{0}); err == nil {
+	if _, err := disasm.Disassemble(text, []int64{0}); err == nil {
 		t.Error("running past end of text should fail")
 	}
 }
@@ -147,10 +150,10 @@ func TestDisassembleRejectsRunoff(t *testing.T) {
 func TestDisassembleRejectsBadTarget(t *testing.T) {
 	hlt := isa.Inst{Op: isa.OpHlt}
 	text := encode(hlt)
-	if _, err := Disassemble(text, []int64{-1}); err == nil {
+	if _, err := disasm.Disassemble(text, []int64{-1}); err == nil {
 		t.Error("negative entry should fail")
 	}
-	if _, err := Disassemble(text, []int64{int64(len(text)) + 10}); err == nil {
+	if _, err := disasm.Disassemble(text, []int64{int64(len(text)) + 10}); err == nil {
 		t.Error("entry past end should fail")
 	}
 }
@@ -161,7 +164,7 @@ func TestDisassembleCallFallthrough(t *testing.T) {
 	ret := isa.Inst{Op: isa.OpRet}
 	call := isa.Inst{Op: isa.OpCall, Imm: int64(asm.EncodedLen(&hlt))}
 	text := encode(call, hlt, ret)
-	r, err := Disassemble(text, []int64{0})
+	r, err := disasm.Disassemble(text, []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +179,45 @@ func TestDisassembleCallFallthrough(t *testing.T) {
 
 func TestDirectTarget(t *testing.T) {
 	jmp := isa.Inst{Op: isa.OpJmp, Imm: -6}
-	in := Inst{Inst: jmp, Off: 10, Len: 5}
-	if got := DirectTarget(in); got != 9 {
+	in := disasm.Inst{Inst: jmp, Off: 10, Len: 5}
+	if got := disasm.DirectTarget(in); got != 9 {
 		t.Errorf("DirectTarget = %d, want 9", got)
+	}
+}
+
+// TestDisassembleRejections pins the error text of every rejection and
+// requires the reference builders to reject alike.
+func TestDisassembleRejections(t *testing.T) {
+	hlt := isa.Inst{Op: isa.OpHlt}
+	mov := isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 1}
+	// A mov whose immediate's first byte (offset 2) decodes as a hlt.
+	overlapped := encode(mov, hlt)
+	overlapped[2] = byte(isa.OpHlt)
+	// A jmp back into the middle of the mov before it.
+	movLen := int64(asm.EncodedLen(&mov))
+	jmp := isa.Inst{Op: isa.OpJmp}
+	jmp.Imm = 1 - movLen - int64(asm.EncodedLen(&jmp))
+	split := encode(mov, jmp)
+	for _, c := range []struct {
+		name    string
+		text    []byte
+		entries []int64
+		err     string
+		overlap bool
+	}{
+		{"target outside text", encode(hlt), []int64{0, 7}, "disasm: branch target 0x7 outside text (len 1)", false},
+		{"target splits an instruction", split, []int64{0}, "disasm: branch target inside another instruction: target 0x1 splits instruction at 0x0", true},
+		{"fall-through into the middle", encode(mov, hlt), []int64{1, 0}, "disasm: branch target inside another instruction: fall-through into middle of instruction at 0x0 (from 0x1)", true},
+		{"run past the end", encode(mov), []int64{0}, "disasm: control flow runs past end of text at 0xa", false},
+		{"decode error", []byte{0xff}, []int64{0}, "disasm: at 0x0: ", false},
+		{"overlap", overlapped, []int64{0, 2}, "disasm: branch target inside another instruction: instruction at 0x0 overlaps instruction at 0x2", true},
+	} {
+		_, err := disasm.Disassemble(c.text, c.entries)
+		if err == nil || !strings.HasPrefix(err.Error(), c.err) || errors.Is(err, disasm.ErrOverlap) != c.overlap {
+			t.Errorf("%s: err = %v, want %q (ErrOverlap %t)", c.name, err, c.err, c.overlap)
+		}
+		if d := cfaref.Diff(c.text, c.entries[0], c.entries[1:]); d != "" {
+			t.Errorf("%s: %s", c.name, d)
+		}
 	}
 }

@@ -1,9 +1,11 @@
-package disasm
+package disasm_test
 
 import (
 	"testing"
 
 	"deflection/internal/asm"
+	"deflection/internal/cfaref"
+	"deflection/internal/disasm"
 	"deflection/internal/isa"
 )
 
@@ -11,7 +13,8 @@ import (
 // verifier runs Disassemble on attacker-controlled text before anything
 // else, so the decoder must never panic, never decode past the buffer and
 // never report overlapping instructions — whatever the input. Errors are
-// fine; inconsistency is not.
+// fine; inconsistency is not, and neither is any difference from the
+// reference builders in internal/cfaref, CFG included.
 func FuzzDisassemble(f *testing.F) {
 	f.Add(encode(
 		isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 1},
@@ -38,11 +41,14 @@ func FuzzDisassemble(f *testing.F) {
 	f.Add([]byte{}, int64(5))
 
 	f.Fuzz(func(t *testing.T, data []byte, entry int64) {
-		r, err := Disassemble(data, []int64{entry})
+		r, err := disasm.Disassemble(data, []int64{entry})
 		if err == nil {
 			checkResult(t, r, data, []int64{entry})
 		}
-		lin, _ := Linear(data)
+		if d := cfaref.Diff(data, entry, nil); d != "" {
+			t.Fatal(d)
+		}
+		lin, _ := asm.Linear(data)
 		// Linear decodes a contiguous prefix: each instruction starts where
 		// the previous one ended.
 		var off int64
@@ -63,7 +69,7 @@ func FuzzDisassemble(f *testing.F) {
 // byte, Index and At agree with a linear scan of Insts; and the leaders are
 // exactly decoded starts, covering every entry and every branch target and
 // fall-through successor the traversal enqueued.
-func checkResult(t *testing.T, r *Result, data []byte, entries []int64) {
+func checkResult(t *testing.T, r *disasm.Result, data []byte, entries []int64) {
 	t.Helper()
 	var prevEnd int64
 	for _, in := range r.Insts {
@@ -91,9 +97,9 @@ func checkResult(t *testing.T, r *Result, data []byte, entries []int64) {
 	for _, in := range r.Insts {
 		switch in.Op {
 		case isa.OpJmp:
-			leads = append(leads, DirectTarget(in))
+			leads = append(leads, disasm.DirectTarget(in))
 		case isa.OpJcc, isa.OpCall:
-			leads = append(leads, DirectTarget(in), in.End())
+			leads = append(leads, disasm.DirectTarget(in), in.End())
 		case isa.OpCallR:
 			leads = append(leads, in.End())
 		}

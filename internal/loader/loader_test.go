@@ -7,7 +7,6 @@ import (
 
 	"deflection/internal/asm"
 	"deflection/internal/compiler"
-	"deflection/internal/disasm"
 	"deflection/internal/enclave"
 	"deflection/internal/isa"
 	"deflection/internal/loader"
@@ -190,7 +189,7 @@ int main() {
 	}
 
 	// No magic placeholder may survive in the rewritten text.
-	insts, err := disasm.Linear(ld.Text)
+	insts, err := asm.Linear(ld.Text)
 	if err != nil {
 		// Linear decode can fail on data-like padding; fall back to the
 		// verified instruction set.

@@ -8,6 +8,7 @@ import (
 
 	"deflection/internal/apps"
 	"deflection/internal/asm"
+	"deflection/internal/cfaref"
 	"deflection/internal/compiler"
 	"deflection/internal/dclib"
 	"deflection/internal/disasm"
@@ -20,8 +21,9 @@ import (
 // FuzzVerify mutates the relocated text and the proof's branch-target list
 // of real compiled programs and runs the whole verifier under p1-p8. Verify
 // must never panic, must be deterministic (same verdict text and Stats on
-// a second run), and every accepted result must satisfy the instruction
-// table's invariants, which all offset arithmetic in the passes relies on.
+// a second run), every accepted result must satisfy the instruction
+// table's invariants, which all offset arithmetic in the passes relies on,
+// and the instruction table and CFG must match the reference builders'.
 func FuzzVerify(f *testing.F) {
 	texts, seeds := fuzzSeeds(f)
 	for i, text := range texts {
@@ -45,6 +47,9 @@ func FuzzVerify(f *testing.F) {
 		}
 		if err == nil {
 			checkTable(t, res.Dis, len(text))
+		}
+		if d := cfaref.Diff(text, opts.EntryOffset, opts.BranchTargetOffsets); d != "" {
+			t.Fatal(d)
 		}
 	})
 }

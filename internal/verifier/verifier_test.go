@@ -78,7 +78,7 @@ func TestAcceptsWellFormedBinary(t *testing.T) {
 func tamper(t *testing.T, text []byte, pred func(disasm.Inst) bool, mut func([]byte, disasm.Inst)) []byte {
 	t.Helper()
 	out := append([]byte(nil), text...)
-	insts, _ := disasm.Linear(text)
+	insts, _ := asm.Linear(text)
 	for _, in := range insts {
 		if pred(in) {
 			mut(out[in.Off:in.End()], in)
@@ -261,7 +261,7 @@ func TestRejectsJumpIntoAnnotation(t *testing.T) {
 	// Take a valid P1 binary and retarget a user jmp into the middle of a
 	// store guard (right at its pops), bypassing the bounds comparison.
 	text, opts := compileText(t, guardedSrc, policy.SetP1)
-	insts, err := disasm.Linear(text)
+	insts, err := asm.Linear(text)
 	if err != nil {
 		t.Fatal(err)
 	}
