@@ -272,12 +272,14 @@ func BuildImage(objBytes []byte, m Manifest, l enclave.Layout) (*Image, *stage.T
 // each stage into tr. It never touches enclave memory. The image it
 // returns holds .data without the zeroed .bss.
 func build(objBytes []byte, m Manifest, l enclave.Layout, tr *stage.Trace) (*Image, error) {
+	// The binary's hash, its identity in the image, is timed with the parse.
 	tm := tr.Start("parse")
 	o, err := obj.Unmarshal(objBytes)
 	if err != nil {
 		tm.End("error", err.Error())
 		return nil, err
 	}
+	hash := sha256.Sum256(objBytes)
 	tm.End("obj_bytes", len(objBytes), "policy_mask", policy.Set(o.PolicyMask).String())
 
 	// P0 is enforced by the bootstrap enclave itself — interface
@@ -324,7 +326,7 @@ func build(objBytes []byte, m Manifest, l enclave.Layout, tr *stage.Trace) (*Ima
 	}
 	tm.End("store_bounds", rw.StoreBounds, "stack_bounds", rw.StackBounds, "ssa_sites", rw.SSASites)
 	return &Image{
-		BinaryHash:    sha256.Sum256(objBytes),
+		BinaryHash:    hash,
 		Entry:         ld.Entry,
 		TextBase:      ld.TextBase,
 		TextEnd:       ld.TextBase + uint64(len(ld.Text)),
