@@ -297,13 +297,7 @@ func (g *Graph) buildInstPreds() {
 			}
 		}
 	}
-	var nIndirect int32
-	for _, in := range insts {
-		if in.Op == isa.OpJmpR || in.Op == isa.OpCallR {
-			nIndirect++
-		}
-	}
-	indirect := make([]int64, 0, nIndirect)
+	var indirect []int64
 	for _, in := range insts {
 		if in.Op == isa.OpJmpR || in.Op == isa.OpCallR {
 			indirect = append(indirect, in.Off)
